@@ -20,6 +20,7 @@ std::vector<std::int64_t> ns_per_d_bounds() {
   return log2_bounds(1, std::int64_t{1} << 30);
 }
 
+/// Exemplars kept per request class.
 constexpr std::size_t kMaxExemplars = 8;
 
 std::int64_t parse_int(const std::string& tok, const char* what) {
@@ -348,7 +349,15 @@ void SloMonitor::consider_exemplar(SloClass cls, std::int64_t latency_ns,
       exemplars_.begin(), exemplars_.end(),
       [&](const SloExemplar& x) { return x.latency_ns < latency_ns; });
   exemplars_.insert(pos, e);
-  if (exemplars_.size() > kMaxExemplars) exemplars_.pop_back();
+  // Cap per class, so wall-slow requests of one class never evict another
+  // class's exemplars: drop this class's fastest once it has one too many.
+  std::size_t kept = 0;
+  for (auto it = exemplars_.begin(); it != exemplars_.end(); ++it) {
+    if (it->cls == e.cls && ++kept > kMaxExemplars) {
+      exemplars_.erase(it);
+      break;
+    }
+  }
 }
 
 void SloMonitor::close_update(std::uint64_t t0_ns, std::int64_t t_us) {

@@ -151,7 +151,7 @@ struct SloReport {
   /// Only bands with samples; .first is the slo_find_band index.
   std::vector<std::pair<std::uint32_t, Histogram>> find_bands;
   std::vector<SloObjectiveState> objectives;
-  std::vector<SloExemplar> exemplars;  // slowest first
+  std::vector<SloExemplar> exemplars;  // slowest first, up to 8 per class
 
   /// Error budget left in the long window, in milli of the budget
   /// (1000 = untouched, 0 = fully burned), for objective i.
@@ -278,7 +278,7 @@ class SloMonitor {
   /// windows_[i] tracks spec_.objectives[i]; the optional availability
   /// objective rides behind them (index spec_.objectives.size()).
   std::vector<BurnWindow> windows_;
-  std::vector<SloExemplar> exemplars_;  // slowest first, capped
+  std::vector<SloExemplar> exemplars_;  // slowest first, capped per class
   std::int64_t last_t_us_ = 0;
 };
 

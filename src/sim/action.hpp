@@ -4,10 +4,14 @@
 // Every scheduled event used to carry a std::function<void()>; the typical
 // capture block (an automaton pointer plus a message payload) exceeds the
 // standard library's tiny inline buffer, so the DES hot path paid one heap
-// allocation per event. EventAction keeps a 48-byte inline buffer — large
-// enough for every callable the simulator schedules today — and falls back
-// to the heap only beyond that, counting each fallback so benches can
-// assert the rate stays at zero.
+// allocation per event. EventAction keeps a 48-byte inline buffer and
+// falls back to the heap only beyond that, counting each fallback.
+//
+// Every serving-path closure fits: a C-gcast delivery captures a slab row
+// index, a tracker timer its target or find id, and a client broadcast a
+// packed 32-byte Message (tests/test_message_path.cpp pins the count at
+// zero). Sharded C-gcast deliveries still carry their whole message and
+// fall back.
 
 #include <atomic>
 #include <cstddef>

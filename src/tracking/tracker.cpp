@@ -1,5 +1,7 @@
 #include "tracking/tracker.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -20,6 +22,20 @@ struct OpScope {
   OpScope& operator=(const OpScope&) = delete;
 };
 
+/// First row of a table sorted by `key` whose key is not below `id`.
+template <class Rows, class Id, class Key>
+auto lower_row(Rows& rows, Id id, Key key) {
+  return std::lower_bound(rows.begin(), rows.end(), id,
+                          [key](const auto& row, Id v) { return row.*key < v; });
+}
+
+/// The row keyed `id`, or nullptr.
+template <class Rows, class Id, class Key>
+auto* lookup_row(Rows& rows, Id id, Key key) {
+  const auto it = lower_row(rows, id, key);
+  return it != rows.end() && (*it).*key == id ? &*it : nullptr;
+}
+
 }  // namespace
 
 Tracker::Tracker(sim::Scheduler& sched,
@@ -32,28 +48,95 @@ Tracker::Tracker(sim::Scheduler& sched,
       clust_(clust),
       lvl_(hierarchy.level(clust)) {}
 
+Tracker::~Tracker() { reset(); }
+
 Tracker::PerTarget& Tracker::target_state(TargetId t) {
-  auto it = targets_.find(t);
-  if (it == targets_.end()) {
-    it = targets_.emplace(t, PerTarget{}).first;
-    it->second.timer = std::make_unique<sim::Timer>(
-        *sched_, [this, t] { on_timer(t); });
+  auto it = lower_row(targets_, t, &PerTarget::target);
+  if (it == targets_.end() || it->target != t) {
+    it = targets_.insert(it, PerTarget{});
+    it->target = t;
   }
-  return it->second;
+  return *it;
 }
 
 Tracker::PerFind& Tracker::find_state(FindId f) {
-  auto it = finds_.find(f);
-  if (it == finds_.end()) {
-    it = finds_.emplace(f, PerFind{}).first;
-    it->second.nbrtimeout = std::make_unique<sim::Timer>(
-        *sched_, [this, f] { on_nbrtimeout(f); });
+  auto it = lower_row(finds_, f, &PerFind::find);
+  if (it == finds_.end() || it->find != f) {
+    it = finds_.insert(it, PerFind{});
+    it->find = f;
   }
-  return it->second;
+  return *it;
+}
+
+Tracker::PerTarget* Tracker::target_row(TargetId t) {
+  return lookup_row(targets_, t, &PerTarget::target);
+}
+
+const Tracker::PerTarget* Tracker::target_row(TargetId t) const {
+  return lookup_row(targets_, t, &PerTarget::target);
+}
+
+Tracker::PerFind* Tracker::find_row(FindId f) {
+  return lookup_row(finds_, f, &PerFind::find);
+}
+
+const Tracker::PerFind* Tracker::find_row(FindId f) const {
+  return lookup_row(finds_, f, &PerFind::find);
+}
+
+const Tracker::PerTarget& Tracker::target_view(TargetId t) const {
+  static constexpr PerTarget kBottom{};
+  const PerTarget* s = target_row(t);
+  return s != nullptr ? *s : kBottom;
+}
+
+void Tracker::retire(PerTarget& s) {
+  if (s.active()) return;
+  targets_.erase(targets_.begin() + (&s - targets_.data()));
+}
+
+void Tracker::retire(PerFind& pf) {
+  // `target` and `queried` are rewritten by the next find receipt, so a
+  // row that is not finding matters only through a pending timeout or the
+  // root-retry budget (which persists across receipts).
+  if (pf.finding || pf.nbrtimeout.valid() || pf.root_retries != 0) return;
+  finds_.erase(finds_.begin() + (&pf - finds_.data()));
+}
+
+void Tracker::disarm(sim::EventId& timer) {
+  if (timer.valid()) sched_->cancel(timer);
+  timer = sim::EventId{};
+}
+
+void Tracker::arm_timer(PerTarget& s, sim::Duration delay) {
+  disarm(s.timer);
+  const TargetId t = s.target;
+  s.timer = sched_->schedule_after(delay, [this, t] { on_timer_expiry(t); });
+}
+
+void Tracker::arm_nbrtimeout(PerFind& pf, sim::Duration delay) {
+  disarm(pf.nbrtimeout);
+  const FindId f = pf.find;
+  pf.nbrtimeout =
+      sched_->schedule_after(delay, [this, f] { on_nbrtimeout_expiry(f); });
+}
+
+void Tracker::on_timer_expiry(TargetId t) {
+  target_row(t)->timer = sim::EventId{};  // armed rows are never retired
+  on_timer(t);
+  if (PerTarget* s = target_row(t)) retire(*s);
+}
+
+void Tracker::on_nbrtimeout_expiry(FindId f) {
+  find_row(f)->nbrtimeout = sim::EventId{};
+  on_nbrtimeout(f);
+  if (PerFind* pf = find_row(f)) retire(*pf);
 }
 
 void Tracker::reset() {
-  targets_.clear();  // destroys timers, disarming them
+  for (PerTarget& s : targets_) disarm(s.timer);
+  for (PerFind& pf : finds_) disarm(pf.nbrtimeout);
+  targets_.clear();
   finds_.clear();
 }
 
@@ -63,26 +146,24 @@ void Tracker::corrupt_state(TargetId target, const TrackerSnapshot& forced) {
   s.p = forced.p;
   s.nbrptup = forced.nbrptup;
   s.nbrptdown = forced.nbrptdown;
-  s.timer->disarm();
+  disarm(s.timer);
   notify_state_change(target);
+  retire(s);
 }
 
 TrackerSnapshot Tracker::state(TargetId target) const {
-  TrackerSnapshot s;
-  s.clust = clust_;
-  const auto it = targets_.find(target);
-  if (it != targets_.end()) {
-    s.c = it->second.c;
-    s.p = it->second.p;
-    s.nbrptup = it->second.nbrptup;
-    s.nbrptdown = it->second.nbrptdown;
-  }
-  return s;
+  const PerTarget& s = target_view(target);
+  TrackerSnapshot out;
+  out.clust = clust_;
+  out.c = s.c;
+  out.p = s.p;
+  out.nbrptup = s.nbrptup;
+  out.nbrptdown = s.nbrptdown;
+  return out;
 }
 
 bool Tracker::timer_armed(TargetId target) const {
-  const auto it = targets_.find(target);
-  return it != targets_.end() && it->second.timer->armed();
+  return target_view(target).timer.valid();
 }
 
 void Tracker::nudge_timer(TargetId target, obs::OpId op) {
@@ -93,22 +174,20 @@ void Tracker::nudge_timer(TargetId target, obs::OpId op) {
     target_state(target).op = op;
   }
   on_timer(target);
+  if (PerTarget* s = target_row(target)) retire(*s);
 }
 
 std::vector<TargetId> Tracker::active_targets() const {
   std::vector<TargetId> out;
-  for (const auto& [t, s] : targets_) {
-    if (s.c.valid() || s.p.valid() || s.nbrptup.valid() ||
-        s.nbrptdown.valid() || s.timer->armed()) {
-      out.push_back(t);
-    }
+  for (const PerTarget& s : targets_) {
+    if (s.active()) out.push_back(s.target);
   }
   return out;
 }
 
 bool Tracker::finding(FindId find) const {
-  const auto it = finds_.find(find);
-  return it != finds_.end() && it->second.finding;
+  const PerFind* pf = find_row(find);
+  return pf != nullptr && pf->finding;
 }
 
 void Tracker::send(ClusterId to, MsgType type, TargetId target, FindId find,
@@ -175,7 +254,7 @@ void Tracker::dispatch(const Message& m) {
 void Tracker::on_grow(const Message& m) {
   PerTarget& s = target_state(m.target);
   if (!s.c.valid() && !s.p.valid() && lvl_ != hier_->max_level()) {
-    s.timer->arm_after(config_->timers.grow(lvl_));
+    arm_timer(s, config_->timers.grow(lvl_));
     s.op = current_op_;
   }
   s.c = m.from_cluster;
@@ -204,32 +283,35 @@ void Tracker::on_grow_nbr(const Message& m) {
 // Input cTOBrcv(⟨shrink, cid⟩): clean only deadwood — ignore unless c still
 // points at the sender.
 void Tracker::on_shrink(const Message& m) {
-  PerTarget& s = target_state(m.target);
-  if (s.c != m.from_cluster) return;
-  s.c = ClusterId::invalid();
+  PerTarget* s = target_row(m.target);
+  if (s == nullptr || s->c != m.from_cluster) return;
+  s->c = ClusterId::invalid();
   if (lvl_ != hier_->max_level()) {
-    s.timer->arm_after(config_->timers.shrink(lvl_));
-    s.op = current_op_;
+    arm_timer(*s, config_->timers.shrink(lvl_));
+    s->op = current_op_;
   }
   notify_state_change(m.target);
+  retire(*s);
 }
 
 // Input cTOBrcv(⟨shrinkUpd, cid⟩): drop secondary pointers to the departed
 // neighbour.
 void Tracker::on_shrink_upd(const Message& m) {
-  PerTarget& s = target_state(m.target);
+  PerTarget* s = target_row(m.target);
+  if (s == nullptr) return;
   bool changed = false;
-  if (s.nbrptup == m.from_cluster) {
-    s.nbrptup = ClusterId::invalid();
+  if (s->nbrptup == m.from_cluster) {
+    s->nbrptup = ClusterId::invalid();
     changed = true;
   }
-  if (s.nbrptdown == m.from_cluster) {
-    s.nbrptdown = ClusterId::invalid();
+  if (s->nbrptdown == m.from_cluster) {
+    s->nbrptdown = ClusterId::invalid();
     changed = true;
   }
   if (changed) {
     notify_state_change(m.target);
     advance_finds_of(m.target);
+    retire(*s);
   }
 }
 
@@ -300,23 +382,30 @@ void Tracker::on_find(const Message& m) {
   pf.finding = true;
   pf.target = m.target;
   pf.queried = false;
-  pf.nbrtimeout->disarm();  // nbrtimeout ← ∞
+  disarm(pf.nbrtimeout);  // nbrtimeout ← ∞
   try_advance_find(m.find_id);
 }
 
 void Tracker::advance_finds_of(TargetId t) {
-  // Collect first: try_advance_find may mutate finds_ entries.
-  std::vector<FindId> active;
-  for (const auto& [f, pf] : finds_) {
-    if (pf.finding && pf.target == t) active.push_back(f);
+  // FindId order. try_advance_find only changes (or retires) the row it
+  // advances, so resume after that find's id instead of collecting first.
+  for (auto it = finds_.begin(); it != finds_.end();) {
+    if (!it->finding || it->target != t) {
+      ++it;
+      continue;
+    }
+    const FindId f = it->find;
+    try_advance_find(f);
+    it = lower_row(finds_, f, &PerFind::find);
+    if (it != finds_.end() && it->find == f) ++it;
   }
-  for (const FindId f : active) try_advance_find(f);
 }
 
 void Tracker::try_advance_find(FindId f) {
-  PerFind& pf = find_state(f);
-  if (!pf.finding) return;
-  PerTarget& ts = target_state(pf.target);
+  PerFind* row = find_row(f);
+  if (row == nullptr || !row->finding) return;
+  PerFind& pf = *row;
+  const PerTarget& ts = target_view(pf.target);
 
   // Phase classification by the enabled action, not by the inherited op:
   // a valid c means the find is on the tracking path (trace phase — the
@@ -334,24 +423,24 @@ void Tracker::try_advance_find(FindId f) {
     // Output cTOBsend(⟨found, clust⟩, clust): the object is here (level-0
     // self pointer). Broadcast found locally and to neighbour clusters.
     emit_found(f, pf.target);
-    pf.finding = false;
+    stop_finding(pf);
     return;
   }
   if (ts.c.valid()) {
     // Trace: forward the find down (or across a lateral link) via c.
     send(ts.c, MsgType::kFind, pf.target, f);
-    pf.finding = false;
+    stop_finding(pf);
     return;
   }
   // Search phase: c = ⊥.
   if (ts.nbrptdown.valid()) {
     send(ts.nbrptdown, MsgType::kFind, pf.target, f);
-    pf.finding = false;
+    stop_finding(pf);
     return;
   }
   if (ts.nbrptup.valid() && ts.nbrptup != ts.p) {
     send(ts.nbrptup, MsgType::kFind, pf.target, f);
-    pf.finding = false;
+    stop_finding(pf);
     return;
   }
   // nbrptup ∈ {⊥, p}: query the neighbours once per find receipt
@@ -359,11 +448,16 @@ void Tracker::try_advance_find(FindId f) {
   if (!pf.queried) issue_find_query(f, pf, ts);
 }
 
-void Tracker::issue_find_query(FindId f, PerFind& pf, PerTarget& ts) {
+void Tracker::stop_finding(PerFind& pf) {
+  pf.finding = false;
+  retire(pf);
+}
+
+void Tracker::issue_find_query(FindId f, PerFind& pf, const PerTarget& ts) {
   pf.queried = true;
   const sim::Duration roundtrip =
       2 * hier_->n(lvl_) * (cgcast_->config().delta + cgcast_->config().e);
-  pf.nbrtimeout->arm_after(roundtrip);
+  arm_nbrtimeout(pf, roundtrip);
   for (const ClusterId b : hier_->nbrs(clust_)) {
     if (b == ts.p) continue;  // Figure 2: nbrs(clust) − {p}
     send(b, MsgType::kFindQuery, pf.target, f);
@@ -372,7 +466,7 @@ void Tracker::issue_find_query(FindId f, PerFind& pf, PerTarget& ts) {
 
 // Input cTOBrcv(⟨findQuery, cid⟩): answer with the best pointer we hold.
 void Tracker::on_find_query(const Message& m) {
-  PerTarget& s = target_state(m.target);
+  const PerTarget& s = target_view(m.target);
   ClusterId x;
   if (s.c.valid()) {
     x = s.c;
@@ -389,22 +483,23 @@ void Tracker::on_find_query(const Message& m) {
 // Input cTOBrcv(⟨findAck, dest⟩): follow the advertised pointer if this
 // find is still searching here and no better pointer appeared meanwhile.
 void Tracker::on_find_ack(const Message& m) {
-  PerFind& pf = find_state(m.find_id);
-  if (!pf.finding) return;
-  PerTarget& ts = target_state(pf.target);
+  PerFind* row = find_row(m.find_id);
+  if (row == nullptr || !row->finding) return;
+  PerFind& pf = *row;
+  const PerTarget& ts = target_view(pf.target);
   const bool still_searching = !ts.c.valid() && !ts.nbrptdown.valid() &&
                                (!ts.nbrptup.valid() || ts.nbrptup == ts.p);
   if (!still_searching) return;  // a state change will route the find
   if (m.ack_pointer == clust_) return;  // dest ∉ {clust}
-  pf.nbrtimeout->disarm();
+  disarm(pf.nbrtimeout);
   send(m.ack_pointer, MsgType::kFind, pf.target, m.find_id);
-  pf.finding = false;
+  stop_finding(pf);
 }
 
 // nbrtimeout expiry: no neighbour answered in time — escalate.
 void Tracker::on_nbrtimeout(FindId f) {
   const obs::ProfScope prof(prof_, obs::ProfDomain::kTrackerFind);
-  PerFind& pf = find_state(f);
+  PerFind& pf = *find_row(f);  // an armed timeout keeps its row
   if (!pf.finding) return;
   // A timed-out query escalates — still the find's search phase.
   OpScope scope(&current_op_,
@@ -415,7 +510,7 @@ void Tracker::on_nbrtimeout(FindId f) {
   if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kFindTimeout, pf.target, f, 0);
   }
-  PerTarget& ts = target_state(pf.target);
+  const PerTarget& ts = target_view(pf.target);
   const bool still_searching = !ts.c.valid() && !ts.nbrptdown.valid() &&
                                (!ts.nbrptup.valid() || ts.nbrptup == ts.p);
   if (!still_searching) {
@@ -442,7 +537,7 @@ void Tracker::on_nbrtimeout(FindId f) {
     return;
   }
   send(dest, MsgType::kFind, pf.target, f);
-  pf.finding = false;
+  stop_finding(pf);
 }
 
 void Tracker::emit_found(FindId f, TargetId t) {

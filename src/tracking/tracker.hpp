@@ -18,11 +18,17 @@
 //    is transiently off the path (c = ⊥ mid-move), the query is reissued
 //    instead of forwarding to a nonexistent parent — a liveness completion
 //    for executions outside the paper's atomic-find assumption.
+//
+// State layout (DESIGN.md §3): per-target and per-find state live in flat
+// tables sorted by TargetId / FindId, and each timer is the EventId of its
+// pending expiry, fired through an inline [this, id] action. A row exists
+// only while it holds something a later action can observe: a target row
+// is erased once its four pointers are ⊥ and its timer is disarmed, a find
+// row once the find stopped finding, its nbrtimeout is disarmed and it
+// has no root retry recorded.
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -30,7 +36,6 @@
 #include "obs/profile/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/timer.hpp"
 #include "tracking/config.hpp"
 #include "tracking/snapshot.hpp"
 #include "vsa/cgcast.hpp"
@@ -49,6 +54,8 @@ class Tracker {
 
   Tracker(const Tracker&) = delete;
   Tracker& operator=(const Tracker&) = delete;
+  /// Cancels every armed timer: their actions point at this tracker.
+  ~Tracker();
 
   /// cTOBrcv: dispatches on message type.
   void on_message(const vsa::Message& m);
@@ -79,6 +86,11 @@ class Tracker {
   [[nodiscard]] std::vector<TargetId> active_targets() const;
   /// True if the tracker currently holds `find` in its search phase.
   [[nodiscard]] bool finding(FindId find) const;
+  /// Rows currently held in the per-target and per-find tables (state
+  /// bounds for soak tests). Between handlers every target row is an
+  /// active target.
+  [[nodiscard]] std::size_t target_rows() const { return targets_.size(); }
+  [[nodiscard]] std::size_t find_rows() const { return finds_.size(); }
 
   void set_state_change_hook(StateChangeHook hook) {
     state_hook_ = std::move(hook);
@@ -97,29 +109,60 @@ class Tracker {
 
  private:
   struct PerTarget {
+    TargetId target{};
     ClusterId c{};
     ClusterId p{};
     ClusterId nbrptup{};
     ClusterId nbrptdown{};
-    std::unique_ptr<sim::Timer> timer;  // shared grow/shrink timer
+    /// Shared grow/shrink timer: its pending expiry (invalid = ∞).
+    sim::EventId timer{};
     /// Operation that armed the timer: the cascade a timer expiry emits is
     /// still part of the move step whose grow/shrink armed it.
     obs::OpId op = obs::kBackgroundOp;
+
+    /// Any pointer set or the timer armed (an active target).
+    [[nodiscard]] bool active() const {
+      return c.valid() || p.valid() || nbrptup.valid() || nbrptdown.valid() ||
+             timer.valid();
+    }
   };
   struct PerFind {
-    bool finding = false;
+    FindId find{};
     TargetId target{};
+    bool finding = false;
     bool queried = false;  // findquery performed for this find receipt
     int root_retries = 0;  // bounded re-queries at a transiently-bare root
-    std::unique_ptr<sim::Timer> nbrtimeout;
+    sim::EventId nbrtimeout{};  // pending expiry (invalid = ∞)
   };
 
   /// Re-query attempts at a root with no pointers before the find goes
   /// quiet (it resumes via try_advance_find when state changes).
   static constexpr int kMaxRootRetries = 8;
 
+  /// Row for `t`, inserted (⊥, timer ∞) if absent. Inserting may move
+  /// other rows: callers hold at most the returned reference.
   PerTarget& target_state(TargetId t);
   PerFind& find_state(FindId f);
+  /// Row lookups that never insert (nullptr if absent).
+  [[nodiscard]] PerTarget* target_row(TargetId t);
+  [[nodiscard]] const PerTarget* target_row(TargetId t) const;
+  [[nodiscard]] PerFind* find_row(FindId f);
+  [[nodiscard]] const PerFind* find_row(FindId f) const;
+  /// Read-only view of `t`'s state: its row, or an all-⊥ row if absent.
+  [[nodiscard]] const PerTarget& target_view(TargetId t) const;
+  /// Erase a row that holds nothing a later action can observe.
+  void retire(PerTarget& s);
+  void retire(PerFind& pf);
+
+  /// Timer variables: arm replaces any pending expiry (assignment to the
+  /// TIOA variable), disarm resets it to ∞.
+  void arm_timer(PerTarget& s, sim::Duration delay);
+  void arm_nbrtimeout(PerFind& pf, sim::Duration delay);
+  void disarm(sim::EventId& timer);
+  /// Expiry actions: clear the fired timer, run its Figure 2 output, then
+  /// retire the row if it fell idle.
+  void on_timer_expiry(TargetId t);
+  void on_nbrtimeout_expiry(FindId f);
 
   /// on_message body: dispatch under the incoming message's op.
   void dispatch(const vsa::Message& m);
@@ -146,7 +189,9 @@ class Tracker {
   /// state changed.
   void advance_finds_of(TargetId t);
   void on_nbrtimeout(FindId f);
-  void issue_find_query(FindId f, PerFind& pf, PerTarget& ts);
+  void issue_find_query(FindId f, PerFind& pf, const PerTarget& ts);
+  /// The find left this tracker: clear `finding` and retire the row.
+  void stop_finding(PerFind& pf);
   void emit_found(FindId f, TargetId t);
 
   void send(ClusterId to, vsa::MsgType type, TargetId target,
@@ -162,8 +207,8 @@ class Tracker {
   ClusterId clust_;
   Level lvl_;
 
-  std::map<TargetId, PerTarget> targets_;
-  std::map<FindId, PerFind> finds_;
+  std::vector<PerTarget> targets_;  // sorted by target
+  std::vector<PerFind> finds_;      // sorted by find
   StateChangeHook state_hook_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::Profiler* prof_ = nullptr;

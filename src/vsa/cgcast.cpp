@@ -110,28 +110,47 @@ bool CGcast::process_alive(ClusterId to) const {
   return false;
 }
 
+std::uint32_t CGcast::book(ClusterId from, ClusterId to, const Message& m,
+                           sim::TimePoint deliver_at) {
+  std::uint32_t row = 0;
+  if (free_rows_.empty()) {
+    row = static_cast<std::uint32_t>(rows_.size());
+    rows_.emplace_back();
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  }
+  rows_[row] = Row{m, from, to, deliver_at, next_key_++};
+  return row;
+}
+
+void CGcast::release(std::uint32_t row) {
+  rows_[row].key = 0;
+  free_rows_.push_back(row);
+}
+
 void CGcast::enqueue(ClusterId from, ClusterId to, const Message& m,
                      sim::Duration delay) {
   if (shard_map_ != nullptr) {
     // Sharded world: route the delivery into the destination cluster's
-    // lane. Inside a parallel window the shared in-flight map is off
-    // limits (other lanes run concurrently), so no row is booked (key 0);
-    // rows booked in serial context but delivered inside a later window
-    // are purged at the barrier.
+    // lane. Inside a parallel window the shared slab is off limits (other
+    // lanes run concurrently), so no row is booked (key 0); rows booked in
+    // serial context but delivered inside a later window are purged at the
+    // barrier.
+    std::uint32_t row = 0;
     std::uint64_t key = 0;
     if (!sim::in_parallel_lane()) {
-      key = next_key_++;
-      in_flight_.emplace(key, InTransit{m, from, to, sched_->now() + delay});
+      row = book(from, to, m, sched_->now() + delay);
+      key = rows_[row].key;
     }
-    sched_->schedule_cross(
-        shard_map_->lane_of_cluster(to), delay,
-        [this, key, from, to, m] { deliver_sharded(key, from, to, m); });
+    sched_->schedule_cross(shard_map_->lane_of_cluster(to), delay,
+                           [this, row, key, from, to, m] {
+                             deliver_sharded(row, key, from, to, m);
+                           });
     return;
   }
-  const std::uint64_t key = next_key_++;
-  in_flight_.emplace(key, InTransit{m, from, to, sched_->now() + delay});
-  sched_->schedule_after(delay,
-                         [this, key, to, m] { deliver_to_tracker(key, to, m); });
+  const std::uint32_t row = book(from, to, m, sched_->now() + delay);
+  sched_->schedule_after(delay, [this, row] { deliver_row(row); });
 }
 
 bool CGcast::apply_channel_faults(const Message& m, sim::Duration& delay,
@@ -250,31 +269,27 @@ void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
   });
 }
 
-void CGcast::deliver_to_tracker(std::uint64_t key, ClusterId to,
-                                const Message& m) {
-  ClusterId from = ClusterId::invalid();
-  if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    from = it->second.from;
-    in_flight_.erase(it);
+void CGcast::deliver_row(std::uint32_t row) {
+  // Copy out and release first: the handler's own sends may grow the slab.
+  const Row r = rows_[row];
+  release(row);
+  deliver_common(r.from, r.to, r.msg);
+}
+
+void CGcast::deliver_sharded(std::uint32_t row, std::uint64_t key,
+                             ClusterId from, ClusterId to, const Message& m) {
+  // Release the row only from serial context, and only if the barrier has
+  // not purged it (and a later send reused the index) already; rows
+  // delivered inside a parallel window are purged at the barrier instead.
+  if (key != 0 && !sim::in_parallel_lane() && rows_[row].key == key) {
+    release(row);
   }
   deliver_common(from, to, m);
 }
 
-void CGcast::deliver_sharded(std::uint64_t key, ClusterId from, ClusterId to,
-                             const Message& m) {
-  // Erase the in-flight row only from serial context; rows delivered
-  // inside a parallel window are purged at the barrier instead.
-  if (key != 0 && !sim::in_parallel_lane()) in_flight_.erase(key);
-  deliver_common(from, to, m);
-}
-
 void CGcast::purge_delivered(sim::TimePoint now) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->second.deliver_at <= now) {
-      it = in_flight_.erase(it);
-    } else {
-      ++it;
-    }
+  for (std::uint32_t row = 0; row < rows_.size(); ++row) {
+    if (rows_[row].key != 0 && rows_[row].deliver_at <= now) release(row);
   }
 }
 
@@ -312,9 +327,18 @@ bool CGcast::vsa_alive_at(RegionId region) const {
 }
 
 std::vector<CGcast::InTransit> CGcast::in_transit() const {
+  std::vector<const Row*> booked;
+  booked.reserve(rows_.size() - free_rows_.size());
+  for (const Row& r : rows_) {
+    if (r.key != 0) booked.push_back(&r);
+  }
+  std::sort(booked.begin(), booked.end(),
+            [](const Row* a, const Row* b) { return a->key < b->key; });
   std::vector<InTransit> out;
-  out.reserve(in_flight_.size());
-  for (const auto& [key, msg] : in_flight_) out.push_back(msg);
+  out.reserve(booked.size());
+  for (const Row* r : booked) {
+    out.push_back(InTransit{r->msg, r->from, r->to, r->deliver_at});
+  }
   return out;
 }
 

@@ -16,10 +16,15 @@
 // delivery time is dropped, matching the emulation semantics (a failed VSA
 // performs no steps). In-transit messages are introspectable so the spec
 // module can evaluate Figure 3's lookAhead on live snapshots.
+//
+// Hot-path layout: each in-flight message occupies one row of a slab
+// (a vector plus a free list), and its delivery event captures only the
+// service pointer and the row index, so the closure fits EventAction's
+// inline buffer and a send allocates nothing once the slab has grown to
+// the peak number of messages in flight.
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -103,7 +108,7 @@ class CGcast {
   /// Attach the sharded world's partition (nullptr detaches). While set,
   /// deliveries are routed into the destination cluster's lane queue via
   /// Scheduler::schedule_cross, and inside parallel windows the shared
-  /// in-flight bookkeeping is skipped (purged at each barrier instead).
+  /// in-flight slab is left alone (purged at each barrier instead).
   /// The map must outlive the attachment.
   void set_shard_map(const ShardMap* map) { shard_map_ = map; }
 
@@ -111,7 +116,7 @@ class CGcast {
   /// time has passed. In a parallel-eligible world (no loss, no faults,
   /// no failed VSAs) a row with deliver_at <= now was necessarily
   /// delivered inside a window — where lane threads must not touch the
-  /// shared map — so this is an exact, deferred form of the erase the
+  /// shared slab — so this is an exact, deferred form of the release the
   /// serial path does at delivery.
   void purge_delivered(sim::TimePoint now);
 
@@ -187,16 +192,32 @@ class CGcast {
   }
 
  private:
-  void deliver_to_tracker(std::uint64_t key, ClusterId to, const Message& m);
-  /// Sharded delivery: `from` travels in the closure (the in-flight row
-  /// may already be gone), `key` is 0 for sends issued inside a parallel
+  /// One in-flight message. `key` is the send sequence number (0 marks a
+  /// free row); it orders in_transit() and lets a sharded delivery tell
+  /// its own row from a later reuse of the same index.
+  struct Row {
+    Message msg;
+    ClusterId from;
+    ClusterId to;
+    sim::TimePoint deliver_at;
+    std::uint64_t key = 0;
+  };
+
+  /// Books a slab row for a message and returns its index.
+  std::uint32_t book(ClusterId from, ClusterId to, const Message& m,
+                     sim::TimePoint deliver_at);
+  void release(std::uint32_t row);
+  /// Serial delivery of the message booked in `row`.
+  void deliver_row(std::uint32_t row);
+  /// Sharded delivery: the message travels in the closure (its row may
+  /// already be purged). `key` is 0 for sends issued inside a parallel
   /// window (no row was booked).
-  void deliver_sharded(std::uint64_t key, ClusterId from, ClusterId to,
-                       const Message& m);
+  void deliver_sharded(std::uint32_t row, std::uint64_t key, ClusterId from,
+                       ClusterId to, const Message& m);
   /// Liveness check, trace records, and the tracker-sink handoff shared by
   /// both delivery paths.
   void deliver_common(ClusterId from, ClusterId to, const Message& m);
-  /// Books one in-flight entry and schedules its delivery.
+  /// Books one in-flight row and schedules its delivery.
   void enqueue(ClusterId from, ClusterId to, const Message& m,
                sim::Duration delay);
   /// Applies the channel-fault oracle to an outgoing message: updates
@@ -233,7 +254,8 @@ class CGcast {
   obs::OpId ambient_op_ = obs::kBackgroundOp;
   const ShardMap* shard_map_ = nullptr;
 
-  std::map<std::uint64_t, InTransit> in_flight_;  // key: send sequence
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> free_rows_;
   std::uint64_t next_key_{1};
   std::int64_t dropped_{0};
   std::int64_t lost_{0};

@@ -33,22 +33,25 @@ enum class HbClaim : std::uint8_t {
 };
 
 struct Message {
+  // Fields are ordered to pack the struct into 32 bytes, so a C-gcast
+  // client broadcast closure ([this, region, m]) fits EventAction's
+  // 48-byte inline buffer.
   MsgType type{MsgType::kGrow};
+  /// Heartbeat payload (kHeartbeat/kHeartbeatAck only, kNone otherwise).
+  HbClaim hb_claim{HbClaim::kNone};
+  /// kHeartbeatAck: the probed claim held at the receiver.
+  bool hb_ok = false;
   /// Figure 2's `cid`: the cluster the message is "from" (for client-sent
   /// grow/shrink at level 0 this is the level-0 cluster itself).
   ClusterId from_cluster{};
   /// Which mobile object this concerns (TargetId{0} for single-object).
   TargetId target{TargetId{0}};
-  /// Identity of the find operation (find/findQuery/findAck/found only).
-  FindId find_id{};
   /// findAck payload x: a cluster on, or holding a secondary pointer to,
   /// the tracking path. Heartbeat acks reuse it for the responder's own
   /// pointer of interest (e.g. its p on a kParent ack).
   ClusterId ack_pointer{};
-  /// Heartbeat payload (kHeartbeat/kHeartbeatAck only, kNone otherwise).
-  HbClaim hb_claim{HbClaim::kNone};
-  /// kHeartbeatAck: the probed claim held at the receiver.
-  bool hb_ok = false;
+  /// Identity of the find operation (find/findQuery/findAck/found only).
+  FindId find_id{};
   /// Logical operation this message is charged to (0 = background). Set
   /// by the sender or stamped by CGcast's ambient op; replies propagate
   /// the incoming message's op so cascades stay attributed end to end.
@@ -56,6 +59,7 @@ struct Message {
 
   friend std::ostream& operator<<(std::ostream& os, const Message& m);
 };
+static_assert(sizeof(Message) <= 32, "keep Message packed (see above)");
 
 /// Inputs a client receives from the GPS/evader model (§III-A).
 enum class ClientInput {

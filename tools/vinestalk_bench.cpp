@@ -10,12 +10,10 @@
 //    random-walk move+quiesce steps), best of three;
 //  * profile_ns_per_work — the same walk under the CPU profiler, reported
 //    as real nanoseconds per unit of Theorem-4.9 hop-work (0 when
-//    profiling is compiled out);
-//  * serve_updates_per_sec + serve_find_p50/p99_us — the daemon serving
-//    path: an IngestServer driven at a sustained below-ladder update rate
-//    with a deadline-bounded find RPC every few rounds, latencies measured
-//    by a dogfooded obs::SloMonitor (the same spans `vinestalk_served
-//    --slo` arms). Also written standalone as BENCH_serve.json.
+//    profiling is compiled out).
+//
+// The daemon serving path is measured by perfbench/ (end to end through
+// the VSINGEST1 reader, with spread), not here.
 //
 // Every run appends one machine-stamped JSON line to the history file
 // (default BENCH_history.jsonl) — the non-empty perf trajectory the repo
@@ -48,8 +46,6 @@
 #include "common/machine_env.hpp"
 #include "hier/grid_hierarchy.hpp"
 #include "obs/profile/profiler.hpp"
-#include "obs/slo/slo.hpp"
-#include "serve/server.hpp"
 #include "sim/scheduler.hpp"
 #include "tracking/network.hpp"
 #include "vsa/evader.hpp"
@@ -156,90 +152,11 @@ WalkResult run_walk(int steps, int reps, bool profiled) {
   return out;
 }
 
-struct ServeBenchResult {
-  double updates_per_sec = 0;
-  std::int64_t find_p50_us = 0;
-  std::int64_t find_p99_us = 0;
-  std::int64_t finds = 0;
-};
-
-// The daemon serving shape: a 27×27 base-3 world behind an IngestServer,
-// driven at half the tier-1 watermark per round (so every update is
-// applied — the sustained-throughput regime, no shedding), with a
-// deadline-bounded find RPC every 8 rounds. Latencies come from a
-// dogfooded SloMonitor: the identical spans `vinestalk_served --slo`
-// opens, so these percentiles are what a daemon client would see.
-ServeBenchResult run_serve_bench(int rounds, int reps) {
-  ServeBenchResult out;
-  double best = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    constexpr int kSide = 27;
-    constexpr int kObjects = 4;
-    hier::GridHierarchy h(kSide, kSide, 3);
-    tracking::NetworkConfig ncfg;
-    ncfg.model_vsa_failures = true;
-    ncfg.t_restart = sim::Duration::millis(5);
-    tracking::TrackingNetwork net(h, ncfg);
-    serve::ServeConfig scfg;
-    serve::IngestServer srv(net, h, scfg);
-    obs::SloMonitor slo{obs::SloSpec{}};
-    srv.set_slo(&slo);
-    std::vector<std::pair<int, int>> pos;
-    for (int i = 0; i < kObjects; ++i) {
-      const int c = (i + 1) * kSide / (kObjects + 1);
-      srv.add_object(h.grid().region_at(c, c));
-      pos.emplace_back(c, c);
-    }
-    const std::int64_t per_round =
-        static_cast<std::int64_t>(scfg.queue_capacity) * scfg.tier1_pm /
-        2000 * static_cast<std::int64_t>(scfg.queues);
-    std::uint64_t rng = 0xB7;
-    const auto clamp_cell = [&](int v) {
-      return std::max(0, std::min(kSide - 1, v));
-    };
-    std::int64_t offered = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      for (std::int64_t i = 0; i < per_round; ++i) {
-        const std::size_t obj = static_cast<std::size_t>(
-            rng % static_cast<std::uint64_t>(kObjects));
-        rng = rng * 6364136223846793005ULL + 1;
-        auto& [x, y] = pos[obj];
-        x = clamp_cell(x + static_cast<int>(rng % 3) - 1);
-        y = clamp_cell(y + static_cast<int>((rng >> 8) % 3) - 1);
-        (void)srv.offer(serve::UpdateFrame{
-            static_cast<std::uint64_t>(obj), x, y});
-        ++offered;
-      }
-      (void)srv.run_round();
-      if ((r + 1) % 8 == 0) {
-        (void)srv.find(h.grid().region_at(0, 0),
-                       static_cast<std::uint64_t>(r / 8) % kObjects,
-                       sim::Duration::micros(500'000));
-      }
-    }
-    srv.finish();
-    const double secs = seconds_since(t0);
-    if (secs < best) {
-      best = secs;
-      const obs::SloReport rep_ = slo.report();
-      const auto& finds =
-          rep_.classes[static_cast<std::size_t>(obs::SloClass::kFind)];
-      out.updates_per_sec = static_cast<double>(offered) / secs;
-      out.find_p50_us = finds.latency.percentile(0.50) / 1000;
-      out.find_p99_us = finds.latency.percentile(0.99) / 1000;
-      out.finds = finds.requests;
-    }
-  }
-  return out;
-}
-
 struct Measurement {
   double serial_events_per_sec = 0;
   double walk_events_per_sec = 0;
   double profile_ns_per_work = 0;
   std::uint64_t profile_scopes = 0;
-  ServeBenchResult serve;
 };
 
 // --- minimal JSON field extraction (for the baseline, whose shape this
@@ -304,12 +221,7 @@ void write_metrics_json(std::ostream& os, const Measurement& m,
      << static_cast<std::int64_t>(m.walk_events_per_sec) << ",\n"
      << indent << "\"profile_ns_per_work\": " << m.profile_ns_per_work
      << ",\n"
-     << indent << "\"profile_scopes\": " << m.profile_scopes << ",\n"
-     << indent << "\"serve_updates_per_sec\": "
-     << static_cast<std::int64_t>(m.serve.updates_per_sec) << ",\n"
-     << indent << "\"serve_find_p50_us\": " << m.serve.find_p50_us << ",\n"
-     << indent << "\"serve_find_p99_us\": " << m.serve.find_p99_us << ",\n"
-     << indent << "\"serve_finds\": " << m.serve.finds << "\n";
+     << indent << "\"profile_scopes\": " << m.profile_scopes << "\n";
 }
 
 bool append_history(const std::string& path, const MachineEnv& env,
@@ -325,33 +237,7 @@ bool append_history(const std::string& path, const MachineEnv& env,
      << ", \"walk_events_per_sec\": "
      << static_cast<std::int64_t>(m.walk_events_per_sec)
      << ", \"profile_ns_per_work\": " << m.profile_ns_per_work
-     << ", \"profile_scopes\": " << m.profile_scopes
-     << ", \"serve_updates_per_sec\": "
-     << static_cast<std::int64_t>(m.serve.updates_per_sec)
-     << ", \"serve_find_p50_us\": " << m.serve.find_p50_us
-     << ", \"serve_find_p99_us\": " << m.serve.find_p99_us
-     << ", \"serve_finds\": " << m.serve.finds << "}}\n";
-  return os.good();
-}
-
-/// The standalone daemon-metrics artifact (BENCH_serve.json at the repo
-/// root): the serve-path numbers with the full machine block, so the
-/// daemon's throughput/latency story is fingerprinted the same way the
-/// baseline is.
-bool write_serve_json(const std::string& path, const MachineEnv& env,
-                      const ServeBenchResult& s) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os.good()) {
-    std::cerr << "vinestalk_bench: cannot write " << path << "\n";
-    return false;
-  }
-  os << "{\n  \"machine\": " << machine_env_json(env, 2) << ",\n"
-     << "  \"metrics\": {\n"
-     << "    \"serve_updates_per_sec\": "
-     << static_cast<std::int64_t>(s.updates_per_sec) << ",\n"
-     << "    \"serve_find_p50_us\": " << s.find_p50_us << ",\n"
-     << "    \"serve_find_p99_us\": " << s.find_p99_us << ",\n"
-     << "    \"serve_finds\": " << s.finds << "\n  }\n}\n";
+     << ", \"profile_scopes\": " << m.profile_scopes << "}}\n";
   return os.good();
 }
 
@@ -434,7 +320,6 @@ int main(int argc, char** argv) {
   const WalkResult profiled = run_walk(quick ? 30 : 100, reps, true);
   m.profile_ns_per_work = profiled.ns_per_work;
   m.profile_scopes = profiled.scopes;
-  m.serve = run_serve_bench(quick ? 48 : 240, reps);
 
   std::printf("  serial:   %.0f events/sec\n", m.serial_events_per_sec);
   std::printf("  walk:     %.0f events/sec\n", m.walk_events_per_sec);
@@ -445,17 +330,9 @@ int main(int argc, char** argv) {
   } else {
     std::printf("  profiled: (profiling compiled out)\n");
   }
-  std::printf("  serve:    %.0f sustained updates/sec; find p50 %lld us, "
-              "p99 %lld us over %lld find(s)\n",
-              m.serve.updates_per_sec,
-              static_cast<long long>(m.serve.find_p50_us),
-              static_cast<long long>(m.serve.find_p99_us),
-              static_cast<long long>(m.serve.finds));
 
   if (!append_history(history_path, env, m)) return 2;
   std::printf("appended history entry to %s\n", history_path.c_str());
-  if (!write_serve_json("BENCH_serve.json", env, m.serve)) return 2;
-  std::printf("wrote BENCH_serve.json\n");
 
   if (update_baseline) {
     const double tol = tolerance_override > 0 ? tolerance_override : 0.35;
