@@ -25,7 +25,6 @@ struct RunStats {
 RunStats run(const hier::GridHierarchy& h, tracking::NetworkConfig cfg,
              BenchObs& obs, std::size_t trial, BenchMonitor* mon = nullptr) {
   tracking::TrackingNetwork net(h, std::move(cfg));
-  apply_shards(net);
   const auto telemetry = attach_telemetry(net);
   const RegionId start = h.grid().region_at(40, 40);
   const TargetId t = net.add_evader(start);

@@ -67,7 +67,6 @@ Cost run_vinestalk(const hier::GridHierarchy& h, const Workload& w,
                    BenchObs* obs, std::size_t trial,
                    BenchMonitor* mon = nullptr) {
   tracking::TrackingNetwork net(h, tracking::NetworkConfig{});
-  apply_shards(net);
   const auto telemetry = attach_telemetry(net);
   const TargetId t = net.add_evader(w.walk.front());
   net.run_to_quiescence();

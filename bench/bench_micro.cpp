@@ -461,53 +461,6 @@ struct ScalingPoint {
   double seconds;
 };
 
-// Intra-world shard scaling: one 243x243 base-3 world, 64 evaders spread
-// on an 8x8 lattice, 24 rounds of move-everyone-then-quiesce — sustained
-// traffic in every region band, the workload conservative windows exist
-// for. shards = 0 runs the legacy unsharded scheduler.
-struct ShardPoint {
-  int shards;
-  std::uint64_t events = 0;
-  double seconds = 0;
-  stats::PdesCounters pdes;
-};
-
-ShardPoint run_shard_walk(int shards) {
-  hier::GridHierarchy h(243, 243, 3);
-  tracking::TrackingNetwork net(h, tracking::NetworkConfig{});
-  if (shards > 0) net.set_shards(shards);
-  constexpr int kLattice = 8;
-  constexpr int kRounds = 24;
-  std::vector<TargetId> targets;
-  std::vector<vsa::RandomWalkMover> movers;
-  std::vector<RegionId> cur;
-  for (int i = 0; i < kLattice; ++i) {
-    for (int j = 0; j < kLattice; ++j) {
-      const RegionId r = h.grid().region_at(15 + 30 * i, 15 + 30 * j);
-      targets.push_back(net.add_evader(r));
-      movers.emplace_back(h.tiling(),
-                          0x5D00 + static_cast<std::uint64_t>(
-                                       targets.size()));
-      cur.push_back(r);
-    }
-  }
-  net.run_to_quiescence();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      cur[k] = movers[k].next(cur[k]);
-      net.move_evader(targets[k], cur[k]);
-    }
-    net.run_to_quiescence();
-  }
-  ShardPoint out;
-  out.shards = shards;
-  out.seconds = seconds_since(t0);
-  out.events = net.scheduler().events_fired();
-  out.pdes = net.counters().pdes();
-  return out;
-}
-
 bool write_sched_json(const std::string& path) {
   constexpr std::uint64_t kSerialEvents = 2'000'000;
   constexpr std::uint64_t kTrialEvents = 500'000;
@@ -606,16 +559,6 @@ bool write_sched_json(const std::string& path) {
     std::uint64_t total = 0;
     for (const auto c : counts) total += c;
     scaling.push_back({jobs, total, seconds_since(t0)});
-  }
-
-  // Intra-world shard scaling (0 = the legacy unsharded scheduler). The
-  // measured wall clock only reflects parallelism when the host has the
-  // cores; the partition-balance bound (total window events over
-  // critical-path events) is recorded alongside so the structural speedup
-  // is auditable even on single-core machines.
-  std::vector<ShardPoint> shard_points;
-  for (const int shards : {0, 1, 2, 4, 8}) {
-    shard_points.push_back(run_shard_walk(shards));
   }
 
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -723,50 +666,7 @@ bool write_sched_json(const std::string& path) {
                  static_cast<double>(p.events) / p.seconds, base / p.seconds,
                  i + 1 < scaling.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"shard_scaling\": {\n");
-  std::fprintf(f, "    \"world\": \"243x243 base 3, 64 evaders on an 8x8 "
-                  "lattice, 24 move-all+quiesce rounds\",\n");
-  std::fprintf(f, "    \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "    \"note\": \"measured speedup needs cores; "
-                  "modeled_speedup_bound = total events / (serial events + "
-                  "critical-path window events) is the partition-balance "
-                  "ceiling and is hardware-independent\",\n");
-  std::fprintf(f, "    \"points\": [\n");
-  double shards1_seconds = 0;
-  for (const auto& p : shard_points) {
-    if (p.shards == 1) shards1_seconds = p.seconds;
-  }
-  for (std::size_t i = 0; i < shard_points.size(); ++i) {
-    const ShardPoint& p = shard_points[i];
-    const double ideal_denom = static_cast<double>(
-        p.pdes.serial_events + p.pdes.critical_path_events);
-    const double modeled =
-        p.shards > 0 && ideal_denom > 0
-            ? static_cast<double>(p.events) / ideal_denom
-            : 1.0;
-    std::fprintf(
-        f,
-        "      {\"shards\": %d, \"events\": %llu, \"seconds\": %.6f, "
-        "\"events_per_sec\": %.0f, \"speedup_vs_shards1\": %.3f, "
-        "\"windows\": %lld, \"window_events\": %lld, "
-        "\"serial_events\": %lld, \"cross_shard_events\": %lld, "
-        "\"horizon_stalls\": %lld, \"critical_path_events\": %lld, "
-        "\"modeled_speedup_bound\": %.3f}%s\n",
-        p.shards, static_cast<unsigned long long>(p.events), p.seconds,
-        static_cast<double>(p.events) / p.seconds,
-        shards1_seconds > 0 ? shards1_seconds / p.seconds : 1.0,
-        static_cast<long long>(p.pdes.windows),
-        static_cast<long long>(p.pdes.window_events),
-        static_cast<long long>(p.pdes.serial_events),
-        static_cast<long long>(p.pdes.cross_shard_events),
-        static_cast<long long>(p.pdes.horizon_stalls),
-        static_cast<long long>(p.pdes.critical_path_events), modeled,
-        i + 1 < shard_points.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n");
+  std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());

@@ -47,18 +47,6 @@ struct GridNet {
   }
 };
 
-/// Intra-world lane count from --shards, applied by make_grid (and by the
-/// benches that construct TrackingNetwork directly) to every world of the
-/// sweep. 1 = the unsharded scheduler. Output is byte-identical for every
-/// value — sharding is a pure execution strategy (docs/perf/sharding.md).
-inline int g_bench_shards = 1;
-
-/// Shard a freshly built world per --shards. Must run before the world
-/// schedules anything, i.e. immediately after construction.
-inline void apply_shards(tracking::TrackingNetwork& net) {
-  if (g_bench_shards > 1) net.set_shards(g_bench_shards);
-}
-
 /// --telemetry wiring: one world per bench run streams VSTELEM1 samples.
 /// parse_bench_args forces --jobs 1 when --telemetry is set, so "the first
 /// world constructed" is a deterministic choice (trial 0); the atomic flag
@@ -87,7 +75,6 @@ inline GridNet make_grid(int side, int base,
   GridNet g;
   g.hierarchy = std::make_unique<hier::GridHierarchy>(side, side, base);
   g.net = std::make_unique<tracking::TrackingNetwork>(*g.hierarchy, cfg);
-  apply_shards(*g.net);
   g.telemetry = attach_telemetry(*g.net);
   return g;
 }
@@ -110,10 +97,6 @@ inline std::vector<RegionId> random_walk(const geo::Tiling& tiling,
 /// Command-line options shared by every bench binary.
 struct BenchOptions {
   int jobs = 0;  // 0 = runner::default_jobs() (hardware concurrency)
-  /// --shards N: lanes of intra-world parallel execution per trial
-  /// (TrackingNetwork::set_shards). sweep() clamps jobs so
-  /// jobs × shards stays within the machine.
-  int shards = 1;
   /// --obs-json=FILE: write the bench's observability artifact (per-trial
   /// WorkCounters + merged MetricsRegistry) as JSON. Empty = off.
   std::string obs_json;
@@ -138,10 +121,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       opt.jobs = std::atoi(argv[++i]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       opt.jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      opt.shards = std::atoi(argv[++i]);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards = std::atoi(arg.c_str() + 9);
     } else if (arg == "--obs-json" && i + 1 < argc) {
       opt.obs_json = argv[++i];
     } else if (arg.rfind("--obs-json=", 0) == 0) {
@@ -171,14 +150,11 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       opt.telemetry_cadence_us = std::atoll(arg.c_str() + 23);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
-                << " [--jobs N] [--shards N] [--obs-json FILE] "
+                << " [--jobs N] [--obs-json FILE] "
                    "[--monitor[=every|US]] [--incident-dir DIR]\n"
                 << "  --jobs N  worker threads for the trial sweep "
                    "(default: hardware concurrency; output is identical "
                    "for every N)\n"
-                   "  --shards N  lanes of intra-world parallel execution "
-                   "per trial (default 1; output is identical for every N; "
-                   "jobs is clamped so jobs x shards fits the machine)\n"
                    "  --obs-json FILE  write per-trial work counters and the "
                    "merged metrics registry as JSON (deterministic for "
                    "every --jobs)\n"
@@ -204,10 +180,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
               << "\n";
     std::exit(2);
   }
-  if (opt.shards < 1) {
-    std::cerr << "--shards must be >= 1, got " << opt.shards << "\n";
-    std::exit(2);
-  }
   if (!opt.telemetry.empty()) {
     if (opt.telemetry_cadence_us <= 0) {
       std::cerr << "--telemetry-cadence-us must be > 0, got "
@@ -220,7 +192,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       opt.jobs = 1;
     }
   }
-  g_bench_shards = opt.shards;
   g_bench_telemetry_path = opt.telemetry;
   g_bench_telemetry_cadence_us = opt.telemetry_cadence_us;
   return opt;
@@ -230,7 +201,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
 /// in trial-index order (deterministic for any --jobs).
 template <class Fn>
 auto sweep(const BenchOptions& opt, std::size_t n, Fn&& fn) {
-  runner::TrialPool pool(runner::clamp_jobs_for_shards(opt.jobs, opt.shards));
+  runner::TrialPool pool(opt.jobs);
   return pool.run(n, std::forward<Fn>(fn));
 }
 

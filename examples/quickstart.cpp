@@ -13,22 +13,17 @@
 // Set VS_MONITOR=every or VS_MONITOR=<cadence-us> to run the whole thing
 // under the live invariant watchdog; any violation makes the exit status
 // nonzero.
-// Set VS_SHARDS=<n> to run the world on n region shards (conservative
-// PDES). Output, trace and exit status are byte-identical to the serial
-// run at every shard count — that is the scheduler's core guarantee —
-// so this knob deliberately prints nothing.
 // Set VS_TELEMETRY=<path> to stream VSTELEM1 time-series samples (one per
 // virtual millisecond) while the run executes: tail with vinestalk_top,
-// or dump with vinestalk_trace telemetry <path> --csv. The stream too is
-// byte-identical at every VS_SHARDS value. VS_PROMETHEUS=<path>
+// or dump with vinestalk_trace telemetry <path> --csv. VS_PROMETHEUS=<path>
 // additionally rewrites a Prometheus text-exposition snapshot at every
 // sample (requires VS_TELEMETRY).
 // Set VS_PROFILE=<path> to record a wall-clock CPU profile of the run:
 // <path> gets the binary VSPROF1 sidecar and <path>.json its JSON twin
 // (vinestalk_trace flame <path> renders a flamegraph). Profile values are
-// nondeterministic by nature, so — like VS_SHARDS — this knob prints
-// nothing and changes no deterministic artifact: trace, telemetry,
-// incidents, and stdout are byte-identical with and without it.
+// nondeterministic by nature, so this knob prints nothing and changes no
+// deterministic artifact: trace, telemetry, incidents, and stdout are
+// byte-identical with and without it.
 
 #include <cstdlib>
 #include <fstream>
@@ -48,7 +43,6 @@ int main() {
   using namespace vs;
   const char* trace_path = std::getenv("VS_TRACE");
   const char* monitor_spec = std::getenv("VS_MONITOR");
-  const char* shards_spec = std::getenv("VS_SHARDS");
   const char* telemetry_path = std::getenv("VS_TELEMETRY");
   const char* prometheus_path = std::getenv("VS_PROMETHEUS");
   const char* profile_path = std::getenv("VS_PROFILE");
@@ -63,9 +57,6 @@ int main() {
   // The tracking network wires up one VSA per region, one Tracker per
   // cluster, the C-gcast service, and one client per region.
   tracking::TrackingNetwork net(hierarchy, tracking::NetworkConfig{});
-  if (shards_spec != nullptr && std::atoi(shards_spec) > 1) {
-    net.set_shards(std::atoi(shards_spec));
-  }
   if (trace_path != nullptr) net.set_tracing(true);
   std::unique_ptr<obs::Profiler> profiler;
   if (profile_path != nullptr) {

@@ -66,26 +66,12 @@ class OpLedger {
   [[nodiscard]] bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = kTraceCompiled && on; }
 
-  /// Redirect this thread's note_send() calls on `from` into `to` — the
-  /// shard executor's parallel-window binding. The main ledger's enabled_
-  /// still gates; the lane ledger just collects rows for merge_ops_from.
-  /// complete_find is deliberately *not* redirected: only the single lane
-  /// hosting a find's believing region ever completes it, so the value
-  /// write on the main map is race-free. Pass nulls to clear.
-  static void set_thread_redirect(const OpLedger* from, OpLedger* to) {
-    tls_redirect_from_ = from;
-    tls_redirect_to_ = to;
-  }
-
   /// Charge one accepted send to `op`. `level` is the sender's hierarchy
   /// level (0 for client traffic), `hops` its hop-work.
   void note_send(OpId op, Level level, std::int64_t hops,
                  std::int64_t time_us) {
     if (!kTraceCompiled || !enabled_) return;
-    OpLedger& sink = (tls_redirect_from_ == this && tls_redirect_to_ != nullptr)
-                         ? *tls_redirect_to_
-                         : *this;
-    OpCost& c = sink.ops_[op];
+    OpCost& c = ops_[op];
     ++c.msgs;
     c.work += hops;
     if (c.first_us < 0) c.first_us = time_us;
@@ -97,33 +83,6 @@ class OpLedger {
     }
     ++c.msgs_by_level[l];
     c.work_by_level[l] += hops;
-  }
-
-  /// Fold another ledger's per-op cost rows into this one and clear them
-  /// there — the shard barrier's join. Commutative over disjoint windows:
-  /// sums add, first_us takes the min (earliest charge wins), last_us the
-  /// max, per-level vectors grow to the larger shape. Only ops_ moves;
-  /// lane ledgers never hold move/find metadata.
-  void merge_ops_from(OpLedger& lane) {
-    if (!kTraceCompiled) return;
-    for (auto& [op, lc] : lane.ops_) {
-      OpCost& c = ops_[op];
-      c.msgs += lc.msgs;
-      c.work += lc.work;
-      if (lc.first_us >= 0 && (c.first_us < 0 || lc.first_us < c.first_us)) {
-        c.first_us = lc.first_us;
-      }
-      if (lc.last_us > c.last_us) c.last_us = lc.last_us;
-      if (c.msgs_by_level.size() < lc.msgs_by_level.size()) {
-        c.msgs_by_level.resize(lc.msgs_by_level.size(), 0);
-        c.work_by_level.resize(lc.work_by_level.size(), 0);
-      }
-      for (std::size_t l = 0; l < lc.msgs_by_level.size(); ++l) {
-        c.msgs_by_level[l] += lc.msgs_by_level[l];
-        c.work_by_level[l] += lc.work_by_level[l];
-      }
-    }
-    lane.ops_.clear();
   }
 
   /// Operation boundaries (TrackingNetwork). Placement is a move of
@@ -177,9 +136,6 @@ class OpLedger {
   std::map<OpId, OpCost> ops_;
   std::map<std::uint32_t, MoveMeta> moves_;
   std::map<std::uint32_t, FindMeta> finds_;
-
-  inline static thread_local const OpLedger* tls_redirect_from_ = nullptr;
-  inline static thread_local OpLedger* tls_redirect_to_ = nullptr;
 };
 
 }  // namespace vs::obs

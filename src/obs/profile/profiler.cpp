@@ -18,8 +18,6 @@ std::string_view to_string(ProfDomain d) {
     case ProfDomain::kTrackerTimer: return "tracker_timer";
     case ProfDomain::kStabilizer: return "stabilizer";
     case ProfDomain::kFault: return "fault";
-    case ProfDomain::kWindow: return "window";
-    case ProfDomain::kBarrier: return "barrier";
     case ProfDomain::kTelemetry: return "telemetry";
     case ProfDomain::kCount: break;
   }
@@ -34,29 +32,6 @@ std::vector<ProfDomain> prof_path_domains(ProfPath path) {
     out.push_back(static_cast<ProfDomain>(byte - 1));
   }
   return out;
-}
-
-void ProfBuf::merge_from(ProfBuf& other) {
-  for (const auto& [path, cell] : other.paths) {
-    auto& mine = paths[path];
-    mine.ns += cell.ns;
-    mine.count += cell.count;
-  }
-  for (std::size_t d = 0; d < kProfDomains; ++d) {
-    domain_self_ns[d] += other.domain_self_ns[d];
-  }
-  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
-    msgs[k].ns += other.msgs[k].ns;
-    msgs[k].count += other.msgs[k].count;
-  }
-  for (const auto& [op, cell] : other.ops) {
-    auto& mine = ops[op];
-    mine.ns += cell.ns;
-    mine.count += cell.count;
-  }
-  root_ns += other.root_ns;
-  scopes += other.scopes;
-  other.clear();
 }
 
 void ProfBuf::clear() {
@@ -127,8 +102,8 @@ void Profiler::probe_thunk(void* ctx, int phase, std::int64_t t_us) {
 void Profiler::snapshot_now(std::int64_t t_us) {
   if (!enabled()) return;
   fires_since_snapshot_ = 0;
-  // Collapse a run of snapshots at one virtual instant (barrier commits
-  // inside the same window cut) into the latest one.
+  // Collapse a run of snapshots at one virtual instant into the latest
+  // one.
   if (!snapshots_.empty() && snapshots_.back().t_us == t_us) {
     snapshots_.back().domain_self_ns = main_.domain_self_ns;
     return;

@@ -5,11 +5,11 @@
 // hop-work, virtual latency, Theorem 4.9/5.2 ratios. This layer measures
 // the one thing the virtual auditor cannot: real CPU nanoseconds, broken
 // down per subsystem (scheduler fire loop, queue pops, C-gcast delivery,
-// tracker grow/shrink/find handlers, stabilizer, fault injector, shard
-// windows and barriers, telemetry sampling), per delivered message kind,
-// and per obs::OpId operation class — so every OpLedger entry gains a
-// paired real-cost column and "ns per unit of Theorem-4.9 work" becomes a
-// reportable hardware-efficiency number.
+// tracker grow/shrink/find handlers, stabilizer, fault injector, telemetry
+// sampling), per delivered message kind, and per obs::OpId operation
+// class — so every OpLedger entry gains a paired real-cost column and
+// "ns per unit of Theorem-4.9 work" becomes a reportable
+// hardware-efficiency number.
 //
 // Cost model, in the same three states as tracing (obs/trace.hpp):
 //  * compiled out (-DVINESTALK_PROFILE=OFF): kProfileCompiled is false
@@ -18,27 +18,22 @@
 //    byte-for-byte the unprofiled one);
 //  * compiled in, disabled: a scope is a pointer test plus a bool load —
 //    no clock reads, no stores, no allocation;
-//  * enabled: two steady_clock reads plus a small-map upsert per scope,
-//    TLS-accumulated so parallel shard lanes never contend.
+//  * enabled: two steady_clock reads plus a small-map upsert per scope.
 //
 // Determinism doctrine: wall-clock values are inherently nondeterministic,
 // so NOTHING here may feed back into any deterministic artifact. Profile
 // data lives only in the VSPROF1 sidecar (obs/profile/profile_io.hpp),
 // its JSON/flamegraph/Perfetto/Prometheus renderings, and vinestalk_top's
 // optional profile panel. Trace, VSTELEM1, incidents, and stdout stay
-// byte-identical with profiling enabled at any --jobs/--shards —
+// byte-identical with profiling enabled at any --jobs —
 // tests/test_profile.cpp pins it.
 //
-// Attribution model: scopes nest on a per-thread stack whose packed path
+// Attribution model: scopes nest on a stack whose packed path
 // (one byte per level, root in the low byte) keys a self-time map. Self
 // times are exact — a frame's children are subtracted — so the sum of
 // self-ns over all paths equals the sum over root frames *by
 // construction* (the conservation property the tests pin), and the folded
-// paths render directly as flamegraph stacks. Shard lane threads
-// accumulate into lane-local ProfBufs through the same set_thread_redirect
-// idiom as TraceRecorder/OpLedger; the barrier folds them into the main
-// buffer (sums only, so fold order is irrelevant — which is exactly why
-// nondeterministic data may merge where deterministic data must replay).
+// paths render directly as flamegraph stacks.
 
 #include <array>
 #include <chrono>
@@ -69,8 +64,6 @@ enum class ProfDomain : std::uint8_t {
   kTrackerTimer,   // shared grow/shrink timer expiry
   kStabilizer,     // §VII heartbeat ticks, probes, acks, repairs
   kFault,          // fault-plan directive execution
-  kWindow,         // shard lane window slice (lane-thread root)
-  kBarrier,        // shard barrier replay-merge (driver thread)
   kTelemetry,      // telemetry boundary-hook sampling
   kCount,
 };
@@ -99,10 +92,7 @@ inline constexpr int kProfPathDepth = 8;
 /// Domains of a packed path, root first.
 [[nodiscard]] std::vector<ProfDomain> prof_path_domains(ProfPath path);
 
-/// Per-thread accumulator. The main buffer lives in the Profiler; shard
-/// lanes own one each and bind it via Profiler::set_thread_redirect for
-/// the window's duration. Only the owning thread touches a buffer until
-/// the barrier folds it (after the lane joined), so no locks anywhere.
+/// Scope accumulator: the open-scope stack and the completed tallies.
 struct ProfBuf {
   struct Frame {
     ProfPath path;
@@ -123,9 +113,6 @@ struct ProfBuf {
   std::uint64_t root_ns = 0;  // sum of elapsed over depth-0 frames
   std::uint64_t scopes = 0;
 
-  /// Fold `other`'s completed tallies into this buffer and clear them
-  /// there (the barrier's join). Sums only: order-insensitive.
-  void merge_from(ProfBuf& other);
   void clear();
 };
 
@@ -201,20 +188,8 @@ class Profiler {
             .count());
   }
 
-  /// Redirect this thread's scopes on `from` into `to` — the shard
-  /// executor's parallel-window binding (same idiom as TraceRecorder).
-  static void set_thread_redirect(const Profiler* from, ProfBuf* to) {
-    tls_redirect_from_ = from;
-    tls_redirect_to_ = to;
-  }
-
-  /// This thread's accumulator (the lane buffer inside a window, the main
-  /// buffer otherwise). Callers gate on enabled().
-  [[nodiscard]] ProfBuf& buf() {
-    return tls_redirect_from_ == this && tls_redirect_to_ != nullptr
-               ? *tls_redirect_to_
-               : main_;
-  }
+  /// The accumulator scopes open and close on. Callers gate on enabled().
+  [[nodiscard]] ProfBuf& buf() { return main_; }
 
   /// Open / close one scope on `b`. end_scope returns the frame's
   /// inclusive elapsed ns (0 on an unmatched end — enable() toggled
@@ -242,15 +217,10 @@ class Profiler {
   /// Scheduler probe (sim/profile_probe.hpp): the scheduler calls this
   /// through a raw pointer so sim/ keeps no obs dependency. Phases pair
   /// up: queue-pop begin/end around the heap pop, fire begin/end around
-  /// the event action. Fire-end additionally drives periodic snapshots
-  /// (driver thread only — the probe never runs inside a lane window).
+  /// the event action. Fire-end additionally drives periodic snapshots.
   static void probe_thunk(void* ctx, int phase, std::int64_t t_us);
 
-  /// Fold a lane buffer into the main one (barrier, driver thread).
-  void merge_lane(ProfBuf& lane) { main_.merge_from(lane); }
-
-  /// Record a snapshot row at virtual time `t_us` (barrier commits call
-  /// this so sharded runs get a time series too).
+  /// Record a snapshot row at virtual time `t_us`.
   void snapshot_now(std::int64_t t_us);
 
   /// Merge every tally into an immutable report. `total_work`/`total_msgs`
@@ -272,9 +242,6 @@ class Profiler {
   std::vector<ProfileSnapshotRow> snapshots_;
   std::uint64_t wall_start_ns_ = 0;
   std::uint64_t fires_since_snapshot_ = 0;
-
-  inline static thread_local const Profiler* tls_redirect_from_ = nullptr;
-  inline static thread_local ProfBuf* tls_redirect_to_ = nullptr;
 };
 
 /// RAII scope: no-op unless compiled in, attached, and enabled. The

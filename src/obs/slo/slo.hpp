@@ -30,7 +30,7 @@
 // process through the VSSLO1 sidecar (+ JSON twin) and the Prometheus
 // live-scrape surface. Everything the byte-identity doctrine covers —
 // world trace, VSTELEM1, incidents' deterministic fields, stdout — is
-// identical whether a monitor is attached or not, at any --jobs/--shards.
+// identical whether a monitor is attached or not, at any --jobs.
 // The burn-rate *incidents* are the one deliberate exception: they exist
 // only when a monitor is armed, live in their own files, and are judged
 // on wall-clock latency by design (an alert about real time cannot be a

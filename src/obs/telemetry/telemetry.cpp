@@ -39,10 +39,7 @@ TelemetrySampler::TelemetrySampler(tracking::TrackingNetwork& net,
   VS_REQUIRE(cfg_.cadence > sim::Duration::zero(),
              "telemetry cadence must be positive, got " << cfg_.cadence);
   header_.version = kTelemetryFormatVersion;
-  header_.flags = cfg_.lane_stats ? kTelemetryFlagLanes : 0;
   header_.cadence_us = cfg_.cadence.count();
-  header_.lanes =
-      cfg_.lane_stats ? static_cast<std::uint32_t>(net_->shards()) : 0;
   header_.max_level =
       static_cast<std::uint32_t>(net_->counters().max_level());
   header_.series = header_.expected_series();
@@ -206,21 +203,6 @@ void TelemetrySampler::take_sample(std::int64_t t_us) {
     s.values[at++] = wc.move_work_at_level(l);
     s.values[at++] = wc.find_messages_at_level(l);
     s.values[at++] = wc.find_work_at_level(l);
-  }
-  if (header_.has_lanes()) {
-    const stats::PdesCounters& p = wc.pdes();
-    s.values[at++] = p.windows;
-    s.values[at++] = p.window_events;
-    s.values[at++] = p.critical_path_events;
-    for (std::uint32_t i = 0; i < header_.lanes; ++i) {
-      if (i < p.lanes.size()) {
-        s.values[at + 0] = p.lanes[i].events;
-        s.values[at + 1] = p.lanes[i].stalls;
-        s.values[at + 2] = p.lanes[i].cross_sends;
-        s.values[at + 3] = p.lanes[i].busy_windows;
-      }
-      at += 4;
-    }
   }
   VS_DCHECK(at == s.values.size(), "telemetry layout mismatch");
 

@@ -5,10 +5,8 @@
 // The sampler arms the scheduler's *boundary hook* (see
 // sim/scheduler.hpp): at every virtual-time boundary B = k × cadence it
 // observes the world in the state "every event with when < B has fired,
-// nothing at or past B has" — a state both the serial scheduler and the
-// sharded executor expose identically (the executor caps its parallel
-// windows at the next boundary), so the resulting VSTELEM1 stream is
-// byte-identical at any --jobs and any --shards. The sampler schedules
+// nothing at or past B has", so the resulting VSTELEM1 stream is
+// byte-identical at any --jobs. The sampler schedules
 // no events of its own: quiescence (Theorem 4.5) is never perturbed, and
 // boundaries beyond the final event simply wait for the next run_until
 // deadline flush.
@@ -25,13 +23,8 @@
 // Each sample snapshots: scheduler event count; WorkCounters totals and
 // per-level move/find splits; find issue/completion census with latency
 // percentiles (bucketed like TrackingNetwork::export_metrics); trace
-// event count; OpLedger per-class totals (when a ledger is attached);
-// sliding-window BoundAuditor ratios (when an auditor is bound); and —
-// only when `lane_stats` is on — the PdesCounters per-lane census. Lane
-// stats vary with --shards by construction (they describe the parallel
-// schedule, not the model), so they are excluded from the default,
-// byte-identity-guaranteed stream and flagged in the header when
-// present.
+// event count; OpLedger per-class totals (when a ledger is attached); and
+// sliding-window BoundAuditor ratios (when an auditor is bound).
 //
 // Samples land in a bounded in-memory ring (exactly the last
 // ring_capacity samples — live introspection) and, when stream_path is
@@ -67,9 +60,6 @@ struct TelemetryConfig {
   sim::Duration cadence = sim::Duration::millis(10);
   /// Decoded samples kept in memory — exactly the last `ring_capacity`.
   std::size_t ring_capacity = 256;
-  /// Include the per-lane PDES section (breaks cross-shard
-  /// byte-identity; see header comment).
-  bool lane_stats = false;
   /// VSTELEM1 stream destination ("" = ring only).
   std::string stream_path;
   /// Prometheus text-exposition snapshot, rewritten at each sample

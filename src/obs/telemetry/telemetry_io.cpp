@@ -17,7 +17,7 @@ constexpr char kEndMagic[8] = {'V', 'S', 'T', 'E', 'L', 'E', 'N', 'D'};
 constexpr std::uint8_t kSampleMarker = 0xA5;
 constexpr std::uint8_t kTrailerMarker = 0x5A;
 // A sample record never legitimately exceeds this (series are capped by
-// level depth and lane count, both small); guards tail reads of garbage.
+// level depth, which is small); guards tail reads of garbage.
 constexpr std::uint32_t kMaxSeries = 1u << 16;
 
 template <class T>
@@ -112,18 +112,6 @@ std::vector<std::string> telemetry_series_names(
     names.push_back(lvl + "_find_msgs");
     names.push_back(lvl + "_find_work");
   }
-  if (header.has_lanes()) {
-    names.emplace_back("pdes_windows");
-    names.emplace_back("pdes_window_events");
-    names.emplace_back("pdes_critical_path_events");
-    for (std::uint32_t i = 0; i < header.lanes; ++i) {
-      const std::string lane = "lane" + std::to_string(i);
-      names.push_back(lane + "_events");
-      names.push_back(lane + "_stalls");
-      names.push_back(lane + "_cross_sends");
-      names.push_back(lane + "_busy_windows");
-    }
-  }
   VS_REQUIRE(names.size() == header.expected_series(),
              "telemetry series name table out of sync with layout");
   return names;
@@ -141,9 +129,9 @@ TelemetryWriter::TelemetryWriter(const std::string& path,
   std::string buf;
   buf.append(kMagic, sizeof(kMagic));
   put(buf, header_.version);
-  put(buf, header_.flags);
+  put(buf, std::uint32_t{0});  // flags
   put(buf, header_.cadence_us);
-  put(buf, header_.lanes);
+  put(buf, std::uint32_t{0});  // reserved
   put(buf, header_.max_level);
   put(buf, header_.series);
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
@@ -201,15 +189,19 @@ TelemetryFile read_telemetry_file(const std::string& path, bool strict) {
              "not a VSTELEM1 telemetry file: " << path);
   p += sizeof(kMagic);
   TelemetryHeader& h = f.header;
-  VS_REQUIRE(get(p, end, h.version) && get(p, end, h.flags) &&
-                 get(p, end, h.cadence_us) && get(p, end, h.lanes) &&
+  std::uint32_t flags = 0;
+  std::uint32_t reserved = 0;
+  VS_REQUIRE(get(p, end, h.version) && get(p, end, flags) &&
+                 get(p, end, h.cadence_us) && get(p, end, reserved) &&
                  get(p, end, h.max_level) && get(p, end, h.series),
              "truncated telemetry header in " << path);
   VS_REQUIRE(h.version >= 1 && h.version <= kTelemetryFormatVersion,
              "unsupported telemetry format version " << h.version);
+  VS_REQUIRE(flags == 0, "unsupported telemetry flags 0x"
+                             << std::hex << flags << " in " << path);
   VS_REQUIRE(h.series == h.expected_series() && h.series <= kMaxSeries,
              "telemetry header series count " << h.series
-                                              << " inconsistent with flags");
+                                              << " inconsistent with layout");
 
   std::vector<std::int64_t> prev(h.series, 0);
   std::int64_t prev_t = 0;

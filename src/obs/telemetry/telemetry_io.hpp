@@ -6,12 +6,12 @@
 //
 //   "VSTELEM1"            8-byte magic
 //   u32 version           kTelemetryFormatVersion
-//   u32 flags             bit 0: per-lane PDES section present
+//   u32 flags             0 (readers reject any other value)
 //   i64 cadence_us        virtual-time sampling cadence
-//   u32 lanes             lane count the per-lane section is sized for
+//   u32 reserved          0
 //   u32 max_level         hierarchy depth of the per-level section
 //   u32 series            values per sample (consistency check; the
-//                         layout itself is fixed by version + flags)
+//                         layout itself is fixed by version)
 //   --- per sample ---
 //   u8  0xA5              sample marker
 //   varint t_us           boundary time, delta vs the previous sample
@@ -35,12 +35,9 @@
 // of a truncated final record — live dashboards).
 //
 // Determinism doctrine: every series derives from virtual time and
-// world-local state sampled at cadence boundaries where sharded execution
-// exposes the exact serial prefix (see Scheduler::set_boundary_hook), so
-// a stream without the lane section is byte-identical at any --jobs and
-// any --shards. The per-lane section (flag bit 0) is schedule
-// diagnostics — it varies with --shards by construction, which is why it
-// is off by default and carried in a flag rather than always present.
+// world-local state sampled at cadence boundaries (see
+// Scheduler::set_boundary_hook), so a stream is byte-identical at any
+// --jobs.
 
 #include <cstdint>
 #include <fstream>
@@ -53,10 +50,8 @@ namespace vs::obs {
 /// v1: the PR-7 layout. v2 appends the ingest-daemon block (8 series) to
 /// the fixed scalars; v3 appends the serve-RPC block (6 series) after it.
 /// The reader accepts older files by widening each sample with zeros at
-/// the missing blocks, so callers only ever see the current layout (the
-/// same forward-compatibility idiom as the VSTRACE1 v2→v3 reader).
+/// the missing blocks, so callers only ever see the current layout.
 inline constexpr std::uint32_t kTelemetryFormatVersion = 3;
-inline constexpr std::uint32_t kTelemetryFlagLanes = 1u << 0;
 /// Series count of the v2 ingest block (kTsIngestBase..kTsServeBase).
 inline constexpr std::uint32_t kTsIngestSeriesCount = 8;
 /// Series count of the v3 serve-RPC block (kTsServeBase..kTsFixedCount).
@@ -64,10 +59,7 @@ inline constexpr std::uint32_t kTsServeSeriesCount = 6;
 
 /// Offsets of the fixed scalar series inside TelemetrySample::values.
 /// After the fixed block: 4 per-level series ((max_level+1) ×
-/// {move_msgs, move_work, find_msgs, find_work}), then — only with
-/// kTelemetryFlagLanes — 3 window scalars {windows, window_events,
-/// critical_path_events} and 4 per-lane series (lanes ×
-/// {events, stalls, cross_sends, busy_windows}).
+/// {move_msgs, move_work, find_msgs, find_work}).
 enum TelemetrySeries : std::size_t {
   kTsEventsFired = 0,
   kTsMsgsTotal,
@@ -106,22 +98,15 @@ enum TelemetrySeries : std::size_t {
 
 struct TelemetryHeader {
   std::uint32_t version = kTelemetryFormatVersion;
-  std::uint32_t flags = 0;
   std::int64_t cadence_us = 0;
-  std::uint32_t lanes = 0;
   std::uint32_t max_level = 0;
   std::uint32_t series = 0;
 
-  [[nodiscard]] bool has_lanes() const {
-    return (flags & kTelemetryFlagLanes) != 0;
-  }
-  /// Values per sample implied by version + flags (must equal `series`).
+  /// Values per sample implied by the version (must equal `series`).
   [[nodiscard]] std::uint32_t expected_series() const {
-    std::uint32_t n =
-        kTsFixedCount + 4 * (max_level + 1);
+    std::uint32_t n = kTsFixedCount + 4 * (max_level + 1);
     if (version < 2) n -= kTsIngestSeriesCount;  // v1 predates ingest block
     if (version < 3) n -= kTsServeSeriesCount;   // v2 predates serve block
-    if (has_lanes()) n += 3 + 4 * lanes;
     return n;
   }
 };

@@ -106,26 +106,11 @@ class TraceRecorder {
   void set_ring_capacity(std::size_t k);
   [[nodiscard]] std::size_t ring_capacity() const { return ring_.size(); }
 
-  /// Redirect this thread's append() calls on `from` into `to` — the
-  /// shard executor's parallel-window binding. Lane threads buffer into a
-  /// plain lane-local vector; the barrier patches seq/cause to the merged
-  /// real values and replays the records here in merged order, so the
-  /// final trace is byte-identical to a serial run. Pass nulls to clear.
-  static void set_thread_redirect(const TraceRecorder* from,
-                                  std::vector<TraceEvent>* to) {
-    tls_redirect_from_ = from;
-    tls_redirect_to_ = to;
-  }
-
   /// Record one event. Callers gate on enabled() (see the record points in
   /// vsa::CGcast); append itself never checks, never fails, and allocates
   /// only when an unbounded recorder's current segment is full (a ring
   /// recorder never allocates here — old events are overwritten).
   void append(const TraceEvent& e) {
-    if (tls_redirect_from_ == this && tls_redirect_to_ != nullptr) {
-      tls_redirect_to_->push_back(e);
-      return;
-    }
     if (!ring_.empty()) {
       ring_[ring_next_] = e;
       ring_next_ = ring_next_ + 1 == ring_.size() ? 0 : ring_next_ + 1;
@@ -167,11 +152,6 @@ class TraceRecorder {
   std::vector<TraceEvent> ring_;  // non-empty selects ring mode
   std::size_t ring_next_ = 0;     // next write slot
   std::size_t ring_fill_ = 0;     // events held (≤ ring_.size())
-
-  inline static thread_local const TraceRecorder* tls_redirect_from_ =
-      nullptr;
-  inline static thread_local std::vector<TraceEvent>* tls_redirect_to_ =
-      nullptr;
 };
 
 }  // namespace vs::obs

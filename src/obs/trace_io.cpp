@@ -1,5 +1,6 @@
 #include "obs/trace_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -14,40 +15,12 @@ namespace {
 constexpr char kMagic[8] = {'V', 'S', 'T', 'R', 'A', 'C', 'E', '1'};
 constexpr char kEndMagic[8] = {'V', 'S', 'T', 'R', 'E', 'N', 'D', '1'};
 
-/// On-disk record layout of format v2 (pre-OpId, 56 bytes). Field order
-/// matches today's TraceEvent prefix exactly.
-struct LegacyEvent56 {
-  std::int64_t time_us;
-  std::uint64_t seq;
-  std::uint64_t cause;
-  std::int64_t find;
-  std::int32_t a;
-  std::int32_t b;
-  std::int32_t target;
-  std::int32_t arg;
-  std::int16_t level;
-  std::uint8_t kind;
-  std::uint8_t msg;
-  std::int32_t extra;
-};
-static_assert(sizeof(LegacyEvent56) == 56);
-
-TraceEvent widen(const LegacyEvent56& l) {
-  return TraceEvent{.time_us = l.time_us,
-                    .seq = l.seq,
-                    .cause = l.cause,
-                    .find = l.find,
-                    .a = l.a,
-                    .b = l.b,
-                    .target = l.target,
-                    .arg = l.arg,
-                    .level = l.level,
-                    .kind = l.kind,
-                    .msg = l.msg,
-                    .extra = l.extra,
-                    .op = 0,
-                    .pad0 = 0};
-}
+/// Worlds reserved up front: the header's world count is not trusted
+/// with an allocation.
+constexpr std::uint32_t kReserveWorlds = 64;
+/// Events read per chunk (256 KiB), so a world's buffer grows with the
+/// bytes actually present rather than with its declared count.
+constexpr std::uint64_t kChunkEvents = 4096;
 
 template <class T>
 void put(std::ostream& os, T v) {
@@ -101,42 +74,35 @@ std::vector<WorldTrace> read_trace(std::istream& is) {
   VS_REQUIRE(is.good() && std::memcmp(magic, kMagic, sizeof magic) == 0,
              "not a VSTRACE1 trace file");
   const auto version = get<std::uint32_t>(is);
-  VS_REQUIRE(version == 2 || version == kTraceFormatVersion,
+  VS_REQUIRE(version == kTraceFormatVersion,
              "unsupported trace format version "
-                 << version << " (this build reads v2–v" << kTraceFormatVersion
+                 << version << " (this build reads v" << kTraceFormatVersion
                  << "; re-record the trace)");
-  const std::size_t record_size =
-      version >= 3 ? sizeof(TraceEvent) : sizeof(LegacyEvent56);
   const auto world_count = get<std::uint32_t>(is);
   std::vector<WorldTrace> worlds;
-  worlds.reserve(world_count);
+  worlds.reserve(std::min(world_count, kReserveWorlds));
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < world_count; ++i) {
     WorldTrace w;
     w.world = get<std::uint32_t>(is);
     (void)get<std::uint32_t>(is);  // reserved
     const auto count = get<std::uint64_t>(is);
-    // An implausible count is header corruption, not a real section — fail
-    // before attempting a multi-gigabyte resize.
+    // An implausible count is header corruption, not a real section.
     VS_REQUIRE(count <= (std::uint64_t{1} << 32),
                "corrupt trace stream: world " << w.world << " claims "
                                               << count << " events");
-    w.events.resize(count);
-    if (version >= 3) {
-      is.read(reinterpret_cast<char*>(w.events.data()),
-              static_cast<std::streamsize>(count * record_size));
-    } else {
-      std::vector<LegacyEvent56> legacy(count);
-      is.read(reinterpret_cast<char*>(legacy.data()),
-              static_cast<std::streamsize>(count * record_size));
-      for (std::size_t j = 0; j < count; ++j) w.events[j] = widen(legacy[j]);
+    while (w.events.size() < count) {
+      const std::size_t at = w.events.size();
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(count - at, kChunkEvents));
+      w.events.resize(at + n);
+      const auto bytes = static_cast<std::streamsize>(n * sizeof(TraceEvent));
+      is.read(reinterpret_cast<char*>(w.events.data() + at), bytes);
+      VS_REQUIRE(is.good() && is.gcount() == bytes,
+                 "truncated trace stream: world "
+                     << w.world << " declares " << count
+                     << " events but the file ends early");
     }
-    VS_REQUIRE(is.good() && is.gcount() == static_cast<std::streamsize>(
-                                               count * record_size),
-               "truncated trace stream: world " << w.world << " declares "
-                                                << count
-                                                << " events but the file "
-                                                   "ends early");
     total += count;
     worlds.push_back(std::move(w));
   }

@@ -12,16 +12,14 @@
 //   trailer:     u64 total event count (sum over worlds), bytes "VSTREND1"
 //
 // Version history: v2 recorded 56-byte events (no op field); v3 appends
-// the 32-bit OpId plus explicit padding. The reader still accepts v2
-// traces, widening each record with op = 0 (background), so pre-ledger
-// artifacts remain auditable — they just attribute everything to
-// background.
+// the 32-bit OpId plus explicit padding. The reader accepts v3 only.
 //
-// The trailer (format v2) makes truncation and header corruption
-// detectable: a reader that consumed every declared world must land
-// exactly on a trailer whose count matches what it read, so a short or
-// bit-flipped file fails loudly instead of yielding a silently short
-// trace. vinestalk_trace surfaces these as diagnostics with exit 1.
+// The trailer makes truncation and header corruption detectable: a reader
+// that consumed every declared world must land exactly on a trailer whose
+// count matches what it read, so a short or bit-flipped file fails loudly
+// instead of yielding a silently short trace. The reader sizes its
+// buffers by the bytes it has read, never by a declared count alone.
+// vinestalk_trace surfaces these as diagnostics with exit 1.
 //
 // A multi-trial sweep writes one world section per trial, in trial-index
 // order; because every TraceEvent derives from world-local state only, the

@@ -28,21 +28,6 @@ TrialPool::TrialPool(int jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
   VS_REQUIRE(jobs_ >= 1, "TrialPool needs at least one worker, got " << jobs);
 }
 
-int clamp_jobs_for_shards(int jobs, int shards) {
-  if (jobs == 0) jobs = default_jobs();
-  VS_REQUIRE(jobs >= 1, "jobs must be >= 1, got " << jobs);
-  VS_REQUIRE(shards >= 1, "shards must be >= 1, got " << shards);
-  if (shards == 1) return jobs;
-  const unsigned hw_raw = std::thread::hardware_concurrency();
-  const int hw = hw_raw == 0 ? 1 : static_cast<int>(hw_raw);
-  const int budget = hw / shards < 1 ? 1 : hw / shards;
-  if (jobs <= budget) return jobs;
-  VS_WARN("clamping --jobs " << jobs << " to " << budget << ": " << shards
-                             << " lane threads per trial on "
-                             << hw << " hardware threads");
-  return budget;
-}
-
 obs::MetricsRegistry merge_metrics(
     const std::vector<obs::MetricsRegistry>& parts) {
   obs::MetricsRegistry merged;

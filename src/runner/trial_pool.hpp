@@ -36,15 +36,6 @@ namespace vs::runner {
 /// a splitmix64 mix, so neighbouring trials get uncorrelated streams.
 [[nodiscard]] std::uint64_t trial_seed(std::uint64_t base, std::size_t trial);
 
-/// Thread budget for sweeps whose trials are themselves sharded
-/// (TrackingNetwork::set_shards): each trial runs `shards` lane threads,
-/// so the pool width is clamped to hardware_concurrency() / shards
-/// (floored at 1) to keep jobs × shards within the machine. Shards win the
-/// budget fight — intra-world lanes block on each other at every window
-/// barrier, so starving them costs more than narrowing the trial pool.
-/// Logs a warning when it clamps; `jobs` = 0 means default_jobs().
-[[nodiscard]] int clamp_jobs_for_shards(int jobs, int shards);
-
 class TrialPool {
  public:
   /// jobs = 0 picks default_jobs(); jobs = 1 runs inline on the caller

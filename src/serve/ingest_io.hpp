@@ -38,7 +38,7 @@
 //            exactly as the live daemon drained them and advances the
 //            world through the same boundaries, so later frames (finds in
 //            particular) re-execute at the same virtual times and the
-//            world trace comes out byte-identical at any --shards.
+//            world trace comes out byte-identical.
 //
 // Reading is strict and mirrors obs/trace_io: unknown version, bad
 // marker, wrong per-type length, checksum mismatch, or a missing/short

@@ -34,7 +34,7 @@
 // the round clock is in the file. Ladder decisions are pure functions of
 // the drained batch, so replaying a capture re-executes the same world
 // mutations (and find RPCs) at the same virtual times — the world trace
-// is byte-identical to the live run at any --shards. Reader-side drops
+// is byte-identical to the live run. Reader-side drops
 // never enter the capture (they never reached the world), so a replay has
 // dropped == 0 and the identity still holds.
 

@@ -10,8 +10,7 @@
 // Every serving-path closure fits: a C-gcast delivery captures a slab row
 // index, a tracker timer its target or find id, and a client broadcast a
 // packed 32-byte Message (tests/test_message_path.cpp pins the count at
-// zero). Sharded C-gcast deliveries still carry their whole message and
-// fall back.
+// zero).
 
 #include <atomic>
 #include <cstddef>

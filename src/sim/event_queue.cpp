@@ -7,15 +7,9 @@
 namespace vs::sim {
 
 EventId EventQueue::push(TimePoint when, Action action, std::uint64_t cause) {
-  return push_with_seq(when, std::move(action), next_seq_++, cause, -1);
-}
-
-EventId EventQueue::push_with_seq(TimePoint when, Action action,
-                                  std::uint64_t seq, std::uint64_t cause,
-                                  std::int32_t lane) {
   VS_REQUIRE(!when.is_never(), "cannot schedule an event at ∞");
   VS_REQUIRE(static_cast<bool>(action), "empty event action");
-  VS_REQUIRE(seq != 0, "sequence number 0 is reserved for 'no event'");
+  const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -28,24 +22,18 @@ EventId EventQueue::push_with_seq(TimePoint when, Action action,
   s.action = std::move(action);
   s.seq = seq;
   s.cause = cause;
-  s.alias = 0;
   heap_.push_back(Entry{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
-  return EventId{seq, slot, lane};
+  return EventId{seq, slot};
 }
 
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= slots_.size()) return false;
   Slot& s = slots_[id.slot_];
-  // A renumbered event's slot keeps its original temp id as the alias so
-  // handles taken out during the window still match here.
-  if (s.seq != id.seq_ && !(s.alias != 0 && s.alias == id.seq_)) {
-    return false;  // already fired or cancelled
-  }
+  if (s.seq != id.seq_) return false;  // already fired or cancelled
   s.action.reset();
   s.seq = 0;
-  s.alias = 0;
   free_slots_.push_back(id.slot_);
   --live_count_;
   return true;
@@ -72,12 +60,6 @@ TimePoint EventQueue::next_time() const {
   return heap_.front().when;
 }
 
-EventQueue::Head EventQueue::head() const {
-  skim();
-  VS_REQUIRE(!heap_.empty(), "head on empty queue");
-  return Head{heap_.front().when, heap_.front().seq};
-}
-
 EventQueue::Action EventQueue::pop(TimePoint& when) {
   Popped p = pop();
   when = p.when;
@@ -93,7 +75,6 @@ EventQueue::Popped EventQueue::pop() {
   Slot& s = slots_[top.slot];
   Popped p{std::move(s.action), top.when, top.seq, s.cause};
   s.seq = 0;
-  s.alias = 0;
   free_slots_.push_back(top.slot);
   --live_count_;
   return p;

@@ -11,15 +11,6 @@
 // its slot's generation (`seq`) no longer matches, so cancel is one array
 // write and pop is one array read — no per-event hash lookups, and no
 // per-event allocations thanks to EventAction's inline buffer.
-//
-// Sharded execution (sim/shard_executor.hpp) adds two twists handled here:
-//  * push_with_seq lets the scheduler supply sequence numbers from a
-//    global counter (serial sharded mode) or a per-lane temporary counter
-//    (parallel windows, top bit set — see make_temp_seq);
-//  * renumber rewrites temporary sequence numbers to their merged real
-//    values after a window commits, keeping each Slot's original temp id
-//    as an `alias` so EventId handles taken out during the window (timer
-//    disarm) still cancel the right event.
 
 #include <cstdint>
 #include <vector>
@@ -29,49 +20,21 @@
 
 namespace vs::sim {
 
-class EventQueue;
-
-/// Temporary sequence numbers used inside a parallel shard window: top bit
-/// set, lane in bits 48..62, per-lane monotone counter below. Temps order
-/// after every real sequence number, which is exactly the serial tie-break
-/// (window-created events always have later seqs than pre-window ones),
-/// and per-lane counters are never reset, so a temp id is never reused.
-inline constexpr std::uint64_t kTempSeqBit = std::uint64_t{1} << 63;
-inline constexpr std::uint64_t kTempCounterMask =
-    (std::uint64_t{1} << 48) - 1;
-
-[[nodiscard]] constexpr bool is_temp_seq(std::uint64_t seq) {
-  return (seq & kTempSeqBit) != 0;
-}
-[[nodiscard]] constexpr std::uint64_t make_temp_seq(std::int32_t lane,
-                                                    std::uint64_t counter) {
-  return kTempSeqBit | (static_cast<std::uint64_t>(lane) << 48) | counter;
-}
-[[nodiscard]] constexpr std::int32_t temp_seq_lane(std::uint64_t seq) {
-  return static_cast<std::int32_t>((seq >> 48) & 0x7fff);
-}
-[[nodiscard]] constexpr std::uint64_t temp_seq_counter(std::uint64_t seq) {
-  return seq & kTempCounterMask;
-}
-
-/// Handle to a scheduled event, usable for cancellation. `lane` routes the
-/// cancel to the owning shard queue (-1 = the scheduler's global queue).
+/// Handle to a scheduled event, usable for cancellation.
 class EventId {
  public:
   constexpr EventId() = default;
   [[nodiscard]] constexpr std::uint64_t value() const { return seq_; }
   [[nodiscard]] constexpr bool valid() const { return seq_ != 0; }
-  [[nodiscard]] constexpr std::int32_t lane() const { return lane_; }
   friend constexpr bool operator==(EventId, EventId) = default;
 
  private:
   friend class EventQueue;
-  constexpr EventId(std::uint64_t seq, std::uint32_t slot, std::int32_t lane)
-      : seq_(seq), slot_(slot), lane_(lane) {}
+  constexpr EventId(std::uint64_t seq, std::uint32_t slot)
+      : seq_(seq), slot_(slot) {}
 
   std::uint64_t seq_{0};  // 0 = "no event"
   std::uint32_t slot_{0};
-  std::int32_t lane_{-1};
 };
 
 class EventQueue {
@@ -84,16 +47,8 @@ class EventQueue {
   /// edge the observability layer reconstructs spans from.
   EventId push(TimePoint when, Action action, std::uint64_t cause = 0);
 
-  /// Like push, but with an externally supplied sequence number (the
-  /// sharded scheduler's global counter, or a window's temp counter) and
-  /// the lane the returned handle should route cancels to.
-  EventId push_with_seq(TimePoint when, Action action, std::uint64_t seq,
-                        std::uint64_t cause, std::int32_t lane = -1);
-
   /// Cancel a previously scheduled event. Cancelling an already-fired or
-  /// already-cancelled event is a harmless no-op (returns false). Handles
-  /// holding a temp sequence number keep working after renumber (alias
-  /// match).
+  /// already-cancelled event is a harmless no-op (returns false).
   bool cancel(EventId id);
 
   /// True if no live (non-cancelled) events remain.
@@ -101,14 +56,6 @@ class EventQueue {
 
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] TimePoint next_time() const;
-
-  /// (time, seq) key of the earliest live event — the shard executor's
-  /// window-cut probe. Requires !empty().
-  struct Head {
-    TimePoint when;
-    std::uint64_t seq;
-  };
-  [[nodiscard]] Head head() const;
 
   /// Remove and return the earliest live event's action.
   /// Requires !empty(). Also reports the event's time via `when`.
@@ -127,39 +74,10 @@ class EventQueue {
   /// Number of live events (O(1); maintained incrementally).
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Next sequence number push would hand out (the sharded scheduler seeds
-  /// its global counter from this on attach).
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
-
   /// High-water mark of action slots ever allocated — stays at the peak
   /// number of simultaneously pending events because freed slots are
   /// recycled (observable in tests and the slot-reuse microbenchmark).
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
-
-  /// Rewrite every pending temp sequence number (and temp cause) through
-  /// `resolve` — the barrier's temp→real commit. The original temp id is
-  /// kept as the slot's alias so outstanding EventId handles still cancel.
-  /// `resolve` must be monotone over this queue's temps at equal times
-  /// (the merge hands out real seqs in lane creation order, and fresh
-  /// reals exceed every pending real), so heap order is preserved and no
-  /// re-heapify is needed. The barrier must call this BEFORE committing
-  /// staged cross-lane sends: a staged entry carries a fresh real already,
-  /// so pushing it first would heapify it against temp values this rewrite
-  /// then shrinks in place, breaking the invariant.
-  template <class Fn>
-  void renumber(Fn&& resolve) {
-    for (Entry& e : heap_) {
-      Slot& s = slots_[e.slot];
-      if (s.seq != e.seq) continue;  // tombstone
-      if (is_temp_seq(e.seq)) {
-        const std::uint64_t real = resolve(e.seq);
-        s.alias = e.seq;
-        s.seq = real;
-        e.seq = real;
-      }
-      if (is_temp_seq(s.cause)) s.cause = resolve(s.cause);
-    }
-  }
 
  private:
   struct Entry {
@@ -177,13 +95,10 @@ class EventQueue {
     Action action;
     std::uint64_t seq{0};    // generation of the occupying event; 0 = free
     std::uint64_t cause{0};  // seq of the event that scheduled this one
-    std::uint64_t alias{0};  // pre-renumber temp id (0 = none)
   };
 
   void skim() const;  // drop cancelled entries off the top
 
-  // Manual binary heap (std::push_heap/pop_heap over a plain vector, same
-  // Later order std::priority_queue had) so renumber can walk the entries.
   mutable std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

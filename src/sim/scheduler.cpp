@@ -1,7 +1,6 @@
 #include "sim/scheduler.hpp"
 
 #include "common/error.hpp"
-#include "sim/shard_executor.hpp"
 
 namespace vs::sim {
 
@@ -12,97 +11,12 @@ EventId Scheduler::schedule_after(Duration delay, Action action) {
 }
 
 EventId Scheduler::schedule_at(TimePoint when, Action action) {
-  LaneBinding& b = g_lane_binding;
-  if (b.parallel) {
-    // Parallel window: the event belongs to the firing lane. Hand out a
-    // temp id, note it for the barrier's replay (which assigns the real
-    // sequence number exactly as the serial run's counter would have).
-    LaneCtx& l = *b.lane;
-    VS_REQUIRE(when >= l.now,
-               "scheduling into the past: " << when << " < " << l.now);
-    const std::uint64_t temp = make_temp_seq(l.index, l.next_temp++);
-    l.children.push_back(temp);
-    return l.queue.push_with_seq(when, std::move(action), temp, l.current_seq,
-                                 l.index);
-  }
   VS_REQUIRE(when >= now_,
              "scheduling into the past: " << when << " < " << now_);
-  if (b.lane != nullptr) {
-    // Sharded serial interleaving: keep handler-scheduled events (timer
-    // arms, replies) in the handler's own lane so later parallel windows
-    // find every lane-owned event already partitioned — and so lane code
-    // never mutates the global queue.
-    LaneCtx& l = *b.lane;
-    return l.queue.push_with_seq(when, std::move(action), next_seq_++,
-                                 current_seq_, l.index);
-  }
-  if (exec_ != nullptr) {
-    // Driver-context scheduling in a sharded world: the global queue, a
-    // serial sync point between windows.
-    return queue_.push_with_seq(when, std::move(action), next_seq_++,
-                                current_seq_, -1);
-  }
   return queue_.push(when, std::move(action), current_seq_);
 }
 
-void Scheduler::schedule_cross(std::int32_t dest_lane, Duration delay,
-                               Action action) {
-  VS_REQUIRE(delay >= Duration::zero(),
-             "negative delay " << delay << " at " << now());
-  LaneBinding& b = g_lane_binding;
-  if (b.parallel) {
-    LaneCtx& l = *b.lane;
-    const std::uint64_t temp = make_temp_seq(l.index, l.next_temp++);
-    l.children.push_back(temp);
-    if (dest_lane == l.index) {
-      l.queue.push_with_seq(l.now + delay, std::move(action), temp,
-                            l.current_seq, l.index);
-      return;
-    }
-    // Cross-lane: staged for the barrier. The conservative-window safety
-    // argument needs the arrival to land at or past the cut — a
-    // below-horizon send would be staged past events it should precede,
-    // silently reordering causality, so this stays checked in release.
-    VS_REQUIRE(exec_ == nullptr || delay >= exec_->lookahead(),
-               "cross-shard send below the lookahead horizon: "
-                   << delay << " < " << exec_->lookahead());
-    l.staged.push_back(StagedCrossEvent{temp, l.current_seq, dest_lane,
-                                        l.now + delay, std::move(action)});
-    return;
-  }
-  if (exec_ != nullptr) {
-    exec_->lane_queue(dest_lane)
-        .push_with_seq(now_ + delay, std::move(action), next_seq_++,
-                       current_seq_, dest_lane);
-    return;
-  }
-  schedule_after(delay, std::move(action));
-}
-
-bool Scheduler::cancel(EventId id) {
-  if (!id.valid()) return false;
-  const LaneBinding& b = g_lane_binding;
-  if (b.parallel) {
-    // Inside a parallel window only the firing lane's own queue may be
-    // mutated: cancelling a global-queue event (lane -1) or another
-    // lane's event would race its owning thread.
-    VS_REQUIRE(id.lane() == b.lane->index,
-               "parallel-window cancel crossing lanes: event owned by lane "
-                   << id.lane() << ", firing lane is " << b.lane->index);
-    return b.lane->queue.cancel(id);
-  }
-  if (id.lane() >= 0 && exec_ != nullptr) {
-    return exec_->lane_queue(id.lane()).cancel(id);
-  }
-  return queue_.cancel(id);
-}
-
-void Scheduler::attach_executor(ShardExecutor* exec) {
-  exec_ = exec;
-  // Continue the queue's internal counter so pre-attach and post-attach
-  // sequence numbers form one stream (causality stays globally ordered).
-  if (exec_ != nullptr) next_seq_ = queue_.next_seq();
-}
+bool Scheduler::cancel(EventId id) { return queue_.cancel(id); }
 
 void Scheduler::flush_boundaries(TimePoint upto) {
   // The hook emits every due boundary <= upto in one call and returns the
@@ -113,36 +27,15 @@ void Scheduler::flush_boundaries(TimePoint upto) {
   boundary_due_ = next;
 }
 
-void Scheduler::fire_main(EventQueue::Popped p, LaneCtx* serial_lane) {
-  VS_DCHECK(p.when >= now_, "event queue time went backwards");
-  // Pre-fire boundary check: the event about to fire is the earliest
-  // pending one, so state right now is "everything with when < p.when has
-  // fired" — the exact sample prefix for any boundary <= p.when.
-  if (p.when >= boundary_due_) flush_boundaries(p.when);
-  now_ = p.when;
-  ++events_fired_;
-  const std::uint64_t saved_seq = current_seq_;
-  const std::uint64_t saved_cause = current_cause_;
-  const LaneBinding saved_bind = g_lane_binding;
-  current_seq_ = p.seq;
-  current_cause_ = p.cause;
-  g_lane_binding = LaneBinding{serial_lane, false};
-  probe(kProbeFireBegin, p.when.count());
-  p.action();
-  probe(kProbeFireEnd, p.when.count());
-  g_lane_binding = saved_bind;
-  current_seq_ = saved_seq;
-  current_cause_ = saved_cause;
-  if (post_step_hook_ != nullptr) post_step_hook_(post_step_ctx_);
-}
-
 bool Scheduler::step() {
-  if (exec_ != nullptr) return exec_->step_serial();
   if (queue_.empty()) return false;
   probe(kProbeQueuePopBegin, 0);
   EventQueue::Popped p = queue_.pop();
   probe(kProbeQueuePopEnd, 0);
   VS_DCHECK(p.when >= now_, "event queue time went backwards");
+  // Pre-fire boundary check: the event about to fire is the earliest
+  // pending one, so state right now is "everything with when < p.when has
+  // fired" — the exact sample prefix for any boundary <= p.when.
   if (p.when >= boundary_due_) flush_boundaries(p.when);
   now_ = p.when;
   ++events_fired_;
@@ -162,7 +55,6 @@ bool Scheduler::step() {
 }
 
 std::uint64_t Scheduler::run(std::uint64_t max_events) {
-  if (exec_ != nullptr) return exec_->run(max_events, TimePoint::never());
   std::uint64_t fired = 0;
   while (step()) {
     ++fired;
@@ -175,12 +67,6 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
 
 std::uint64_t Scheduler::run_until(TimePoint deadline,
                                    std::uint64_t max_events) {
-  if (exec_ != nullptr) {
-    const std::uint64_t fired = exec_->run(max_events, deadline);
-    if (now_ < deadline) now_ = deadline;
-    if (now_ >= boundary_due_) flush_boundaries(now_);
-    return fired;
-  }
   std::uint64_t fired = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     step();
@@ -190,16 +76,9 @@ std::uint64_t Scheduler::run_until(TimePoint deadline,
   }
   if (now_ < deadline) now_ = deadline;
   // Exit flush: boundaries between the last fired event and the deadline
-  // are due now — no event will ever fire below them (same in both
-  // execution modes, which is what keeps the sample streams identical).
+  // are due now — no event will ever fire below them.
   if (now_ >= boundary_due_) flush_boundaries(now_);
   return fired;
-}
-
-std::size_t Scheduler::pending() const {
-  std::size_t n = queue_.size();
-  if (exec_ != nullptr) n += exec_->lane_pending();
-  return n;
 }
 
 }  // namespace vs::sim

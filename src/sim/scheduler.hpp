@@ -5,51 +5,28 @@
 // the paper builds on: automata register actions at future virtual times
 // (message deliveries, timer expiries); the scheduler fires them in
 // deterministic (time, scheduling-order) order and advances `now`.
-//
-// Sharded mode: attach_executor hands run/step/pending over to a
-// ShardExecutor (sim/shard_executor.hpp) that partitions events across
-// per-shard lane queues and, when the world is eligible, fires windows of
-// them in parallel under a conservative (Chandy–Misra-style) horizon. The
-// public surface is unchanged — every entry point consults the
-// thread-local lane binding (sim/lane.hpp), so model code is oblivious to
-// which lane (or thread) it runs on. Worlds that never attach an executor
-// take the exact legacy single-queue paths.
 
 #include <cstdint>
 #include <functional>
 
 #include "sim/event_queue.hpp"
-#include "sim/lane.hpp"
 #include "sim/profile_probe.hpp"
 #include "sim/time.hpp"
 
 namespace vs::sim {
 
-class ShardExecutor;
-
 class Scheduler {
  public:
   using Action = EventQueue::Action;
 
-  /// Current virtual time (the firing lane's clock inside a parallel
-  /// window; the world clock otherwise).
-  [[nodiscard]] TimePoint now() const {
-    const LaneBinding& b = g_lane_binding;
-    return b.parallel ? b.lane->now : now_;
-  }
+  /// Current virtual time.
+  [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedule `action` to run `delay` from now. Requires delay >= 0.
   EventId schedule_after(Duration delay, Action action);
 
   /// Schedule `action` at absolute time `when`. Requires when >= now().
   EventId schedule_at(TimePoint when, Action action);
-
-  /// Schedule `action` into shard `dest_lane`'s queue, `delay` from now —
-  /// C-gcast's sharded delivery path. In a parallel window a cross-lane
-  /// send is staged for the barrier (its delay must be >= the executor's
-  /// lookahead); otherwise it lands in the lane queue directly. Falls back
-  /// to schedule_after when no executor is attached.
-  void schedule_cross(std::int32_t dest_lane, Duration delay, Action action);
 
   /// Cancel a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id);
@@ -68,8 +45,8 @@ class Scheduler {
   std::uint64_t run_until(TimePoint deadline,
                           std::uint64_t max_events = kDefaultEventBudget);
 
-  /// Number of pending events (across the global and all lane queues).
-  [[nodiscard]] std::size_t pending() const;
+  /// Number of pending events.
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
   /// Total events fired over the scheduler's lifetime.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
@@ -77,19 +54,11 @@ class Scheduler {
   /// Identity (queue sequence number) of the event currently firing, or 0
   /// when called from outside any event. Anything scheduled while an event
   /// fires records this as its causal parent, so a find's whole message
-  /// cascade chains back to the action that issued it. Inside a parallel
-  /// window this is the lane's temp id; the barrier rewrites every place
-  /// it was recorded to the merged real value.
-  [[nodiscard]] std::uint64_t current_seq() const {
-    const LaneBinding& b = g_lane_binding;
-    return b.parallel ? b.lane->current_seq : current_seq_;
-  }
+  /// cascade chains back to the action that issued it.
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
 
   /// Causal parent of the event currently firing (0 at a chain root).
-  [[nodiscard]] std::uint64_t current_cause() const {
-    const LaneBinding& b = g_lane_binding;
-    return b.parallel ? b.lane->current_cause : current_cause_;
-  }
+  [[nodiscard]] std::uint64_t current_cause() const { return current_cause_; }
 
   static constexpr std::uint64_t kDefaultEventBudget = 200'000'000;
 
@@ -100,8 +69,6 @@ class Scheduler {
   /// predictable null test — the monitor-off overhead budget. The hook
   /// must not call run()/step() re-entrantly; scheduling new events from
   /// it is allowed but breaks quiescence, so observers should only read.
-  /// A sharded world with a hook installed always runs on the serial path
-  /// (the hook reads cross-lane state), so it still sees every step.
   using PostStepHook = void (*)(void* ctx);
   void set_post_step_hook(PostStepHook hook, void* ctx) {
     post_step_hook_ = hook;
@@ -112,17 +79,13 @@ class Scheduler {
   }
 
   /// Telemetry boundary hook (obs::TelemetrySampler). Unlike the post-step
-  /// hook — which observes every event and therefore forces sharded worlds
-  /// onto the serial path — the boundary hook only fires when virtual time
-  /// is about to cross a pre-announced boundary, so it stays compatible
-  /// with parallel windows: the executor caps each window's cut at the due
-  /// boundary and flushes it between windows, where the committed state is
-  /// exactly the serial prefix. The hook is called with the time being
-  /// crossed (`upto`) and must return the next due boundary (never() to
-  /// stop). Contract: when the hook runs, every event with when < B has
-  /// fired and no event with when >= B has, for every boundary B <= upto
-  /// it emits — identical in serial and sharded execution. The unhooked
-  /// hot-path cost is one integer compare (boundary_due_ stays never()).
+  /// hook, which observes every event, the boundary hook only fires when
+  /// virtual time is about to cross a pre-announced boundary. The hook is
+  /// called with the time being crossed (`upto`) and must return the next
+  /// due boundary (never() to stop). Contract: when the hook runs, every
+  /// event with when < B has fired and no event with when >= B has, for
+  /// every boundary B <= upto it emits. The unhooked hot-path cost is one
+  /// integer compare (boundary_due_ stays never()).
   using BoundaryHook = TimePoint (*)(void* ctx, TimePoint upto);
   void set_boundary_hook(BoundaryHook hook, void* ctx, TimePoint first_due) {
     boundary_hook_ = hook;
@@ -149,16 +112,8 @@ class Scheduler {
     }
   }
 
-  /// Attach (nullptr: detach) the shard executor that takes over
-  /// run/step/pending. The executor must outlive the attachment; the
-  /// global sequence counter picks up where the queue's internal one left
-  /// off, so pre-attach and post-attach seqs form one serial stream.
-  void attach_executor(ShardExecutor* exec);
-  [[nodiscard]] ShardExecutor* executor() const { return exec_; }
 
  private:
-  friend class ShardExecutor;
-
   /// Emit one profile-probe phase; dead code when profiling is compiled
   /// out, a null test when no probe is set, plus one bool load when the
   /// attached profiler is disabled.
@@ -168,12 +123,6 @@ class Scheduler {
       if (probe_ != nullptr && *probe_enabled_) probe_(probe_ctx_, phase, t_us);
     }
   }
-
-  /// Fire one already-popped event on the driver thread, with the world
-  /// clock and causality registers. `serial_lane` (nullable) is bound in
-  /// serial mode for the action's duration so nested schedules land in the
-  /// owning lane's queue.
-  void fire_main(EventQueue::Popped p, LaneCtx* serial_lane);
 
   /// Emit every due boundary <= `upto` through the hook and advance
   /// boundary_due_ to the hook's returned next-due. Out of line: the
@@ -185,9 +134,6 @@ class Scheduler {
   std::uint64_t events_fired_{0};
   std::uint64_t current_seq_{0};
   std::uint64_t current_cause_{0};
-  /// Global sequence counter for sharded mode (exec_ != nullptr); the
-  /// barrier's replay-merge and every non-window push draw from it.
-  std::uint64_t next_seq_{1};
   PostStepHook post_step_hook_ = nullptr;
   void* post_step_ctx_ = nullptr;
   BoundaryHook boundary_hook_ = nullptr;
@@ -198,7 +144,6 @@ class Scheduler {
   ProfileProbe probe_ = nullptr;
   void* probe_ctx_ = nullptr;
   const bool* probe_enabled_ = nullptr;
-  ShardExecutor* exec_ = nullptr;
 };
 
 }  // namespace vs::sim

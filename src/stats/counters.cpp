@@ -55,10 +55,6 @@ WorkCounters::WorkCounters(Level max_level)
 }
 
 void WorkCounters::record(MsgKind kind, Level level, std::int64_t hops) {
-  if (tls_redirect_from_ == this && tls_redirect_to_ != nullptr) {
-    tls_redirect_to_->record(kind, level, hops);
-    return;
-  }
   VS_REQUIRE(kind != MsgKind::kCount, "bad kind");
   VS_REQUIRE(level >= 0 && level <= max_level_, "level out of range");
   VS_REQUIRE(hops >= 0, "negative hop count");
@@ -189,7 +185,6 @@ void WorkCounters::reset() {
   for (auto& row : work_by_level_kind_) row.fill(0);
   duplicated_ = 0;
   jittered_ = 0;
-  pdes_ = PdesCounters{};
   ingest_ = IngestCounters{};
 }
 
@@ -212,24 +207,6 @@ WorkCounters WorkCounters::delta_since(const WorkCounters& earlier) const {
   }
   d.duplicated_ = duplicated_ - earlier.duplicated_;
   d.jittered_ = jittered_ - earlier.jittered_;
-  d.pdes_.windows = pdes_.windows - earlier.pdes_.windows;
-  d.pdes_.window_events = pdes_.window_events - earlier.pdes_.window_events;
-  d.pdes_.serial_events = pdes_.serial_events - earlier.pdes_.serial_events;
-  d.pdes_.cross_shard_events =
-      pdes_.cross_shard_events - earlier.pdes_.cross_shard_events;
-  d.pdes_.horizon_stalls =
-      pdes_.horizon_stalls - earlier.pdes_.horizon_stalls;
-  d.pdes_.global_syncs = pdes_.global_syncs - earlier.pdes_.global_syncs;
-  d.pdes_.critical_path_events =
-      pdes_.critical_path_events - earlier.pdes_.critical_path_events;
-  d.pdes_.lanes = pdes_.lanes;
-  for (std::size_t i = 0;
-       i < d.pdes_.lanes.size() && i < earlier.pdes_.lanes.size(); ++i) {
-    d.pdes_.lanes[i].events -= earlier.pdes_.lanes[i].events;
-    d.pdes_.lanes[i].stalls -= earlier.pdes_.lanes[i].stalls;
-    d.pdes_.lanes[i].cross_sends -= earlier.pdes_.lanes[i].cross_sends;
-    d.pdes_.lanes[i].busy_windows -= earlier.pdes_.lanes[i].busy_windows;
-  }
   d.ingest_.ingested = ingest_.ingested - earlier.ingest_.ingested;
   d.ingest_.applied = ingest_.applied - earlier.ingest_.applied;
   d.ingest_.suppressed = ingest_.suppressed - earlier.ingest_.suppressed;
@@ -291,28 +268,6 @@ void WorkCounters::to_json(std::ostream& os, int indent) const {
        << ", \"find_work\": " << find_work_at_level(level) << "}";
   }
   os << "\n" << in << "]";
-  if (pdes_.windows != 0) {
-    os << ",\n"
-       << in << "\"pdes\": {\"windows\": " << pdes_.windows
-       << ", \"window_events\": " << pdes_.window_events
-       << ", \"serial_events\": " << pdes_.serial_events
-       << ", \"cross_shard_events\": " << pdes_.cross_shard_events
-       << ", \"horizon_stalls\": " << pdes_.horizon_stalls
-       << ", \"global_syncs\": " << pdes_.global_syncs
-       << ", \"critical_path_events\": " << pdes_.critical_path_events;
-    if (!pdes_.lanes.empty()) {
-      os << ", \"lanes\": [";
-      for (std::size_t i = 0; i < pdes_.lanes.size(); ++i) {
-        const PdesLaneStats& ln = pdes_.lanes[i];
-        if (i != 0) os << ", ";
-        os << "{\"events\": " << ln.events << ", \"stalls\": " << ln.stalls
-           << ", \"cross_sends\": " << ln.cross_sends
-           << ", \"busy_windows\": " << ln.busy_windows << "}";
-      }
-      os << "]";
-    }
-    os << "}";
-  }
   if (ingest_.any()) {
     os << ",\n"
        << in << "\"ingest\": {\"ingested\": " << ingest_.ingested
@@ -348,22 +303,6 @@ void WorkCounters::accumulate(const WorkCounters& other) {
   }
   duplicated_ += other.duplicated_;
   jittered_ += other.jittered_;
-  pdes_.windows += other.pdes_.windows;
-  pdes_.window_events += other.pdes_.window_events;
-  pdes_.serial_events += other.pdes_.serial_events;
-  pdes_.cross_shard_events += other.pdes_.cross_shard_events;
-  pdes_.horizon_stalls += other.pdes_.horizon_stalls;
-  pdes_.global_syncs += other.pdes_.global_syncs;
-  pdes_.critical_path_events += other.pdes_.critical_path_events;
-  if (pdes_.lanes.size() < other.pdes_.lanes.size()) {
-    pdes_.lanes.resize(other.pdes_.lanes.size());
-  }
-  for (std::size_t i = 0; i < other.pdes_.lanes.size(); ++i) {
-    pdes_.lanes[i].events += other.pdes_.lanes[i].events;
-    pdes_.lanes[i].stalls += other.pdes_.lanes[i].stalls;
-    pdes_.lanes[i].cross_sends += other.pdes_.lanes[i].cross_sends;
-    pdes_.lanes[i].busy_windows += other.pdes_.lanes[i].busy_windows;
-  }
   ingest_.ingested += other.ingest_.ingested;
   ingest_.applied += other.ingest_.applied;
   ingest_.suppressed += other.ingest_.suppressed;

@@ -43,39 +43,6 @@ enum class MsgKind : std::uint8_t {
 /// both the Theorem 4.9 move sums and the Theorem 5.2 find sums.
 [[nodiscard]] bool is_heartbeat_kind(MsgKind kind);
 
-/// Per-shard-lane slice of the executor's window census — the raw series
-/// behind lane occupancy, cross-shard traffic split, critical-path share,
-/// and the imbalance ratio the telemetry dashboard renders. Like the rest
-/// of PdesCounters these are schedule diagnostics, not model state: they
-/// vary with --shards by construction and are exempt from the
-/// byte-identity doctrine (and from the default telemetry stream).
-struct PdesLaneStats {
-  std::int64_t events = 0;        // window events fired by this lane
-  std::int64_t stalls = 0;        // windows: lane had work, none below cut
-  std::int64_t cross_sends = 0;   // staged cross-shard sends originating here
-  std::int64_t busy_windows = 0;  // windows where the lane fired >= 1 event
-};
-
-/// Diagnostics of the sharded executor (sim/shard_executor.hpp): window
-/// and event census of the conservative parallel schedule. Zero — and
-/// absent from to_json — unless a parallel window ever committed, so
-/// sharded-but-serial and legacy runs stay byte-identical.
-struct PdesCounters {
-  std::int64_t windows = 0;        // parallel windows committed
-  std::int64_t window_events = 0;  // events fired inside windows
-  std::int64_t serial_events = 0;  // events fired on the serial path
-  std::int64_t cross_shard_events = 0;  // staged sends committed
-  std::int64_t horizon_stalls = 0;  // lane had work but none below the cut
-  std::int64_t global_syncs = 0;    // global-queue serial sync points
-  /// Max per-lane events over each window, summed — the schedule's
-  /// critical path; window_events / critical_path_events is the
-  /// partition-balance speedup bound on ideal hardware.
-  std::int64_t critical_path_events = 0;
-  /// Per-lane breakdown (index = lane). Sized by the executor at its first
-  /// committed window; empty in serial/legacy runs.
-  std::vector<PdesLaneStats> lanes;
-};
-
 /// Accounting of the streaming-ingest daemon (src/serve): wire frames in,
 /// world mutations out, and the shed-ladder bookkeeping in between. The
 /// conservation identity the daemon pins at shutdown — every valid update
@@ -90,8 +57,8 @@ struct PdesCounters {
 /// absent from to_json — unless the serve path ran, so simulator-only
 /// artifacts stay byte-identical. `queue_depth_peak` is the high-water
 /// mark over all region queues; in live mode it depends on reader/driver
-/// thread timing (like PdesLaneStats it is exempt from the byte-identity
-/// doctrine), in replay mode it is deterministic.
+/// thread timing (so it is exempt from the byte-identity doctrine), in
+/// replay mode it is deterministic.
 struct IngestCounters {
   std::int64_t ingested = 0;     // valid update frames accepted off the wire
   std::int64_t applied = 0;      // updates that mutated the world
@@ -131,16 +98,6 @@ class WorkCounters {
   /// Record one message of `kind` sent at hierarchy level `level` that
   /// travels `hops` region-hops.
   void record(MsgKind kind, Level level, std::int64_t hops);
-
-  /// Redirect this thread's record() calls on `from` to `to` — the shard
-  /// executor's parallel-window binding, so lane threads account into
-  /// lane-local counters the barrier folds back deterministically.
-  /// (note_duplicated/note_jittered stay unredirected: channel faults make
-  /// a world ineligible for parallel windows.) Pass nulls to clear.
-  static void set_thread_redirect(const WorkCounters* from, WorkCounters* to) {
-    tls_redirect_from_ = from;
-    tls_redirect_to_ = to;
-  }
 
   [[nodiscard]] std::int64_t messages(MsgKind kind) const;
   [[nodiscard]] std::int64_t work(MsgKind kind) const;
@@ -184,11 +141,6 @@ class WorkCounters {
 
   [[nodiscard]] Level max_level() const { return max_level_; }
 
-  /// Sharded-executor diagnostics (see PdesCounters). Mutated directly by
-  /// the executor's barrier; folded by accumulate/delta_since.
-  [[nodiscard]] PdesCounters& pdes() { return pdes_; }
-  [[nodiscard]] const PdesCounters& pdes() const { return pdes_; }
-
   /// Ingest-daemon accounting (see IngestCounters). Mutated directly by
   /// serve::IngestServer at round boundaries (driver thread only); folded
   /// by accumulate/delta_since.
@@ -203,7 +155,6 @@ class WorkCounters {
   ///    "by_level": [{"level": 0, "messages": N, "work": N,
   ///                  "move_messages": N, "move_work": N,
   ///                  "find_messages": N, "find_work": N}, ...],
-  ///    "pdes": {...},  // only when parallel windows committed (windows>0)
   ///    "ingest": {...}}  // only when the serve path ran (ingest().any())
   void to_json(std::ostream& os, int indent = 0) const;
 
@@ -220,11 +171,7 @@ class WorkCounters {
   std::vector<std::array<std::int64_t, kKinds>> work_by_level_kind_;
   std::int64_t duplicated_{0};
   std::int64_t jittered_{0};
-  PdesCounters pdes_{};
   IngestCounters ingest_{};
-
-  inline static thread_local const WorkCounters* tls_redirect_from_ = nullptr;
-  inline static thread_local WorkCounters* tls_redirect_to_ = nullptr;
 };
 
 }  // namespace vs::stats

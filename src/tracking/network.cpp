@@ -113,21 +113,10 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
     return static_cast<const TrackingNetwork*>(ctx)->sched_.now().count();
   });
 
-  // Per-find accounting. Inside a parallel window the observer runs on a
-  // lane thread, so the deltas go to the lane's private accumulator and
-  // are folded into finds_ at the barrier (all three fields commute).
+  // Per-find accounting.
   cgcast_->add_send_observer([this](const vsa::Message& m, ClusterId, ClusterId,
                                     Level level, std::int64_t hops) {
     if (!m.find_id.valid()) return;
-    if (tls_find_acc_ != nullptr) {
-      FindAcc& acc = (*tls_find_acc_)[m.find_id];
-      ++acc.messages;
-      acc.work += hops;
-      if (m.type == vsa::MsgType::kFindQuery) {
-        acc.max_search_level = std::max(acc.max_search_level, level);
-      }
-      return;
-    }
     const auto it = finds_.find(m.find_id);
     if (it == finds_.end()) return;
     ++it->second.messages;
@@ -139,70 +128,7 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
   });
 }
 
-TrackingNetwork::~TrackingNetwork() {
-  // Detach sharding before members start dying: the executor joins its
-  // workers in its own destructor, and the scheduler/CGcast must not be
-  // left pointing at it (or the shard map) while that happens.
-  if (exec_ != nullptr) {
-    sched_.attach_executor(nullptr);
-    cgcast_->set_shard_map(nullptr);
-  }
-  clear_log_clock(this);
-}
-
-void TrackingNetwork::set_shards(int n) {
-  VS_REQUIRE(n >= 1, "shards must be >= 1, got " << n);
-  VS_REQUIRE(exec_ == nullptr, "set_shards may only be called once");
-  VS_REQUIRE(sched_.pending() == 0,
-             "set_shards must be called before any events are scheduled");
-  const auto num_regions = hier_->tiling().num_regions();
-  if (static_cast<std::size_t>(n) > num_regions) {
-    n = static_cast<int>(num_regions);
-  }
-  shard_map_ = std::make_unique<vsa::ShardMap>(*hier_, n);
-  exec_ = std::make_unique<sim::ShardExecutor>(
-      sched_, n, config_.cgcast.delta + config_.cgcast.e, hier_->max_level());
-  exec_->bind_counters(&counters_);
-  exec_->bind_trace(&trace_);
-  if (ledger_ != nullptr) exec_->bind_ledger(ledger_);
-  if (prof_ != nullptr) exec_->bind_profiler(prof_);
-  exec_->set_parallel_gate([this] { return parallel_eligible(); });
-  lane_find_acc_.assign(static_cast<std::size_t>(n), {});
-  exec_->set_lane_hooks(
-      [this](int lane) {
-        tls_find_acc_ = &lane_find_acc_[static_cast<std::size_t>(lane)];
-      },
-      [this](int) { tls_find_acc_ = nullptr; },
-      [this](int lane) {
-        // Barrier fold, called lane 0..K-1 in order on the driver thread.
-        // Note the found-output path (on_found_output) is NOT deferred
-        // like this: believes_here is true only in the evader's current
-        // region, and moves happen in driver context, so all found
-        // outputs for a target come from a single lane per window —
-        // its finds_ value mutations race with nothing.
-        auto& accs = lane_find_acc_[static_cast<std::size_t>(lane)];
-        for (auto& [fid, acc] : accs) {
-          const auto it = finds_.find(fid);
-          if (it == finds_.end()) continue;
-          it->second.messages += acc.messages;
-          it->second.work += acc.work;
-          it->second.max_search_level =
-              std::max(it->second.max_search_level, acc.max_search_level);
-        }
-        accs.clear();
-      });
-  exec_->set_barrier_hook(
-      [this](sim::TimePoint now) { cgcast_->purge_delivered(now); });
-  cgcast_->set_shard_map(shard_map_.get());
-  sched_.attach_executor(exec_.get());
-}
-
-bool TrackingNetwork::parallel_eligible() const {
-  return !sched_.has_post_step_hook() && heartbeat_handlers_.empty() &&
-         !state_hook_installed_ && directory_ == nullptr &&
-         !cgcast_->has_channel_faults() &&
-         config_.cgcast.loss_probability <= 0.0;
-}
+TrackingNetwork::~TrackingNetwork() { clear_log_clock(this); }
 
 void TrackingNetwork::set_op_ledger(obs::OpLedger* ledger) {
   if (ledger_observer_ != 0) {
@@ -210,7 +136,6 @@ void TrackingNetwork::set_op_ledger(obs::OpLedger* ledger) {
     ledger_observer_ = 0;
   }
   ledger_ = ledger;
-  if (exec_ != nullptr) exec_->bind_ledger(ledger_);
   if (ledger_ == nullptr) return;
   ledger_observer_ = cgcast_->add_send_observer(
       [this](const vsa::Message& m, ClusterId, ClusterId, Level level,
@@ -226,7 +151,6 @@ void TrackingNetwork::set_profiler(obs::Profiler* prof) {
       prof != nullptr ? prof->enabled_flag() : nullptr);
   cgcast_->set_profiler(prof);
   for (const auto& tr : trackers_) tr->set_profiler(prof);
-  if (exec_ != nullptr) exec_->bind_profiler(prof);
 }
 
 Tracker& TrackingNetwork::tracker(ClusterId c) {
@@ -473,7 +397,6 @@ std::span<const RegionId> TrackingNetwork::replicas_of(ClusterId c) const {
 }
 
 void TrackingNetwork::set_state_change_hook(Tracker::StateChangeHook hook) {
-  state_hook_installed_ = static_cast<bool>(hook);
   for (const auto& tr : trackers_) tr->set_state_change_hook(hook);
 }
 

@@ -23,7 +23,6 @@
 #include "obs/op.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/shard_executor.hpp"
 #include "stats/counters.hpp"
 #include "tracking/config.hpp"
 #include "tracking/snapshot.hpp"
@@ -32,7 +31,6 @@
 #include "vsa/client.hpp"
 #include "vsa/directory.hpp"
 #include "vsa/evader.hpp"
-#include "vsa/shard_map.hpp"
 
 namespace vs::tracking {
 
@@ -121,9 +119,8 @@ class TrackingNetwork {
   [[nodiscard]] obs::OpLedger* op_ledger() { return ledger_; }
 
   /// Attach (or with nullptr detach) a wall-clock CPU profiler. Wires the
-  /// scheduler's probe, C-gcast's deliver scope, every Tracker's handler
-  /// scopes, and the shard executor's lane binding (now or when set_shards
-  /// later installs one). The profiler must outlive the attachment and is
+  /// scheduler's probe, C-gcast's deliver scope, and every Tracker's
+  /// handler scopes. The profiler must outlive the attachment and is
   /// never owned. Profile output is nondeterministic sidecar data only —
   /// attaching and enabling one never changes any deterministic artifact.
   void set_profiler(obs::Profiler* prof);
@@ -158,26 +155,6 @@ class TrackingNetwork {
   std::uint64_t run_for(sim::Duration d);
   [[nodiscard]] sim::TimePoint now() const { return sched_.now(); }
 
-  /// Shard the world into `n` lanes of region-sharded conservative
-  /// parallel execution (sim/shard_executor.hpp; docs/perf/sharding.md).
-  /// The partition is a pure function of the hierarchy geometry
-  /// (vsa::ShardMap) and the lookahead is C-gcast's (δ + e) latency floor,
-  /// so traces, counters, ledgers, and metrics stay byte-identical to the
-  /// unsharded world at every shard count. Call once, before any events
-  /// are scheduled; n is clamped to the region count. n == 1 still
-  /// installs the executor (useful as a same-machinery baseline).
-  void set_shards(int n);
-  /// Lanes installed by set_shards (1 when never sharded).
-  [[nodiscard]] int shards() const {
-    return exec_ != nullptr ? exec_->lanes() : 1;
-  }
-  /// True when the current configuration may run parallel windows.
-  /// Monitors (post-step hooks, state-change hooks, heartbeat handlers),
-  /// VSA-failure modelling, and channel faults/loss all require the
-  /// serial path's single global interleaving; a sharded world checks
-  /// this at each run() and falls back transparently.
-  [[nodiscard]] bool parallel_eligible() const;
-
   /// Fault injection (requires model_vsa_failures).
   void fail_vsa(RegionId u);
 
@@ -193,8 +170,6 @@ class TrackingNetwork {
   [[nodiscard]] std::span<const RegionId> replicas_of(ClusterId c) const;
 
   /// Hook invoked on every tracker pointer-state change (monitors).
-  /// Installing a non-empty hook makes the world ineligible for parallel
-  /// windows (the hook observes cross-lane state).
   void set_state_change_hook(Tracker::StateChangeHook hook);
 
   /// Observer of evader placement/relocation as seen at the network API:
@@ -256,22 +231,6 @@ class TrackingNetwork {
   std::vector<std::vector<RegionId>> replicas_;     // by cluster id
   std::map<FindId, FindResult> finds_;
   FindId::rep_type next_find_{1};
-  /// Per-find deltas accumulated by a lane during a parallel window (the
-  /// send observer writes here instead of finds_ while the lane hook has
-  /// bound this thread); folded into finds_ at the barrier in lane order.
-  /// Sums and a max — commutative, so the fold is order-insensitive and
-  /// the totals match the serial run exactly.
-  struct FindAcc {
-    std::int64_t messages = 0;
-    std::int64_t work = 0;
-    Level max_search_level = -1;
-  };
-  std::vector<std::map<FindId, FindAcc>> lane_find_acc_;  // by lane
-  inline static thread_local std::map<FindId, FindAcc>* tls_find_acc_ =
-      nullptr;
-  std::unique_ptr<vsa::ShardMap> shard_map_;
-  std::unique_ptr<sim::ShardExecutor> exec_;
-  bool state_hook_installed_ = false;
   obs::TraceRecorder trace_;
   obs::OpLedger* ledger_ = nullptr;
   obs::Profiler* prof_ = nullptr;

@@ -131,24 +131,6 @@ void CGcast::release(std::uint32_t row) {
 
 void CGcast::enqueue(ClusterId from, ClusterId to, const Message& m,
                      sim::Duration delay) {
-  if (shard_map_ != nullptr) {
-    // Sharded world: route the delivery into the destination cluster's
-    // lane. Inside a parallel window the shared slab is off limits (other
-    // lanes run concurrently), so no row is booked (key 0); rows booked in
-    // serial context but delivered inside a later window are purged at the
-    // barrier.
-    std::uint32_t row = 0;
-    std::uint64_t key = 0;
-    if (!sim::in_parallel_lane()) {
-      row = book(from, to, m, sched_->now() + delay);
-      key = rows_[row].key;
-    }
-    sched_->schedule_cross(shard_map_->lane_of_cluster(to), delay,
-                           [this, row, key, from, to, m] {
-                             deliver_sharded(row, key, from, to, m);
-                           });
-    return;
-  }
   const std::uint32_t row = book(from, to, m, sched_->now() + delay);
   sched_->schedule_after(delay, [this, row] { deliver_row(row); });
 }
@@ -254,16 +236,6 @@ void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
     record(obs::TraceKind::kBroadcast, m, from_level0.value(), region.value(),
            0, 1);
   }
-  if (shard_map_ != nullptr) {
-    // The region's clients share the level-0 cluster's lane (ShardMap's
-    // colocation invariant), so this never crosses a lane — and the δ+e
-    // delay meets the lookahead anyway.
-    sched_->schedule_cross(shard_map_->lane_of_region(region),
-                           config_.delta + config_.e, [this, region, m] {
-                             if (client_sink_) client_sink_(region, m);
-                           });
-    return;
-  }
   sched_->schedule_after(config_.delta + config_.e, [this, region, m] {
     if (client_sink_) client_sink_(region, m);  // rule (d)
   });
@@ -273,40 +245,21 @@ void CGcast::deliver_row(std::uint32_t row) {
   // Copy out and release first: the handler's own sends may grow the slab.
   const Row r = rows_[row];
   release(row);
-  deliver_common(r.from, r.to, r.msg);
-}
-
-void CGcast::deliver_sharded(std::uint32_t row, std::uint64_t key,
-                             ClusterId from, ClusterId to, const Message& m) {
-  // Release the row only from serial context, and only if the barrier has
-  // not purged it (and a later send reused the index) already; rows
-  // delivered inside a parallel window are purged at the barrier instead.
-  if (key != 0 && !sim::in_parallel_lane() && rows_[row].key == key) {
-    release(row);
-  }
-  deliver_common(from, to, m);
-}
-
-void CGcast::purge_delivered(sim::TimePoint now) {
-  for (std::uint32_t row = 0; row < rows_.size(); ++row) {
-    if (rows_[row].key != 0 && rows_[row].deliver_at <= now) release(row);
-  }
-}
-
-void CGcast::deliver_common(ClusterId from, ClusterId to, const Message& m) {
-  if (!process_alive(to)) {
+  if (!process_alive(r.to)) {
     ++dropped_;
     if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
-      record(obs::TraceKind::kDrop, m, from.valid() ? from.value() : -1,
-             to.value(), hier_->level(to), 0);
+      record(obs::TraceKind::kDrop, r.msg,
+             r.from.valid() ? r.from.value() : -1, r.to.value(),
+             hier_->level(r.to), 0);
     }
-    VS_TRACE("drop " << m << " → cluster " << to
+    VS_TRACE("drop " << r.msg << " → cluster " << r.to
                      << " (no alive hosting VSA)");
     return;
   }
   if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
-    record(obs::TraceKind::kDeliver, m, from.valid() ? from.value() : -1,
-           to.value(), hier_->level(to), 0);
+    record(obs::TraceKind::kDeliver, r.msg,
+           r.from.valid() ? r.from.value() : -1, r.to.value(),
+           hier_->level(r.to), 0);
   }
   VS_REQUIRE(static_cast<bool>(tracker_sink_), "no tracker sink installed");
   if (obs::kProfileCompiled && prof_ != nullptr && prof_->enabled()) {
@@ -314,12 +267,12 @@ void CGcast::deliver_common(ClusterId from, ClusterId to, const Message& m) {
     // per-message bridge between CPU ns and the ledger's virtual cost.
     obs::ProfBuf& pb = prof_->buf();
     obs::Profiler::begin_scope(pb, obs::ProfDomain::kDeliver);
-    tracker_sink_(to, m);
+    tracker_sink_(r.to, r.msg);
     const std::uint64_t ns = obs::Profiler::end_scope(pb);
-    obs::Profiler::charge_msg(pb, m.type, m.op, ns);
+    obs::Profiler::charge_msg(pb, r.msg.type, r.msg.op, ns);
     return;
   }
-  tracker_sink_(to, m);
+  tracker_sink_(r.to, r.msg);
 }
 
 bool CGcast::vsa_alive_at(RegionId region) const {

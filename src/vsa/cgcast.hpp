@@ -34,7 +34,6 @@
 #include "sim/scheduler.hpp"
 #include "stats/counters.hpp"
 #include "vsa/messages.hpp"
-#include "vsa/shard_map.hpp"
 
 namespace vs::vsa {
 
@@ -98,27 +97,6 @@ class CGcast {
   void set_channel_faults(ChannelFaults faults) {
     channel_faults_ = std::move(faults);
   }
-  /// True while a channel-fault oracle is installed (the sharded
-  /// executor's eligibility gate consults this: faulted channels need the
-  /// serial path's single global interleaving).
-  [[nodiscard]] bool has_channel_faults() const {
-    return static_cast<bool>(channel_faults_);
-  }
-
-  /// Attach the sharded world's partition (nullptr detaches). While set,
-  /// deliveries are routed into the destination cluster's lane queue via
-  /// Scheduler::schedule_cross, and inside parallel windows the shared
-  /// in-flight slab is left alone (purged at each barrier instead).
-  /// The map must outlive the attachment.
-  void set_shard_map(const ShardMap* map) { shard_map_ = map; }
-
-  /// Barrier hook for sharded worlds: drop in-flight rows whose delivery
-  /// time has passed. In a parallel-eligible world (no loss, no faults,
-  /// no failed VSAs) a row with deliver_at <= now was necessarily
-  /// delivered inside a window — where lane threads must not touch the
-  /// shared slab — so this is an exact, deferred form of the release the
-  /// serial path does at delivery.
-  void purge_delivered(sim::TimePoint now);
 
   ObserverId add_send_observer(SendObserver obs);
   /// Detaches a previously added observer. Observers whose owner may die
@@ -193,8 +171,7 @@ class CGcast {
 
  private:
   /// One in-flight message. `key` is the send sequence number (0 marks a
-  /// free row); it orders in_transit() and lets a sharded delivery tell
-  /// its own row from a later reuse of the same index.
+  /// free row); it orders in_transit().
   struct Row {
     Message msg;
     ClusterId from;
@@ -207,16 +184,9 @@ class CGcast {
   std::uint32_t book(ClusterId from, ClusterId to, const Message& m,
                      sim::TimePoint deliver_at);
   void release(std::uint32_t row);
-  /// Serial delivery of the message booked in `row`.
+  /// Delivers the message booked in `row`: liveness check, trace records,
+  /// and the tracker-sink handoff.
   void deliver_row(std::uint32_t row);
-  /// Sharded delivery: the message travels in the closure (its row may
-  /// already be purged). `key` is 0 for sends issued inside a parallel
-  /// window (no row was booked).
-  void deliver_sharded(std::uint32_t row, std::uint64_t key, ClusterId from,
-                       ClusterId to, const Message& m);
-  /// Liveness check, trace records, and the tracker-sink handoff shared by
-  /// both delivery paths.
-  void deliver_common(ClusterId from, ClusterId to, const Message& m);
   /// Books one in-flight row and schedules its delivery.
   void enqueue(ClusterId from, ClusterId to, const Message& m,
                sim::Duration delay);
@@ -252,7 +222,6 @@ class CGcast {
   obs::TraceRecorder* trace_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   obs::OpId ambient_op_ = obs::kBackgroundOp;
-  const ShardMap* shard_map_ = nullptr;
 
   std::vector<Row> rows_;
   std::vector<std::uint32_t> free_rows_;

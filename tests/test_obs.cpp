@@ -471,6 +471,47 @@ TEST(TraceIO, BadMagicThrows) {
   EXPECT_THROW((void)obs::read_trace(is), vs::Error);
 }
 
+TEST(TraceIO, CraftedHeadersThrowWithoutHugeAllocations) {
+  // Headers whose counts claim far more than the stream holds: memory
+  // must track the bytes read, so each fails as truncated instead of
+  // allocating 256 GiB (2^32 events x 64 B) or 2^32 world slots first.
+  const auto header = [](std::uint32_t version, std::uint32_t worlds) {
+    std::string b("VSTRACE1", 8);
+    b.append(reinterpret_cast<const char*>(&version), sizeof version);
+    b.append(reinterpret_cast<const char*>(&worlds), sizeof worlds);
+    return b;
+  };
+  std::string huge_world = header(obs::kTraceFormatVersion, 1);
+  const std::uint32_t world = 0, reserved = 0;
+  const std::uint64_t count = std::uint64_t{1} << 32;
+  huge_world.append(reinterpret_cast<const char*>(&world), sizeof world);
+  huge_world.append(reinterpret_cast<const char*>(&reserved),
+                    sizeof reserved);
+  huge_world.append(reinterpret_cast<const char*>(&count), sizeof count);
+  ASSERT_EQ(huge_world.size(), 32u);
+  for (const std::string& bytes :
+       {huge_world, header(obs::kTraceFormatVersion, 0xffffffffu)}) {
+    std::istringstream is(bytes);
+    EXPECT_THROW((void)obs::read_trace(is), vs::Error);
+  }
+
+  // Version 2 (56-byte records) is no longer read, even when the rest of
+  // the file is well formed.
+  std::string v2 = header(2, 0);
+  const std::uint64_t total = 0;
+  v2.append(reinterpret_cast<const char*>(&total), sizeof total);
+  v2.append("VSTREND1", 8);
+  std::istringstream is(v2);
+  try {
+    (void)obs::read_trace(is);
+    ADD_FAILURE() << "a v2 trace was accepted";
+  } catch (const vs::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported trace format version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceTool, TruncatedFileExitsOneWithDiagnostic) {
   const std::string path = ::testing::TempDir() + "vs_truncated_trace.bin";
   {

@@ -1,13 +1,13 @@
 // The wall-clock CPU profiler: profiling is observability-only — every
 // deterministic artifact (trace bytes, VSTELEM1 stream, run summary) is
-// byte-identical with profiling enabled vs absent at every jobs × shards
-// combination; an attached-but-disabled profiler records nothing at all;
-// self-time conservation holds by construction (paths sum == domain sum ==
-// root sum ≤ wall time); the VSPROF1 sidecar round-trips exactly; the
-// folded/JSON/Prometheus/Perfetto renderings are well-formed; the
-// vinestalk_top --profile panel renders a golden frame; and the
-// vinestalk_bench regression gate passes against its own baseline while
-// failing on an injected synthetic regression.
+// byte-identical with profiling enabled vs absent at every jobs value; an
+// attached-but-disabled profiler records nothing at all; self-time
+// conservation holds by construction (paths sum == domain sum == root
+// sum ≤ wall time); snapshots are virtual-time ordered and monotone; the
+// VSPROF1 sidecar round-trips exactly; the folded/JSON/Prometheus/Perfetto
+// renderings are well-formed; the vinestalk_top --profile panel renders a
+// golden frame; and the vinestalk_bench regression gate passes against
+// its own baseline while failing on an injected synthetic regression.
 
 #include <gtest/gtest.h>
 
@@ -71,10 +71,10 @@ struct RunArtifacts {
 };
 
 /// The canonical run: traced + telemetered walk and find on a 27×27 world,
-/// optionally under an enabled profiler, at a given shard count.
-RunArtifacts run_world(bool profiled, int shards, const std::string& tag) {
+/// optionally under an enabled profiler.
+RunArtifacts run_world(bool profiled, const std::string& tag,
+                       int walk_steps = 8) {
   GridNet g = make_grid(27, 3);
-  if (shards > 1) g.net->set_shards(shards);
   g.net->set_tracing(true);
   obs::Profiler prof;
   if (profiled) {
@@ -91,7 +91,8 @@ RunArtifacts run_world(bool profiled, int shards, const std::string& tag) {
   const RegionId start = g.at(13, 13);
   const TargetId t = g.net->add_evader(start);
   g.net->run_to_quiescence();
-  const auto walk = random_walk(g.hierarchy->tiling(), start, 8, 0x9F0F);
+  const auto walk =
+      random_walk(g.hierarchy->tiling(), start, walk_steps, 0x9F0F);
   for (std::size_t i = 1; i < walk.size(); ++i) {
     g.net->move_and_quiesce(t, walk[i]);
   }
@@ -124,36 +125,33 @@ RunArtifacts run_world(bool profiled, int shards, const std::string& tag) {
 
 TEST(Profile, DeterministicArtifactsByteIdenticalAcrossJobsAndShards) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
-  // Baseline: serial, unprofiled. Every (jobs, shards) sweep with
-  // profiling ENABLED must reproduce the identical trace bytes, telemetry
-  // stream bytes, and observable outputs — wall-clock accumulation may
-  // never leak into a deterministic artifact.
-  const RunArtifacts base = run_world(false, 1, "base");
+  // Baseline: serial, unprofiled. Every jobs sweep with profiling ENABLED
+  // must reproduce the identical trace bytes, telemetry stream bytes, and
+  // observable outputs — wall-clock accumulation may never leak into a
+  // deterministic artifact.
+  const RunArtifacts base = run_world(false, "base");
   ASSERT_FALSE(base.trace.empty());
   ASSERT_FALSE(base.telemetry.empty());
 
-  const auto sweep = [](int jobs, int shards) {
+  const auto sweep = [](int jobs) {
     runner::TrialPool pool(jobs);
     return pool.run(2u, [&](std::size_t trial) {
       std::ostringstream tag;
-      tag << "j" << jobs << "s" << shards << "t" << trial;
-      const RunArtifacts a = run_world(true, shards, tag.str());
+      tag << "j" << jobs << "t" << trial;
+      const RunArtifacts a = run_world(true, tag.str());
       return a.trace + "\x1f" + a.telemetry + "\x1f" + a.summary;
     });
   };
   const std::string expect =
       base.trace + "\x1f" + base.telemetry + "\x1f" + base.summary;
   for (const int jobs : {1, 2, 8}) {
-    for (const int shards : {1, 4}) {
-      const auto got = sweep(jobs, shards);
-      for (const auto& one : got) {
-        EXPECT_EQ(one, expect) << "jobs=" << jobs << " shards=" << shards;
-      }
+    for (const auto& one : sweep(jobs)) {
+      EXPECT_EQ(one, expect) << "jobs=" << jobs;
     }
   }
   // And the profiled runs really did profile (when compiled in).
   if (obs::kProfileCompiled) {
-    const RunArtifacts p = run_world(true, 1, "really");
+    const RunArtifacts p = run_world(true, "really");
     EXPECT_GT(p.scopes, 0u);
     EXPECT_GT(p.report.total_ns, 0u);
   }
@@ -182,7 +180,9 @@ TEST(Profile, AttachedButDisabledRecordsNothing) {
 
 TEST(Profile, ConservationByConstruction) {
   if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
-  const RunArtifacts a = run_world(true, 1, "conserve");
+  // Long enough for several periodic snapshots (one per kSnapshotEvery
+  // fired events).
+  const RunArtifacts a = run_world(true, "conserve", 800);
   const obs::ProfileReport& r = a.report;
   ASSERT_GT(r.total_ns, 0u);
 
@@ -212,11 +212,21 @@ TEST(Profile, ConservationByConstruction) {
   EXPECT_EQ(op_count, msg_count);
   EXPECT_EQ(class_count, op_count);
   EXPECT_GT(r.ns_per_work(), 0.0);
+
+  // Snapshots record the domain totals in virtual-time order.
+  ASSERT_GE(r.snapshots.size(), 2u);
+  for (std::size_t i = 1; i < r.snapshots.size(); ++i) {
+    EXPECT_LE(r.snapshots[i - 1].t_us, r.snapshots[i].t_us);
+    for (std::size_t d = 0; d < obs::kProfDomains; ++d) {
+      EXPECT_LE(r.snapshots[i - 1].domain_self_ns[d],
+                r.snapshots[i].domain_self_ns[d]);
+    }
+  }
 }
 
 TEST(Profile, SidecarRoundTripsExactly) {
   if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
-  const RunArtifacts a = run_world(true, 2, "roundtrip");
+  const RunArtifacts a = run_world(true, "roundtrip");
   const obs::ProfileReport& r = a.report;
   const std::string path = testing::TempDir() + "roundtrip.vsprof";
   obs::write_profile_file(path, r);
@@ -251,34 +261,9 @@ TEST(Profile, SidecarRoundTripsExactly) {
   }
 }
 
-TEST(Profile, ShardedRunFoldsLaneTimeAndSnapshotsBarriers) {
-  if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
-  const RunArtifacts a = run_world(true, 4, "sharded");
-  const obs::ProfileReport& r = a.report;
-  // Lane windows root at kWindow; the barrier fold preserves conservation.
-  std::uint64_t path_sum = 0;
-  for (const obs::ProfilePathStat& p : r.paths) path_sum += p.self_ns;
-  EXPECT_EQ(path_sum, r.total_ns);
-  EXPECT_GT(
-      r.domain_self_ns[static_cast<std::size_t>(obs::ProfDomain::kWindow)],
-      0u);
-  EXPECT_GT(
-      r.domain_self_ns[static_cast<std::size_t>(obs::ProfDomain::kBarrier)],
-      0u);
-  // Barrier commits snapshot the domain totals in virtual-time order.
-  ASSERT_FALSE(r.snapshots.empty());
-  for (std::size_t i = 1; i < r.snapshots.size(); ++i) {
-    EXPECT_LE(r.snapshots[i - 1].t_us, r.snapshots[i].t_us);
-    for (std::size_t d = 0; d < obs::kProfDomains; ++d) {
-      EXPECT_LE(r.snapshots[i - 1].domain_self_ns[d],
-                r.snapshots[i].domain_self_ns[d]);
-    }
-  }
-}
-
 TEST(Profile, RenderingsAreWellFormed) {
   if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
-  const RunArtifacts a = run_world(true, 1, "render");
+  const RunArtifacts a = run_world(true, "render");
   const obs::ProfileReport& r = a.report;
 
   // Folded stacks: "domain[;domain...] <self_ns>" lines whose ns column

@@ -585,7 +585,7 @@ TEST(SloTelemetry, V2StreamWidensWithZeroedServeSeries) {
   put32(2);  // version: ingest block present, serve block absent
   put32(0);  // flags
   put64(10'000);  // cadence_us
-  put32(0);  // lanes
+  put32(0);  // reserved
   put32(max_level);
   put32(v2_series);
   bytes.push_back(static_cast<char>(0xA5));
@@ -643,35 +643,29 @@ TEST(ServedSlo, ArtifactsByteIdenticalSloOnVsOff) {
       "--side 9 --base 3 --objects 2 --queues 2 --queue-capacity 16 "
       "--load 10 --overdrive 2 --seed 7 --find-every 4 "
       "--deadline-us 400000 ";
-  for (const char* shards : {"1", "2", "4"}) {
-    const std::string tag = std::string("slo_bid") + shards;
-    const auto art = [&](const char* which, const char* stem) {
-      return tmp_path(tag + which + stem);
-    };
-    const std::string out_off = run_served_stdout(
-        common + "--shards " + shards + " --trace " + art("off", ".vst") +
-        " --telemetry " + art("off", ".vstelem") + " --capture " +
-        art("off", ".vsingest"));
-    const std::string out_on = run_served_stdout(
-        common + "--shards " + shards + " --trace " + art("on", ".vst") +
-        " --telemetry " + art("on", ".vstelem") + " --capture " +
-        art("on", ".vsingest") + " --slo " + spec + " --slo-out " +
-        art("on", ".vsslo"));
-    EXPECT_EQ(out_on, out_off)
-        << "stdout diverged with --slo at --shards " << shards;
-    EXPECT_EQ(slurp(art("on", ".vst")), slurp(art("off", ".vst")))
-        << "world trace diverged with --slo at --shards " << shards;
-    EXPECT_EQ(slurp(art("on", ".vstelem")), slurp(art("off", ".vstelem")))
-        << "telemetry diverged with --slo at --shards " << shards;
-    EXPECT_EQ(slurp(art("on", ".vsingest")), slurp(art("off", ".vsingest")))
-        << "capture diverged with --slo at --shards " << shards;
-    // The quarantine surface exists and holds the armed spec.
-    const obs::SloReport rep = obs::read_slo_file(art("on", ".vsslo"));
-    EXPECT_EQ(rep.spec_text, kLooseSpec);
-    EXPECT_GT(rep.classes[1].requests, 0) << "finds were monitored";
-    EXPECT_NE(slurp(art("on", ".vsslo") + ".json").find("\"spec\": \"slo v1"),
-              std::string::npos);
-  }
+  const auto art = [&](const char* which, const char* stem) {
+    return tmp_path(std::string("slo_bid") + which + stem);
+  };
+  const std::string out_off = run_served_stdout(
+      common + "--trace " + art("off", ".vst") + " --telemetry " +
+      art("off", ".vstelem") + " --capture " + art("off", ".vsingest"));
+  const std::string out_on = run_served_stdout(
+      common + "--trace " + art("on", ".vst") + " --telemetry " +
+      art("on", ".vstelem") + " --capture " + art("on", ".vsingest") +
+      " --slo " + spec + " --slo-out " + art("on", ".vsslo"));
+  EXPECT_EQ(out_on, out_off) << "stdout diverged with --slo";
+  EXPECT_EQ(slurp(art("on", ".vst")), slurp(art("off", ".vst")))
+      << "world trace diverged with --slo";
+  EXPECT_EQ(slurp(art("on", ".vstelem")), slurp(art("off", ".vstelem")))
+      << "telemetry diverged with --slo";
+  EXPECT_EQ(slurp(art("on", ".vsingest")), slurp(art("off", ".vsingest")))
+      << "capture diverged with --slo";
+  // The quarantine surface exists and holds the armed spec.
+  const obs::SloReport rep = obs::read_slo_file(art("on", ".vsslo"));
+  EXPECT_EQ(rep.spec_text, kLooseSpec);
+  EXPECT_GT(rep.classes[1].requests, 0) << "finds were monitored";
+  EXPECT_NE(slurp(art("on", ".vsslo") + ".json").find("\"spec\": \"slo v1"),
+            std::string::npos);
 }
 
 TEST(ServedSlo, TightSpecFiresBurnIncidentWhoseExemplarReplays) {
@@ -735,7 +729,7 @@ TEST(ServedSlo, TightSpecFiresBurnIncidentWhoseExemplarReplays) {
   const std::string replay_trace = dir + "/replay.vst";
   const std::string out2 = run_served(
       "--side 9 --base 3 --objects 2 --queues 2 --queue-capacity 16 "
-      "--shards 2 --replay " + cap + " --trace " + replay_trace,
+      "--replay " + cap + " --trace " + replay_trace,
       &rc);
   EXPECT_EQ(rc, 0) << out2;
   EXPECT_EQ(slurp(replay_trace), slurp(trace))

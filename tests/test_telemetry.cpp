@@ -1,5 +1,5 @@
 // The time-series telemetry subsystem: VSTELEM1 streams are byte-identical
-// at every --jobs and --shards value (the boundary-hook guarantee); the
+// at every --jobs value (the boundary-hook guarantee); the
 // disabled sampler holds nothing and arms nothing; the in-memory ring keeps
 // exactly the last K samples; the sliding-window bound audit raises its
 // incident mid-run — strictly before the run ends — and the bundle replays
@@ -44,9 +44,8 @@ std::string slurp(const std::string& path) {
 
 /// The canonical telemetered run: seeded walk + one find on a 27x27 world,
 /// streaming VSTELEM1 to `path` at a 2ms cadence.
-void run_streamed(const std::string& path, int shards, std::uint64_t seed) {
+void run_streamed(const std::string& path, std::uint64_t seed) {
   GridNet g = make_grid(27, 3);
-  if (shards > 1) g.net->set_shards(shards);
   obs::TelemetryConfig cfg;
   cfg.cadence = sim::Duration::millis(2);
   cfg.stream_path = path;
@@ -64,44 +63,26 @@ void run_streamed(const std::string& path, int shards, std::uint64_t seed) {
   sampler.finish();
 }
 
-TEST(Telemetry, StreamByteIdenticalAcrossShards) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
-  std::vector<std::string> streams;
-  for (const int shards : {1, 2, 4, 8}) {
-    const std::string path = testing::TempDir() + "telem_shards" +
-                             std::to_string(shards) + ".vst";
-    run_streamed(path, shards, 0x7E1E);
-    streams.push_back(slurp(path));
-  }
-  EXPECT_FALSE(streams[0].empty());
-  EXPECT_EQ(streams[1], streams[0]);
-  EXPECT_EQ(streams[2], streams[0]);
-  EXPECT_EQ(streams[3], streams[0]);
-}
-
 TEST(Telemetry, StreamByteIdenticalAcrossJobsAndShards) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
-  // Every (jobs, shards) pool sweep must produce the same per-trial stream
-  // bytes: jobs is inter-world concurrency, shards intra-world — neither
-  // may leak into what the sampler observes at a cadence boundary.
-  const auto sweep = [](int jobs, int shards) {
+  // Every jobs value must produce the same per-trial stream bytes:
+  // inter-world concurrency may not leak into what the sampler observes
+  // at a cadence boundary.
+  const auto sweep = [](int jobs) {
     runner::TrialPool pool(jobs);
     return pool.run(4u, [&](std::size_t trial) {
-      const std::string path =
-          testing::TempDir() + "telem_j" + std::to_string(jobs) + "_s" +
-          std::to_string(shards) + "_t" + std::to_string(trial) + ".vst";
-      run_streamed(path, shards, 0xA110 + trial);
+      const std::string path = testing::TempDir() + "telem_j" +
+                               std::to_string(jobs) + "_t" +
+                               std::to_string(trial) + ".vst";
+      run_streamed(path, 0xA110 + trial);
       return slurp(path);
     });
   };
-  const std::vector<std::string> serial = sweep(1, 1);
+  const std::vector<std::string> serial = sweep(1);
+  EXPECT_FALSE(serial[0].empty());
   for (const int jobs : {2, 8}) {
-    for (const int shards : {1, 4}) {
-      EXPECT_EQ(sweep(jobs, shards), serial)
-          << "jobs=" << jobs << " shards=" << shards;
-    }
+    EXPECT_EQ(sweep(jobs), serial) << "jobs=" << jobs;
   }
-  EXPECT_EQ(sweep(1, 4), serial);
 }
 
 TEST(Telemetry, DisabledSamplerHoldsNothingAndArmsNothing) {
@@ -263,13 +244,11 @@ std::string run_top(const std::string& args, int* exit_code) {
 }
 
 TEST(Telemetry, TopOnceRendersGoldenFrame) {
-  // A hand-crafted two-sample stream with the per-lane section, so the
-  // --once render exercises every dashboard element deterministically.
+  // A hand-crafted two-sample stream, so the --once render exercises
+  // every dashboard element deterministically.
   const std::string path = testing::TempDir() + "telem_top.vst";
   obs::TelemetryHeader h;
-  h.flags = obs::kTelemetryFlagLanes;
   h.cadence_us = 1000;
-  h.lanes = 2;
   h.max_level = 1;
   h.series = h.expected_series();
   {
@@ -293,18 +272,6 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
     b.values[obs::kTsAuditBase + 1] = 1600;  // move time: over bound
     b.values[obs::kTsAuditBase + 2] = 300;
     b.values[obs::kTsAuditBase + 3] = 450;
-    const std::size_t lanes = obs::kTsFixedCount + 4 * (h.max_level + 1);
-    b.values[lanes + 0] = 10;  // windows
-    b.values[lanes + 1] = 64;  // window events
-    b.values[lanes + 2] = 30;  // critical path
-    b.values[lanes + 3] = 40;  // lane0 events
-    b.values[lanes + 4] = 1;   // lane0 stalls
-    b.values[lanes + 5] = 5;   // lane0 cross sends
-    b.values[lanes + 6] = 10;  // lane0 busy windows
-    b.values[lanes + 7] = 24;  // lane1 events
-    b.values[lanes + 8] = 4;   // lane1 stalls
-    b.values[lanes + 9] = 2;   // lane1 cross sends
-    b.values[lanes + 10] = 5;  // lane1 busy windows
     writer.append(b);
     writer.finish();
   }
@@ -323,11 +290,16 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
       "    move work (Thm 4.9) [#######.............] 700m\n"
       "    move time (Thm 4.9) [################....] 1600m  OVER\n"
       "    find work (Thm 5.2) [###.................] 300m\n"
-      "    find time (Thm 5.2) [#####...............] 450m\n"
-      "  pdes: 10 window(s), 64 window event(s), critical path 30\n"
-      "    lane 0 [####################] 40 ev, 1 stall(s), 5 cross\n"
-      "    lane 1 [##########..........] 24 ev, 4 stall(s), 2 cross\n";
+      "    find time (Thm 5.2) [#####...............] 450m\n";
   EXPECT_EQ(out, golden);
+
+  // Nothing writes header flags any more (the per-lane section is gone),
+  // so a stream that sets them is rejected.
+  std::string bytes = slurp(path);
+  bytes[12] = 1;  // flags: after the 8-byte magic and the u32 version
+  const std::string flagged = testing::TempDir() + "telem_top_flagged.vst";
+  std::ofstream(flagged, std::ios::binary) << bytes;
+  EXPECT_THROW((void)obs::read_telemetry_file(flagged), vs::Error);
 }
 
 TEST(Telemetry, PrometheusSnapshotIsWellFormedExposition) {

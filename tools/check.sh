@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Pre-merge check: a plain build + full test suite (tracing compiled in,
-# with a traced quickstart run gated by `vinestalk_trace check`), then a
-# ThreadSanitizer build exercising the concurrency surface (the trial
-# pool, the single-writer log, and the observability merge paths) with
-# more workers than trials need, then a tracing-compiled-out build
-# proving every record point is optional dead code, then a watchdog
+# run three times in a row to catch flaky tests, with a traced quickstart
+# run gated by `vinestalk_trace check`), then a ThreadSanitizer build
+# exercising the concurrency surface (the trial pool, the single-writer
+# log, and the observability merge paths) with more workers than trials
+# need, then a tracing-compiled-out build proving every record point is
+# optional dead code, then a watchdog
 # stage: a monitored quickstart must stay clean, a CLI-seeded corruption
 # must produce an incident bundle that replays to the same violation,
 # and the Chrome export must be valid JSON. A chaos stage arms a
@@ -15,27 +16,24 @@
 # quickstart must attribute 100% of its cost events and sit inside the
 # Theorem 4.9/5.2 slack, and a traced chaos-plan run must bill its
 # heartbeat and repair traffic to stabilizer operations with nothing
-# leaking into background. A shard stage pins the PDES guarantee:
-# a sharded quickstart (VS_SHARDS ∈ {2,4,8}) must produce stdout and a
-# VSTRACE1 trace byte-identical to the serial run's. A final telemetry
-# stage pins the time-series layer: a telemetered quickstart's VSTELEM1
-# stream must be byte-identical serial vs sharded, a chaos-plan CLI run
-# must show its heartbeat/repair traffic in the telemetry summary, and
-# the Prometheus snapshot must parse as text exposition format. A perf
-# stage pins the CPU profiler: a profiled quickstart must write a
-# VSPROF1 sidecar whose flamegraph folds cleanly, every deterministic
-# artifact must stay byte-identical with profiling on vs off at 1/2/4/8
-# shards, and the vinestalk_bench trajectory gate must append a
+# leaking into background. A telemetry stage pins the time-series layer:
+# a telemetered quickstart's VSTELEM1 stream must read back in both
+# viewers, a chaos-plan CLI run must show its heartbeat/repair traffic in
+# the telemetry summary, and the Prometheus snapshot must parse as text
+# exposition format. A perf stage pins the CPU profiler: a profiled
+# quickstart must write a VSPROF1 sidecar whose flamegraph folds cleanly,
+# every deterministic artifact must stay byte-identical with profiling
+# on vs off, and the vinestalk_bench trajectory gate must append a
 # machine-stamped history row and pass against the committed baseline.
 # A no-profile stage (-DVINESTALK_PROFILE=OFF) proves every probe is
 # optional dead code. A serve stage drives the vinestalk_served ingest
 # daemon: a 2×-capacity load burst under a chaos fault plan must finish
 # incident-free with the conservation identity intact and the shed
 # ladder visible in the Prometheus snapshot, and its VSINGEST1 capture
-# must replay to a byte-identical world trace at 1/2/4 shards. An SLO
-# stage pins request-level observability: arming a spec must leave
-# every deterministic artifact (stdout, trace, telemetry, capture)
-# byte-identical to the unarmed run at 1/2/4 shards, a tight find-p99
+# must replay to a byte-identical world trace. An SLO stage pins
+# request-level observability: arming a spec must leave every
+# deterministic artifact (stdout, trace, telemetry, capture)
+# byte-identical to the unarmed run, a tight find-p99
 # objective under 2× overdrive chaos must fire a burn-rate incident
 # mid-run, and that incident's exemplar OpId must resolve to real span
 # events in the trace that survive a capture replay byte-identically.
@@ -51,13 +49,12 @@
 #   tools/check.sh --monitor    # stage 4 only (reuses build-check/)
 #   tools/check.sh --chaos      # stage 5 only (reuses build-check/)
 #   tools/check.sh --audit      # stage 6 only (reuses build-check/)
-#   tools/check.sh --shard      # stage 7 only (reuses build-check/)
-#   tools/check.sh --telemetry  # stage 8 only (reuses build-check/)
-#   tools/check.sh --perf       # stage 9 only (reuses build-check/)
-#   tools/check.sh --no-profile # stage 10 only
-#   tools/check.sh --serve      # stage 11 only (reuses build-check/)
-#   tools/check.sh --slo        # stage 12 only (reuses build-check/)
-#   tools/check.sh --asan       # stage 13 only
+#   tools/check.sh --telemetry  # stage 7 only (reuses build-check/)
+#   tools/check.sh --perf       # stage 8 only (reuses build-check/)
+#   tools/check.sh --no-profile # stage 9 only
+#   tools/check.sh --serve      # stage 10 only (reuses build-check/)
+#   tools/check.sh --slo        # stage 11 only (reuses build-check/)
+#   tools/check.sh --asan       # stage 12 only
 #
 # Build trees: build-check/ (plain), build-tsan/ (TSan),
 # build-notrace/ (-DVINESTALK_TRACE=OFF), build-noprof/
@@ -74,7 +71,9 @@ run_plain() {
   echo "== stage 1: plain build (tracing on) + ctest + trace check =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs"
-  ctest --test-dir "$root/build-check" --output-on-failure -j "$jobs"
+  # Flake guard: every test must pass three parallel runs in a row.
+  ctest --test-dir "$root/build-check" --output-on-failure -j "$jobs" \
+    --repeat until-fail:3
   # A traced end-to-end run must replay clean against the paper's lemmas.
   local trace
   trace="$(mktemp /tmp/vs_quickstart_trace.XXXXXX)"
@@ -89,7 +88,7 @@ run_tsan() {
   cmake -B "$root/build-tsan" -S "$root" -DVINESTALK_SANITIZE=thread > /dev/null
   cmake --build "$root/build-tsan" -j "$jobs" \
     --target test_concurrent test_runner test_obs test_monitor test_fault \
-    test_audit test_shard test_telemetry test_profile test_serve test_slo \
+    test_audit test_telemetry test_profile test_serve test_slo \
     bench_e2_move_scaling
   "$root/build-tsan/tests/test_concurrent"
   "$root/build-tsan/tests/test_runner"
@@ -97,7 +96,6 @@ run_tsan() {
   "$root/build-tsan/tests/test_monitor"
   "$root/build-tsan/tests/test_fault"
   "$root/build-tsan/tests/test_audit"
-  "$root/build-tsan/tests/test_shard"
   "$root/build-tsan/tests/test_telemetry"
   "$root/build-tsan/tests/test_profile"
   # The ingest daemon's reader/driver handshake and SPSC rings under TSan.
@@ -271,57 +269,19 @@ EOF
   echo "Audit stage clean (100% attributed, hb/repair billed, in slack)."
 }
 
-run_shard() {
-  echo "== stage 7: region-sharded PDES byte-identity =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
-  cmake --build "$root/build-check" -j "$jobs" \
-    --target example_quickstart vinestalk_trace
-  local dir
-  dir="$(mktemp -d /tmp/vs_shard.XXXXXX)"
-  # Traced pass (per-run trace files, compared raw) and an untraced pass
-  # (stdout compared raw — the traced run prints its own trace path, which
-  # legitimately differs per run).
-  VS_TRACE="$dir/serial.vst" \
-    "$root/build-check/examples/example_quickstart" > /dev/null
-  "$root/build-check/examples/example_quickstart" > "$dir/serial.out"
-  for n in 2 4 8; do
-    VS_TRACE="$dir/shard$n.vst" VS_SHARDS="$n" \
-      "$root/build-check/examples/example_quickstart" > /dev/null
-    cmp "$dir/serial.vst" "$dir/shard$n.vst" || {
-      echo "FAIL: trace differs from serial at VS_SHARDS=$n" >&2; exit 1; }
-    VS_SHARDS="$n" \
-      "$root/build-check/examples/example_quickstart" > "$dir/shard$n.out"
-    diff "$dir/serial.out" "$dir/shard$n.out" || {
-      echo "FAIL: stdout differs from serial at VS_SHARDS=$n" >&2; exit 1; }
-  done
-  # The shared trace must also still replay clean against the spec.
-  "$root/build-check/tools/vinestalk_trace" check "$dir/serial.vst"
-  rm -rf "$dir"
-  echo "Shard stage clean (traces and stdout byte-identical at 2/4/8 shards)."
-}
-
 run_telemetry() {
-  echo "== stage 8: time-series telemetry end-to-end =="
+  echo "== stage 7: time-series telemetry end-to-end =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target example_quickstart vinestalk_cli vinestalk_trace vinestalk_top
   local dir
   dir="$(mktemp -d /tmp/vs_telemetry.XXXXXX)"
-  # The VSTELEM1 stream must be byte-identical serial vs sharded — the
-  # sampler's boundary-hook cut is part of the determinism contract.
-  VS_TELEMETRY="$dir/serial.vstelem" \
+  # Both viewers must read a telemetered quickstart's finished stream.
+  VS_TELEMETRY="$dir/quickstart.vstelem" \
     "$root/build-check/examples/example_quickstart" > /dev/null
-  for n in 2 4 8; do
-    VS_TELEMETRY="$dir/shard$n.vstelem" VS_SHARDS="$n" \
-      "$root/build-check/examples/example_quickstart" > /dev/null
-    cmp "$dir/serial.vstelem" "$dir/shard$n.vstelem" || {
-      echo "FAIL: telemetry differs from serial at VS_SHARDS=$n" >&2
-      exit 1; }
-  done
-  # Both viewers must read the finished stream.
-  "$root/build-check/tools/vinestalk_trace" telemetry "$dir/serial.vstelem" \
-    > /dev/null
-  "$root/build-check/tools/vinestalk_top" "$dir/serial.vstelem" --once \
+  "$root/build-check/tools/vinestalk_trace" telemetry \
+    "$dir/quickstart.vstelem" > /dev/null
+  "$root/build-check/tools/vinestalk_top" "$dir/quickstart.vstelem" --once \
     > /dev/null
   # A telemetered chaos-plan run must show its stabilizer traffic —
   # heartbeat and repair ledger series — in the telemetry summary.
@@ -363,12 +323,12 @@ assert any(n.startswith("vinestalk_telemetry_") for n in names), names
 assert any(n.endswith("_bucket") for n in names), "no histogram series"
 EOF
   rm -rf "$dir"
-  echo "Telemetry stage clean (stream shard-identical, hb/repair visible," \
+  echo "Telemetry stage clean (stream readable, hb/repair visible," \
        "Prometheus valid)."
 }
 
 run_perf() {
-  echo "== stage 9: CPU profiler + perf-trajectory gate =="
+  echo "== stage 8: CPU profiler + perf-trajectory gate =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target example_quickstart vinestalk_trace vinestalk_top vinestalk_bench
@@ -388,25 +348,22 @@ run_perf() {
     cat "$dir/q.folded" >&2; exit 1; }
   # The profiler must never touch a deterministic artifact: stdout, the
   # VSTRACE1 trace, and the VSTELEM1 stream stay byte-identical with
-  # profiling on vs off at every shard count. (Stdout is compared from
-  # untraced runs — a traced run prints its own trace path, which
-  # legitimately differs per run.)
+  # profiling on vs off. (Stdout is compared from untraced runs — a traced
+  # run prints its own trace path, which legitimately differs per run.)
   "$root/build-check/examples/example_quickstart" > "$dir/base.out"
   VS_TRACE="$dir/base.vst" VS_TELEMETRY="$dir/base.vstelem" \
     "$root/build-check/examples/example_quickstart" > /dev/null
-  for n in 1 2 4 8; do
-    VS_PROFILE="$dir/p$n.vsprof" VS_SHARDS="$n" \
-      "$root/build-check/examples/example_quickstart" > "$dir/p$n.out"
-    diff "$dir/base.out" "$dir/p$n.out" || {
-      echo "FAIL: profiling changed stdout at VS_SHARDS=$n" >&2; exit 1; }
-    VS_PROFILE="$dir/pt$n.vsprof" VS_SHARDS="$n" \
-      VS_TRACE="$dir/p$n.vst" VS_TELEMETRY="$dir/p$n.vstelem" \
-      "$root/build-check/examples/example_quickstart" > /dev/null
-    cmp "$dir/base.vst" "$dir/p$n.vst" || {
-      echo "FAIL: profiling changed the trace at VS_SHARDS=$n" >&2; exit 1; }
-    cmp "$dir/base.vstelem" "$dir/p$n.vstelem" || {
-      echo "FAIL: profiling changed telemetry at VS_SHARDS=$n" >&2; exit 1; }
-  done
+  VS_PROFILE="$dir/p.vsprof" \
+    "$root/build-check/examples/example_quickstart" > "$dir/p.out"
+  diff "$dir/base.out" "$dir/p.out" || {
+    echo "FAIL: profiling changed stdout" >&2; exit 1; }
+  VS_PROFILE="$dir/pt.vsprof" \
+    VS_TRACE="$dir/p.vst" VS_TELEMETRY="$dir/p.vstelem" \
+    "$root/build-check/examples/example_quickstart" > /dev/null
+  cmp "$dir/base.vst" "$dir/p.vst" || {
+    echo "FAIL: profiling changed the trace" >&2; exit 1; }
+  cmp "$dir/base.vstelem" "$dir/p.vstelem" || {
+    echo "FAIL: profiling changed telemetry" >&2; exit 1; }
   # The trajectory gate must append a machine-stamped history row and pass
   # against the committed baseline (a foreign machine fingerprint makes the
   # gate advisory, which still exits 0 — that is the intended behavior).
@@ -421,7 +378,7 @@ run_perf() {
 }
 
 run_noprof() {
-  echo "== stage 10: profiling compiled out (-DVINESTALK_PROFILE=OFF) =="
+  echo "== stage 9: profiling compiled out (-DVINESTALK_PROFILE=OFF) =="
   cmake -B "$root/build-noprof" -S "$root" -DVINESTALK_PROFILE=OFF \
     > /dev/null
   cmake --build "$root/build-noprof" -j "$jobs" \
@@ -437,7 +394,7 @@ run_noprof() {
 }
 
 run_serve() {
-  echo "== stage 11: streaming ingest daemon end-to-end =="
+  echo "== stage 10: streaming ingest daemon end-to-end =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target vinestalk_served vinestalk_top
@@ -491,28 +448,24 @@ EOF
     echo "FAIL: vinestalk_top renders no ingest panel" >&2
     cat "$dir/top.out" >&2; exit 1; }
   # Determinism: a captured live session must replay to a byte-identical
-  # world trace at 1, 2 and 4 shards (fault plans stay off here — channel
-  # faults are orthogonal to the capture/replay contract).
+  # world trace (fault plans stay off here — channel faults are orthogonal
+  # to the capture/replay contract).
   "$root/build-check/tools/vinestalk_served" \
     --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
     --load 24 --overdrive 2 --seed 42 --find-every 8 \
     --capture "$dir/session.vsingest" --trace "$dir/live.vst" > /dev/null
-  for n in 1 2 4; do
-    "$root/build-check/tools/vinestalk_served" \
-      --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
-      --shards "$n" --replay "$dir/session.vsingest" \
-      --trace "$dir/replay$n.vst" > /dev/null
-    cmp "$dir/live.vst" "$dir/replay$n.vst" || {
-      echo "FAIL: replay trace differs from live at --shards $n" >&2
-      exit 1; }
-  done
+  "$root/build-check/tools/vinestalk_served" \
+    --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
+    --replay "$dir/session.vsingest" --trace "$dir/replay.vst" > /dev/null
+  cmp "$dir/live.vst" "$dir/replay.vst" || {
+    echo "FAIL: replay trace differs from live" >&2; exit 1; }
   rm -rf "$dir"
   echo "Serve stage clean (overload incident-free, identity exact," \
-       "capture replays byte-identically at 1/2/4 shards)."
+       "capture replays byte-identically)."
 }
 
 run_slo() {
-  echo "== stage 12: request-level SLO observability =="
+  echo "== stage 11: request-level SLO observability =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target vinestalk_served vinestalk_trace vinestalk_top
@@ -538,64 +491,55 @@ EOF
   local args=(--side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64
               --load 24 --overdrive 2 --seed 42 --find-every 8)
   # Quarantine doctrine: arming an SLO spec must not move a single byte in
-  # any deterministic artifact — stdout, VSTRACE1, VSTELEM1, VSINGEST1 —
-  # at any shard count. All SLO chatter rides stderr and the sidecar.
-  for n in 1 2 4; do
-    # The stdout banner names the shard count, so the unarmed baseline is
-    # taken per shard; the binary artifacts are shard-invariant anyway
-    # (stage 7/11 territory) — here only armed-vs-unarmed is on trial.
-    "$root/build-check/tools/vinestalk_served" "${args[@]}" --shards "$n" \
-      --trace "$dir/off$n.vst" --telemetry "$dir/off$n.vstelem" \
-      --capture "$dir/off$n.vsingest" > "$dir/off$n.out" 2> /dev/null
-    "$root/build-check/tools/vinestalk_served" "${args[@]}" --shards "$n" \
-      --trace "$dir/on$n.vst" --telemetry "$dir/on$n.vstelem" \
-      --capture "$dir/on$n.vsingest" \
-      --slo "$dir/loose.slo" --slo-out "$dir/on$n.vsslo" \
-      --prometheus "$dir/on$n.prom" > "$dir/on$n.out" 2> /dev/null
-    diff "$dir/off$n.out" "$dir/on$n.out" || {
-      echo "FAIL: SLO monitoring changed stdout at --shards $n" >&2
-      exit 1; }
-    cmp "$dir/off$n.vst" "$dir/on$n.vst" || {
-      echo "FAIL: SLO monitoring changed the trace at --shards $n" >&2
-      exit 1; }
-    cmp "$dir/off$n.vstelem" "$dir/on$n.vstelem" || {
-      echo "FAIL: SLO monitoring changed telemetry at --shards $n" >&2
-      exit 1; }
-    cmp "$dir/off$n.vsingest" "$dir/on$n.vsingest" || {
-      echo "FAIL: SLO monitoring changed the capture at --shards $n" >&2
-      exit 1; }
-  done
+  # any deterministic artifact — stdout, VSTRACE1, VSTELEM1, VSINGEST1.
+  # All SLO chatter rides stderr and the sidecar.
+  "$root/build-check/tools/vinestalk_served" "${args[@]}" \
+    --trace "$dir/off.vst" --telemetry "$dir/off.vstelem" \
+    --capture "$dir/off.vsingest" > "$dir/off.out" 2> /dev/null
+  "$root/build-check/tools/vinestalk_served" "${args[@]}" \
+    --trace "$dir/on.vst" --telemetry "$dir/on.vstelem" \
+    --capture "$dir/on.vsingest" \
+    --slo "$dir/loose.slo" --slo-out "$dir/on.vsslo" \
+    --prometheus "$dir/on.prom" > "$dir/on.out" 2> /dev/null
+  diff "$dir/off.out" "$dir/on.out" || {
+    echo "FAIL: SLO monitoring changed stdout" >&2; exit 1; }
+  cmp "$dir/off.vst" "$dir/on.vst" || {
+    echo "FAIL: SLO monitoring changed the trace" >&2; exit 1; }
+  cmp "$dir/off.vstelem" "$dir/on.vstelem" || {
+    echo "FAIL: SLO monitoring changed telemetry" >&2; exit 1; }
+  cmp "$dir/off.vsingest" "$dir/on.vsingest" || {
+    echo "FAIL: SLO monitoring changed the capture" >&2; exit 1; }
   # The sidecar + JSON twin carry the report; both renderers must read it,
   # and the top panel must join it with the telemetry stream. The serve
   # block (wire errors, retry-after) and the SLO gauges must surface in
   # the Prometheus snapshot.
-  [ -s "$dir/on1.vsslo" ] || { echo "FAIL: no SLO sidecar" >&2; exit 1; }
-  [ -s "$dir/on1.vsslo.json" ] || {
+  [ -s "$dir/on.vsslo" ] || { echo "FAIL: no SLO sidecar" >&2; exit 1; }
+  [ -s "$dir/on.vsslo.json" ] || {
     echo "FAIL: no SLO JSON twin" >&2; exit 1; }
-  "$root/build-check/tools/vinestalk_trace" slo "$dir/on1.vsslo" \
+  "$root/build-check/tools/vinestalk_trace" slo "$dir/on.vsslo" \
     > "$dir/slo.summary"
   grep -q "VSSLO1 report:" "$dir/slo.summary" || {
     echo "FAIL: vinestalk_trace cannot summarize the sidecar" >&2
     cat "$dir/slo.summary" >&2; exit 1; }
-  "$root/build-check/tools/vinestalk_trace" slo "$dir/on1.vsslo" --csv \
+  "$root/build-check/tools/vinestalk_trace" slo "$dir/on.vsslo" --csv \
     > "$dir/slo.csv"
   head -1 "$dir/slo.csv" | grep -q "^series,le_ns,count$" || {
     echo "FAIL: SLO CSV header malformed" >&2; exit 1; }
-  "$root/build-check/tools/vinestalk_top" "$dir/on1.vstelem" --once \
-    --slo "$dir/on1.vsslo" > "$dir/top.out"
+  "$root/build-check/tools/vinestalk_top" "$dir/on.vstelem" --once \
+    --slo "$dir/on.vsslo" > "$dir/top.out"
   grep -q "slo (virtual windows" "$dir/top.out" || {
     echo "FAIL: vinestalk_top renders no SLO panel" >&2
     cat "$dir/top.out" >&2; exit 1; }
   grep -q "wire errors" "$dir/top.out" || {
     echo "FAIL: vinestalk_top ingest line shows no wire-error tally" >&2
     cat "$dir/top.out" >&2; exit 1; }
-  grep -q "^vinestalk_slo_requests_total" "$dir/on1.prom" || {
+  grep -q "^vinestalk_slo_requests_total" "$dir/on.prom" || {
     echo "FAIL: no SLO series in the Prometheus snapshot" >&2
-    cat "$dir/on1.prom" >&2; exit 1; }
-  grep -q "^vinestalk_telemetry_ingest_wire_errors " "$dir/on1.prom" || {
+    cat "$dir/on.prom" >&2; exit 1; }
+  grep -q "^vinestalk_telemetry_ingest_wire_errors " "$dir/on.prom" || {
     echo "FAIL: no wire-error series in the Prometheus snapshot" >&2
     exit 1; }
-  grep -q "^vinestalk_telemetry_ingest_retry_after_us " "$dir/on1.prom" || {
+  grep -q "^vinestalk_telemetry_ingest_retry_after_us " "$dir/on.prom" || {
     echo "FAIL: no retry-after series in the Prometheus snapshot" >&2
     exit 1; }
   # A tight find-p99 objective under 2× overdrive chaos must burn through
@@ -623,8 +567,8 @@ EOF
   rm -f "$dir"/incident_slo_*.vsi
   # Exemplar → OpId → trace: fire the same objective on a captured,
   # fault-free run; the incident's slowest find exemplar must name an
-  # OpId whose span events exist in the live trace, and a 2-shard replay
-  # of the capture must reproduce that trace (and those spans) exactly.
+  # OpId whose span events exist in the live trace, and a replay of the
+  # capture must reproduce that trace (and those spans) exactly.
   "$root/build-check/tools/vinestalk_served" "${args[@]}" \
     --incident-dir "$dir" --slo "$dir/tight.slo" \
     --trace "$dir/live.vst" --capture "$dir/session.vsingest" \
@@ -649,8 +593,7 @@ EOF
     cat "$dir/spans.live" >&2; exit 1; }
   "$root/build-check/tools/vinestalk_served" \
     --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
-    --shards 2 --replay "$dir/session.vsingest" \
-    --trace "$dir/replay.vst" > /dev/null
+    --replay "$dir/session.vsingest" --trace "$dir/replay.vst" > /dev/null
   cmp "$dir/live.vst" "$dir/replay.vst" || {
     echo "FAIL: replay trace differs from live (SLO-armed) run" >&2
     exit 1; }
@@ -660,12 +603,12 @@ EOF
     echo "FAIL: exemplar spans differ between live and replay" >&2
     exit 1; }
   rm -rf "$dir"
-  echo "SLO stage clean (artifacts identical armed vs not at 1/2/4" \
-       "shards, burn incident fired, exemplar replayed byte-identically)."
+  echo "SLO stage clean (artifacts identical armed vs not, burn" \
+       "incident fired, exemplar replayed byte-identically)."
 }
 
 run_asan() {
-  echo "== stage 13: AddressSanitizer + UndefinedBehaviorSanitizer =="
+  echo "== stage 12: AddressSanitizer + UndefinedBehaviorSanitizer =="
   cmake -B "$root/build-asan" -S "$root" \
     -DVINESTALK_SANITIZE=address,undefined > /dev/null
   cmake --build "$root/build-asan" -j "$jobs"
@@ -675,22 +618,20 @@ run_asan() {
 
 case "$stage" in
   all) run_plain; run_tsan; run_notrace; run_monitor; run_chaos; run_audit
-       run_shard; run_telemetry; run_perf; run_noprof; run_serve
-       run_slo; run_asan ;;
+       run_telemetry; run_perf; run_noprof; run_serve; run_slo; run_asan ;;
   --plain) run_plain ;;
   --tsan) run_tsan ;;
   --no-trace) run_notrace ;;
   --monitor) run_monitor ;;
   --chaos) run_chaos ;;
   --audit) run_audit ;;
-  --shard|--shards) run_shard ;;
   --telemetry) run_telemetry ;;
   --perf) run_perf ;;
   --no-profile) run_noprof ;;
   --serve) run_serve ;;
   --slo) run_slo ;;
   --asan) run_asan ;;
-  *) echo "usage: tools/check.sh [--plain|--tsan|--no-trace|--monitor|--chaos|--audit|--shard|--telemetry|--perf|--no-profile|--serve|--slo|--asan]" >&2
+  *) echo "usage: tools/check.sh [--plain|--tsan|--no-trace|--monitor|--chaos|--audit|--telemetry|--perf|--no-profile|--serve|--slo|--asan]" >&2
      exit 2 ;;
 esac
 echo "check.sh: all stages passed"

@@ -74,9 +74,7 @@
 // The binary takes `--jobs N` (default: hardware concurrency) for the
 // sweep command's trial pool. Per-trial randomness derives from the trial
 // index (runner::trial_seed), never from thread identity, so the merged
-// table is bit-identical at any job count. `--shards N` shards every world
-// into N lanes (TrackingNetwork::set_shards) — output is likewise
-// identical for every value.
+// table is bit-identical at any job count.
 //
 // Example:
 //   printf 'world 27 3\nevader 20 6\nfind 0 26 0\nstats\n' | vinestalk_cli
@@ -119,8 +117,8 @@ using namespace vs;
 
 class Cli {
  public:
-  Cli(int jobs, int shards, std::string incident_dir)
-      : jobs_(jobs), shards_(shards), incident_dir_(std::move(incident_dir)) {}
+  Cli(int jobs, std::string incident_dir)
+      : jobs_(jobs), incident_dir_(std::move(incident_dir)) {}
 
   int run(std::istream& in, std::ostream& out) {
     std::string line;
@@ -158,9 +156,6 @@ class Cli {
       cfg.t_restart = sim::Duration::millis(5);
       net_ = std::make_unique<tracking::TrackingNetwork>(*hierarchy_, cfg);
       cli_ledger_.reset();  // the old world's; the new one attaches fresh
-      // CLI worlds model VSA failures, so sharded runs take the serial
-      // path over partitioned queues — same output, exercised storage.
-      if (shards_ > 1) net_->set_shards(shards_);
       // Begin capturing the session as a replayable scenario; commands
       // outside the canonical world→evader→walk→corrupt shape clear the
       // replayable flag below.
@@ -626,8 +621,7 @@ class Cli {
                  std::ostream& out) {
     const int side = side_;
     const int base = base_;
-    const int shards = shards_;
-    runner::TrialPool pool(runner::clamp_jobs_for_shards(jobs_, shards_));
+    runner::TrialPool pool(jobs_);
     struct TrialRow {
       std::int64_t move_work;
       std::int64_t move_msgs;
@@ -637,7 +631,6 @@ class Cli {
         static_cast<std::size_t>(trials), [&](std::size_t trial) {
           hier::GridHierarchy h(side, side, base);
           tracking::TrackingNetwork net(h, tracking::NetworkConfig{});
-          if (shards > 1) net.set_shards(shards);
           const RegionId start = h.grid().region_at(side / 2, side / 2);
           const TargetId t = net.add_evader(start);
           net.run_to_quiescence();
@@ -697,7 +690,6 @@ class Cli {
   static constexpr std::int64_t kFaultHeartbeatUs = 400'000;
 
   int jobs_;
-  int shards_;
   std::string incident_dir_;
   int incidents_written_ = 0;
   int side_ = 0;
@@ -718,7 +710,6 @@ class Cli {
 
 int main(int argc, char** argv) {
   int jobs = 0;  // 0 = runner::default_jobs() (hardware concurrency)
-  int shards = 1;
   std::string incident_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -726,23 +717,17 @@ int main(int argc, char** argv) {
       jobs = std::atoi(argv[++i]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
     } else if (arg == "--incident-dir" && i + 1 < argc) {
       incident_dir = argv[++i];
     } else if (arg.rfind("--incident-dir=", 0) == 0) {
       incident_dir = arg.substr(15);
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: vinestalk_cli [--jobs N] [--shards N] "
+      std::cout << "usage: vinestalk_cli [--jobs N] "
                    "[--incident-dir D] < script\n"
                    "commands on stdin; see the header of this source file.\n"
                    "--jobs N sets the sweep command's thread count "
                    "(default: hardware concurrency; sweep output is "
                    "identical for every N).\n"
-                   "--shards N shards each world into N lanes "
-                   "(default 1; output is identical for every N).\n"
                    "--incident-dir D makes the monitor command write "
                    "incident bundles into D.\n";
       return 0;
@@ -755,10 +740,6 @@ int main(int argc, char** argv) {
     std::cerr << "--jobs must be >= 1 (0 means auto), got " << jobs << "\n";
     return 2;
   }
-  if (shards < 1) {
-    std::cerr << "--shards must be >= 1, got " << shards << "\n";
-    return 2;
-  }
-  Cli cli(jobs, shards, incident_dir);
+  Cli cli(jobs, incident_dir);
   return cli.run(std::cin, std::cout);
 }

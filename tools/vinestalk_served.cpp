@@ -27,12 +27,10 @@
 //   --replay <file>      deterministically re-execute a --capture file:
 //                        same batches at the same round boundaries, ladder
 //                        decisions recomputed. With --trace, the world
-//                        trace is byte-identical to the live run's at any
-//                        --shards.
+//                        trace is byte-identical to the live run's.
 //
 // Options:
 //   --objects N          tracked objects, spread over the grid (default 4)
-//   --shards N           PDES lanes (default 1; artifacts identical)
 //   --capture <path>     VSINGEST1 capture of drained frames + markers
 //   --queues N --queue-capacity N --round-us N --dead-band N
 //                        serve::ServeConfig knobs
@@ -104,7 +102,6 @@ using namespace vs;
 struct Options {
   int side = 27;
   int base = 3;
-  int shards = 1;
   int objects = 4;
   int load_rounds = -1;   // --load
   bool from_stdin = false;
@@ -301,8 +298,6 @@ int main(int argc, char** argv) {
         opt.side = std::stoi(val());
       } else if (arg == "--base") {
         opt.base = std::stoi(val());
-      } else if (arg == "--shards") {
-        opt.shards = std::stoi(val());
       } else if (arg == "--objects") {
         opt.objects = std::stoi(val());
       } else if (arg == "--load") {
@@ -385,9 +380,8 @@ int main(int argc, char** argv) {
   if (modes != 1) {
     return usage("pick exactly one of --load, --stdin, --replay");
   }
-  if (opt.side < 2 || opt.base < 2 || opt.shards < 1 || opt.objects < 1) {
-    return usage("need --side >= 2, --base >= 2, --shards >= 1, "
-                 "--objects >= 1");
+  if (opt.side < 2 || opt.base < 2 || opt.objects < 1) {
+    return usage("need --side >= 2, --base >= 2, --objects >= 1");
   }
 
   try {
@@ -396,7 +390,6 @@ int main(int argc, char** argv) {
     net_cfg.model_vsa_failures = true;
     net_cfg.t_restart = sim::Duration::millis(5);
     tracking::TrackingNetwork net(hierarchy, net_cfg);
-    if (opt.shards > 1) net.set_shards(opt.shards);
     if (!opt.trace_path.empty()) {
       VS_REQUIRE(obs::kTraceCompiled,
                  "tracing compiled out (rebuild with -DVINESTALK_TRACE=ON)");
@@ -590,8 +583,8 @@ int main(int argc, char** argv) {
                        : opt.from_stdin         ? "stdin"
                                                 : "load";
     std::cout << "vinestalk_served: " << mode << " side " << opt.side
-              << " base " << opt.base << " shards " << opt.shards
-              << " objects " << opt.objects << "\n";
+              << " base " << opt.base << " objects " << opt.objects
+              << "\n";
     std::cout << "rounds: " << rounds_run << " (max tier " << max_tier
               << ")\n";
     std::cout << "ingest: " << ing.ingested << " ingested = " << ing.applied

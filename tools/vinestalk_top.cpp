@@ -6,10 +6,9 @@
 // Tails the stream a running world writes (obs::TelemetrySampler flushes
 // one record per cadence boundary, so the file is always a valid prefix),
 // re-rendering until the trailer lands: event/message/find rates from the
-// last two samples, find-latency percentiles, sliding-window bound-ratio
-// gauges (Theorem 4.9 / 5.2, ×1000 with the 1.0× bound marked), and —
-// when the stream carries the per-lane section — one utilization bar per
-// PDES shard lane.
+// last two samples, find-latency percentiles, and sliding-window
+// bound-ratio gauges (Theorem 4.9 / 5.2, ×1000 with the 1.0× bound
+// marked).
 //
 // --profile <sidecar> adds a CPU panel from a VSPROF1 profile sidecar:
 // the CPU-efficiency gauge (ns of real CPU per unit of Theorem-4.9
@@ -81,28 +80,6 @@ std::string fmt_rate(double v) {
     os << static_cast<std::int64_t>(v);
   }
   return os.str();
-}
-
-void render_lanes(std::ostream& os, const TelemetryFile& f) {
-  const auto v = [&](std::size_t i) { return f.samples.back().values[i]; };
-  const std::size_t base =
-      vs::obs::kTsFixedCount + 4 * (f.header.max_level + 1);
-  const std::int64_t windows = v(base + 0);
-  const std::int64_t window_events = v(base + 1);
-  os << "  pdes: " << windows << " window(s), " << window_events
-     << " window event(s), critical path " << v(base + 2) << "\n";
-  for (std::uint32_t i = 0; i < f.header.lanes; ++i) {
-    const std::size_t lb = base + 3 + 4 * i;
-    const std::int64_t events = v(lb + 0);
-    const std::int64_t busy = v(lb + 3);
-    const double util =
-        windows > 0
-            ? static_cast<double>(busy) / static_cast<double>(windows)
-            : 0.0;
-    os << "    lane " << i << " " << bar(util, 20) << " " << events
-       << " ev, " << v(lb + 1) << " stall(s), " << v(lb + 2)
-       << " cross\n";
-  }
 }
 
 void render(std::ostream& os, const std::string& path,
@@ -194,10 +171,6 @@ void render(std::ostream& os, const std::string& path,
     gauge("move time (Thm 4.9)", mt);
     gauge("find work (Thm 5.2)", fw);
     gauge("find time (Thm 5.2)", ft);
-  }
-
-  if (f.header.has_lanes()) {
-    render_lanes(os, f);
   }
 }
 

@@ -2,14 +2,7 @@
 // incident bundles.
 //
 // Commands:
-//   summary <file> [--counters J]
-//                               aggregate shape of every world; --counters
-//                               also reports the PDES shard/null-message/
-//                               horizon-stall overhead from a WorkCounters
-//                               JSON artifact (bench --obs-json) — traces
-//                               are byte-identical at every shard count, so
-//                               scheduler overhead lives in the counters,
-//                               not the events
+//   summary <file>              aggregate shape of every world
 //   spans <file> <find-id>      causal span of one find (all worlds holding it)
 //   timeline <file> --level N   records at one hierarchy level
 //   check <file>                replay the trace through the spec invariants
@@ -40,7 +33,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -71,11 +63,7 @@ using vs::obs::WorldTrace;
 
 int usage() {
   std::cerr << "usage: vinestalk_trace <command> <file> [args]\n"
-               "  summary <file> [--counters J]\n"
-               "                             per-world aggregate counts; "
-               "--counters adds the\n"
-               "                             PDES overhead block from a "
-               "WorkCounters JSON file\n"
+               "  summary <file>             per-world aggregate counts\n"
                "  spans <file> <find-id>     causal span of one find\n"
                "  timeline <file> --level N  records at hierarchy level N\n"
                "  check <file>               replay spec invariants "
@@ -167,53 +155,6 @@ void print_summary(const WorldTrace& w) {
     std::cout << "  cost[L" << level << "]: " << mw.first << " messages, "
               << mw.second << " hop-work\n";
   }
-}
-
-/// Report the PDES overhead counters from a WorkCounters JSON artifact
-/// (bench --obs-json / vinestalk_cli --obs-json). Sharded and serial runs
-/// produce byte-identical traces — that is the tentpole guarantee — so the
-/// scheduler's own overhead (windows, cross-shard null-message traffic,
-/// horizon stalls) is only visible in the counters, never in the events.
-/// WorkCounters::to_json emits the block as a single-line object keyed
-/// "pdes"; we scan for those objects rather than pull in a JSON parser.
-int print_pdes_counters(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "vinestalk_trace: cannot open counters file: " << path
-              << "\n";
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::string key = "\"pdes\"";
-  std::size_t pos = 0;
-  int blocks = 0;
-  while ((pos = text.find(key, pos)) != std::string::npos) {
-    const std::size_t open = text.find('{', pos + key.size());
-    const std::size_t close =
-        open == std::string::npos ? std::string::npos : text.find('}', open);
-    if (close == std::string::npos) break;  // truncated file; stop scanning
-    ++blocks;
-    std::cout << "  pdes[" << blocks << "]: "
-              << text.substr(open, close - open + 1) << "\n";
-    pos = close;
-  }
-  if (blocks == 0) {
-    std::cout << "  pdes: none (serial run — counters carry a \"pdes\" "
-                 "block only when shard windows ran)\n";
-  }
-  return 0;
-}
-
-int cmd_summary(const std::vector<WorldTrace>& worlds,
-                const std::string& counters_path) {
-  std::cout << worlds.size() << " world(s)\n";
-  for (const auto& w : worlds) print_summary(w);
-  if (!counters_path.empty()) {
-    std::cout << "pdes overhead (" << counters_path << "):\n";
-    return print_pdes_counters(counters_path);
-  }
-  return 0;
 }
 
 int cmd_spans(const std::vector<WorldTrace>& worlds, std::int64_t find_id) {
@@ -356,7 +297,6 @@ int cmd_telemetry(const std::string& path, bool csv) {
             << (file.complete ? "complete" : "unterminated (tail read)")
             << "\n  cadence " << h.cadence_us << "us, " << h.series
             << " series, max level " << h.max_level;
-  if (h.has_lanes()) std::cout << ", " << h.lanes << " pdes lane(s)";
   std::cout << "\n";
   if (file.samples.empty()) return 0;
   const vs::obs::TelemetrySample& first = file.samples.front();
@@ -532,15 +472,10 @@ int main(int argc, char** argv) {
     }
 
     if (command == "summary") {
-      std::string counters;
-      for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--counters") == 0 && i + 1 < argc) {
-          counters = argv[++i];
-        } else {
-          return usage();
-        }
-      }
-      return cmd_summary(worlds, counters);
+      if (argc != 3) return usage();
+      std::cout << worlds.size() << " world(s)\n";
+      for (const auto& w : worlds) print_summary(w);
+      return 0;
     }
     if (command == "spans") {
       if (argc < 4) return usage();
