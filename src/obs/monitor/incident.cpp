@@ -1,11 +1,9 @@
 #include "obs/monitor/incident.hpp"
 
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <type_traits>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "obs/op.hpp"
 #include "obs/trace_query.hpp"
@@ -14,63 +12,11 @@ namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'I', 'N', 'C', 'I', 'D', '1'};
-constexpr char kEndMagic[8] = {'V', 'S', 'I', 'N', 'C', 'E', 'N', 'D'};
-
-/// Strings longer than this are implausible for any field a bundle holds;
-/// treating them as corruption keeps a bit-flipped length from triggering
-/// a huge allocation.
-constexpr std::uint32_t kMaxString = 1u << 24;
-constexpr std::uint64_t kMaxRing = 1u << 28;
-constexpr std::uint32_t kMaxCorruptions = 1u << 20;
-constexpr std::uint32_t kMaxExemplars = 1u << 20;
-
-template <class T>
-void put(std::ostream& os, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <class T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  VS_REQUIRE(is.good(), "truncated incident stream");
-  return v;
-}
-
-void put_str(std::ostream& os, const std::string& s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string get_str(std::istream& is) {
-  const auto len = get<std::uint32_t>(is);
-  VS_REQUIRE(len <= kMaxString,
-             "corrupt incident stream: implausible string length " << len);
-  std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  VS_REQUIRE(is.gcount() == static_cast<std::streamsize>(len),
-             "truncated incident stream: string field cut short");
-  return s;
-}
-
-/// Ring record layout of bundle versions 1–2 (pre-OpId TraceEvent).
-struct LegacyEvent56 {
-  std::int64_t time_us;
-  std::uint64_t seq;
-  std::uint64_t cause;
-  std::int64_t find;
-  std::int32_t a;
-  std::int32_t b;
-  std::int32_t target;
-  std::int32_t arg;
-  std::int16_t level;
-  std::uint8_t kind;
-  std::uint8_t msg;
-  std::int32_t extra;
-};
-static_assert(sizeof(LegacyEvent56) == 56);
+constexpr std::string_view kMagic = "VSINCID1";
+constexpr std::string_view kEndMagic = "VSINCEND";
+/// Minimum on-wire sizes of the counted records.
+constexpr std::size_t kCorruptionBytes = 5 * 4;
+constexpr std::size_t kExemplarBytes = 1 + 4 + 3 * 8;
 
 }  // namespace
 
@@ -84,61 +30,63 @@ const char* to_string(WatchMode mode) {
 }
 
 void write_incident(std::ostream& os, const IncidentBundle& b) {
-  os.write(kMagic, sizeof kMagic);
-  put<std::uint32_t>(os, kIncidentFormatVersion);
-  put_str(os, b.source);
-  put<std::int32_t>(os, b.target);
-  put_str(os, b.violation.predicate);
-  put_str(os, b.violation.detail);
-  put<std::int64_t>(os, b.violation.time_us);
-  put<std::int32_t>(os, b.violation.cluster);
-  put<std::int32_t>(os, b.violation.level);
-  put<std::uint8_t>(os, static_cast<std::uint8_t>(b.mode));
-  put<std::int64_t>(os, b.cadence_us);
-  put<std::uint64_t>(os, b.ring_capacity);
+  std::string buf;
+  codec::Writer w(buf);
+  w.bytes(kMagic);
+  w.put(kIncidentFormatVersion);
+  w.str(b.source);
+  w.put(b.target);
+  w.str(b.violation.predicate);
+  w.str(b.violation.detail);
+  w.put(b.violation.time_us);
+  w.put(b.violation.cluster);
+  w.put(b.violation.level);
+  w.put(static_cast<std::uint8_t>(b.mode));
+  w.put(b.cadence_us);
+  w.put(b.ring_capacity);
   const ScenarioSpec& s = b.scenario;
-  put<std::int32_t>(os, s.side);
-  put<std::int32_t>(os, s.base);
-  put<std::uint8_t>(os, s.lateral_links ? 1 : 0);
-  put<std::uint8_t>(os, s.model_vsa_failures ? 1 : 0);
-  put<std::uint8_t>(os, s.replayable_flag ? 1 : 0);
-  put<std::int32_t>(os, s.clients_per_region);
-  put<std::int32_t>(os, s.start_region);
-  put<std::uint64_t>(os, s.seed);
-  put<std::int32_t>(os, s.steps);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.corruptions.size()));
+  w.put(s.side);
+  w.put(s.base);
+  w.put<std::uint8_t>(s.lateral_links ? 1 : 0);
+  w.put<std::uint8_t>(s.model_vsa_failures ? 1 : 0);
+  w.put<std::uint8_t>(s.replayable_flag ? 1 : 0);
+  w.put(s.clients_per_region);
+  w.put(s.start_region);
+  w.put(s.seed);
+  w.put(s.steps);
+  w.put(static_cast<std::uint32_t>(s.corruptions.size()));
   for (const auto& c : s.corruptions) {
-    put<std::int32_t>(os, c.cluster);
-    put<std::int32_t>(os, c.c);
-    put<std::int32_t>(os, c.p);
-    put<std::int32_t>(os, c.nbrptup);
-    put<std::int32_t>(os, c.nbrptdown);
+    w.put(c.cluster);
+    w.put(c.c);
+    w.put(c.p);
+    w.put(c.nbrptup);
+    w.put(c.nbrptdown);
   }
-  put_str(os, s.fault_plan);
-  put<std::int64_t>(os, s.step_every_us);
-  put<std::int64_t>(os, s.settle_us);
-  put<std::int64_t>(os, s.heartbeat_period_us);
-  put<std::int64_t>(os, s.t_restart_us);
-  put<double>(os, s.timer_scale);
-  put<std::uint8_t>(os, b.audit ? 1 : 0);
-  put<double>(os, b.audit_slack);
-  put<std::int64_t>(os, b.audit_window_us);
-  put_str(os, s.slo_spec);
-  put_str(os, b.slo_state_json);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(b.slo_exemplars.size()));
+  w.str(s.fault_plan);
+  w.put(s.step_every_us);
+  w.put(s.settle_us);
+  w.put(s.heartbeat_period_us);
+  w.put(s.t_restart_us);
+  w.put(s.timer_scale);
+  w.put<std::uint8_t>(b.audit ? 1 : 0);
+  w.put(b.audit_slack);
+  w.put(b.audit_window_us);
+  w.str(s.slo_spec);
+  w.str(b.slo_state_json);
+  w.put(static_cast<std::uint32_t>(b.slo_exemplars.size()));
   for (const SloExemplar& e : b.slo_exemplars) {
-    put<std::uint8_t>(os, e.cls);
-    put<std::uint32_t>(os, e.op);
-    put<std::int64_t>(os, e.t_us);
-    put<std::int64_t>(os, e.latency_ns);
-    put<std::int64_t>(os, e.distance);
+    w.put(e.cls);
+    w.put(e.op);
+    w.put(e.t_us);
+    w.put(e.latency_ns);
+    w.put(e.distance);
   }
-  put_str(os, b.config_json);
-  put_str(os, b.metrics_json);
-  put<std::uint64_t>(os, static_cast<std::uint64_t>(b.ring.size()));
-  os.write(reinterpret_cast<const char*>(b.ring.data()),
-           static_cast<std::streamsize>(b.ring.size() * sizeof(TraceEvent)));
-  os.write(kEndMagic, sizeof kEndMagic);
+  w.str(b.config_json);
+  w.str(b.metrics_json);
+  w.put(static_cast<std::uint64_t>(b.ring.size()));
+  w.records(b.ring);
+  w.bytes(kEndMagic);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_incident_file(const std::string& path, const IncidentBundle& b) {
@@ -148,127 +96,67 @@ void write_incident_file(const std::string& path, const IncidentBundle& b) {
   VS_REQUIRE(os.good(), "write failed for incident file: " << path);
 }
 
-IncidentBundle read_incident(std::istream& is) {
-  char magic[8] = {};
-  is.read(magic, sizeof magic);
-  VS_REQUIRE(is.good() && std::memcmp(magic, kMagic, sizeof magic) == 0,
-             "not an incident file (bad magic; expected VSINCID1)");
-  const auto version = get<std::uint32_t>(is);
-  VS_REQUIRE(version >= 1 && version <= kIncidentFormatVersion,
-             "unsupported incident format version "
-                 << version << " (this build reads v1..v"
-                 << kIncidentFormatVersion << ")");
+IncidentBundle read_incident(std::string_view bytes) {
+  codec::Reader r(bytes, "incident");
+  r.magic(kMagic);
+  r.version(kIncidentFormatVersion);
   IncidentBundle b;
-  b.source = get_str(is);
-  b.target = get<std::int32_t>(is);
-  b.violation.predicate = get_str(is);
-  b.violation.detail = get_str(is);
-  b.violation.time_us = get<std::int64_t>(is);
-  b.violation.cluster = get<std::int32_t>(is);
-  b.violation.level = get<std::int32_t>(is);
-  b.mode = static_cast<WatchMode>(get<std::uint8_t>(is));
-  b.cadence_us = get<std::int64_t>(is);
-  b.ring_capacity = get<std::uint64_t>(is);
+  b.source = r.str();
+  b.target = r.get<std::int32_t>();
+  b.violation.predicate = r.str();
+  b.violation.detail = r.str();
+  b.violation.time_us = r.get<std::int64_t>();
+  b.violation.cluster = r.get<std::int32_t>();
+  b.violation.level = r.get<std::int32_t>();
+  b.mode = static_cast<WatchMode>(r.get<std::uint8_t>());
+  b.cadence_us = r.get<std::int64_t>();
+  b.ring_capacity = r.get<std::uint64_t>();
   ScenarioSpec& s = b.scenario;
-  s.side = get<std::int32_t>(is);
-  s.base = get<std::int32_t>(is);
-  s.lateral_links = get<std::uint8_t>(is) != 0;
-  s.model_vsa_failures = get<std::uint8_t>(is) != 0;
-  s.replayable_flag = get<std::uint8_t>(is) != 0;
-  s.clients_per_region = get<std::int32_t>(is);
-  s.start_region = get<std::int32_t>(is);
-  s.seed = get<std::uint64_t>(is);
-  s.steps = get<std::int32_t>(is);
-  const auto ncorr = get<std::uint32_t>(is);
-  VS_REQUIRE(ncorr <= kMaxCorruptions,
-             "corrupt incident stream: implausible corruption count "
-                 << ncorr);
-  s.corruptions.resize(ncorr);
+  s.side = r.get<std::int32_t>();
+  s.base = r.get<std::int32_t>();
+  s.lateral_links = r.get<std::uint8_t>() != 0;
+  s.model_vsa_failures = r.get<std::uint8_t>() != 0;
+  s.replayable_flag = r.get<std::uint8_t>() != 0;
+  s.clients_per_region = r.get<std::int32_t>();
+  s.start_region = r.get<std::int32_t>();
+  s.seed = r.get<std::uint64_t>();
+  s.steps = r.get<std::int32_t>();
+  s.corruptions.resize(r.count(r.get<std::uint32_t>(), kCorruptionBytes));
   for (auto& c : s.corruptions) {
-    c.cluster = get<std::int32_t>(is);
-    c.c = get<std::int32_t>(is);
-    c.p = get<std::int32_t>(is);
-    c.nbrptup = get<std::int32_t>(is);
-    c.nbrptdown = get<std::int32_t>(is);
+    c.cluster = r.get<std::int32_t>();
+    c.c = r.get<std::int32_t>();
+    c.p = r.get<std::int32_t>();
+    c.nbrptup = r.get<std::int32_t>();
+    c.nbrptdown = r.get<std::int32_t>();
   }
-  if (version >= 2) {
-    s.fault_plan = get_str(is);
-    s.step_every_us = get<std::int64_t>(is);
-    s.settle_us = get<std::int64_t>(is);
-    s.heartbeat_period_us = get<std::int64_t>(is);
-    s.t_restart_us = get<std::int64_t>(is);
+  s.fault_plan = r.str();
+  s.step_every_us = r.get<std::int64_t>();
+  s.settle_us = r.get<std::int64_t>();
+  s.heartbeat_period_us = r.get<std::int64_t>();
+  s.t_restart_us = r.get<std::int64_t>();
+  s.timer_scale = r.get<double>();
+  b.audit = r.get<std::uint8_t>() != 0;
+  b.audit_slack = r.get<double>();
+  b.audit_window_us = r.get<std::int64_t>();
+  s.slo_spec = r.str();
+  b.slo_state_json = r.str();
+  b.slo_exemplars.resize(r.count(r.get<std::uint32_t>(), kExemplarBytes));
+  for (SloExemplar& e : b.slo_exemplars) {
+    e.cls = r.get<std::uint8_t>();
+    e.op = r.get<std::uint32_t>();
+    e.t_us = r.get<std::int64_t>();
+    e.latency_ns = r.get<std::int64_t>();
+    e.distance = r.get<std::int64_t>();
   }
-  if (version >= 3) {
-    s.timer_scale = get<double>(is);
-    b.audit = get<std::uint8_t>(is) != 0;
-    b.audit_slack = get<double>(is);
-  }
-  if (version >= 4) {
-    b.audit_window_us = get<std::int64_t>(is);
-  }
-  if (version >= 5) {
-    s.slo_spec = get_str(is);
-    b.slo_state_json = get_str(is);
-    const auto nex = get<std::uint32_t>(is);
-    VS_REQUIRE(nex <= kMaxExemplars,
-               "corrupt incident stream: implausible exemplar count " << nex);
-    b.slo_exemplars.resize(nex);
-    for (SloExemplar& e : b.slo_exemplars) {
-      e.cls = get<std::uint8_t>(is);
-      e.op = get<std::uint32_t>(is);
-      e.t_us = get<std::int64_t>(is);
-      e.latency_ns = get<std::int64_t>(is);
-      e.distance = get<std::int64_t>(is);
-    }
-  }
-  b.config_json = get_str(is);
-  b.metrics_json = get_str(is);
-  const auto nring = get<std::uint64_t>(is);
-  VS_REQUIRE(nring <= kMaxRing,
-             "corrupt incident stream: implausible ring size " << nring);
-  b.ring.resize(nring);
-  const std::size_t record_size =
-      version >= 3 ? sizeof(TraceEvent) : sizeof(LegacyEvent56);
-  const auto ring_bytes = static_cast<std::streamsize>(nring * record_size);
-  if (version >= 3) {
-    is.read(reinterpret_cast<char*>(b.ring.data()), ring_bytes);
-  } else {
-    std::vector<LegacyEvent56> legacy(nring);
-    is.read(reinterpret_cast<char*>(legacy.data()), ring_bytes);
-    for (std::size_t i = 0; i < nring; ++i) {
-      const LegacyEvent56& l = legacy[i];
-      b.ring[i] = TraceEvent{.time_us = l.time_us,
-                             .seq = l.seq,
-                             .cause = l.cause,
-                             .find = l.find,
-                             .a = l.a,
-                             .b = l.b,
-                             .target = l.target,
-                             .arg = l.arg,
-                             .level = l.level,
-                             .kind = l.kind,
-                             .msg = l.msg,
-                             .extra = l.extra,
-                             .op = 0,
-                             .pad0 = 0};
-    }
-  }
-  VS_REQUIRE(is.gcount() == ring_bytes,
-             "truncated incident stream: ring declares "
-                 << nring << " events but the file ends early");
-  char end[8] = {};
-  is.read(end, sizeof end);
-  VS_REQUIRE(is.gcount() == static_cast<std::streamsize>(sizeof end) &&
-                 std::memcmp(end, kEndMagic, sizeof end) == 0,
-             "truncated incident stream: missing VSINCEND trailer "
-                 "(file cut short or overwritten mid-write?)");
+  b.config_json = r.str();
+  b.metrics_json = r.str();
+  b.ring = r.records<TraceEvent>(r.get<std::uint64_t>());
+  r.end(kEndMagic);
   return b;
 }
 
 IncidentBundle read_incident_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  VS_REQUIRE(is.good(), "cannot open incident file: " << path);
-  return read_incident(is);
+  return read_incident(codec::read_file(path));
 }
 
 void print_incident(std::ostream& os, const IncidentBundle& b,

@@ -24,25 +24,21 @@
 //                u8 replayable, i32 clients_per_region, i32 start_region,
 //                u64 seed, i32 steps, u32 corruption count,
 //                per corruption: 5 × i32 (cluster, c, p, nbrptup, nbrptdown)
-//   v2 scenario: str fault_plan, i64 step_every_us, i64 settle_us,
-//                i64 heartbeat_period_us, i64 t_restart_us (readers accept
-//                v1 files, where these default to empty/zero)
-//   v3 fields:   f64 timer_scale, u8 audit, f64 audit_slack (readers
-//                accept v1/v2 files, defaulting to 1.0 / off / 2.0)
-//   v4 field:    i64 audit_window_us (readers accept v1–v3 files, where
-//                it defaults to 0 = whole-ledger audit)
-//   v5 fields:   str scenario.slo_spec (the `slo v1` objective text the
+//   pacing:      str fault_plan, i64 step_every_us, i64 settle_us,
+//                i64 heartbeat_period_us, i64 t_restart_us
+//   audit:       f64 timer_scale, u8 audit, f64 audit_slack,
+//                i64 audit_window_us
+//   slo:         str scenario.slo_spec (the `slo v1` objective text the
 //                run was armed with), str slo_state_json (per-objective
 //                burn-window state at fire time), u32 exemplar count +
 //                per exemplar: u8 class, u32 op, i64 t_us, i64 latency_ns,
-//                i64 distance (readers accept v1–v4 files, defaulting to
-//                empty — no SLO monitor was attached)
+//                i64 distance (all empty when no SLO monitor was attached)
 //   str          config_json
 //   str          metrics_json
-//   ring:        u64 event count + count × obs::TraceEvent (raw 64 bytes;
-//                v1/v2 rings hold the legacy 56-byte records and are
-//                widened with op = 0 on read)
+//   ring:        u64 event count + count × obs::TraceEvent (raw 64 bytes)
 //   trailer:     bytes "VSINCEND"
+//
+// The reader accepts v5 only (common/codec.hpp); re-record older bundles.
 //
 // Everything in a bundle derives from virtual time and world-local state,
 // so two runs of the same scenario — at any --jobs value — serialize to
@@ -51,6 +47,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -167,7 +164,7 @@ struct IncidentBundle {
   bool audit = false;
   double audit_slack = 2.0;
   /// Trailing-window length the sliding-window audit ran at (0 =
-  /// whole-ledger audit at quiescent checks — the pre-v4 behaviour).
+  /// whole-ledger audit at quiescent checks).
   std::int64_t audit_window_us = 0;
   ScenarioSpec scenario;
   std::string config_json;   // world configuration at detection
@@ -183,9 +180,10 @@ struct IncidentBundle {
 void write_incident(std::ostream& os, const IncidentBundle& b);
 void write_incident_file(const std::string& path, const IncidentBundle& b);
 
-/// Throws vs::Error on bad magic/version/truncation (same hardening
-/// contract as trace_io: a short or corrupt file fails loudly).
-[[nodiscard]] IncidentBundle read_incident(std::istream& is);
+/// Decodes a whole VSINCID1 file. Throws vs::Error on bad
+/// magic/version/truncation (same hardening contract as trace_io: a short
+/// or corrupt file fails loudly).
+[[nodiscard]] IncidentBundle read_incident(std::string_view bytes);
 [[nodiscard]] IncidentBundle read_incident_file(const std::string& path);
 
 /// Human-readable rendering (the `vinestalk_trace incident` view):

@@ -1,39 +1,22 @@
 #include "obs/profile/profile_io.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
-#include <type_traits>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'P', 'R', 'O', 'F', '1', '\0'};
-constexpr char kEndMagic[8] = {'V', 'S', 'P', 'R', 'F', 'E', 'N', 'D'};
-// A profiled run produces at most a few dozen distinct paths/ops and one
-// snapshot per ~4096 events; anything past these caps is a corrupt file.
-constexpr std::uint32_t kMaxRows = 1u << 20;
-
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
-
-template <class T>
-void get(const char*& p, const char* end, T& v, const std::string& path) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(T),
-             "truncated profile sidecar " << path);
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-}
+constexpr std::string_view kMagic{"VSPROF1\0", 8};
+constexpr std::string_view kEndMagic = "VSPRFEND";
+/// Minimum on-wire sizes of the counted rows.
+constexpr std::size_t kPathBytes = 3 * 8;
+constexpr std::size_t kOpBytes = 4 + 4 * 8;
+constexpr std::size_t kSnapshotBytes = 8 + kProfDomains * 8;
 
 std::string domain_label(std::size_t d) {
   return std::string(to_string(static_cast<ProfDomain>(d)));
@@ -44,45 +27,42 @@ std::string domain_label(std::size_t d) {
 void write_profile_file(const std::string& path,
                         const ProfileReport& report) {
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put(buf, kProfileFormatVersion);
-  put(buf, static_cast<std::uint32_t>(kProfDomains));
-  put(buf, static_cast<std::uint32_t>(kProfMsgKinds));
-  put(buf, static_cast<std::uint32_t>(kProfOpClasses));
-  put(buf, report.total_ns);
-  put(buf, report.wall_ns);
-  put(buf, report.scopes);
-  put(buf, report.total_work);
-  put(buf, report.total_msgs);
-  for (std::size_t d = 0; d < kProfDomains; ++d) {
-    put(buf, report.domain_self_ns[d]);
-  }
-  put(buf, static_cast<std::uint32_t>(report.paths.size()));
+  codec::Writer w(buf);
+  w.bytes(kMagic);
+  w.put(kProfileFormatVersion);
+  w.put(static_cast<std::uint32_t>(kProfDomains));
+  w.put(static_cast<std::uint32_t>(kProfMsgKinds));
+  w.put(static_cast<std::uint32_t>(kProfOpClasses));
+  w.put(report.total_ns);
+  w.put(report.wall_ns);
+  w.put(report.scopes);
+  w.put(report.total_work);
+  w.put(report.total_msgs);
+  w.put(report.domain_self_ns);
+  w.put(static_cast<std::uint32_t>(report.paths.size()));
   for (const ProfilePathStat& s : report.paths) {
-    put(buf, s.path);
-    put(buf, s.self_ns);
-    put(buf, s.count);
+    w.put(s.path);
+    w.put(s.self_ns);
+    w.put(s.count);
   }
-  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
-    put(buf, report.msgs[k].ns);
-    put(buf, report.msgs[k].count);
+  for (const ProfileMsgStat& m : report.msgs) {
+    w.put(m.ns);
+    w.put(m.count);
   }
-  put(buf, static_cast<std::uint32_t>(report.ops.size()));
+  w.put(static_cast<std::uint32_t>(report.ops.size()));
   for (const ProfileOpStat& s : report.ops) {
-    put(buf, s.op);
-    put(buf, s.ns);
-    put(buf, s.count);
-    put(buf, s.work);
-    put(buf, s.msgs);
+    w.put(s.op);
+    w.put(s.ns);
+    w.put(s.count);
+    w.put(s.work);
+    w.put(s.msgs);
   }
-  put(buf, static_cast<std::uint32_t>(report.snapshots.size()));
+  w.put(static_cast<std::uint32_t>(report.snapshots.size()));
   for (const ProfileSnapshotRow& row : report.snapshots) {
-    put(buf, row.t_us);
-    for (std::size_t d = 0; d < kProfDomains; ++d) {
-      put(buf, row.domain_self_ns[d]);
-    }
+    w.put(row.t_us);
+    w.put(row.domain_self_ns);
   }
-  buf.append(kEndMagic, sizeof(kEndMagic));
+  w.bytes(kEndMagic);
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   VS_REQUIRE(os.good(), "cannot write profile sidecar " << path);
@@ -90,80 +70,60 @@ void write_profile_file(const std::string& path,
   VS_REQUIRE(os.good(), "short write on profile sidecar " << path);
 }
 
-ProfileReport read_profile_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  VS_REQUIRE(in.good(), "cannot open profile sidecar " << path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const char* p = data.data();
-  const char* end = p + data.size();
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(kMagic) &&
-                 std::memcmp(p, kMagic, sizeof(kMagic)) == 0,
-             "not a VSPROF1 profile sidecar: " << path);
-  p += sizeof(kMagic);
-  std::uint32_t version = 0, domains = 0, kinds = 0, classes = 0;
-  get(p, end, version, path);
-  VS_REQUIRE(version == kProfileFormatVersion,
-             "unsupported profile format version " << version);
-  get(p, end, domains, path);
-  get(p, end, kinds, path);
-  get(p, end, classes, path);
+ProfileReport read_profile(std::string_view bytes) {
+  codec::Reader r(bytes, "profile");
+  r.magic(kMagic);
+  r.version(kProfileFormatVersion);
+  const auto domains = r.get<std::uint32_t>();
+  const auto kinds = r.get<std::uint32_t>();
+  const auto classes = r.get<std::uint32_t>();
   VS_REQUIRE(domains == kProfDomains && kinds == kProfMsgKinds &&
                  classes == kProfOpClasses,
-             "profile sidecar " << path
-                                << " was written by an incompatible build");
-  ProfileReport r;
-  get(p, end, r.total_ns, path);
-  get(p, end, r.wall_ns, path);
-  get(p, end, r.scopes, path);
-  get(p, end, r.total_work, path);
-  get(p, end, r.total_msgs, path);
-  for (std::size_t d = 0; d < kProfDomains; ++d) {
-    get(p, end, r.domain_self_ns[d], path);
+             "profile sidecar was written by an incompatible build");
+  ProfileReport rep;
+  rep.total_ns = r.get<std::uint64_t>();
+  rep.wall_ns = r.get<std::uint64_t>();
+  rep.scopes = r.get<std::uint64_t>();
+  rep.total_work = r.get<std::int64_t>();
+  rep.total_msgs = r.get<std::int64_t>();
+  rep.domain_self_ns = r.get<decltype(rep.domain_self_ns)>();
+  rep.paths.resize(r.count(r.get<std::uint32_t>(), kPathBytes));
+  for (ProfilePathStat& s : rep.paths) {
+    s.path = r.get<ProfPath>();
+    s.self_ns = r.get<std::uint64_t>();
+    s.count = r.get<std::uint64_t>();
   }
-  std::uint32_t n = 0;
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible path count in " << path);
-  r.paths.resize(n);
-  for (ProfilePathStat& s : r.paths) {
-    get(p, end, s.path, path);
-    get(p, end, s.self_ns, path);
-    get(p, end, s.count, path);
+  for (ProfileMsgStat& m : rep.msgs) {
+    m.ns = r.get<std::uint64_t>();
+    m.count = r.get<std::uint64_t>();
   }
-  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
-    get(p, end, r.msgs[k].ns, path);
-    get(p, end, r.msgs[k].count, path);
-  }
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible op count in " << path);
-  r.ops.resize(n);
-  for (ProfileOpStat& s : r.ops) {
-    get(p, end, s.op, path);
-    get(p, end, s.ns, path);
-    get(p, end, s.count, path);
-    get(p, end, s.work, path);
-    get(p, end, s.msgs, path);
-  }
-  for (const ProfileOpStat& s : r.ops) {
-    auto& c = r.classes[static_cast<std::size_t>(op_class(s.op))];
+  rep.ops.resize(r.count(r.get<std::uint32_t>(), kOpBytes));
+  for (ProfileOpStat& s : rep.ops) {
+    s.op = r.get<OpId>();
+    s.ns = r.get<std::uint64_t>();
+    s.count = r.get<std::uint64_t>();
+    s.work = r.get<std::int64_t>();
+    s.msgs = r.get<std::int64_t>();
+    const auto cls = static_cast<std::size_t>(op_class(s.op));
+    VS_REQUIRE(cls < kProfOpClasses,
+               "profile op 0x" << std::hex << s.op << " has no op class");
+    ProfileClassStat& c = rep.classes[cls];
     c.ns += s.ns;
     c.count += s.count;
-    c.work += s.work;
-    c.msgs += s.msgs;
+    c.work = codec::wrapping_add(c.work, s.work);
+    c.msgs = codec::wrapping_add(c.msgs, s.msgs);
   }
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible snapshot count in " << path);
-  r.snapshots.resize(n);
-  for (ProfileSnapshotRow& row : r.snapshots) {
-    get(p, end, row.t_us, path);
-    for (std::size_t d = 0; d < kProfDomains; ++d) {
-      get(p, end, row.domain_self_ns[d], path);
-    }
+  rep.snapshots.resize(r.count(r.get<std::uint32_t>(), kSnapshotBytes));
+  for (ProfileSnapshotRow& row : rep.snapshots) {
+    row.t_us = r.get<std::int64_t>();
+    row.domain_self_ns = r.get<decltype(row.domain_self_ns)>();
   }
-  VS_REQUIRE(static_cast<std::size_t>(end - p) == sizeof(kEndMagic) &&
-                 std::memcmp(p, kEndMagic, sizeof(kEndMagic)) == 0,
-             "profile sidecar " << path << " has no end marker");
-  return r;
+  r.end(kEndMagic);
+  return rep;
+}
+
+ProfileReport read_profile_file(const std::string& path) {
+  return read_profile(codec::read_file(path));
 }
 
 void profile_to_json(std::ostream& os, const ProfileReport& r) {

@@ -15,6 +15,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/profile/profiler.hpp"
 
@@ -26,6 +27,7 @@ inline constexpr std::uint32_t kProfileFormatVersion = 1;
 /// malformation (the sidecar is written atomically at run end; there is
 /// no tail mode).
 void write_profile_file(const std::string& path, const ProfileReport& report);
+[[nodiscard]] ProfileReport read_profile(std::string_view bytes);
 [[nodiscard]] ProfileReport read_profile_file(const std::string& path);
 
 /// JSON rendering (one object; stable key order).

@@ -1,81 +1,46 @@
 #include "obs/slo/slo_io.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <ostream>
-#include <sstream>
-#include <type_traits>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'S', 'L', 'O', '1', '\0', '\0'};
-constexpr char kEndMagic[8] = {'V', 'S', 'S', 'L', 'O', 'E', 'N', 'D'};
-// A report holds a handful of histograms and at most a few dozen
-// objectives/exemplars; larger counts mean a corrupt file.
-constexpr std::uint32_t kMaxRows = 1u << 16;
-constexpr std::uint32_t kMaxString = 1u << 24;
+constexpr std::string_view kMagic{"VSSLO1\0\0", 8};
+constexpr std::string_view kEndMagic = "VSSLOEND";
+/// Minimum on-wire sizes of the counted rows: a histogram is a u32 bound
+/// count, the overflow bucket and four i64 summaries, plus one bound and
+/// one bucket per counted bound.
+constexpr std::size_t kHistBytes = 4 + 8 + 4 * 8;
+constexpr std::size_t kBoundBytes = 2 * 8;
+constexpr std::size_t kBandBytes = 4 + kHistBytes;
+constexpr std::size_t kObjectiveBytes = 4 + 8 * 8 + 1;
+constexpr std::size_t kExemplarBytes = 1 + 4 + 3 * 8;
 
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
+void put_hist(codec::Writer& w, const Histogram& h) {
+  w.put(static_cast<std::uint32_t>(h.bounds().size()));
+  for (std::int64_t b : h.bounds()) w.put(b);
+  for (std::int64_t c : h.buckets()) w.put(c);
+  w.put(h.count());
+  w.put(h.sum());
+  w.put(h.min());
+  w.put(h.max());
 }
 
-template <class T>
-void get(const char*& p, const char* end, T& v, const std::string& path) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(T),
-             "truncated slo sidecar " << path);
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-}
-
-void put_str(std::string& buf, const std::string& s) {
-  put(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s);
-}
-
-std::string get_str(const char*& p, const char* end, const std::string& path) {
-  std::uint32_t len = 0;
-  get(p, end, len, path);
-  VS_REQUIRE(len <= kMaxString, "corrupt slo sidecar " << path
-                                    << ": implausible string length " << len);
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= len,
-             "truncated slo sidecar " << path);
-  std::string s(p, len);
-  p += len;
-  return s;
-}
-
-void put_hist(std::string& buf, const Histogram& h) {
-  put(buf, static_cast<std::uint32_t>(h.bounds().size()));
-  for (std::int64_t b : h.bounds()) put(buf, b);
-  for (std::int64_t c : h.buckets()) put(buf, c);
-  put(buf, h.count());
-  put(buf, h.sum());
-  put(buf, h.min());
-  put(buf, h.max());
-}
-
-Histogram get_hist(const char*& p, const char* end, const std::string& path) {
-  std::uint32_t n = 0;
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "corrupt slo sidecar " << path
-                                << ": implausible bound count " << n);
+Histogram get_hist(codec::Reader& r) {
+  const std::size_t n = r.count(r.get<std::uint32_t>(), kBoundBytes);
   std::vector<std::int64_t> bounds(n);
-  for (auto& b : bounds) get(p, end, b, path);
+  for (auto& b : bounds) b = r.get<std::int64_t>();
   std::vector<std::int64_t> buckets(n + 1);
-  for (auto& c : buckets) get(p, end, c, path);
-  std::int64_t count = 0, sum = 0, min = 0, max = 0;
-  get(p, end, count, path);
-  get(p, end, sum, path);
-  get(p, end, min, path);
-  get(p, end, max, path);
+  for (auto& c : buckets) c = r.get<std::int64_t>();
+  const auto count = r.get<std::int64_t>();
+  const auto sum = r.get<std::int64_t>();
+  const auto min = r.get<std::int64_t>();
+  const auto max = r.get<std::int64_t>();
   return Histogram::from_parts(std::move(bounds), std::move(buckets), count,
                                sum, min, max);
 }
@@ -106,119 +71,99 @@ std::string label_escape(const std::string& s) {
 
 void write_slo_file(const std::string& path, const SloReport& rep) {
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put(buf, kSloFormatVersion);
-  put_str(buf, rep.spec_text);
-  put(buf, static_cast<std::uint8_t>(rep.wall_clock ? 1 : 0));
-  put(buf, rep.end_t_us);
+  codec::Writer w(buf);
+  w.bytes(kMagic);
+  w.put(kSloFormatVersion);
+  w.str(rep.spec_text);
+  w.put<std::uint8_t>(rep.wall_clock ? 1 : 0);
+  w.put(rep.end_t_us);
   for (const SloReport::ClassStats& c : rep.classes) {
-    put(buf, c.requests);
-    put(buf, c.errors);
-    put_hist(buf, c.latency);
+    w.put(c.requests);
+    w.put(c.errors);
+    put_hist(w, c.latency);
   }
-  put_hist(buf, rep.find_ns_per_d);
-  put(buf, static_cast<std::uint32_t>(rep.find_bands.size()));
+  put_hist(w, rep.find_ns_per_d);
+  w.put(static_cast<std::uint32_t>(rep.find_bands.size()));
   for (const auto& [band, hist] : rep.find_bands) {
-    put(buf, band);
-    put_hist(buf, hist);
+    w.put(band);
+    put_hist(w, hist);
   }
-  put(buf, static_cast<std::uint32_t>(rep.objectives.size()));
+  w.put(static_cast<std::uint32_t>(rep.objectives.size()));
   for (const SloObjectiveState& o : rep.objectives) {
-    put_str(buf, o.name);
-    put(buf, o.short_req);
-    put(buf, o.short_bad);
-    put(buf, o.long_req);
-    put(buf, o.long_bad);
-    put(buf, o.burn_short_centi);
-    put(buf, o.burn_long_centi);
-    put(buf, o.measured_ns);
-    put(buf, o.target_ns);
-    put(buf, static_cast<std::uint8_t>(o.fired ? 1 : 0));
+    w.str(o.name);
+    w.put(o.short_req);
+    w.put(o.short_bad);
+    w.put(o.long_req);
+    w.put(o.long_bad);
+    w.put(o.burn_short_centi);
+    w.put(o.burn_long_centi);
+    w.put(o.measured_ns);
+    w.put(o.target_ns);
+    w.put<std::uint8_t>(o.fired ? 1 : 0);
   }
-  put(buf, static_cast<std::uint32_t>(rep.exemplars.size()));
+  w.put(static_cast<std::uint32_t>(rep.exemplars.size()));
   for (const SloExemplar& e : rep.exemplars) {
-    put(buf, e.cls);
-    put(buf, e.op);
-    put(buf, e.t_us);
-    put(buf, e.latency_ns);
-    put(buf, e.distance);
+    w.put(e.cls);
+    w.put(e.op);
+    w.put(e.t_us);
+    w.put(e.latency_ns);
+    w.put(e.distance);
   }
-  buf.append(kEndMagic, sizeof(kEndMagic));
+  w.bytes(kEndMagic);
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   VS_REQUIRE(os.good(), "cannot open slo sidecar for writing: " << path);
   os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   VS_REQUIRE(os.good(), "write failed for slo sidecar: " << path);
 }
 
-SloReport read_slo_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  VS_REQUIRE(is.good(), "cannot open slo sidecar: " << path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  const std::string bytes = ss.str();
-  const char* p = bytes.data();
-  const char* end = p + bytes.size();
-  VS_REQUIRE(bytes.size() >= sizeof(kMagic) &&
-                 std::memcmp(p, kMagic, sizeof(kMagic)) == 0,
-             "not an slo sidecar (bad magic; expected VSSLO1): " << path);
-  p += sizeof(kMagic);
-  std::uint32_t version = 0;
-  get(p, end, version, path);
-  VS_REQUIRE(version == kSloFormatVersion,
-             "unsupported slo sidecar version " << version);
+SloReport read_slo(std::string_view bytes) {
+  codec::Reader r(bytes, "slo");
+  r.magic(kMagic);
+  r.version(kSloFormatVersion);
   SloReport rep;
-  rep.spec_text = get_str(p, end, path);
-  std::uint8_t wall = 0;
-  get(p, end, wall, path);
-  rep.wall_clock = wall != 0;
-  get(p, end, rep.end_t_us, path);
+  rep.spec_text = r.str();
+  rep.wall_clock = r.get<std::uint8_t>() != 0;
+  rep.end_t_us = r.get<std::int64_t>();
   for (SloReport::ClassStats& c : rep.classes) {
-    get(p, end, c.requests, path);
-    get(p, end, c.errors, path);
-    c.latency = get_hist(p, end, path);
+    c.requests = r.get<std::int64_t>();
+    c.errors = r.get<std::int64_t>();
+    c.latency = get_hist(r);
   }
-  rep.find_ns_per_d = get_hist(p, end, path);
-  std::uint32_t nbands = 0;
-  get(p, end, nbands, path);
-  VS_REQUIRE(nbands <= kMaxRows, "corrupt slo sidecar " << path);
-  rep.find_bands.resize(nbands);
+  rep.find_ns_per_d = get_hist(r);
+  rep.find_bands.resize(r.count(r.get<std::uint32_t>(), kBandBytes));
   for (auto& [band, hist] : rep.find_bands) {
-    get(p, end, band, path);
-    hist = get_hist(p, end, path);
+    band = r.get<std::uint32_t>();
+    VS_REQUIRE(band < kSloFindBands, "slo find band " << band
+                                                      << " out of range");
+    hist = get_hist(r);
   }
-  std::uint32_t nobj = 0;
-  get(p, end, nobj, path);
-  VS_REQUIRE(nobj <= kMaxRows, "corrupt slo sidecar " << path);
-  rep.objectives.resize(nobj);
+  rep.objectives.resize(r.count(r.get<std::uint32_t>(), kObjectiveBytes));
   for (SloObjectiveState& o : rep.objectives) {
-    o.name = get_str(p, end, path);
-    get(p, end, o.short_req, path);
-    get(p, end, o.short_bad, path);
-    get(p, end, o.long_req, path);
-    get(p, end, o.long_bad, path);
-    get(p, end, o.burn_short_centi, path);
-    get(p, end, o.burn_long_centi, path);
-    get(p, end, o.measured_ns, path);
-    get(p, end, o.target_ns, path);
-    std::uint8_t fired = 0;
-    get(p, end, fired, path);
-    o.fired = fired != 0;
+    o.name = r.str();
+    o.short_req = r.get<std::int64_t>();
+    o.short_bad = r.get<std::int64_t>();
+    o.long_req = r.get<std::int64_t>();
+    o.long_bad = r.get<std::int64_t>();
+    o.burn_short_centi = r.get<std::int64_t>();
+    o.burn_long_centi = r.get<std::int64_t>();
+    o.measured_ns = r.get<std::int64_t>();
+    o.target_ns = r.get<std::int64_t>();
+    o.fired = r.get<std::uint8_t>() != 0;
   }
-  std::uint32_t nex = 0;
-  get(p, end, nex, path);
-  VS_REQUIRE(nex <= kMaxRows, "corrupt slo sidecar " << path);
-  rep.exemplars.resize(nex);
+  rep.exemplars.resize(r.count(r.get<std::uint32_t>(), kExemplarBytes));
   for (SloExemplar& e : rep.exemplars) {
-    get(p, end, e.cls, path);
-    get(p, end, e.op, path);
-    get(p, end, e.t_us, path);
-    get(p, end, e.latency_ns, path);
-    get(p, end, e.distance, path);
+    e.cls = r.get<std::uint8_t>();
+    e.op = r.get<std::uint32_t>();
+    e.t_us = r.get<std::int64_t>();
+    e.latency_ns = r.get<std::int64_t>();
+    e.distance = r.get<std::int64_t>();
   }
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(kEndMagic) &&
-                 std::memcmp(p, kEndMagic, sizeof(kEndMagic)) == 0,
-             "truncated slo sidecar: missing VSSLOEND trailer: " << path);
+  r.end(kEndMagic);
   return rep;
+}
+
+SloReport read_slo_file(const std::string& path) {
+  return read_slo(codec::read_file(path));
 }
 
 void slo_to_json(std::ostream& os, const SloReport& rep) {

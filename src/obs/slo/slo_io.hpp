@@ -15,6 +15,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/slo/slo.hpp"
 
@@ -23,6 +24,7 @@ namespace vs::obs {
 inline constexpr std::uint32_t kSloFormatVersion = 1;
 
 void write_slo_file(const std::string& path, const SloReport& report);
+[[nodiscard]] SloReport read_slo(std::string_view bytes);
 [[nodiscard]] SloReport read_slo_file(const std::string& path);
 
 /// JSON rendering (one object; stable key order) — also written as the

@@ -38,11 +38,10 @@ TelemetrySampler::TelemetrySampler(tracking::TrackingNetwork& net,
       latency_(std::span<const std::int64_t>(kLatencyBounds)) {
   VS_REQUIRE(cfg_.cadence > sim::Duration::zero(),
              "telemetry cadence must be positive, got " << cfg_.cadence);
-  header_.version = kTelemetryFormatVersion;
   header_.cadence_us = cfg_.cadence.count();
   header_.max_level =
       static_cast<std::uint32_t>(net_->counters().max_level());
-  header_.series = header_.expected_series();
+  header_.series = static_cast<std::uint32_t>(header_.expected_series());
 }
 
 TelemetrySampler::~TelemetrySampler() { finish(); }

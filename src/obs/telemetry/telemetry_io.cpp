@@ -1,10 +1,8 @@
 #include "obs/telemetry/telemetry_io.hpp"
 
-#include <cstring>
-#include <iterator>
 #include <ostream>
-#include <type_traits>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "obs/op.hpp"
 
@@ -12,55 +10,10 @@ namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'T', 'E', 'L', 'E', 'M', '1'};
-constexpr char kEndMagic[8] = {'V', 'S', 'T', 'E', 'L', 'E', 'N', 'D'};
+constexpr std::string_view kMagic = "VSTELEM1";
+constexpr std::string_view kEndMagic = "VSTELEND";
 constexpr std::uint8_t kSampleMarker = 0xA5;
 constexpr std::uint8_t kTrailerMarker = 0x5A;
-// A sample record never legitimately exceeds this (series are capped by
-// level depth, which is small); guards tail reads of garbage.
-constexpr std::uint32_t kMaxSeries = 1u << 16;
-
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
-
-template <class T>
-bool get(const char*& p, const char* end, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (static_cast<std::size_t>(end - p) < sizeof(T)) return false;
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-  return true;
-}
-
-// ZigZag + LEB128: small signed deltas of either sign encode in one byte.
-void put_varint(std::string& buf, std::int64_t v) {
-  auto u = (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-  while (u >= 0x80) {
-    buf.push_back(static_cast<char>((u & 0x7F) | 0x80));
-    u >>= 7;
-  }
-  buf.push_back(static_cast<char>(u));
-}
-
-bool get_varint(const char*& p, const char* end, std::int64_t& v) {
-  std::uint64_t u = 0;
-  int shift = 0;
-  while (p < end && shift < 64) {
-    const auto byte = static_cast<std::uint8_t>(*p++);
-    u |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      v = static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -87,24 +40,20 @@ std::vector<std::string> telemetry_series_names(
   names.push_back("audit_move_time_ratio_milli");
   names.push_back("audit_find_work_ratio_milli");
   names.push_back("audit_find_time_ratio_milli");
-  if (header.version >= 2) {
-    names.emplace_back("ingest_ingested");
-    names.emplace_back("ingest_applied");
-    names.emplace_back("ingest_suppressed");
-    names.emplace_back("ingest_dropped");
-    names.emplace_back("ingest_shed_tier1_entries");
-    names.emplace_back("ingest_shed_tier2_entries");
-    names.emplace_back("ingest_shed_tier3_entries");
-    names.emplace_back("ingest_queue_depth_peak");
-  }
-  if (header.version >= 3) {
-    names.emplace_back("ingest_wire_errors");
-    names.emplace_back("ingest_retry_after_us");
-    names.emplace_back("ingest_rpc_finds_issued");
-    names.emplace_back("ingest_rpc_finds_done");
-    names.emplace_back("ingest_rpc_deadline_misses");
-    names.emplace_back("ingest_rpc_find_attempts");
-  }
+  names.emplace_back("ingest_ingested");
+  names.emplace_back("ingest_applied");
+  names.emplace_back("ingest_suppressed");
+  names.emplace_back("ingest_dropped");
+  names.emplace_back("ingest_shed_tier1_entries");
+  names.emplace_back("ingest_shed_tier2_entries");
+  names.emplace_back("ingest_shed_tier3_entries");
+  names.emplace_back("ingest_queue_depth_peak");
+  names.emplace_back("ingest_wire_errors");
+  names.emplace_back("ingest_retry_after_us");
+  names.emplace_back("ingest_rpc_finds_issued");
+  names.emplace_back("ingest_rpc_finds_done");
+  names.emplace_back("ingest_rpc_deadline_misses");
+  names.emplace_back("ingest_rpc_find_attempts");
   for (std::uint32_t l = 0; l <= header.max_level; ++l) {
     const std::string lvl = "level" + std::to_string(l);
     names.push_back(lvl + "_move_msgs");
@@ -127,13 +76,14 @@ TelemetryWriter::TelemetryWriter(const std::string& path,
   out_.open(path_, std::ios::binary | std::ios::trunc);
   VS_REQUIRE(out_.good(), "cannot open telemetry stream " << path_);
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put(buf, header_.version);
-  put(buf, std::uint32_t{0});  // flags
-  put(buf, header_.cadence_us);
-  put(buf, std::uint32_t{0});  // reserved
-  put(buf, header_.max_level);
-  put(buf, header_.series);
+  codec::Writer w(buf);
+  w.bytes(kMagic);
+  w.put(kTelemetryFormatVersion);
+  w.put(std::uint32_t{0});  // flags
+  w.put(header_.cadence_us);
+  w.put(std::uint32_t{0});  // reserved
+  w.put(header_.max_level);
+  w.put(header_.series);
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   out_.flush();
   prev_.assign(header_.series, 0);
@@ -148,10 +98,11 @@ void TelemetryWriter::append(const TelemetrySample& sample) {
                                      << " values, layout wants "
                                      << prev_.size());
   buf_.clear();
-  buf_.push_back(static_cast<char>(kSampleMarker));
-  put_varint(buf_, sample.t_us - prev_t_);
+  codec::Writer w(buf_);
+  w.put(kSampleMarker);
+  w.varint(sample.t_us - prev_t_);
   for (std::size_t i = 0; i < prev_.size(); ++i) {
-    put_varint(buf_, sample.values[i] - prev_[i]);
+    w.varint(sample.values[i] - prev_[i]);
   }
   prev_t_ = sample.t_us;
   prev_ = sample.values;
@@ -167,123 +118,80 @@ void TelemetryWriter::finish() {
   if (finished_) return;
   finished_ = true;
   std::string buf;
-  buf.push_back(static_cast<char>(kTrailerMarker));
-  put(buf, count_);
-  buf.append(kEndMagic, sizeof(kEndMagic));
+  codec::Writer w(buf);
+  w.put(kTrailerMarker);
+  w.put(count_);
+  w.bytes(kEndMagic);
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   out_.flush();
   out_.close();
 }
 
-TelemetryFile read_telemetry_file(const std::string& path, bool strict) {
-  std::ifstream in(path, std::ios::binary);
-  VS_REQUIRE(in.good(), "cannot open telemetry file " << path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const char* p = data.data();
-  const char* end = p + data.size();
-
+TelemetryFile read_telemetry(std::string_view bytes, bool strict) {
+  codec::Reader r(bytes, "telemetry");
+  r.magic(kMagic);
+  r.version(kTelemetryFormatVersion);
   TelemetryFile f;
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(kMagic) &&
-                 std::memcmp(p, kMagic, sizeof(kMagic)) == 0,
-             "not a VSTELEM1 telemetry file: " << path);
-  p += sizeof(kMagic);
   TelemetryHeader& h = f.header;
-  std::uint32_t flags = 0;
-  std::uint32_t reserved = 0;
-  VS_REQUIRE(get(p, end, h.version) && get(p, end, flags) &&
-                 get(p, end, h.cadence_us) && get(p, end, reserved) &&
-                 get(p, end, h.max_level) && get(p, end, h.series),
-             "truncated telemetry header in " << path);
-  VS_REQUIRE(h.version >= 1 && h.version <= kTelemetryFormatVersion,
-             "unsupported telemetry format version " << h.version);
-  VS_REQUIRE(flags == 0, "unsupported telemetry flags 0x"
-                             << std::hex << flags << " in " << path);
-  VS_REQUIRE(h.series == h.expected_series() && h.series <= kMaxSeries,
+  const auto flags = r.get<std::uint32_t>();
+  VS_REQUIRE(flags == 0,
+             "unsupported telemetry flags 0x" << std::hex << flags);
+  h.cadence_us = r.get<std::int64_t>();
+  (void)r.get<std::uint32_t>();  // reserved
+  h.max_level = r.get<std::uint32_t>();
+  h.series = r.get<std::uint32_t>();
+  VS_REQUIRE(h.series == h.expected_series(),
              "telemetry header series count " << h.series
                                               << " inconsistent with layout");
 
-  std::vector<std::int64_t> prev(h.series, 0);
-  std::int64_t prev_t = 0;
-  bool saw_trailer = false;
-  while (p < end) {
-    const auto marker = static_cast<std::uint8_t>(*p);
+  // Tail mode stops quietly at the first partial record; strict mode
+  // requires every record whole and the trailer last.
+  while (r.remaining() > 0) {
+    const auto marker = r.get<std::uint8_t>();
     if (marker == kTrailerMarker) {
-      const char* q = p + 1;
-      std::uint64_t n = 0;
-      if (get(q, end, n) &&
-          static_cast<std::size_t>(end - q) >= sizeof(kEndMagic) &&
-          std::memcmp(q, kEndMagic, sizeof(kEndMagic)) == 0) {
-        VS_REQUIRE(n == f.samples.size(),
-                   "telemetry trailer count " << n << " != "
-                                              << f.samples.size()
-                                              << " decoded samples");
-        saw_trailer = true;
-        p = q + sizeof(kEndMagic);
+      if (!strict && r.remaining() < sizeof(std::uint64_t) + kEndMagic.size()) {
         break;
       }
-      VS_REQUIRE(!strict, "truncated telemetry trailer in " << path);
+      const auto n = r.get<std::uint64_t>();
+      VS_REQUIRE(n == f.samples.size(),
+                 "telemetry trailer count " << n << " != " << f.samples.size()
+                                            << " decoded samples");
+      r.end(kEndMagic);
+      f.complete = true;
       break;
     }
     VS_REQUIRE(marker == kSampleMarker,
-               "bad telemetry record marker 0x"
-                   << std::hex << static_cast<int>(marker) << " in " << path);
-    const char* q = p + 1;
+               "bad telemetry record marker 0x" << std::hex
+                                                << static_cast<int>(marker));
+    // Each value takes at least one varint byte: a sample whose values
+    // cannot fit in the bytes left is partial, and nothing is allocated
+    // for it.
     TelemetrySample s;
     std::int64_t dt = 0;
-    bool ok = get_varint(q, end, dt);
-    s.values.resize(h.series);
-    for (std::uint32_t i = 0; ok && i < h.series; ++i) {
+    bool whole = r.fits(h.series, 1) && r.try_varint(dt);
+    if (whole) s.values.resize(h.series);
+    const TelemetrySample* last =
+        f.samples.empty() ? nullptr : &f.samples.back();
+    for (std::uint32_t i = 0; whole && i < h.series; ++i) {
       std::int64_t dv = 0;
-      ok = get_varint(q, end, dv);
-      if (ok) s.values[i] = prev[i] + dv;
+      whole = r.try_varint(dv);
+      s.values[i] = codec::wrapping_add(last ? last->values[i] : 0, dv);
     }
-    if (!ok) {
+    if (!whole) {
       // Truncated final record — fine while the producer is mid-append.
-      VS_REQUIRE(!strict, "truncated telemetry sample in " << path);
+      VS_REQUIRE(!strict, "truncated telemetry sample");
       break;
     }
-    s.t_us = prev_t + dt;
-    prev_t = s.t_us;
-    prev = s.values;
+    s.t_us = codec::wrapping_add(last ? last->t_us : 0, dt);
     f.samples.push_back(std::move(s));
-    p = q;
   }
-  if (strict) {
-    VS_REQUIRE(saw_trailer, "telemetry file " << path
-                                              << " has no trailer (stream "
-                                                 "not finished?)");
-    VS_REQUIRE(p == end, "trailing garbage after telemetry trailer in "
-                             << path);
-  }
-  f.complete = saw_trailer;
-  if (h.version < kTelemetryFormatVersion) {
-    // Older stream: widen every sample with zeros where newer versions
-    // added blocks, and re-label the header, so callers only ever see the
-    // current layout (the trace v2→v3 reader idiom). The serve block sits
-    // directly after the ingest block, so inserting at kTsServeBase first
-    // keeps the earlier offsets valid for the second insert.
-    std::uint32_t widened = 0;
-    for (TelemetrySample& s : f.samples) {
-      if (h.version < 3) {
-        const std::size_t serve_at =
-            h.version < 2 ? kTsServeBase - kTsIngestSeriesCount : kTsServeBase;
-        s.values.insert(
-            s.values.begin() + static_cast<std::ptrdiff_t>(serve_at),
-            kTsServeSeriesCount, 0);
-      }
-      if (h.version < 2) {
-        s.values.insert(
-            s.values.begin() + static_cast<std::ptrdiff_t>(kTsIngestBase),
-            kTsIngestSeriesCount, 0);
-      }
-    }
-    if (h.version < 3) widened += kTsServeSeriesCount;
-    if (h.version < 2) widened += kTsIngestSeriesCount;
-    h.version = kTelemetryFormatVersion;
-    h.series += widened;
-  }
+  VS_REQUIRE(f.complete || !strict,
+             "telemetry stream has no trailer (stream not finished?)");
   return f;
+}
+
+TelemetryFile read_telemetry_file(const std::string& path, bool strict) {
+  return read_telemetry(codec::read_file(path), strict);
 }
 
 void telemetry_to_csv(std::ostream& os, const TelemetryFile& file) {

@@ -11,7 +11,7 @@
 //   u32 reserved          0
 //   u32 max_level         hierarchy depth of the per-level section
 //   u32 series            values per sample (consistency check; the
-//                         layout itself is fixed by version)
+//                         layout itself is fixed by the version)
 //   --- per sample ---
 //   u8  0xA5              sample marker
 //   varint t_us           boundary time, delta vs the previous sample
@@ -23,7 +23,8 @@
 //
 // Varints are ZigZag + LEB128 (protobuf-style), so near-constant series
 // cost one byte per sample. Integers are native-endian like every other
-// vinestalk artifact (same-machine write/read).
+// vinestalk artifact (same-machine write/read; common/codec.hpp). The
+// reader accepts v3 only; re-record older streams.
 //
 // Records enter the stream whole and the sampler flush()es at every
 // cadence boundary, which is what makes the file *tailable*:
@@ -43,14 +44,11 @@
 #include <fstream>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vs::obs {
 
-/// v1: the PR-7 layout. v2 appends the ingest-daemon block (8 series) to
-/// the fixed scalars; v3 appends the serve-RPC block (6 series) after it.
-/// The reader accepts older files by widening each sample with zeros at
-/// the missing blocks, so callers only ever see the current layout.
 inline constexpr std::uint32_t kTelemetryFormatVersion = 3;
 /// Series count of the v2 ingest block (kTsIngestBase..kTsServeBase).
 inline constexpr std::uint32_t kTsIngestSeriesCount = 8;
@@ -83,12 +81,12 @@ enum TelemetrySeries : std::size_t {
   /// Trailing-window audit ratios ×1000 (move work, move time, max find
   /// work, max find time); zero when no auditor is attached.
   kTsAuditBase = kTsLedgerBase + 12,
-  /// Ingest-daemon block (v2; kTsIngestSeriesCount series): ingested,
+  /// Ingest-daemon block (kTsIngestSeriesCount series): ingested,
   /// applied, suppressed, dropped, shed_tier1/2/3_entries,
   /// queue_depth_peak — stats::IngestCounters order. Zero outside
   /// vinestalk_served runs.
   kTsIngestBase = kTsAuditBase + 4,
-  /// Serve-RPC block (v3; kTsServeSeriesCount series): wire_errors,
+  /// Serve-RPC block (kTsServeSeriesCount series): wire_errors,
   /// retry_after_us (gauge), rpc_finds_issued, rpc_finds_done,
   /// rpc_deadline_misses, rpc_find_attempts — the rest of
   /// stats::IngestCounters. Zero outside vinestalk_served runs.
@@ -97,17 +95,13 @@ enum TelemetrySeries : std::size_t {
 };
 
 struct TelemetryHeader {
-  std::uint32_t version = kTelemetryFormatVersion;
   std::int64_t cadence_us = 0;
   std::uint32_t max_level = 0;
   std::uint32_t series = 0;
 
-  /// Values per sample implied by the version (must equal `series`).
-  [[nodiscard]] std::uint32_t expected_series() const {
-    std::uint32_t n = kTsFixedCount + 4 * (max_level + 1);
-    if (version < 2) n -= kTsIngestSeriesCount;  // v1 predates ingest block
-    if (version < 3) n -= kTsServeSeriesCount;   // v2 predates serve block
-    return n;
+  /// Values per sample implied by the layout (must equal `series`).
+  [[nodiscard]] std::uint64_t expected_series() const {
+    return kTsFixedCount + 4 * (std::uint64_t{max_level} + 1);
   }
 };
 
@@ -161,10 +155,12 @@ struct TelemetryFile {
   bool complete = false;
 };
 
-/// Read a VSTELEM1 file. strict=true (artifact verification) throws on
-/// any malformation including a missing trailer; strict=false (tail
+/// Decode a VSTELEM1 stream. strict=true (artifact verification) throws
+/// on any malformation including a missing trailer; strict=false (tail
 /// mode) returns every fully decoded sample and stops quietly at a
 /// truncated record — the live-dashboard read.
+[[nodiscard]] TelemetryFile read_telemetry(std::string_view bytes,
+                                           bool strict = true);
 [[nodiscard]] TelemetryFile read_telemetry_file(const std::string& path,
                                                 bool strict = true);
 

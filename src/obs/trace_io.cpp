@@ -1,59 +1,39 @@
 #include "obs/trace_io.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr char kEndMagic[8] = {'V', 'S', 'T', 'R', 'E', 'N', 'D', '1'};
-
-/// Worlds reserved up front: the header's world count is not trusted
-/// with an allocation.
-constexpr std::uint32_t kReserveWorlds = 64;
-/// Events read per chunk (256 KiB), so a world's buffer grows with the
-/// bytes actually present rather than with its declared count.
-constexpr std::uint64_t kChunkEvents = 4096;
-
-template <class T>
-void put(std::ostream& os, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <class T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  VS_REQUIRE(is.good(), "truncated trace stream");
-  return v;
-}
+constexpr std::string_view kMagic = "VSTRACE1";
+constexpr std::string_view kEndMagic = "VSTREND1";
+/// u32 world index, u32 reserved, u64 event count.
+constexpr std::size_t kWorldHeaderBytes = 16;
 
 }  // namespace
 
 void write_trace(std::ostream& os, const std::vector<WorldTrace>& worlds) {
-  os.write(kMagic, sizeof kMagic);
-  put<std::uint32_t>(os, kTraceFormatVersion);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(worlds.size()));
+  std::string buf;
+  codec::Writer w(buf);
+  w.bytes(kMagic);
+  w.put(kTraceFormatVersion);
+  w.put(static_cast<std::uint32_t>(worlds.size()));
   std::uint64_t total = 0;
-  for (const WorldTrace& w : worlds) {
-    put<std::uint32_t>(os, w.world);
-    put<std::uint32_t>(os, 0);  // reserved
-    put<std::uint64_t>(os, static_cast<std::uint64_t>(w.events.size()));
-    os.write(reinterpret_cast<const char*>(w.events.data()),
-             static_cast<std::streamsize>(w.events.size() *
-                                          sizeof(TraceEvent)));
-    total += w.events.size();
+  for (const WorldTrace& t : worlds) {
+    w.put(t.world);
+    w.put(std::uint32_t{0});  // reserved
+    w.put(static_cast<std::uint64_t>(t.events.size()));
+    w.records(t.events);
+    total += t.events.size();
   }
-  put<std::uint64_t>(os, total);
-  os.write(kEndMagic, sizeof kEndMagic);
+  w.put(total);
+  w.bytes(kEndMagic);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_trace_file(const std::string& path,
@@ -68,61 +48,30 @@ void write_trace_file(const std::string& path, const TraceRecorder& recorder) {
   write_trace_file(path, {WorldTrace{0, recorder.events()}});
 }
 
-std::vector<WorldTrace> read_trace(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof magic);
-  VS_REQUIRE(is.good() && std::memcmp(magic, kMagic, sizeof magic) == 0,
-             "not a VSTRACE1 trace file");
-  const auto version = get<std::uint32_t>(is);
-  VS_REQUIRE(version == kTraceFormatVersion,
-             "unsupported trace format version "
-                 << version << " (this build reads v" << kTraceFormatVersion
-                 << "; re-record the trace)");
-  const auto world_count = get<std::uint32_t>(is);
-  std::vector<WorldTrace> worlds;
-  worlds.reserve(std::min(world_count, kReserveWorlds));
+std::vector<WorldTrace> read_trace(std::string_view bytes) {
+  codec::Reader r(bytes, "trace");
+  r.magic(kMagic);
+  r.version(kTraceFormatVersion);
+  std::vector<WorldTrace> worlds(
+      r.count(r.get<std::uint32_t>(), kWorldHeaderBytes));
   std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < world_count; ++i) {
-    WorldTrace w;
-    w.world = get<std::uint32_t>(is);
-    (void)get<std::uint32_t>(is);  // reserved
-    const auto count = get<std::uint64_t>(is);
-    // An implausible count is header corruption, not a real section.
-    VS_REQUIRE(count <= (std::uint64_t{1} << 32),
-               "corrupt trace stream: world " << w.world << " claims "
-                                              << count << " events");
-    while (w.events.size() < count) {
-      const std::size_t at = w.events.size();
-      const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(count - at, kChunkEvents));
-      w.events.resize(at + n);
-      const auto bytes = static_cast<std::streamsize>(n * sizeof(TraceEvent));
-      is.read(reinterpret_cast<char*>(w.events.data() + at), bytes);
-      VS_REQUIRE(is.good() && is.gcount() == bytes,
-                 "truncated trace stream: world "
-                     << w.world << " declares " << count
-                     << " events but the file ends early");
-    }
-    total += count;
-    worlds.push_back(std::move(w));
+  for (WorldTrace& t : worlds) {
+    t.world = r.get<std::uint32_t>();
+    (void)r.get<std::uint32_t>();  // reserved
+    t.events = r.records<TraceEvent>(r.get<std::uint64_t>());
+    total += t.events.size();
   }
-  const auto declared_total = get<std::uint64_t>(is);
-  char end_magic[8];
-  is.read(end_magic, sizeof end_magic);
-  VS_REQUIRE(is.good() && is.gcount() == sizeof end_magic &&
-                 std::memcmp(end_magic, kEndMagic, sizeof end_magic) == 0,
-             "truncated trace stream: missing VSTREND1 trailer (file cut "
-             "short or not fully written)");
+  const auto declared_total = r.get<std::uint64_t>();
   VS_REQUIRE(declared_total == total,
-             "corrupt trace stream: trailer declares "
-                 << declared_total << " events, sections hold " << total);
+             "corrupt trace: trailer declares " << declared_total
+                                                << " events, sections hold "
+                                                << total);
+  r.end(kEndMagic);
   return worlds;
 }
 
 std::vector<WorldTrace> read_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  VS_REQUIRE(is.good(), "cannot open trace file: " << path);
-  return read_trace(is);
+  return read_trace(codec::read_file(path));
 }
 
 }  // namespace vs::obs

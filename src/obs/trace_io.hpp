@@ -18,8 +18,9 @@
 // that consumed every declared world must land exactly on a trailer whose
 // count matches what it read, so a short or bit-flipped file fails loudly
 // instead of yielding a silently short trace. The reader sizes its
-// buffers by the bytes it has read, never by a declared count alone.
-// vinestalk_trace surfaces these as diagnostics with exit 1.
+// buffers by the bytes it holds, never by a declared count alone
+// (common/codec.hpp). vinestalk_trace surfaces these as diagnostics with
+// exit 1.
 //
 // A multi-trial sweep writes one world section per trial, in trial-index
 // order; because every TraceEvent derives from world-local state only, the
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -48,8 +50,9 @@ void write_trace_file(const std::string& path,
 /// Single-world convenience (quickstart, the CLI's `trace` command).
 void write_trace_file(const std::string& path, const TraceRecorder& recorder);
 
-/// Throws vs::Error on bad magic/version/truncation.
-[[nodiscard]] std::vector<WorldTrace> read_trace(std::istream& is);
+/// Decodes a whole VSTRACE1 file. Throws vs::Error on bad
+/// magic/version/truncation.
+[[nodiscard]] std::vector<WorldTrace> read_trace(std::string_view bytes);
 [[nodiscard]] std::vector<WorldTrace> read_trace_file(const std::string& path);
 
 }  // namespace vs::obs

@@ -1,37 +1,24 @@
 #include "serve/ingest_io.hpp"
 
-#include <cstring>
-#include <iterator>
-#include <type_traits>
-
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'I', 'N', 'G', 'E', 'S', 'T'};
-constexpr char kEndMagic[8] = {'V', 'S', 'I', 'N', 'G', 'E', 'N', 'D'};
+constexpr std::string_view kMagic = "VSINGEST";
+constexpr std::string_view kEndMagic = "VSINGEND";
 constexpr std::uint8_t kFrameMarker = 0xB7;
 constexpr std::uint8_t kTrailerMarker = 0x7B;
 constexpr std::uint16_t kUpdateLen = 16;
 constexpr std::uint16_t kRoundLen = 8;
 constexpr std::uint16_t kFindLen = 24;
-
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
-
-template <class T>
-T get_raw(const char* p) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
+constexpr std::size_t kHeaderBytes = 8 + 4;
+/// After the trailer marker: u64 frame count, end magic.
+constexpr std::size_t kTrailerBytes = 8 + 8;
+/// After the frame marker: u8 type, u16 payload length.
+constexpr std::size_t kFramePrefixBytes = 1 + 2;
 
 std::uint16_t payload_len(IngestFrame::Type type) {
   switch (type) {
@@ -42,33 +29,32 @@ std::uint16_t payload_len(IngestFrame::Type type) {
   return 0;
 }
 
-void encode_payload(std::string& buf, const IngestFrame& frame) {
+void encode_payload(codec::Writer& w, const IngestFrame& frame) {
   switch (frame.type) {
     case IngestFrame::Type::kUpdate:
-      put(buf, frame.update.object);
-      put(buf, frame.update.x);
-      put(buf, frame.update.y);
+      w.put(frame.update.object);
+      w.put(frame.update.x);
+      w.put(frame.update.y);
       break;
     case IngestFrame::Type::kRound:
-      put(buf, frame.round.upto_us);
+      w.put(frame.round.upto_us);
       break;
     case IngestFrame::Type::kFind:
-      put(buf, frame.find.object);
-      put(buf, frame.find.x);
-      put(buf, frame.find.y);
-      put(buf, frame.find.deadline_us);
+      w.put(frame.find.object);
+      w.put(frame.find.x);
+      w.put(frame.find.y);
+      w.put(frame.find.deadline_us);
       break;
   }
 }
 
 std::uint8_t checksum(IngestFrame::Type type, std::uint16_t len,
-                      const char* payload) {
+                      std::string_view payload) {
   std::uint8_t sum = static_cast<std::uint8_t>(type);
   sum = static_cast<std::uint8_t>(sum ^ (len & 0xFF));
   sum = static_cast<std::uint8_t>(sum ^ (len >> 8));
-  for (std::uint16_t i = 0; i < len; ++i) {
-    sum = static_cast<std::uint8_t>(sum ^
-                                    static_cast<std::uint8_t>(payload[i]));
+  for (const char c : payload) {
+    sum = static_cast<std::uint8_t>(sum ^ static_cast<std::uint8_t>(c));
   }
   return sum;
 }
@@ -76,25 +62,27 @@ std::uint8_t checksum(IngestFrame::Type type, std::uint16_t len,
 }  // namespace
 
 void encode_ingest_header(std::string& out) {
-  out.append(kMagic, sizeof(kMagic));
-  put(out, kIngestFormatVersion);
+  codec::Writer w(out);
+  w.bytes(kMagic);
+  w.put(kIngestFormatVersion);
 }
 
 void encode_frame(std::string& out, const IngestFrame& frame) {
   const std::uint16_t len = payload_len(frame.type);
-  out.push_back(static_cast<char>(kFrameMarker));
-  out.push_back(static_cast<char>(frame.type));
-  put(out, len);
+  codec::Writer w(out);
+  w.put(kFrameMarker);
+  w.put(frame.type);
+  w.put(len);
   const std::size_t payload_at = out.size();
-  encode_payload(out, frame);
-  out.push_back(static_cast<char>(
-      checksum(frame.type, len, out.data() + payload_at)));
+  encode_payload(w, frame);
+  w.put(checksum(frame.type, len, std::string_view(out).substr(payload_at)));
 }
 
 void encode_ingest_trailer(std::string& out, std::uint64_t frames) {
-  out.push_back(static_cast<char>(kTrailerMarker));
-  put(out, frames);
-  out.append(kEndMagic, sizeof(kEndMagic));
+  codec::Writer w(out);
+  w.put(kTrailerMarker);
+  w.put(frames);
+  w.bytes(kEndMagic);
 }
 
 void IngestParser::feed(const char* data, std::size_t n) {
@@ -115,91 +103,86 @@ IngestParser::Status IngestParser::fail(const std::string& why) {
 
 IngestParser::Status IngestParser::next(IngestFrame& out) {
   if (state_ == State::kError) return Status::kError;
-  const char* base = buf_.data();
-  std::size_t avail = buf_.size() - pos_;
+  // Each read below follows a check that its bytes are buffered, so the
+  // reader never throws here: a short buffer is kNeedMore, and pos_
+  // advances only past whole records.
+  codec::Reader r(std::string_view(buf_).substr(pos_), "ingest");
+  const auto consumed = [&] { pos_ = buf_.size() - r.remaining(); };
   if (state_ == State::kHeader) {
-    if (avail < sizeof(kMagic) + sizeof(std::uint32_t)) {
-      return Status::kNeedMore;
-    }
-    if (std::memcmp(base + pos_, kMagic, sizeof(kMagic)) != 0) {
+    if (r.remaining() < kHeaderBytes) return Status::kNeedMore;
+    if (r.take(kMagic.size()) != kMagic) {
       return fail("not a VSINGEST1 stream (bad magic)");
     }
-    const auto version =
-        get_raw<std::uint32_t>(base + pos_ + sizeof(kMagic));
+    const auto version = r.get<std::uint32_t>();
     if (version != kIngestFormatVersion) {
       return fail("unsupported VSINGEST version " + std::to_string(version));
     }
-    pos_ += sizeof(kMagic) + sizeof(std::uint32_t);
-    avail -= sizeof(kMagic) + sizeof(std::uint32_t);
+    consumed();
     state_ = State::kFrames;
   }
   if (state_ == State::kDone) {
-    if (avail != 0) return fail("bytes after VSINGEST trailer");
+    if (r.remaining() != 0) return fail("bytes after VSINGEST trailer");
     return Status::kEnd;
   }
-  if (avail == 0) return Status::kNeedMore;
-  const auto marker = static_cast<std::uint8_t>(base[pos_]);
+  if (r.remaining() == 0) return Status::kNeedMore;
+  const auto marker = r.get<std::uint8_t>();
   if (marker == kTrailerMarker) {
-    const std::size_t want = 1 + sizeof(std::uint64_t) + sizeof(kEndMagic);
-    if (avail < want) return Status::kNeedMore;
-    const auto n = get_raw<std::uint64_t>(base + pos_ + 1);
-    if (std::memcmp(base + pos_ + 1 + sizeof(std::uint64_t), kEndMagic,
-                    sizeof(kEndMagic)) != 0) {
+    if (r.remaining() < kTrailerBytes) return Status::kNeedMore;
+    const auto n = r.get<std::uint64_t>();
+    if (r.take(kEndMagic.size()) != kEndMagic) {
       return fail("corrupt VSINGEST trailer end magic");
     }
     if (n != frames_) {
       return fail("VSINGEST trailer count " + std::to_string(n) + " != " +
                   std::to_string(frames_) + " frames parsed");
     }
-    pos_ += want;
+    consumed();
     state_ = State::kDone;
-    if (buf_.size() - pos_ != 0) return fail("bytes after VSINGEST trailer");
+    if (r.remaining() != 0) return fail("bytes after VSINGEST trailer");
     return Status::kEnd;
   }
   if (marker != kFrameMarker) {
     return fail("bad VSINGEST frame marker");
   }
-  // marker + type + len.
-  if (avail < 4) return Status::kNeedMore;
-  const auto type_byte = static_cast<std::uint8_t>(base[pos_ + 1]);
+  if (r.remaining() < kFramePrefixBytes) return Status::kNeedMore;
+  const auto type_byte = r.get<std::uint8_t>();
   if (type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kUpdate) &&
       type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kRound) &&
       type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kFind)) {
     return fail("unknown VSINGEST frame type " + std::to_string(type_byte));
   }
   const auto type = static_cast<IngestFrame::Type>(type_byte);
-  const auto len = get_raw<std::uint16_t>(base + pos_ + 2);
+  const auto len = r.get<std::uint16_t>();
   if (len != payload_len(type)) {
     return fail("VSINGEST frame length " + std::to_string(len) +
                 " does not match type (want " +
                 std::to_string(payload_len(type)) + ")");
   }
-  const std::size_t want = 4 + static_cast<std::size_t>(len) + 1;
-  if (avail < want) return Status::kNeedMore;
-  const char* payload = base + pos_ + 4;
-  const auto sum = static_cast<std::uint8_t>(payload[len]);
-  if (sum != checksum(type, len, payload)) {
+  if (r.remaining() < std::size_t{len} + 1) return Status::kNeedMore;
+  const std::string_view payload = r.take(len);
+  if (r.get<std::uint8_t>() != checksum(type, len, payload)) {
     return fail("VSINGEST frame checksum mismatch");
   }
+  codec::Reader p(payload, "ingest");
   out = IngestFrame{};
   out.type = type;
   switch (type) {
     case IngestFrame::Type::kUpdate:
-      out.update.object = get_raw<std::uint64_t>(payload);
-      out.update.x = get_raw<std::int32_t>(payload + 8);
-      out.update.y = get_raw<std::int32_t>(payload + 12);
+      out.update.object = p.get<std::uint64_t>();
+      out.update.x = p.get<std::int32_t>();
+      out.update.y = p.get<std::int32_t>();
       break;
     case IngestFrame::Type::kRound:
-      out.round.upto_us = get_raw<std::int64_t>(payload);
+      out.round.upto_us = p.get<std::int64_t>();
       break;
     case IngestFrame::Type::kFind:
-      out.find.object = get_raw<std::uint64_t>(payload);
-      out.find.x = get_raw<std::int32_t>(payload + 8);
-      out.find.y = get_raw<std::int32_t>(payload + 12);
-      out.find.deadline_us = get_raw<std::int64_t>(payload + 16);
+      out.find.object = p.get<std::uint64_t>();
+      out.find.x = p.get<std::int32_t>();
+      out.find.y = p.get<std::int32_t>();
+      out.find.deadline_us = p.get<std::int64_t>();
       break;
   }
-  pos_ += want;
+  consumed();
   ++frames_;
   return Status::kFrame;
 }
@@ -232,13 +215,9 @@ void IngestWriter::finish() {
   out_.close();
 }
 
-IngestFile read_ingest_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  VS_REQUIRE(in.good(), "cannot open ingest file " << path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+IngestFile read_ingest(std::string_view bytes) {
   IngestParser parser;
-  parser.feed(data.data(), data.size());
+  parser.feed(bytes.data(), bytes.size());
   IngestFile f;
   for (;;) {
     IngestFrame frame;
@@ -249,16 +228,17 @@ IngestFile read_ingest_file(const std::string& path) {
       case IngestParser::Status::kEnd:
         return f;
       case IngestParser::Status::kNeedMore:
-        VS_REQUIRE(false, "truncated VSINGEST stream " << path
-                                                       << " (no trailer)");
+        VS_REQUIRE(false, "truncated VSINGEST stream (no trailer)");
         break;
       case IngestParser::Status::kError:
-        VS_REQUIRE(false,
-                   "malformed VSINGEST stream " << path << ": "
-                                                << parser.error());
+        VS_REQUIRE(false, "malformed VSINGEST stream: " << parser.error());
         break;
     }
   }
+}
+
+IngestFile read_ingest_file(const std::string& path) {
+  return read_ingest(codec::read_file(path));
 }
 
 }  // namespace vs::serve

@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vs::serve {
@@ -160,8 +161,9 @@ struct IngestFile {
   std::vector<IngestFrame> frames;
 };
 
-/// Strict whole-file read (replay / artifact verification): any
-/// malformation including a missing trailer throws.
+/// Strict whole-stream read (replay / artifact verification): any
+/// malformation including a missing trailer throws vs::Error.
+[[nodiscard]] IngestFile read_ingest(std::string_view bytes);
 [[nodiscard]] IngestFile read_ingest_file(const std::string& path);
 
 }  // namespace vs::serve

@@ -392,7 +392,7 @@ TEST(IncidentIO, V2RoundTripPreservesFaultAndPacingFields) {
   b.scenario = fault_scenario();
   std::stringstream ss;
   obs::write_incident(ss, b);
-  const obs::IncidentBundle r = obs::read_incident(ss);
+  const obs::IncidentBundle r = obs::read_incident(ss.str());
   EXPECT_EQ(r.scenario.fault_plan, b.scenario.fault_plan);
   EXPECT_EQ(r.scenario.step_every_us, 200'000);
   EXPECT_EQ(r.scenario.settle_us, 3'000'000);

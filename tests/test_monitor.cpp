@@ -315,7 +315,7 @@ TEST(IncidentIO, RoundTripPreservesEveryField) {
   const obs::IncidentBundle b = sample_bundle();
   std::stringstream ss;
   obs::write_incident(ss, b);
-  const obs::IncidentBundle r = obs::read_incident(ss);
+  const obs::IncidentBundle r = obs::read_incident(ss.str());
 
   EXPECT_EQ(r.source, b.source);
   EXPECT_EQ(r.target, b.target);
@@ -346,18 +346,17 @@ TEST(IncidentIO, TruncatedAndCorruptFilesFailLoudly) {
   const std::string bytes = ss.str();
 
   {
-    std::istringstream bad(bytes.substr(0, bytes.size() / 2));
+    const std::string bad = bytes.substr(0, bytes.size() / 2);
     EXPECT_THROW((void)obs::read_incident(bad), vs::Error);
   }
   {
-    std::istringstream bad(std::string("XXXXXXXX") + bytes.substr(8));
+    const std::string bad = std::string("XXXXXXXX") + bytes.substr(8);
     EXPECT_THROW((void)obs::read_incident(bad), vs::Error);
   }
   {
     std::string clipped = bytes;
     clipped.resize(clipped.size() - 4);  // damage the end trailer
-    std::istringstream bad(clipped);
-    EXPECT_THROW((void)obs::read_incident(bad), vs::Error);
+    EXPECT_THROW((void)obs::read_incident(clipped), vs::Error);
   }
 }
 

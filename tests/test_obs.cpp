@@ -61,8 +61,7 @@ TEST(TraceDeterminism, ByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial, trace_bytes_at_jobs(8));
   if (obs::kTraceCompiled) {
     // The file must actually contain events, not be vacuously equal.
-    std::istringstream is(serial);
-    const auto worlds = obs::read_trace(is);
+    const auto worlds = obs::read_trace(serial);
     ASSERT_EQ(worlds.size(), 4u);
     for (const auto& w : worlds) EXPECT_FALSE(w.events.empty());
   }
@@ -457,8 +456,8 @@ TEST(TraceIO, TruncatedStreamThrows) {
 
   for (const std::size_t keep :
        {bytes.size() / 4, bytes.size() / 2, bytes.size() - 4}) {
-    std::istringstream is(bytes.substr(0, keep));
-    EXPECT_THROW((void)obs::read_trace(is), vs::Error) << keep;
+    EXPECT_THROW((void)obs::read_trace(bytes.substr(0, keep)), vs::Error)
+        << keep;
   }
 }
 
@@ -467,8 +466,7 @@ TEST(TraceIO, BadMagicThrows) {
   obs::write_trace(os, {});
   std::string bytes = os.str();
   bytes[0] = 'X';
-  std::istringstream is(bytes);
-  EXPECT_THROW((void)obs::read_trace(is), vs::Error);
+  EXPECT_THROW((void)obs::read_trace(bytes), vs::Error);
 }
 
 TEST(TraceIO, CraftedHeadersThrowWithoutHugeAllocations) {
@@ -491,8 +489,7 @@ TEST(TraceIO, CraftedHeadersThrowWithoutHugeAllocations) {
   ASSERT_EQ(huge_world.size(), 32u);
   for (const std::string& bytes :
        {huge_world, header(obs::kTraceFormatVersion, 0xffffffffu)}) {
-    std::istringstream is(bytes);
-    EXPECT_THROW((void)obs::read_trace(is), vs::Error);
+    EXPECT_THROW((void)obs::read_trace(bytes), vs::Error);
   }
 
   // Version 2 (56-byte records) is no longer read, even when the rest of
@@ -501,9 +498,8 @@ TEST(TraceIO, CraftedHeadersThrowWithoutHugeAllocations) {
   const std::uint64_t total = 0;
   v2.append(reinterpret_cast<const char*>(&total), sizeof total);
   v2.append("VSTREND1", 8);
-  std::istringstream is(v2);
   try {
-    (void)obs::read_trace(is);
+    (void)obs::read_trace(v2);
     ADD_FAILURE() << "a v2 trace was accepted";
   } catch (const vs::Error& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported trace format version"),

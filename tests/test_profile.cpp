@@ -261,6 +261,16 @@ TEST(Profile, SidecarRoundTripsExactly) {
   }
 }
 
+TEST(Profile, SidecarRejectsOpOutsideEveryClass) {
+  // An OpId's class is its top 3 bits (0..7), but a report folds ops into
+  // kProfOpClasses (6) class slots: class 7 must be rejected, not indexed.
+  obs::ProfileReport r;
+  r.ops.push_back({0xE0000001u, 10, 1, 0, 0});
+  const std::string path = testing::TempDir() + "bad_class.vsprof";
+  obs::write_profile_file(path, r);
+  EXPECT_THROW((void)obs::read_profile_file(path), vs::Error);
+}
+
 TEST(Profile, RenderingsAreWellFormed) {
   if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
   const RunArtifacts a = run_world(true, "render");
@@ -337,9 +347,8 @@ TEST(Profile, TopProfilePanelGoldenFrame) {
   // pure function of the file bytes, pinned to the byte.
   const std::string stream = testing::TempDir() + "top_prof.vst";
   obs::TelemetryHeader h;
-  h.version = obs::kTelemetryFormatVersion;
   h.cadence_us = 1000;
-  h.series = h.expected_series();
+  h.series = static_cast<std::uint32_t>(h.expected_series());
   obs::TelemetryWriter(stream, h).finish();
 
   obs::ProfileReport r;

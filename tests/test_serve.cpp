@@ -2,8 +2,8 @@
 // strictness, bounded SPSC backpressure, the three-tier degradation
 // ladder, the exact conservation identity
 // (ingested == applied + suppressed + dropped), deterministic
-// capture/replay, the deadline/backoff find RPC, the VSTELEM1 v2 ingest
-// series (with v1 widening), and the vinestalk_served binary end to end.
+// capture/replay, the deadline/backoff find RPC, the VSTELEM1 ingest
+// series, and the vinestalk_served binary end to end.
 
 #include <gtest/gtest.h>
 
@@ -552,74 +552,13 @@ TEST(ServeTelemetry, IngestSeriesReflectTheCounters) {
 TEST(ServeTelemetry, SeriesNamesIncludeIngestBlock) {
   obs::TelemetryHeader h;
   h.max_level = 2;
-  h.series = h.expected_series();
+  h.series = static_cast<std::uint32_t>(h.expected_series());
   const std::vector<std::string> names = obs::telemetry_series_names(h);
   ASSERT_EQ(names.size(), h.series);
   EXPECT_EQ(names[obs::kTsIngestBase + 0], "ingest_ingested");
   EXPECT_EQ(names[obs::kTsIngestBase + 3], "ingest_dropped");
   EXPECT_EQ(names[obs::kTsIngestBase + 6], "ingest_shed_tier3_entries");
   EXPECT_EQ(names[obs::kTsIngestBase + 7], "ingest_queue_depth_peak");
-}
-
-// A handcrafted v1 stream (the PR-7 layout, no ingest and no serve
-// block) must widen to the current layout with both blocks zeroed —
-// the VSTRACE1 v2→v3 idiom.
-TEST(ServeTelemetry, V1StreamWidensWithZeroedIngestSeries) {
-  std::string bytes = "VSTELEM1";
-  const auto put32 = [&](std::uint32_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  const auto put64 = [&](std::uint64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  const auto varint = [&](std::int64_t v) {
-    auto u = static_cast<std::uint64_t>((v << 1) ^ (v >> 63));  // zigzag
-    do {
-      std::uint8_t b = u & 0x7F;
-      u >>= 7;
-      if (u != 0) b |= 0x80;
-      bytes.push_back(static_cast<char>(b));
-    } while (u != 0);
-  };
-  const std::uint32_t max_level = 1;
-  const std::uint32_t v1_series = obs::kTsFixedCount -
-                                  obs::kTsIngestSeriesCount -
-                                  obs::kTsServeSeriesCount +
-                                  4 * (max_level + 1);
-  put32(1);  // version: the pre-ingest layout
-  put32(0);  // flags
-  put64(10'000);  // cadence_us
-  put32(0);  // reserved
-  put32(max_level);
-  put32(v1_series);
-  bytes.push_back(static_cast<char>(0xA5));
-  varint(10'000);  // t_us delta
-  for (std::uint32_t i = 0; i < v1_series; ++i) {
-    varint(static_cast<std::int64_t>(i));  // recognizable ramp
-  }
-  bytes.push_back(static_cast<char>(0x5A));
-  put64(1);  // sample count
-  bytes += "VSTELEND";
-
-  const std::string path = tmp_path("telemetry_v1.vstelem");
-  spit(path, bytes);
-  const obs::TelemetryFile f = obs::read_telemetry_file(path, true);
-  EXPECT_EQ(f.header.version, obs::kTelemetryFormatVersion);
-  EXPECT_EQ(f.header.series, v1_series + obs::kTsIngestSeriesCount +
-                                 obs::kTsServeSeriesCount);
-  ASSERT_EQ(f.samples.size(), 1u);
-  const obs::TelemetrySample& s = f.samples[0];
-  ASSERT_EQ(s.values.size(), f.header.series);
-  for (std::uint32_t i = 0; i < obs::kTsIngestSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsIngestBase + i], 0) << "ingest series " << i;
-  }
-  for (std::uint32_t i = 0; i < obs::kTsServeSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsServeBase + i], 0) << "serve series " << i;
-  }
-  // The pre-ingest prefix and the per-level suffix keep their values.
-  EXPECT_EQ(s.values[obs::kTsAuditBase + 3], obs::kTsAuditBase + 3);
-  EXPECT_EQ(s.values[obs::kTsFixedCount],
-            static_cast<std::int64_t>(obs::kTsIngestBase));
 }
 
 TEST(ServeCounters, IngestBlockIsGatedAndAccumulates) {

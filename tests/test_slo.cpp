@@ -3,7 +3,7 @@
 // RED counters and latency histograms, the multi-window burn-rate
 // evaluator and its VSINCID1 incidents (spec + window state + exemplars),
 // the VSSLO1 sidecar round-trip and its JSON / Prometheus / CSV
-// renderings, the VSTELEM1 v3 serve-RPC series (with v2 widening), and
+// renderings, the VSTELEM1 v3 serve-RPC series, and
 // the quarantine doctrine end to end: every deterministic artifact of
 // vinestalk_served is byte-identical SLO on vs off, while a tight spec
 // fires a burn-rate incident whose exemplar OpId replays exactly.
@@ -552,68 +552,11 @@ TEST(SloTelemetry, ServeSeriesCarryRpcCounters) {
   EXPECT_EQ(s.values[obs::kTsServeBase + 5], ing.rpc_find_attempts);
   EXPECT_GE(ing.rpc_find_attempts, ing.rpc_finds_issued);
 
-  const obs::TelemetryHeader h{.version = obs::kTelemetryFormatVersion,
-                               .max_level = 2};
+  const obs::TelemetryHeader h{.max_level = 2};
   const std::vector<std::string> names = obs::telemetry_series_names(h);
   EXPECT_EQ(names[obs::kTsServeBase + 0], "ingest_wire_errors");
   EXPECT_EQ(names[obs::kTsServeBase + 1], "ingest_retry_after_us");
   EXPECT_EQ(names[obs::kTsServeBase + 5], "ingest_rpc_find_attempts");
-}
-
-// A handcrafted v2 stream (the PR-9 layout: ingest block, no serve block)
-// must widen to v3 with zeroed serve series — the v1->v2 idiom again.
-TEST(SloTelemetry, V2StreamWidensWithZeroedServeSeries) {
-  std::string bytes = "VSTELEM1";
-  const auto put32 = [&](std::uint32_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  const auto put64 = [&](std::uint64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  const auto varint = [&](std::int64_t v) {
-    auto u = static_cast<std::uint64_t>((v << 1) ^ (v >> 63));  // zigzag
-    do {
-      std::uint8_t b = u & 0x7F;
-      u >>= 7;
-      if (u != 0) b |= 0x80;
-      bytes.push_back(static_cast<char>(b));
-    } while (u != 0);
-  };
-  const std::uint32_t max_level = 1;
-  const std::uint32_t v2_series =
-      obs::kTsFixedCount - obs::kTsServeSeriesCount + 4 * (max_level + 1);
-  put32(2);  // version: ingest block present, serve block absent
-  put32(0);  // flags
-  put64(10'000);  // cadence_us
-  put32(0);  // reserved
-  put32(max_level);
-  put32(v2_series);
-  bytes.push_back(static_cast<char>(0xA5));
-  varint(10'000);  // t_us delta
-  for (std::uint32_t i = 0; i < v2_series; ++i) {
-    varint(static_cast<std::int64_t>(i));  // recognizable ramp
-  }
-  bytes.push_back(static_cast<char>(0x5A));
-  put64(1);  // sample count
-  bytes += "VSTELEND";
-
-  const std::string path = tmp_path("telemetry_v2.vstelem");
-  spit(path, bytes);
-  const obs::TelemetryFile f = obs::read_telemetry_file(path, true);
-  EXPECT_EQ(f.header.version, obs::kTelemetryFormatVersion);
-  EXPECT_EQ(f.header.series, v2_series + obs::kTsServeSeriesCount);
-  ASSERT_EQ(f.samples.size(), 1u);
-  const obs::TelemetrySample& s = f.samples[0];
-  ASSERT_EQ(s.values.size(), f.header.series);
-  for (std::uint32_t i = 0; i < obs::kTsServeSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsServeBase + i], 0) << "serve series " << i;
-  }
-  // The prefix (incl. the v2 ingest block) keeps its values in place; the
-  // per-level suffix shifts up by the inserted serve block.
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 3],
-            static_cast<std::int64_t>(obs::kTsIngestBase + 3));
-  EXPECT_EQ(s.values[obs::kTsFixedCount],
-            static_cast<std::int64_t>(obs::kTsServeBase));
 }
 
 // --------------------------------------------- the daemon, quarantined SLO

@@ -140,7 +140,7 @@ TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
   h.max_level = 1;
-  h.series = h.expected_series();
+  h.series = static_cast<std::uint32_t>(h.expected_series());
   obs::TelemetryWriter writer(path, h);
   obs::TelemetrySample s;
   s.values.assign(h.series, 0);
@@ -250,7 +250,7 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
   h.max_level = 1;
-  h.series = h.expected_series();
+  h.series = static_cast<std::uint32_t>(h.expected_series());
   {
     obs::TelemetryWriter writer(path, h);
     obs::TelemetrySample a;

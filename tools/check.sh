@@ -38,9 +38,10 @@
 # mid-run, and that incident's exemplar OpId must resolve to real span
 # events in the trace that survive a capture replay byte-identically.
 # An ASan+UBSan stage builds everything with both sanitizers (any UB
-# report aborts) and runs the full suite: the message path keeps indices
-# into growable tables, and a reference held across a reallocation is
-# exactly what it catches.
+# report aborts) and bounds-checked std containers, and runs the full
+# suite: the message path keeps indices into growable tables, and a
+# reference held across a reallocation is exactly what it catches; the
+# per-format codec fuzzer (tests/test_codec.cpp) runs there too.
 #
 #   tools/check.sh              # all stages
 #   tools/check.sh --plain      # stage 1 only
