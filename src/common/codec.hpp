@@ -196,6 +196,14 @@ class Reader {
                                    static_cast<std::uint64_t>(b));
 }
 
+/// Difference of two values, wrapping like wrapping_add: a delta encoded
+/// with it decodes exactly with wrapping_add, whatever the values.
+[[nodiscard]] inline std::int64_t wrapping_sub(std::int64_t a,
+                                               std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// The whole file, for the decoders above. Throws vs::Error when the file
 /// cannot be opened.
 [[nodiscard]] inline std::string read_file(const std::string& path) {

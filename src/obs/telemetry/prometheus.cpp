@@ -47,15 +47,16 @@ void registry_to_prometheus(std::ostream& os, const MetricsRegistry& reg,
 void sample_to_prometheus(std::ostream& os, const TelemetryHeader& header,
                           const TelemetrySample& sample,
                           std::string_view prefix) {
-  const std::vector<std::string> names = telemetry_series_names(header);
   {
     const std::string m = mangle(prefix, "telemetry.t_us");
     os << "# TYPE " << m << " gauge\n" << m << " " << sample.t_us << "\n";
   }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const std::string m = mangle(prefix, "telemetry." + names[i]);
-    os << "# TYPE " << m << " gauge\n" << m << " " << sample.values[i]
-       << "\n";
+  for (std::size_t i = 0; i < header.series.size(); ++i) {
+    const SeriesDef& d = header.series[i];
+    const std::string m = mangle(prefix, "telemetry." + d.name);
+    os << "# TYPE " << m
+       << (d.kind == SeriesKind::kCounter ? " counter\n" : " gauge\n") << m
+       << " " << sample.values[i] << "\n";
   }
 }
 

@@ -7,9 +7,11 @@
 //    histograms) in exposition format. Histograms emit the full series a
 //    scraper expects: cumulative `_bucket{le="..."}` counts ending at
 //    le="+Inf", plus `_sum` and `_count`.
-//  * sample_to_prometheus — one decoded telemetry sample as gauges named
-//    `<prefix>_telemetry_<series>`, stamped with the sample's virtual
-//    time so a scrape corresponds to a definite cadence boundary.
+//  * sample_to_prometheus — one decoded telemetry sample, one metric per
+//    header series named `<prefix>_telemetry_<series>` and typed by the
+//    series' kind (counter or gauge), stamped with the sample's virtual
+//    time (a `_t_us` gauge) so a scrape corresponds to a definite cadence
+//    boundary.
 //
 // Metric names mangle '.', '/' and '-' to '_' (Prometheus identifier
 // rules) and carry the given prefix ("vinestalk" everywhere in-tree).

@@ -1,8 +1,9 @@
 #include "obs/telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
-#include <span>
+#include <string>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -19,11 +20,161 @@ namespace vs::obs {
 
 namespace {
 
-// Same bucket layout as TrackingNetwork::export_metrics so the stream's
-// percentiles and the Prometheus histogram describe one distribution.
-constexpr std::int64_t kLatencyBounds[] = {
-    1'000,   2'000,   4'000,   8'000,    16'000, 32'000,
-    64'000,  128'000, 256'000, 512'000,  1'024'000};
+using stats::IngestCounters;
+using stats::WorkCounters;
+
+/// What one sample reads, gathered once per sample. The ledger and audit
+/// entries walk history, so each is computed once, not once per row.
+struct SampleInputs {
+  tracking::TrackingNetwork& net;
+  const WorkCounters& wc;
+  /// Per-class ledger totals in OpClass order; zero with no ledger.
+  std::array<OpCost, 6> ledger{};
+  /// Trailing-window audit ratios ×1000 — move work, move time, max find
+  /// work, max find time; zero with no auditor.
+  std::array<std::int64_t, 4> audit{};
+};
+
+using In = SampleInputs;
+
+template <std::int64_t (WorkCounters::*F)() const>
+std::int64_t total(const In& in, Level) {
+  return (in.wc.*F)();
+}
+template <std::int64_t (WorkCounters::*F)(Level) const>
+std::int64_t at_level(const In& in, Level l) {
+  return (in.wc.*F)(l);
+}
+template <std::int64_t IngestCounters::*F>
+std::int64_t ingest(const In& in, Level) {
+  return in.wc.ingest().*F;
+}
+template <std::size_t Tier>
+std::int64_t shed_tier(const In& in, Level) {
+  return in.wc.ingest().shed_tier_entries[Tier];
+}
+template <OpClass C, std::int64_t OpCost::*F>
+std::int64_t ledger_cost(const In& in, Level) {
+  return in.ledger[static_cast<std::size_t>(C)].*F;
+}
+template <std::size_t I>
+std::int64_t audit_milli(const In& in, Level) {
+  return in.audit[I];
+}
+template <int Permille>
+std::int64_t find_latency(const In& in, Level) {
+  return in.net.find_census().latency_us.percentile(Permille / 1000.0);
+}
+
+enum Scope : std::uint8_t { kWorld, kLevel };
+constexpr SeriesKind kCounter = SeriesKind::kCounter;
+constexpr SeriesKind kGauge = SeriesKind::kGauge;
+
+struct SeriesRow {
+  const char* name;
+  SeriesKind kind;
+  std::int64_t (*read)(const In&, Level);
+  /// kLevel: one series per hierarchy level, named level<l>_<name>.
+  Scope scope = kWorld;
+};
+
+/// The telemetry layout: every VSTELEM1 series, its kind, and how a
+/// sample reads it. A stream carries the kWorld rows in table order, then
+/// the kLevel rows for level 0, level 1, ... up to the max level. The
+/// sampler builds its header from this table, so a new series is one row.
+constexpr SeriesRow kSeries[] = {
+    {"events_fired", kCounter,
+     [](const In& in, Level) {
+       return static_cast<std::int64_t>(in.net.scheduler().events_fired());
+     }},
+    {"msgs_total", kCounter, total<&WorkCounters::total_messages>},
+    {"work_total", kCounter, total<&WorkCounters::total_work>},
+    {"move_msgs", kCounter, total<&WorkCounters::move_messages>},
+    {"move_work", kCounter, total<&WorkCounters::move_work>},
+    {"find_msgs", kCounter, total<&WorkCounters::find_messages>},
+    {"find_work", kCounter, total<&WorkCounters::find_work>},
+    {"heartbeats", kCounter, total<&WorkCounters::heartbeats>},
+    {"duplicated", kCounter, total<&WorkCounters::duplicated>},
+    {"jittered", kCounter, total<&WorkCounters::jittered>},
+    {"finds_issued", kCounter,
+     [](const In& in, Level) { return in.net.find_census().issued; }},
+    {"finds_completed", kCounter,
+     [](const In& in, Level) { return in.net.find_census().completed; }},
+    {"find_latency_p50_us", kGauge, find_latency<500>},
+    {"find_latency_p90_us", kGauge, find_latency<900>},
+    {"find_latency_p99_us", kGauge, find_latency<990>},
+    {"trace_events", kCounter,
+     [](const In& in, Level) {
+       return static_cast<std::int64_t>(in.net.trace().size());
+     }},
+    {"ledger_background_msgs", kCounter,
+     ledger_cost<OpClass::kBackground, &OpCost::msgs>},
+    {"ledger_background_work", kCounter,
+     ledger_cost<OpClass::kBackground, &OpCost::work>},
+    {"ledger_move_msgs", kCounter, ledger_cost<OpClass::kMove, &OpCost::msgs>},
+    {"ledger_move_work", kCounter, ledger_cost<OpClass::kMove, &OpCost::work>},
+    {"ledger_find_search_msgs", kCounter,
+     ledger_cost<OpClass::kFindSearch, &OpCost::msgs>},
+    {"ledger_find_search_work", kCounter,
+     ledger_cost<OpClass::kFindSearch, &OpCost::work>},
+    {"ledger_find_trace_msgs", kCounter,
+     ledger_cost<OpClass::kFindTrace, &OpCost::msgs>},
+    {"ledger_find_trace_work", kCounter,
+     ledger_cost<OpClass::kFindTrace, &OpCost::work>},
+    {"ledger_hb_msgs", kCounter,
+     ledger_cost<OpClass::kHeartbeat, &OpCost::msgs>},
+    {"ledger_hb_work", kCounter,
+     ledger_cost<OpClass::kHeartbeat, &OpCost::work>},
+    {"ledger_repair_msgs", kCounter,
+     ledger_cost<OpClass::kRepair, &OpCost::msgs>},
+    {"ledger_repair_work", kCounter,
+     ledger_cost<OpClass::kRepair, &OpCost::work>},
+    {"audit_move_work_ratio_milli", kGauge, audit_milli<0>},
+    {"audit_move_time_ratio_milli", kGauge, audit_milli<1>},
+    {"audit_find_work_ratio_milli", kGauge, audit_milli<2>},
+    {"audit_find_time_ratio_milli", kGauge, audit_milli<3>},
+    {"ingest_ingested", kCounter, ingest<&IngestCounters::ingested>},
+    {"ingest_applied", kCounter, ingest<&IngestCounters::applied>},
+    {"ingest_suppressed", kCounter, ingest<&IngestCounters::suppressed>},
+    {"ingest_dropped", kCounter, ingest<&IngestCounters::dropped>},
+    {"ingest_shed_tier1_entries", kCounter, shed_tier<0>},
+    {"ingest_shed_tier2_entries", kCounter, shed_tier<1>},
+    {"ingest_shed_tier3_entries", kCounter, shed_tier<2>},
+    {"ingest_queue_depth_peak", kGauge,
+     ingest<&IngestCounters::queue_depth_peak>},
+    {"ingest_wire_errors", kCounter, ingest<&IngestCounters::wire_errors>},
+    {"ingest_retry_after_us", kGauge,
+     ingest<&IngestCounters::retry_after_us>},
+    {"ingest_rpc_finds_issued", kCounter,
+     ingest<&IngestCounters::rpc_finds_issued>},
+    {"ingest_rpc_finds_done", kCounter,
+     ingest<&IngestCounters::rpc_finds_done>},
+    {"ingest_rpc_deadline_misses", kCounter,
+     ingest<&IngestCounters::rpc_deadline_misses>},
+    {"ingest_rpc_find_attempts", kCounter,
+     ingest<&IngestCounters::rpc_find_attempts>},
+    {"move_msgs", kCounter, at_level<&WorkCounters::move_messages_at_level>,
+     kLevel},
+    {"move_work", kCounter, at_level<&WorkCounters::move_work_at_level>,
+     kLevel},
+    {"find_msgs", kCounter, at_level<&WorkCounters::find_messages_at_level>,
+     kLevel},
+    {"find_work", kCounter, at_level<&WorkCounters::find_work_at_level>,
+     kLevel},
+};
+
+/// Calls f(row, level) once per series, in values order.
+template <class F>
+void for_each_series(Level max_level, F&& f) {
+  for (const SeriesRow& row : kSeries) {
+    if (row.scope == kWorld) f(row, Level{0});
+  }
+  for (Level l = 0; l <= max_level; ++l) {
+    for (const SeriesRow& row : kSeries) {
+      if (row.scope == kLevel) f(row, l);
+    }
+  }
+}
 
 std::int64_t milli_ratio(double r) {
   return static_cast<std::int64_t>(r * 1000.0);
@@ -33,15 +184,18 @@ std::int64_t milli_ratio(double r) {
 
 TelemetrySampler::TelemetrySampler(tracking::TrackingNetwork& net,
                                    TelemetryConfig config)
-    : net_(&net),
-      cfg_(std::move(config)),
-      latency_(std::span<const std::int64_t>(kLatencyBounds)) {
+    : net_(&net), cfg_(std::move(config)) {
   VS_REQUIRE(cfg_.cadence > sim::Duration::zero(),
              "telemetry cadence must be positive, got " << cfg_.cadence);
   header_.cadence_us = cfg_.cadence.count();
-  header_.max_level =
-      static_cast<std::uint32_t>(net_->counters().max_level());
-  header_.series = static_cast<std::uint32_t>(header_.expected_series());
+  for_each_series(net_->counters().max_level(),
+                  [this](const SeriesRow& row, Level l) {
+                    header_.series.push_back(
+                        {row.scope == kLevel
+                             ? "level" + std::to_string(l) + "_" + row.name
+                             : std::string(row.name),
+                         row.kind});
+                  });
 }
 
 TelemetrySampler::~TelemetrySampler() { finish(); }
@@ -121,8 +275,7 @@ sim::TimePoint TelemetrySampler::on_boundary(sim::TimePoint upto) {
 }
 
 void TelemetrySampler::take_sample(std::int64_t t_us) {
-  const stats::WorkCounters& wc = net_->counters();
-  // Recycle the oldest ring slot once the ring is full: assigning into a
+  // Recycle the oldest ring slot once the ring is full: resizing a
   // right-sized values vector allocates nothing, so steady-state sampling
   // is allocation-free.
   TelemetrySample s;
@@ -131,40 +284,14 @@ void TelemetrySampler::take_sample(std::int64_t t_us) {
     ring_.pop_front();
   }
   s.t_us = t_us;
-  s.values.assign(header_.series, 0);
+  s.values.resize(header_.series.size());
 
-  s.values[kTsEventsFired] =
-      static_cast<std::int64_t>(net_->scheduler().events_fired());
-  s.values[kTsMsgsTotal] = wc.total_messages();
-  s.values[kTsWorkTotal] = wc.total_work();
-  s.values[kTsMoveMsgs] = wc.move_messages();
-  s.values[kTsMoveWork] = wc.move_work();
-  s.values[kTsFindMsgs] = wc.find_messages();
-  s.values[kTsFindWork] = wc.find_work();
-  s.values[kTsHeartbeats] = wc.heartbeats();
-  s.values[kTsDuplicated] = wc.duplicated();
-  s.values[kTsJittered] = wc.jittered();
-
-  latency_.reset();
-  for (const auto& [id, fr] : net_->finds()) {
-    ++s.values[kTsFindsIssued];
-    if (!fr.done) continue;
-    ++s.values[kTsFindsCompleted];
-    latency_.record(fr.latency().count());
-  }
-  s.values[kTsFindLatencyP50] = latency_.percentile(0.50);
-  s.values[kTsFindLatencyP90] = latency_.percentile(0.90);
-  s.values[kTsFindLatencyP99] = latency_.percentile(0.99);
-  s.values[kTsTraceEvents] = static_cast<std::int64_t>(net_->trace().size());
-
+  SampleInputs in{*net_, net_->counters()};
   if (const OpLedger* ledger = net_->op_ledger(); ledger != nullptr) {
-    for (std::uint32_t c = 0; c < 6; ++c) {
-      const OpCost total = ledger->class_total(static_cast<OpClass>(c));
-      s.values[kTsLedgerBase + 2 * c] = total.msgs;
-      s.values[kTsLedgerBase + 2 * c + 1] = total.work;
+    for (std::size_t c = 0; c < in.ledger.size(); ++c) {
+      in.ledger[c] = ledger->class_total(static_cast<OpClass>(c));
     }
   }
-
   if (auditor_ != nullptr && audit_ledger_ != nullptr &&
       cfg_.audit_window > sim::Duration::zero()) {
     const AuditReport r =
@@ -174,36 +301,14 @@ void TelemetrySampler::take_sample(std::int64_t t_us) {
       fw = std::max(fw, f.work_ratio);
       ft = std::max(ft, f.time_ratio);
     }
-    s.values[kTsAuditBase + 0] = milli_ratio(r.move.work_ratio);
-    s.values[kTsAuditBase + 1] = milli_ratio(r.move.time_ratio);
-    s.values[kTsAuditBase + 2] = milli_ratio(fw);
-    s.values[kTsAuditBase + 3] = milli_ratio(ft);
+    in.audit = {milli_ratio(r.move.work_ratio),
+                milli_ratio(r.move.time_ratio), milli_ratio(fw),
+                milli_ratio(ft)};
   }
-
-  const stats::IngestCounters& ing = wc.ingest();
-  s.values[kTsIngestBase + 0] = ing.ingested;
-  s.values[kTsIngestBase + 1] = ing.applied;
-  s.values[kTsIngestBase + 2] = ing.suppressed;
-  s.values[kTsIngestBase + 3] = ing.dropped;
-  s.values[kTsIngestBase + 4] = ing.shed_tier_entries[0];
-  s.values[kTsIngestBase + 5] = ing.shed_tier_entries[1];
-  s.values[kTsIngestBase + 6] = ing.shed_tier_entries[2];
-  s.values[kTsIngestBase + 7] = ing.queue_depth_peak;
-  s.values[kTsServeBase + 0] = ing.wire_errors;
-  s.values[kTsServeBase + 1] = ing.retry_after_us;
-  s.values[kTsServeBase + 2] = ing.rpc_finds_issued;
-  s.values[kTsServeBase + 3] = ing.rpc_finds_done;
-  s.values[kTsServeBase + 4] = ing.rpc_deadline_misses;
-  s.values[kTsServeBase + 5] = ing.rpc_find_attempts;
-
-  std::size_t at = kTsFixedCount;
-  for (Level l = 0; l <= wc.max_level(); ++l) {
-    s.values[at++] = wc.move_messages_at_level(l);
-    s.values[at++] = wc.move_work_at_level(l);
-    s.values[at++] = wc.find_messages_at_level(l);
-    s.values[at++] = wc.find_work_at_level(l);
-  }
-  VS_DCHECK(at == s.values.size(), "telemetry layout mismatch");
+  std::size_t at = 0;
+  for_each_series(in.wc.max_level(), [&](const SeriesRow& row, Level l) {
+    s.values[at++] = row.read(in, l);
+  });
 
   if (writer_.has_value()) writer_->append(s);
   ring_.push_back(std::move(s));

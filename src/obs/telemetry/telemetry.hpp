@@ -21,10 +21,12 @@
 //    boundaries cost one compare.
 //
 // Each sample snapshots: scheduler event count; WorkCounters totals and
-// per-level move/find splits; find issue/completion census with latency
-// percentiles (bucketed like TrackingNetwork::export_metrics); trace
-// event count; OpLedger per-class totals (when a ledger is attached); and
-// sliding-window BoundAuditor ratios (when an auditor is bound).
+// per-level move/find splits; the network's find census (issued,
+// completed, latency percentiles); trace event count; OpLedger per-class
+// totals (when a ledger is attached); sliding-window BoundAuditor ratios
+// (when an auditor is bound); and the serve daemon's IngestCounters. One
+// table in telemetry.cpp lists every series with its kind and how it is
+// read; the header is built from it once.
 //
 // Samples land in a bounded in-memory ring (exactly the last
 // ring_capacity samples — live introspection) and, when stream_path is
@@ -32,9 +34,9 @@
 // `vinestalk_top` can tail it mid-run. When prometheus_path is set, each
 // boundary crossing also rewrites a Prometheus text-exposition snapshot
 // (obs/telemetry/prometheus.hpp) from its latest sample. Per-sample
-// allocations are recycled (ring slots, the latency histogram, the
-// writer's encode scratch): the enabled path's cost is dominated by
-// reading the counters, not by memory or I/O churn.
+// allocations are recycled (ring slots, the writer's encode scratch): the
+// enabled path's cost is dominated by reading the counters, not by memory
+// or I/O churn.
 
 #include <cstdint>
 #include <deque>
@@ -43,7 +45,6 @@
 #include <string>
 
 #include "obs/ledger/auditor.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry/telemetry_io.hpp"
 #include "sim/time.hpp"
 
@@ -125,7 +126,6 @@ class TelemetrySampler {
   std::deque<TelemetrySample> ring_;
   std::uint64_t samples_ = 0;
   std::optional<TelemetryWriter> writer_;
-  Histogram latency_;  // reused per sample (reset, not reallocated)
   const OpLedger* audit_ledger_ = nullptr;
   const BoundAuditor* auditor_ = nullptr;
   const SloMonitor* slo_ = nullptr;

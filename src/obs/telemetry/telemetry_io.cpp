@@ -4,7 +4,6 @@
 
 #include "common/codec.hpp"
 #include "common/error.hpp"
-#include "obs/op.hpp"
 
 namespace vs::obs {
 
@@ -17,62 +16,17 @@ constexpr std::uint8_t kTrailerMarker = 0x5A;
 
 }  // namespace
 
-std::vector<std::string> telemetry_series_names(
-    const TelemetryHeader& header) {
-  std::vector<std::string> names = {
-      "events_fired",    "msgs_total",      "work_total",
-      "move_msgs",       "move_work",       "find_msgs",
-      "find_work",       "heartbeats",      "duplicated",
-      "jittered",        "finds_issued",    "finds_completed",
-      "find_latency_p50_us", "find_latency_p90_us", "find_latency_p99_us",
-      "trace_events",
-  };
-  for (std::uint32_t c = 0; c < 6; ++c) {
-    const char* cls = op_class_name(static_cast<OpClass>(c));
-    std::string base = cls;
-    for (char& ch : base) {
-      if (ch == '/') ch = '_';
-    }
-    names.push_back("ledger_" + base + "_msgs");
-    names.push_back("ledger_" + base + "_work");
+std::optional<std::size_t> TelemetryHeader::index_of(
+    std::string_view name) const {
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    if (series[i].name == name) return i;
   }
-  names.push_back("audit_move_work_ratio_milli");
-  names.push_back("audit_move_time_ratio_milli");
-  names.push_back("audit_find_work_ratio_milli");
-  names.push_back("audit_find_time_ratio_milli");
-  names.emplace_back("ingest_ingested");
-  names.emplace_back("ingest_applied");
-  names.emplace_back("ingest_suppressed");
-  names.emplace_back("ingest_dropped");
-  names.emplace_back("ingest_shed_tier1_entries");
-  names.emplace_back("ingest_shed_tier2_entries");
-  names.emplace_back("ingest_shed_tier3_entries");
-  names.emplace_back("ingest_queue_depth_peak");
-  names.emplace_back("ingest_wire_errors");
-  names.emplace_back("ingest_retry_after_us");
-  names.emplace_back("ingest_rpc_finds_issued");
-  names.emplace_back("ingest_rpc_finds_done");
-  names.emplace_back("ingest_rpc_deadline_misses");
-  names.emplace_back("ingest_rpc_find_attempts");
-  for (std::uint32_t l = 0; l <= header.max_level; ++l) {
-    const std::string lvl = "level" + std::to_string(l);
-    names.push_back(lvl + "_move_msgs");
-    names.push_back(lvl + "_move_work");
-    names.push_back(lvl + "_find_msgs");
-    names.push_back(lvl + "_find_work");
-  }
-  VS_REQUIRE(names.size() == header.expected_series(),
-             "telemetry series name table out of sync with layout");
-  return names;
+  return std::nullopt;
 }
 
 TelemetryWriter::TelemetryWriter(const std::string& path,
                                  const TelemetryHeader& header)
-    : path_(path), header_(header) {
-  VS_REQUIRE(header_.series == header_.expected_series(),
-             "telemetry header series count " << header_.series
-                                              << " does not match layout "
-                                              << header_.expected_series());
+    : path_(path) {
   out_.open(path_, std::ios::binary | std::ios::trunc);
   VS_REQUIRE(out_.good(), "cannot open telemetry stream " << path_);
   std::string buf;
@@ -80,13 +34,15 @@ TelemetryWriter::TelemetryWriter(const std::string& path,
   w.bytes(kMagic);
   w.put(kTelemetryFormatVersion);
   w.put(std::uint32_t{0});  // flags
-  w.put(header_.cadence_us);
-  w.put(std::uint32_t{0});  // reserved
-  w.put(header_.max_level);
-  w.put(header_.series);
+  w.put(header.cadence_us);
+  w.put(static_cast<std::uint32_t>(header.series.size()));
+  for (const SeriesDef& d : header.series) {
+    w.str(d.name);
+    w.put(d.kind);
+  }
   out_.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   out_.flush();
-  prev_.assign(header_.series, 0);
+  prev_.assign(header.series.size(), 0);
 }
 
 TelemetryWriter::~TelemetryWriter() { finish(); }
@@ -95,14 +51,14 @@ void TelemetryWriter::append(const TelemetrySample& sample) {
   VS_REQUIRE(!finished_, "telemetry stream already finished");
   VS_REQUIRE(sample.values.size() == prev_.size(),
              "telemetry sample has " << sample.values.size()
-                                     << " values, layout wants "
-                                     << prev_.size());
+                                     << " values, the header declares "
+                                     << prev_.size() << " series");
   buf_.clear();
   codec::Writer w(buf_);
   w.put(kSampleMarker);
-  w.varint(sample.t_us - prev_t_);
+  w.varint(codec::wrapping_sub(sample.t_us, prev_t_));
   for (std::size_t i = 0; i < prev_.size(); ++i) {
-    w.varint(sample.values[i] - prev_[i]);
+    w.varint(codec::wrapping_sub(sample.values[i], prev_[i]));
   }
   prev_t_ = sample.t_us;
   prev_ = sample.values;
@@ -137,12 +93,18 @@ TelemetryFile read_telemetry(std::string_view bytes, bool strict) {
   VS_REQUIRE(flags == 0,
              "unsupported telemetry flags 0x" << std::hex << flags);
   h.cadence_us = r.get<std::int64_t>();
-  (void)r.get<std::uint32_t>();  // reserved
-  h.max_level = r.get<std::uint32_t>();
-  h.series = r.get<std::uint32_t>();
-  VS_REQUIRE(h.series == h.expected_series(),
-             "telemetry header series count " << h.series
-                                              << " inconsistent with layout");
+  // A series takes at least its name's length word and its kind byte.
+  const auto declared = r.get<std::uint32_t>();
+  h.series.resize(r.count(declared, sizeof(std::uint32_t) + 1));
+  for (SeriesDef& d : h.series) {
+    d.name = r.str();
+    const auto kind = r.get<std::uint8_t>();
+    VS_REQUIRE(kind <= static_cast<std::uint8_t>(SeriesKind::kGauge),
+               "bad telemetry series kind " << static_cast<int>(kind)
+                                            << " for " << d.name);
+    d.kind = static_cast<SeriesKind>(kind);
+  }
+  const std::size_t width = h.series.size();  // values per sample
 
   // Tail mode stops quietly at the first partial record; strict mode
   // requires every record whole and the trailer last.
@@ -168,11 +130,11 @@ TelemetryFile read_telemetry(std::string_view bytes, bool strict) {
     // for it.
     TelemetrySample s;
     std::int64_t dt = 0;
-    bool whole = r.fits(h.series, 1) && r.try_varint(dt);
-    if (whole) s.values.resize(h.series);
+    bool whole = r.fits(width, 1) && r.try_varint(dt);
+    if (whole) s.values.resize(width);
     const TelemetrySample* last =
         f.samples.empty() ? nullptr : &f.samples.back();
-    for (std::uint32_t i = 0; whole && i < h.series; ++i) {
+    for (std::size_t i = 0; whole && i < width; ++i) {
       std::int64_t dv = 0;
       whole = r.try_varint(dv);
       s.values[i] = codec::wrapping_add(last ? last->values[i] : 0, dv);
@@ -195,10 +157,8 @@ TelemetryFile read_telemetry_file(const std::string& path, bool strict) {
 }
 
 void telemetry_to_csv(std::ostream& os, const TelemetryFile& file) {
-  const std::vector<std::string> names =
-      telemetry_series_names(file.header);
   os << "t_us";
-  for (const std::string& n : names) os << "," << n;
+  for (const SeriesDef& d : file.header.series) os << "," << d.name;
   os << "\n";
   for (const TelemetrySample& s : file.samples) {
     os << s.t_us;

@@ -8,10 +8,10 @@
 //   u32 version           kTelemetryFormatVersion
 //   u32 flags             0 (readers reject any other value)
 //   i64 cadence_us        virtual-time sampling cadence
-//   u32 reserved          0
-//   u32 max_level         hierarchy depth of the per-level section
-//   u32 series            values per sample (consistency check; the
-//                         layout itself is fixed by the version)
+//   u32 series            values per sample
+//   --- per series, in values order ---
+//   str name              u32 length, then the bytes
+//   u8  kind              SeriesKind: 0 counter, 1 gauge
 //   --- per sample ---
 //   u8  0xA5              sample marker
 //   varint t_us           boundary time, delta vs the previous sample
@@ -21,13 +21,15 @@
 //   u64 sample count
 //   "VSTELEND"            8-byte end magic
 //
-// Varints are ZigZag + LEB128 (protobuf-style), so near-constant series
-// cost one byte per sample. Integers are native-endian like every other
-// vinestalk artifact (same-machine write/read; common/codec.hpp). The
-// reader accepts v3 only; re-record older streams.
+// The header names its own series, so readers look a series up by name
+// and a new series needs no format change. Varints are ZigZag + LEB128
+// (protobuf-style), so near-constant series cost one byte per sample.
+// Integers are native-endian like every other vinestalk artifact
+// (same-machine write/read; common/codec.hpp). The reader accepts v4
+// only; re-record older streams.
 //
-// Records enter the stream whole and the sampler flush()es at every
-// cadence boundary, which is what makes the file *tailable*:
+// Records enter the stream whole and the sampler flush()es once per
+// boundary crossing, which is what makes the file *tailable*:
 // vinestalk_top re-reads it while the producing run is still going and
 // renders whatever prefix has landed. (append() itself leaves the bytes
 // in the stream buffer — flushing per sample made the flush syscall the
@@ -43,66 +45,33 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace vs::obs {
 
-inline constexpr std::uint32_t kTelemetryFormatVersion = 3;
-/// Series count of the v2 ingest block (kTsIngestBase..kTsServeBase).
-inline constexpr std::uint32_t kTsIngestSeriesCount = 8;
-/// Series count of the v3 serve-RPC block (kTsServeBase..kTsFixedCount).
-inline constexpr std::uint32_t kTsServeSeriesCount = 6;
+inline constexpr std::uint32_t kTelemetryFormatVersion = 4;
 
-/// Offsets of the fixed scalar series inside TelemetrySample::values.
-/// After the fixed block: 4 per-level series ((max_level+1) ×
-/// {move_msgs, move_work, find_msgs, find_work}).
-enum TelemetrySeries : std::size_t {
-  kTsEventsFired = 0,
-  kTsMsgsTotal,
-  kTsWorkTotal,
-  kTsMoveMsgs,
-  kTsMoveWork,
-  kTsFindMsgs,
-  kTsFindWork,
-  kTsHeartbeats,
-  kTsDuplicated,
-  kTsJittered,
-  kTsFindsIssued,
-  kTsFindsCompleted,
-  kTsFindLatencyP50,
-  kTsFindLatencyP90,
-  kTsFindLatencyP99,
-  kTsTraceEvents,
-  /// 6 op classes (obs::OpClass order) × {msgs, work}; zero when no
-  /// ledger is attached.
-  kTsLedgerBase,
-  /// Trailing-window audit ratios ×1000 (move work, move time, max find
-  /// work, max find time); zero when no auditor is attached.
-  kTsAuditBase = kTsLedgerBase + 12,
-  /// Ingest-daemon block (kTsIngestSeriesCount series): ingested,
-  /// applied, suppressed, dropped, shed_tier1/2/3_entries,
-  /// queue_depth_peak — stats::IngestCounters order. Zero outside
-  /// vinestalk_served runs.
-  kTsIngestBase = kTsAuditBase + 4,
-  /// Serve-RPC block (kTsServeSeriesCount series): wire_errors,
-  /// retry_after_us (gauge), rpc_finds_issued, rpc_finds_done,
-  /// rpc_deadline_misses, rpc_find_attempts — the rest of
-  /// stats::IngestCounters. Zero outside vinestalk_served runs.
-  kTsServeBase = kTsIngestBase + kTsIngestSeriesCount,
-  kTsFixedCount = kTsServeBase + kTsServeSeriesCount,
+/// A counter only accumulates, so a rate over it is meaningful; a gauge
+/// is a level (a percentile, a ratio, a high-water mark, a setting).
+enum class SeriesKind : std::uint8_t { kCounter = 0, kGauge = 1 };
+
+struct SeriesDef {
+  std::string name;
+  SeriesKind kind = SeriesKind::kCounter;
 };
 
 struct TelemetryHeader {
   std::int64_t cadence_us = 0;
-  std::uint32_t max_level = 0;
-  std::uint32_t series = 0;
+  /// One entry per sample value, in values order.
+  std::vector<SeriesDef> series;
 
-  /// Values per sample implied by the layout (must equal `series`).
-  [[nodiscard]] std::uint64_t expected_series() const {
-    return kTsFixedCount + 4 * (std::uint64_t{max_level} + 1);
-  }
+  /// Position of the series called `name` in every sample's values, or
+  /// nullopt when the stream does not carry it.
+  [[nodiscard]] std::optional<std::size_t> index_of(
+      std::string_view name) const;
 };
 
 /// One decoded sample: cumulative values as of boundary time t_us.
@@ -111,15 +80,10 @@ struct TelemetrySample {
   std::vector<std::int64_t> values;
 };
 
-/// Stable column names for the header's layout, in values order — the
-/// CSV header row and the Prometheus metric names derive from these.
-[[nodiscard]] std::vector<std::string> telemetry_series_names(
-    const TelemetryHeader& header);
-
 /// Streaming writer: header on construction, one whole record per
 /// append (call flush() to make the prefix visible to tail readers),
-/// trailer on finish(). Append order is sample order; values must
-/// match header.series.
+/// trailer on finish(). Append order is sample order; each sample has one
+/// value per header series.
 class TelemetryWriter {
  public:
   TelemetryWriter(const std::string& path, const TelemetryHeader& header);
@@ -140,7 +104,6 @@ class TelemetryWriter {
  private:
   std::string path_;
   std::ofstream out_;
-  TelemetryHeader header_;
   std::vector<std::int64_t> prev_;
   std::string buf_;  // reused per-append encode scratch
   std::int64_t prev_t_ = 0;
@@ -164,7 +127,8 @@ struct TelemetryFile {
 [[nodiscard]] TelemetryFile read_telemetry_file(const std::string& path,
                                                 bool strict = true);
 
-/// Render the decoded stream as CSV (t_us + one column per series).
+/// Render the decoded stream as CSV (t_us + one column per series, named
+/// by the header).
 void telemetry_to_csv(std::ostream& os, const TelemetryFile& file);
 
 }  // namespace vs::obs

@@ -53,12 +53,11 @@ enum class MsgKind : std::uint8_t {
 /// `suppressed` is semantic shedding (tier-1 coalesce, tier-2 dead-band);
 /// `dropped` is lossy shedding (queue overflow, tier-3 admission reject).
 /// `wire_errors` counts malformed frames the strict reader refused — those
-/// never become ingested, so they sit outside the identity. Zero — and
-/// absent from to_json — unless the serve path ran, so simulator-only
-/// artifacts stay byte-identical. `queue_depth_peak` is the high-water
-/// mark over all region queues; in live mode it depends on reader/driver
-/// thread timing (so it is exempt from the byte-identity doctrine), in
-/// replay mode it is deterministic.
+/// never become ingested, so they sit outside the identity. Zero unless
+/// the serve path ran. `queue_depth_peak` is the high-water mark over all
+/// region queues; in live mode it depends on reader/driver thread timing
+/// (so it is exempt from the byte-identity doctrine), in replay mode it
+/// is deterministic.
 struct IngestCounters {
   std::int64_t ingested = 0;     // valid update frames accepted off the wire
   std::int64_t applied = 0;      // updates that mutated the world
@@ -71,24 +70,14 @@ struct IngestCounters {
 
   // Find-RPC accounting (IngestServer::find and its replay twin). All four
   // derive from virtual time only — deadline misses are deterministic — so
-  // they are safe for byte-identity artifacts like VSTELEM1 v3.
+  // they are safe for byte-identity artifacts like VSTELEM1.
   std::int64_t rpc_finds_issued = 0;
   std::int64_t rpc_finds_done = 0;
   std::int64_t rpc_deadline_misses = 0;
   std::int64_t rpc_find_attempts = 0;
   /// The tier-3 retry-after hint in microseconds — a config-derived gauge
-  /// (2× the round), set when an IngestServer attaches. Excluded from
-  /// any() so an idle server does not change counter JSON.
+  /// (2× the round), set when an IngestServer attaches.
   std::int64_t retry_after_us = 0;
-
-  [[nodiscard]] bool any() const {
-    return ingested != 0 || applied != 0 || suppressed != 0 || dropped != 0 ||
-           wire_errors != 0 || shed_tier_entries[0] != 0 ||
-           shed_tier_entries[1] != 0 || shed_tier_entries[2] != 0 ||
-           queue_depth_peak != 0 || rpc_finds_issued != 0 ||
-           rpc_finds_done != 0 || rpc_deadline_misses != 0 ||
-           rpc_find_attempts != 0;
-  }
 };
 
 class WorkCounters {
@@ -130,20 +119,10 @@ class WorkCounters {
   [[nodiscard]] std::int64_t duplicated() const { return duplicated_; }
   [[nodiscard]] std::int64_t jittered() const { return jittered_; }
 
-  void reset();
-
-  /// Difference helper: *this - other (counters taken at two instants).
-  [[nodiscard]] WorkCounters delta_since(const WorkCounters& earlier) const;
-
-  /// Element-wise sum: fold another trial's counters into this one (the
-  /// deterministic join step of a parallel sweep). Requires equal shapes.
-  void accumulate(const WorkCounters& other);
-
   [[nodiscard]] Level max_level() const { return max_level_; }
 
   /// Ingest-daemon accounting (see IngestCounters). Mutated directly by
-  /// serve::IngestServer at round boundaries (driver thread only); folded
-  /// by accumulate/delta_since.
+  /// serve::IngestServer at round boundaries (driver thread only).
   [[nodiscard]] IngestCounters& ingest() { return ingest_; }
   [[nodiscard]] const IngestCounters& ingest() const { return ingest_; }
 
@@ -154,21 +133,25 @@ class WorkCounters {
   ///    "by_kind": {"grow": {"messages": N, "work": N}, ...},  // non-zero only
   ///    "by_level": [{"level": 0, "messages": N, "work": N,
   ///                  "move_messages": N, "move_work": N,
-  ///                  "find_messages": N, "find_work": N}, ...],
-  ///    "ingest": {...}}  // only when the serve path ran (ingest().any())
+  ///                  "find_messages": N, "find_work": N}, ...]}
   void to_json(std::ostream& os, int indent = 0) const;
 
  private:
   static constexpr std::size_t kKinds =
       static_cast<std::size_t>(MsgKind::kCount);
+  struct Cell {
+    std::int64_t msgs = 0;
+    std::int64_t work = 0;
+  };
+  /// Σ `field` over levels [lo, hi] and the kinds `pred` accepts — every
+  /// reader above is one such fold of the matrix.
+  template <class Pred>
+  std::int64_t sum(std::int64_t Cell::*field, Level lo, Level hi,
+                   Pred&& pred) const;
+
   Level max_level_;
-  std::array<std::int64_t, kKinds> msgs_by_kind_{};
-  std::array<std::int64_t, kKinds> work_by_kind_{};
-  std::vector<std::int64_t> msgs_by_level_;
-  std::vector<std::int64_t> work_by_level_;
-  // Full level × kind matrix backing the per-level class accessors.
-  std::vector<std::array<std::int64_t, kKinds>> msgs_by_level_kind_;
-  std::vector<std::array<std::int64_t, kKinds>> work_by_level_kind_;
+  /// The level × kind matrix: record() updates one cell.
+  std::vector<std::array<Cell, kKinds>> cells_;
   std::int64_t duplicated_{0};
   std::int64_t jittered_{0};
   IngestCounters ingest_{};

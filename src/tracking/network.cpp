@@ -7,12 +7,21 @@
 
 namespace vs::tracking {
 
+namespace {
+
+constexpr std::int64_t kFindLatencyBoundsUs[] = {
+    1'000,   2'000,   4'000,   8'000,   16'000,  32'000,
+    64'000,  128'000, 256'000, 512'000, 1'024'000};
+
+}  // namespace
+
 TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
                                  NetworkConfig config)
     : hier_(&hierarchy),
       config_(std::move(config)),
       counters_(hierarchy.max_level()),
-      evaders_(hierarchy.tiling()) {
+      evaders_(hierarchy.tiling()),
+      census_{.latency_us = obs::Histogram(kFindLatencyBoundsUs)} {
   tracker_config_.lateral_links = config_.lateral_links;
   tracker_config_.timers =
       config_.timers ? *config_.timers
@@ -284,6 +293,7 @@ FindId TrackingNetwork::start_find(RegionId from, TargetId target) {
   // the find is issued.
   r.distance = hier_->tiling().distance(from, evaders_.region_of(target));
   finds_.emplace(f, r);
+  ++census_.issued;
   if (ledger_ != nullptr) {
     ledger_->begin_find(obs::op_index(op), sched_.now().count());
   }
@@ -313,6 +323,8 @@ void TrackingNetwork::on_found_output(FindId f, TargetId t, RegionId region,
   it->second.done = true;
   it->second.found_region = region;
   it->second.completed = sched_.now();
+  ++census_.completed;
+  census_.latency_us.record(it->second.latency().count());
   if (ledger_ != nullptr) {
     ledger_->complete_find(static_cast<std::uint32_t>(f.value()),
                            it->second.distance, sched_.now().count());
@@ -337,18 +349,16 @@ obs::MetricsRegistry TrackingNetwork::export_metrics() const {
   m.add("cgcast.heartbeats", counters_.heartbeats());
   m.add("trace.events", static_cast<std::int64_t>(trace_.size()));
   m.set_gauge("sched.virtual_time_us", sched_.now().count());
-  // Find latency in δ units-ish buckets: powers of two of milliseconds.
-  static constexpr std::int64_t kLatencyBounds[] = {
-      1'000, 2'000, 4'000, 8'000, 16'000, 32'000, 64'000, 128'000,
-      256'000, 512'000, 1'024'000};
+  if (census_.issued > 0) m.add("find.issued", census_.issued);
+  if (census_.completed > 0) {
+    m.add("find.completed", census_.completed);
+    m.histogram("find.latency_us", census_.latency_us.bounds())
+        .merge(census_.latency_us);
+  }
   for (const auto& [id, fr] : finds_) {
-    m.add("find.issued");
     if (!fr.done) continue;
-    m.add("find.completed");
     m.add("find.messages", fr.messages);
     m.add("find.work", fr.work);
-    m.histogram("find.latency_us", kLatencyBounds)
-        .record(fr.latency().count());
   }
   return m;
 }

@@ -82,6 +82,16 @@ struct FindResult {
   [[nodiscard]] sim::Duration latency() const { return completed - issued; }
 };
 
+/// Running tally of finds(), kept as each find is issued and first
+/// answered, so readers need not walk the find history.
+struct FindCensus {
+  std::int64_t issued = 0;
+  std::int64_t completed = 0;
+  /// Completed finds' latency in µs, bucketed at powers of two of a
+  /// millisecond (1 ms … 1024 ms).
+  obs::Histogram latency_us;
+};
+
 class TrackingNetwork {
  public:
   TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
@@ -143,11 +153,13 @@ class TrackingNetwork {
   // Finds.
   FindId start_find(RegionId from, TargetId target);
   [[nodiscard]] const FindResult& find_result(FindId f) const;
-  /// Every find issued so far, by id — the census the telemetry sampler
-  /// reads (issued/completed counts, latency distribution).
+  /// Every find issued so far, by id.
   [[nodiscard]] const std::map<FindId, FindResult>& finds() const {
     return finds_;
   }
+  /// Issued/completed counts and the latency distribution of finds() —
+  /// what the telemetry sampler and export_metrics read.
+  [[nodiscard]] const FindCensus& find_census() const { return census_; }
 
   // Execution.
   std::uint64_t run_to_quiescence();
@@ -230,6 +242,7 @@ class TrackingNetwork {
   std::vector<std::vector<ClusterId>> hosted_;      // by region id
   std::vector<std::vector<RegionId>> replicas_;     // by cluster id
   std::map<FindId, FindResult> finds_;
+  FindCensus census_;
   FindId::rep_type next_find_{1};
   obs::TraceRecorder trace_;
   obs::OpLedger* ledger_ = nullptr;

@@ -29,9 +29,11 @@
 #include "obs/profile/profile_io.hpp"
 #include "obs/slo/slo.hpp"
 #include "obs/slo/slo_io.hpp"
+#include "obs/telemetry/telemetry.hpp"
 #include "obs/telemetry/telemetry_io.hpp"
 #include "obs/trace_io.hpp"
 #include "serve/ingest_io.hpp"
+#include "util.hpp"
 
 namespace {
 
@@ -262,22 +264,34 @@ std::string incident_bytes(const obs::IncidentBundle& b) {
   return os.str();
 }
 
-std::string telemetry_seed() {
-  const std::string path = testing::TempDir() + "codec_seed.vst";
+/// A v4 header declaring one series, "x", and no samples.
+std::string one_series_telemetry() {
+  const std::string path = testing::TempDir() + "codec_one_series.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.max_level = 2;
-  h.series = static_cast<std::uint32_t>(h.expected_series());
+  h.series = {{"x", obs::SeriesKind::kCounter}};
+  obs::TelemetryWriter(path, h).finish();
+  return codec::read_file(path);
+}
+
+std::string telemetry_seed() {
+  // The sampler's own layout on a three-level world.
+  const GridNet g = make_grid(9, 3);
+  obs::TelemetryHeader h =
+      obs::TelemetrySampler(*g.net, obs::TelemetryConfig{}).header();
+  h.cadence_us = 1000;
+  const std::size_t p99 = h.index_of("find_latency_p99_us").value();
+  const std::string path = testing::TempDir() + "codec_seed.vst";
   {
     obs::TelemetryWriter w(path, h);
     obs::TelemetrySample s;
-    s.values.assign(h.series, 0);
+    s.values.assign(h.series.size(), 0);
     for (int i = 1; i <= 24; ++i) {
       s.t_us = 1000 * i;
       for (std::size_t v = 0; v < s.values.size(); ++v) {
         s.values[v] += (static_cast<std::int64_t>(v) * 37 + 11 * i) % 300;
       }
-      s.values[obs::kTsFindLatencyP99] = 5000 - 100 * i;  // gauge, falls
+      s.values[p99] = 5000 - 100 * i;  // gauge, falls
       w.append(s);
     }
   }
@@ -429,6 +443,44 @@ TEST(CodecCrafted, IncidentStringLengthIsCheckedBeforeAllocating) {
   });
 }
 
+// The one-series header's fields: the series count at byte 24 (after the
+// magic, version, flags and cadence), then the name's u32 length at 28,
+// the name "x" at 32 and its kind byte at 33.
+
+TEST(CodecCrafted, TelemetryHeaderCountIsBoundedByBytes) {
+  std::string bytes = one_series_telemetry();
+  poke<std::uint32_t>(bytes, 24, 1u << 30);
+  for (const bool strict : {true, false}) {
+    expect_rejected(bytes, [strict](const std::string& in) {
+      (void)obs::read_telemetry(in, strict);
+    });
+  }
+}
+
+TEST(CodecCrafted, TelemetryNameLengthIsCheckedBeforeAllocating) {
+  std::string bytes = one_series_telemetry();
+  poke<std::uint32_t>(bytes, 28,
+                      static_cast<std::uint32_t>(bytes.size() - 32 + 1));
+  for (const bool strict : {true, false}) {
+    expect_rejected(bytes, [strict](const std::string& in) {
+      (void)obs::read_telemetry(in, strict);
+    });
+  }
+}
+
+TEST(CodecCrafted, TelemetryKindMustBeCounterOrGauge) {
+  std::string bytes = one_series_telemetry();
+  ASSERT_EQ(bytes[32], 'x');
+  ASSERT_EQ(bytes[33], 0);
+  EXPECT_EQ(obs::read_telemetry(bytes).header.series.at(0).name, "x");
+  bytes[33] = 2;
+  for (const bool strict : {true, false}) {
+    expect_rejected(bytes, [strict](const std::string& in) {
+      (void)obs::read_telemetry(in, strict);
+    });
+  }
+}
+
 TEST(CodecCrafted, SloFindBandCountIsBoundedByBytes) {
   obs::SloReport rep = slo_report();
   rep.find_bands.clear();
@@ -443,8 +495,10 @@ TEST(CodecCrafted, SloFindBandCountIsBoundedByBytes) {
 
 // ------------------------------------------------------- retired versions
 
-/// A hand-built VSTELEM1 stream of one sample in an older layout: v1 had
-/// neither the ingest nor the serve block, v2 lacked the serve block.
+/// A hand-built VSTELEM1 stream of one sample in a retired positional
+/// layout: the header gave a max level instead of series names, and the
+/// values were a fixed block (32 series in v1, 40 in v2 with the ingest
+/// block, 46 in v3 with the serve-RPC block) plus 4 per level.
 std::string old_telemetry_stream(std::uint32_t version) {
   std::string bytes = "VSTELEM1";
   const auto put32 = [&](std::uint32_t v) {
@@ -463,9 +517,8 @@ std::string old_telemetry_stream(std::uint32_t version) {
     } while (u != 0);
   };
   const std::uint32_t max_level = 1;
-  std::uint32_t series = obs::kTsFixedCount - obs::kTsServeSeriesCount +
-                         4 * (max_level + 1);
-  if (version < 2) series -= obs::kTsIngestSeriesCount;
+  const std::uint32_t fixed = version == 1 ? 32 : version == 2 ? 40 : 46;
+  const std::uint32_t series = fixed + 4 * (max_level + 1);
   put32(version);
   put32(0);  // flags
   put64(10'000);  // cadence_us
@@ -501,6 +554,8 @@ TEST(Codec, RetiredFormatVersionsAreRejected) {
           "unsupported telemetry format version 1");
   rejects(telemetry, old_telemetry_stream(2),
           "unsupported telemetry format version 2");
+  rejects(telemetry, old_telemetry_stream(3),
+          "unsupported telemetry format version 3");
 
   std::string v4 = incident_bytes(incident_bundle());
   poke<std::uint32_t>(v4, 8, 4u);

@@ -4,10 +4,16 @@
 // evader's region (the tracking service specification, §III-A), with work
 // O(d) on the grid (Theorem 5.2). Theorem 5.1's coverage property —
 // within q(l) of the evader, level-l clusters see the path or a secondary
-// pointer to it — is checked directly on snapshots.
+// pointer to it — is checked directly on snapshots. The network's find
+// census (issued, completed, latency histogram) matches a recount over
+// its find history.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "obs/metrics.hpp"
 #include "spec/consistency.hpp"
 #include "util.hpp"
 
@@ -146,6 +152,61 @@ TEST(Finds, SecondaryPointerCoverage) {
       EXPECT_TRUE(covered) << "region " << u << " level " << l;
     }
   }
+}
+
+TEST(Finds, CensusEqualsARecountOverTheHistory) {
+  // Three clients per region: every client that believes the evader is in
+  // its region answers the found broadcast, so each find is answered three
+  // times and must still be counted once.
+  tracking::NetworkConfig cfg;
+  cfg.clients_per_region = 3;
+  GridNet g = make_grid(27, 3, cfg);
+  const TargetId t = g.net->add_evader(g.at(13, 13));
+  g.net->run_to_quiescence();
+  for (int i = 0; i < 9; ++i) {
+    (void)g.net->start_find(g.at(3 * i, 26 - 2 * i), t);
+  }
+  g.net->run_to_quiescence();
+  g.net->move_and_quiesce(t, g.at(14, 13));
+  (void)g.net->start_find(g.at(13, 13), t);
+  g.net->run_to_quiescence();
+  // Issued but not yet run: still pending.
+  (void)g.net->start_find(g.at(0, 0), t);
+  (void)g.net->start_find(g.at(26, 26), t);
+
+  const tracking::FindCensus& census = g.net->find_census();
+  const std::vector<std::int64_t>& bounds = census.latency_us.bounds();
+  ASSERT_EQ(bounds.size(), 11u);
+  EXPECT_EQ(bounds.front(), 1'000);
+  EXPECT_EQ(bounds.back(), 1'024'000);
+  std::int64_t issued = 0;
+  std::int64_t completed = 0;
+  obs::Histogram latency(bounds);
+  for (const auto& [id, fr] : g.net->finds()) {
+    ++issued;
+    if (!fr.done) continue;
+    ++completed;
+    EXPECT_EQ(g.net->clients().alive_clients_in(fr.found_region), 3u);
+    latency.record(fr.latency().count());
+  }
+  EXPECT_EQ(issued, 12);
+  EXPECT_EQ(completed, 10);
+  EXPECT_EQ(census.issued, issued);
+  EXPECT_EQ(census.completed, completed);
+  EXPECT_EQ(census.latency_us.buckets(), latency.buckets());
+  EXPECT_EQ(census.latency_us.count(), latency.count());
+  EXPECT_EQ(census.latency_us.sum(), latency.sum());
+  EXPECT_EQ(census.latency_us.min(), latency.min());
+  EXPECT_EQ(census.latency_us.max(), latency.max());
+
+  // export_metrics reports the same census.
+  const obs::MetricsRegistry m = g.net->export_metrics();
+  EXPECT_EQ(m.counter("find.issued"), issued);
+  EXPECT_EQ(m.counter("find.completed"), completed);
+  const obs::Histogram* exported = m.find_histogram("find.latency_us");
+  ASSERT_NE(exported, nullptr);
+  EXPECT_EQ(exported->buckets(), latency.buckets());
+  EXPECT_EQ(exported->sum(), latency.sum());
 }
 
 // Parameterized: find from every distance ring completes at the evader.

@@ -348,7 +348,6 @@ TEST(Profile, TopProfilePanelGoldenFrame) {
   const std::string stream = testing::TempDir() + "top_prof.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.series = static_cast<std::uint32_t>(h.expected_series());
   obs::TelemetryWriter(stream, h).finish();
 
   obs::ProfileReport r;

@@ -13,8 +13,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/wait.h>
@@ -535,55 +536,46 @@ TEST(ServeTelemetry, IngestSeriesReflectTheCounters) {
   w.srv->finish();
   ASSERT_FALSE(sampler.ring().empty());
   const obs::TelemetrySample& s = sampler.ring().back();
+  const auto value = [&](std::string_view name) {
+    const std::optional<std::size_t> i = sampler.header().index_of(name);
+    EXPECT_TRUE(i.has_value()) << name;
+    return i.has_value() ? s.values[*i] : -1;
+  };
   const stats::IngestCounters& ing = w.g.net->counters().ingest();
-  ASSERT_GE(s.values.size(), obs::kTsIngestBase + 8);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 0], ing.ingested);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 1], ing.applied);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 2], ing.suppressed);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 3], ing.dropped);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 7], ing.queue_depth_peak);
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 0],
-            s.values[obs::kTsIngestBase + 1] +
-                s.values[obs::kTsIngestBase + 2] +
-                s.values[obs::kTsIngestBase + 3])
+  EXPECT_EQ(value("ingest_ingested"), ing.ingested);
+  EXPECT_EQ(value("ingest_applied"), ing.applied);
+  EXPECT_EQ(value("ingest_suppressed"), ing.suppressed);
+  EXPECT_EQ(value("ingest_dropped"), ing.dropped);
+  EXPECT_EQ(value("ingest_queue_depth_peak"), ing.queue_depth_peak);
+  EXPECT_EQ(value("ingest_ingested"), value("ingest_applied") +
+                                          value("ingest_suppressed") +
+                                          value("ingest_dropped"))
       << "the stream must carry the conservation identity";
 }
 
 TEST(ServeTelemetry, SeriesNamesIncludeIngestBlock) {
-  obs::TelemetryHeader h;
-  h.max_level = 2;
-  h.series = static_cast<std::uint32_t>(h.expected_series());
-  const std::vector<std::string> names = obs::telemetry_series_names(h);
-  ASSERT_EQ(names.size(), h.series);
-  EXPECT_EQ(names[obs::kTsIngestBase + 0], "ingest_ingested");
-  EXPECT_EQ(names[obs::kTsIngestBase + 3], "ingest_dropped");
-  EXPECT_EQ(names[obs::kTsIngestBase + 6], "ingest_shed_tier3_entries");
-  EXPECT_EQ(names[obs::kTsIngestBase + 7], "ingest_queue_depth_peak");
-}
-
-TEST(ServeCounters, IngestBlockIsGatedAndAccumulates) {
-  const auto json = [](const stats::WorkCounters& c) {
-    std::ostringstream os;
-    c.to_json(os);
-    return os.str();
-  };
-  stats::WorkCounters a(2);
-  EXPECT_EQ(json(a).find("\"ingest\""), std::string::npos)
-      << "sim-only counters must not grow an ingest block";
-  a.ingest().ingested = 5;
-  a.ingest().applied = 3;
-  a.ingest().suppressed = 1;
-  a.ingest().dropped = 1;
-  a.ingest().queue_depth_peak = 4;
-  EXPECT_NE(json(a).find("\"ingest\""), std::string::npos);
-  stats::WorkCounters b(2);
-  b.ingest().ingested = 2;
-  b.ingest().applied = 2;
-  b.ingest().queue_depth_peak = 9;
-  a.accumulate(b);
-  EXPECT_EQ(a.ingest().ingested, 7);
-  EXPECT_EQ(a.ingest().applied, 5);
-  EXPECT_EQ(a.ingest().queue_depth_peak, 9) << "peak is a max, not a sum";
+  ServeWorld w = make_serve_world(serve::ServeConfig{}, /*objects=*/1);
+  const obs::TelemetrySampler sampler(*w.g.net, obs::TelemetryConfig{});
+  const obs::TelemetryHeader& h = sampler.header();
+  // The ingest block sits in IngestCounters order after the audit block;
+  // only the queue-depth high-water mark is a gauge.
+  const std::optional<std::size_t> first = h.index_of("ingest_ingested");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(h.index_of("audit_find_time_ratio_milli"), *first - 1);
+  const std::vector<std::string> block = {
+      "ingest_ingested",           "ingest_applied",
+      "ingest_suppressed",         "ingest_dropped",
+      "ingest_shed_tier1_entries", "ingest_shed_tier2_entries",
+      "ingest_shed_tier3_entries", "ingest_queue_depth_peak"};
+  ASSERT_LE(*first + block.size(), h.series.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const obs::SeriesDef& d = h.series[*first + i];
+    EXPECT_EQ(d.name, block[i]);
+    EXPECT_EQ(d.kind, block[i] == "ingest_queue_depth_peak"
+                          ? obs::SeriesKind::kGauge
+                          : obs::SeriesKind::kCounter)
+        << d.name;
+  }
 }
 
 // ------------------------------------------------- the daemon end to end

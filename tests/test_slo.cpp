@@ -3,7 +3,7 @@
 // RED counters and latency histograms, the multi-window burn-rate
 // evaluator and its VSINCID1 incidents (spec + window state + exemplars),
 // the VSSLO1 sidecar round-trip and its JSON / Prometheus / CSV
-// renderings, the VSTELEM1 v3 serve-RPC series, and
+// renderings, the VSTELEM1 serve-RPC series, and
 // the quarantine doctrine end to end: every deterministic artifact of
 // vinestalk_served is byte-identical SLO on vs off, while a tight spec
 // fires a burn-rate incident whose exemplar OpId replays exactly.
@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/stat.h>
@@ -540,23 +542,33 @@ TEST(SloTelemetry, ServeSeriesCarryRpcCounters) {
 
   ASSERT_FALSE(sampler.ring().empty());
   const obs::TelemetrySample& s = sampler.ring().back();
+  const obs::TelemetryHeader& h = sampler.header();
+  const auto value = [&](std::string_view name) {
+    const std::optional<std::size_t> i = h.index_of(name);
+    EXPECT_TRUE(i.has_value()) << name;
+    return i.has_value() ? s.values[*i] : -1;
+  };
   const stats::IngestCounters& ing = g.net->counters().ingest();
-  ASSERT_GE(s.values.size(), obs::kTsServeBase + obs::kTsServeSeriesCount);
-  EXPECT_EQ(s.values[obs::kTsServeBase + 0], ing.wire_errors);
+  EXPECT_EQ(value("ingest_wire_errors"), ing.wire_errors);
   EXPECT_EQ(ing.wire_errors, 1);
-  EXPECT_EQ(s.values[obs::kTsServeBase + 2], ing.rpc_finds_issued);
+  EXPECT_EQ(value("ingest_retry_after_us"), ing.retry_after_us);
+  EXPECT_EQ(value("ingest_rpc_finds_issued"), ing.rpc_finds_issued);
   EXPECT_EQ(ing.rpc_finds_issued, 2);
-  EXPECT_EQ(s.values[obs::kTsServeBase + 3], ing.rpc_finds_done);
-  EXPECT_EQ(s.values[obs::kTsServeBase + 4], ing.rpc_deadline_misses);
+  EXPECT_EQ(value("ingest_rpc_finds_done"), ing.rpc_finds_done);
+  EXPECT_EQ(value("ingest_rpc_deadline_misses"), ing.rpc_deadline_misses);
   EXPECT_EQ(ing.rpc_deadline_misses, 1);
-  EXPECT_EQ(s.values[obs::kTsServeBase + 5], ing.rpc_find_attempts);
+  EXPECT_EQ(value("ingest_rpc_find_attempts"), ing.rpc_find_attempts);
   EXPECT_GE(ing.rpc_find_attempts, ing.rpc_finds_issued);
 
-  const obs::TelemetryHeader h{.max_level = 2};
-  const std::vector<std::string> names = obs::telemetry_series_names(h);
-  EXPECT_EQ(names[obs::kTsServeBase + 0], "ingest_wire_errors");
-  EXPECT_EQ(names[obs::kTsServeBase + 1], "ingest_retry_after_us");
-  EXPECT_EQ(names[obs::kTsServeBase + 5], "ingest_rpc_find_attempts");
+  // The serve-RPC block follows the ingest block; the retry-after hint is
+  // a setting, so it is the block's one gauge.
+  const std::optional<std::size_t> first = h.index_of("ingest_wire_errors");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(h.index_of("ingest_queue_depth_peak"), *first - 1);
+  EXPECT_EQ(h.index_of("ingest_retry_after_us"), *first + 1);
+  EXPECT_EQ(h.index_of("ingest_rpc_find_attempts"), *first + 5);
+  EXPECT_EQ(h.series[*first + 1].kind, obs::SeriesKind::kGauge);
+  EXPECT_EQ(h.series[*first + 5].kind, obs::SeriesKind::kCounter);
 }
 
 // --------------------------------------------- the daemon, quarantined SLO

@@ -44,21 +44,8 @@ TEST(Counters, MoveVsFindSplit) {
   EXPECT_EQ(c.find_messages(), 2);
 }
 
-TEST(Counters, DeltaSince) {
-  WorkCounters a(2);
-  a.record(MsgKind::kGrow, 0, 2);
-  WorkCounters before = a;
-  a.record(MsgKind::kGrow, 1, 3);
-  const WorkCounters d = a.delta_since(before);
-  EXPECT_EQ(d.messages(MsgKind::kGrow), 1);
-  EXPECT_EQ(d.work(MsgKind::kGrow), 3);
-}
-
 TEST(Counters, ResetAndValidation) {
   WorkCounters c(1);
-  c.record(MsgKind::kShrink, 1, 9);
-  c.reset();
-  EXPECT_EQ(c.total_work(), 0);
   EXPECT_THROW(c.record(MsgKind::kGrow, 5, 1), vs::Error);
   EXPECT_THROW(c.record(MsgKind::kGrow, 0, -1), vs::Error);
 }

@@ -3,9 +3,11 @@
 // disabled sampler holds nothing and arms nothing; the in-memory ring keeps
 // exactly the last K samples; the sliding-window bound audit raises its
 // incident mid-run — strictly before the run ends — and the bundle replays
-// exactly; vinestalk_top --once renders a golden frame; the Prometheus
-// snapshot is well-formed exposition text; and MetricsRegistry rejects
-// registering one name as two metric types.
+// exactly; vinestalk_top --once renders a golden frame from series it
+// finds by name; the vinestalk_trace summary prints rates for counters
+// only; the Prometheus snapshot is well-formed exposition text typed by
+// series kind; and MetricsRegistry rejects registering one name as two
+// metric types.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -28,8 +32,8 @@
 #include "tracking/config.hpp"
 #include "util.hpp"
 
-#ifndef VS_TOP_PATH
-#error "VS_TOP_PATH must be defined by the build"
+#if !defined(VS_TOP_PATH) || !defined(VS_TRACE_TOOL_PATH)
+#error "VS_TOP_PATH and VS_TRACE_TOOL_PATH must be defined by the build"
 #endif
 
 namespace vstest {
@@ -139,16 +143,16 @@ TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
   const std::string path = testing::TempDir() + "telem_tail.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.max_level = 1;
-  h.series = static_cast<std::uint32_t>(h.expected_series());
+  h.series = {{"events_fired", obs::SeriesKind::kCounter},
+              {"find_latency_p50_us", obs::SeriesKind::kGauge}};
   obs::TelemetryWriter writer(path, h);
   obs::TelemetrySample s;
-  s.values.assign(h.series, 0);
+  s.values.assign(h.series.size(), 0);
   s.t_us = 1000;
-  s.values[obs::kTsEventsFired] = 7;
+  s.values[0] = 7;
   writer.append(s);
   s.t_us = 2000;
-  s.values[obs::kTsEventsFired] = 11;
+  s.values[0] = 11;
   writer.append(s);
   // No trailer yet: exactly what a live producer mid-run looks like
   // after its per-boundary flush (append alone may sit in the stream
@@ -161,11 +165,17 @@ TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
   EXPECT_FALSE(tail.complete);
   ASSERT_EQ(tail.samples.size(), 2u);
   EXPECT_EQ(tail.samples[1].t_us, 2000);
-  EXPECT_EQ(tail.samples[1].values[obs::kTsEventsFired], 11);
+  EXPECT_EQ(tail.samples[1].values[0], 11);
   writer.finish();
   const obs::TelemetryFile full = obs::read_telemetry_file(path);
   EXPECT_TRUE(full.complete);
   EXPECT_EQ(full.samples.size(), 2u);
+  // The header round-trips: names and kinds in values order.
+  ASSERT_EQ(full.header.series.size(), 2u);
+  EXPECT_EQ(full.header.series[1].name, "find_latency_p50_us");
+  EXPECT_EQ(full.header.series[1].kind, obs::SeriesKind::kGauge);
+  EXPECT_EQ(full.header.index_of("events_fired"), 0u);
+  EXPECT_FALSE(full.header.index_of("events").has_value());
 }
 
 /// The canonical replayable scenario (same shape as test_audit's).
@@ -231,8 +241,8 @@ TEST(Telemetry, SlidingWindowAuditFiresMidRunAndReplaysExactly) {
   EXPECT_TRUE(replay.exact) << replay.message;
 }
 
-std::string run_top(const std::string& args, int* exit_code) {
-  const std::string cmd = std::string(VS_TOP_PATH) + " " + args + " 2>&1";
+std::string run_tool(const std::string& cmd_line, int* exit_code) {
+  const std::string cmd = cmd_line + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string out;
@@ -243,40 +253,59 @@ std::string run_top(const std::string& args, int* exit_code) {
   return out;
 }
 
+/// A two-sample stream with header `h`: all zeros at 1000us, then `last`.
+void write_two_samples(const std::string& path,
+                       const obs::TelemetryHeader& h,
+                       const std::vector<std::int64_t>& last) {
+  obs::TelemetryWriter writer(path, h);
+  obs::TelemetrySample a;
+  a.t_us = 1000;
+  a.values.assign(h.series.size(), 0);
+  writer.append(a);
+  obs::TelemetrySample b;
+  b.t_us = 2000;
+  b.values = last;
+  writer.append(b);
+  writer.finish();
+}
+
 TEST(Telemetry, TopOnceRendersGoldenFrame) {
   // A hand-crafted two-sample stream, so the --once render exercises
-  // every dashboard element deterministically.
+  // every dashboard element deterministically. It carries only the series
+  // the frame shows, shuffled, behind one series the dashboard does not
+  // know: the dashboard finds each series by name.
   const std::string path = testing::TempDir() + "telem_top.vst";
+  const struct {
+    const char* name;
+    obs::SeriesKind kind;
+    std::int64_t value;
+  } shown[] = {
+      {"not_a_dashboard_series", obs::SeriesKind::kCounter, 123},
+      {"find_latency_p90_us", obs::SeriesKind::kGauge, 2500},
+      {"audit_move_time_ratio_milli", obs::SeriesKind::kGauge, 1600},
+      {"heartbeats", obs::SeriesKind::kCounter, 8},
+      {"finds_completed", obs::SeriesKind::kCounter, 2},
+      {"audit_find_work_ratio_milli", obs::SeriesKind::kGauge, 300},
+      {"events_fired", obs::SeriesKind::kCounter, 500},
+      {"find_latency_p99_us", obs::SeriesKind::kGauge, 4000},
+      {"work_total", obs::SeriesKind::kCounter, 900},
+      {"audit_move_work_ratio_milli", obs::SeriesKind::kGauge, 700},
+      {"finds_issued", obs::SeriesKind::kCounter, 3},
+      {"msgs_total", obs::SeriesKind::kCounter, 400},
+      {"audit_find_time_ratio_milli", obs::SeriesKind::kGauge, 450},
+      {"find_latency_p50_us", obs::SeriesKind::kGauge, 1500},
+  };
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.max_level = 1;
-  h.series = static_cast<std::uint32_t>(h.expected_series());
-  {
-    obs::TelemetryWriter writer(path, h);
-    obs::TelemetrySample a;
-    a.t_us = 1000;
-    a.values.assign(h.series, 0);
-    writer.append(a);
-    obs::TelemetrySample b = a;
-    b.t_us = 2000;
-    b.values[obs::kTsEventsFired] = 500;
-    b.values[obs::kTsMsgsTotal] = 400;
-    b.values[obs::kTsWorkTotal] = 900;
-    b.values[obs::kTsHeartbeats] = 8;
-    b.values[obs::kTsFindsIssued] = 3;
-    b.values[obs::kTsFindsCompleted] = 2;
-    b.values[obs::kTsFindLatencyP50] = 1500;
-    b.values[obs::kTsFindLatencyP90] = 2500;
-    b.values[obs::kTsFindLatencyP99] = 4000;
-    b.values[obs::kTsAuditBase + 0] = 700;   // move work: within bound
-    b.values[obs::kTsAuditBase + 1] = 1600;  // move time: over bound
-    b.values[obs::kTsAuditBase + 2] = 300;
-    b.values[obs::kTsAuditBase + 3] = 450;
-    writer.append(b);
-    writer.finish();
+  std::vector<std::int64_t> last;
+  for (const auto& s : shown) {
+    h.series.push_back({s.name, s.kind});
+    last.push_back(s.value);
   }
+  write_two_samples(path, h, last);
   int rc = -1;
-  const std::string out = run_top(path + " --once", &rc);
+  const std::string out =
+      run_tool(std::string(VS_TOP_PATH) + " " + path + " --once", &rc);
   EXPECT_EQ(rc, 0);
   const std::string golden =
       "vinestalk_top — " + path +
@@ -293,13 +322,84 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
       "    find time (Thm 5.2) [#####...............] 450m\n";
   EXPECT_EQ(out, golden);
 
-  // Nothing writes header flags any more (the per-lane section is gone),
-  // so a stream that sets them is rejected.
+  // Nothing writes header flags, so a stream that sets them is rejected.
   std::string bytes = slurp(path);
   bytes[12] = 1;  // flags: after the 8-byte magic and the u32 version
   const std::string flagged = testing::TempDir() + "telem_top_flagged.vst";
   std::ofstream(flagged, std::ios::binary) << bytes;
   EXPECT_THROW((void)obs::read_telemetry_file(flagged), vs::Error);
+}
+
+TEST(Telemetry, SummaryPrintsRatesOnlyForCounters) {
+  // The sampler's own header (names and kinds from its series table) over
+  // two hand-set samples: a counter and a gauge that both moved.
+  GridNet g = make_grid(9, 3);
+  const obs::TelemetrySampler sampler(*g.net, obs::TelemetryConfig{});
+  obs::TelemetryHeader h = sampler.header();
+  h.cadence_us = 1000;
+  std::vector<std::int64_t> last(h.series.size(), 0);
+  last[h.index_of("events_fired").value()] = 1000;
+  last[h.index_of("ingest_queue_depth_peak").value()] = 64;
+  const std::string path = testing::TempDir() + "telem_summary.vst";
+  write_two_samples(path, h, last);
+
+  int rc = -1;
+  const std::string out = run_tool(
+      std::string(VS_TRACE_TOOL_PATH) + " telemetry " + path, &rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("  cadence 1000us, " + std::to_string(h.series.size()) +
+                     " series, max level 2\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("  events_fired: 1000 (1000000/s over the stream)\n"),
+            std::string::npos)
+      << out;
+  // A high-water mark is a gauge: a per-second rate of it means nothing.
+  EXPECT_NE(out.find("  ingest_queue_depth_peak: 64\n"), std::string::npos)
+      << out;
+}
+
+TEST(Telemetry, ExtremeValuesRoundTripAndViewersStayDefined) {
+  // A stream may carry any int64: deltas wrap on the way in and sums wrap
+  // on the way out, so extreme values round-trip exactly, and the viewers'
+  // differences wrap too (the sanitizer build aborts on a signed
+  // overflow, so there this checks that none happens).
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  obs::TelemetryHeader h;
+  h.cadence_us = 1000;
+  for (const char* name :
+       {"events_fired", "msgs_total", "work_total", "finds_completed",
+        "heartbeats", "ingest_ingested", "ingest_applied",
+        "ingest_suppressed", "ingest_dropped", "ingest_shed_tier1_entries",
+        "ingest_shed_tier2_entries", "ingest_shed_tier3_entries",
+        "ingest_queue_depth_peak"}) {
+    h.series.push_back({name, obs::SeriesKind::kCounter});
+  }
+  const std::string path = testing::TempDir() + "telem_extreme.vst";
+  {
+    obs::TelemetryWriter writer(path, h);
+    obs::TelemetrySample s;
+    for (const auto& [t, v] : {std::pair{kMin, std::int64_t{0}},
+                               std::pair{std::int64_t{1000}, kMin},
+                               std::pair{std::int64_t{2000}, kMax}}) {
+      s.t_us = t;
+      s.values.assign(h.series.size(), v);
+      writer.append(s);
+    }
+  }
+  const obs::TelemetryFile f = obs::read_telemetry_file(path);
+  ASSERT_EQ(f.samples.size(), 3u);
+  EXPECT_EQ(f.samples[0].t_us, kMin);
+  EXPECT_EQ(f.samples[1].values[0], kMin);
+  EXPECT_EQ(f.samples[2].values[4], kMax);
+
+  int rc = -1;
+  (void)run_tool(std::string(VS_TRACE_TOOL_PATH) + " telemetry " + path,
+                 &rc);
+  EXPECT_EQ(rc, 0);
+  (void)run_tool(std::string(VS_TOP_PATH) + " " + path + " --once", &rc);
+  EXPECT_EQ(rc, 0);
 }
 
 TEST(Telemetry, PrometheusSnapshotIsWellFormedExposition) {
@@ -347,10 +447,15 @@ TEST(Telemetry, PrometheusSnapshotIsWellFormedExposition) {
   EXPECT_NE(text.find("vinestalk_find_latency_us_count 1"),
             std::string::npos);
   EXPECT_NE(text.find("vinestalk_find_latency_us_sum "), std::string::npos);
-  // The per-sample telemetry gauges ride along.
+  // The per-sample telemetry series ride along, typed by their kind.
   EXPECT_NE(text.find("vinestalk_telemetry_events_fired "),
             std::string::npos);
   EXPECT_NE(text.find("vinestalk_telemetry_t_us "), std::string::npos);
+  EXPECT_NE(text.find("# TYPE vinestalk_telemetry_events_fired counter\n"),
+            std::string::npos);
+  EXPECT_NE(
+      text.find("# TYPE vinestalk_telemetry_find_latency_p99_us gauge\n"),
+      std::string::npos);
 }
 
 TEST(Metrics, CrossTypeRegistrationFailsFast) {

@@ -18,9 +18,9 @@
 # heartbeat and repair traffic to stabilizer operations with nothing
 # leaking into background. A telemetry stage pins the time-series layer:
 # a telemetered quickstart's VSTELEM1 stream must read back in both
-# viewers, a chaos-plan CLI run must show its heartbeat/repair traffic in
-# the telemetry summary, and the Prometheus snapshot must parse as text
-# exposition format. A perf stage pins the CPU profiler: a profiled
+# viewers and as a CSV whose header names every column, a chaos-plan CLI
+# run must show its heartbeat/repair traffic in the telemetry summary,
+# and the Prometheus snapshot must parse as text exposition format. A perf stage pins the CPU profiler: a profiled
 # quickstart must write a VSPROF1 sidecar whose flamegraph folds cleanly,
 # every deterministic artifact must stay byte-identical with profiling
 # on vs off, and the vinestalk_bench trajectory gate must append a
@@ -28,8 +28,9 @@
 # A no-profile stage (-DVINESTALK_PROFILE=OFF) proves every probe is
 # optional dead code. A serve stage drives the vinestalk_served ingest
 # daemon: a 2×-capacity load burst under a chaos fault plan must finish
-# incident-free with the conservation identity intact and the shed
-# ladder visible in the Prometheus snapshot, and its VSINGEST1 capture
+# incident-free with the conservation identity intact, the shed ladder
+# visible in the Prometheus snapshot and no rate printed for the
+# queue-depth gauge in the telemetry summary, and its VSINGEST1 capture
 # must replay to a byte-identical world trace. An SLO stage pins
 # request-level observability: arming a spec must leave every
 # deterministic artifact (stdout, trace, telemetry, capture)
@@ -284,6 +285,18 @@ run_telemetry() {
     "$dir/quickstart.vstelem" > /dev/null
   "$root/build-check/tools/vinestalk_top" "$dir/quickstart.vstelem" --once \
     > /dev/null
+  # The CSV takes its column names from the stream's header, and every row
+  # carries one value per column.
+  "$root/build-check/tools/vinestalk_trace" telemetry \
+    "$dir/quickstart.vstelem" --csv > "$dir/quickstart.csv"
+  head -1 "$dir/quickstart.csv" |
+    grep -q "^t_us,events_fired,msgs_total,work_total," || {
+    echo "FAIL: telemetry CSV header does not start with the core series" >&2
+    head -1 "$dir/quickstart.csv" >&2; exit 1; }
+  awk -F, 'NR == 1 { n = NF } NF != n { bad = 1 } END { exit bad || NR < 2 }' \
+    "$dir/quickstart.csv" || {
+    echo "FAIL: telemetry CSV rows do not match the header's columns" >&2
+    exit 1; }
   # A telemetered chaos-plan run must show its stabilizer traffic —
   # heartbeat and repair ledger series — in the telemetry summary.
   cat > "$dir/chaos.plan" <<'EOF'
@@ -398,7 +411,7 @@ run_serve() {
   echo "== stage 10: streaming ingest daemon end-to-end =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
-    --target vinestalk_served vinestalk_top
+    --target vinestalk_served vinestalk_top vinestalk_trace
   local dir
   dir="$(mktemp -d /tmp/vs_serve.XXXXXX)"
   cat > "$dir/chaos.plan" <<'EOF'
@@ -448,6 +461,13 @@ EOF
   grep -q "ingest:" "$dir/top.out" || {
     echo "FAIL: vinestalk_top renders no ingest panel" >&2
     cat "$dir/top.out" >&2; exit 1; }
+  # The summary prints a per-second rate for counter-kind series only; the
+  # queue-depth high-water mark is a gauge.
+  "$root/build-check/tools/vinestalk_trace" telemetry "$dir/serve.vstelem" \
+    > "$dir/serve.summary"
+  grep -Eq "^  ingest_queue_depth_peak: [0-9]+$" "$dir/serve.summary" || {
+    echo "FAIL: the queue-depth peak line is missing or carries a rate" >&2
+    cat "$dir/serve.summary" >&2; exit 1; }
   # Determinism: a captured live session must replay to a byte-identical
   # world trace (fault plans stay off here — channel faults are orthogonal
   # to the capture/replay contract).

@@ -4,11 +4,13 @@
 //   vinestalk_top <file> [--once] [--interval-ms N] [--profile P]
 //
 // Tails the stream a running world writes (obs::TelemetrySampler flushes
-// one record per cadence boundary, so the file is always a valid prefix),
-// re-rendering until the trailer lands: event/message/find rates from the
-// last two samples, find-latency percentiles, and sliding-window
-// bound-ratio gauges (Theorem 4.9 / 5.2, ×1000 with the 1.0× bound
-// marked).
+// whole records at every boundary crossing, so the file is always a valid
+// prefix), re-rendering until the trailer lands: event/message/find rates
+// from the last two samples, find-latency percentiles, the serve
+// daemon's ingest panel, and sliding-window bound-ratio gauges (Theorem
+// 4.9 / 5.2, ×1000 with the 1.0× bound marked). Series are looked up by
+// the names in the stream's header; a panel whose series the stream does
+// not carry is left out.
 //
 // --profile <sidecar> adds a CPU panel from a VSPROF1 profile sidecar:
 // the CPU-efficiency gauge (ns of real CPU per unit of Theorem-4.9
@@ -35,12 +37,14 @@
 #include <chrono>
 #include <cstring>
 #include <iomanip>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "obs/op.hpp"
 #include "obs/profile/profile_io.hpp"
@@ -84,7 +88,6 @@ std::string fmt_rate(double v) {
 
 void render(std::ostream& os, const std::string& path,
             const TelemetryFile& f) {
-  using vs::obs::TelemetrySeries;
   os << "vinestalk_top — " << path << "  (" << f.samples.size()
      << " sample(s), " << (f.complete ? "complete" : "live") << ", cadence "
      << f.header.cadence_us << "us)\n";
@@ -95,67 +98,97 @@ void render(std::ostream& os, const std::string& path,
   const TelemetrySample& last = f.samples.back();
   const TelemetrySample& prev =
       f.samples.size() >= 2 ? f.samples[f.samples.size() - 2] : last;
+  // Decoded values may be anything: differences wrap, never overflow.
   const double dt_s =
-      static_cast<double>(last.t_us - prev.t_us) / 1e6;
-  const auto rate = [&](std::size_t i) {
-    if (dt_s <= 0) return 0.0;
-    return static_cast<double>(last.values[i] - prev.values[i]) / dt_s;
+      static_cast<double>(vs::codec::wrapping_sub(last.t_us, prev.t_us)) /
+      1e6;
+  // Series are looked up by name; a panel renders only when the stream
+  // carries every series it shows.
+  const auto has = [&](std::initializer_list<std::string_view> names) {
+    return std::ranges::all_of(names, [&](std::string_view n) {
+      return f.header.index_of(n).has_value();
+    });
   };
-  const auto v = [&](std::size_t i) { return last.values[i]; };
+  const auto v = [&](std::string_view name) {
+    return last.values[*f.header.index_of(name)];
+  };
+  const auto rate = [&](std::string_view name) {
+    if (dt_s <= 0) return 0.0;
+    const std::size_t i = *f.header.index_of(name);
+    return static_cast<double>(
+               vs::codec::wrapping_sub(last.values[i], prev.values[i])) /
+           dt_s;
+  };
 
   os << "  t = " << last.t_us << "us\n";
-  os << "  rates/s: events " << fmt_rate(rate(vs::obs::kTsEventsFired))
-     << "  msgs " << fmt_rate(rate(vs::obs::kTsMsgsTotal)) << "  work "
-     << fmt_rate(rate(vs::obs::kTsWorkTotal)) << "  finds "
-     << fmt_rate(rate(vs::obs::kTsFindsCompleted)) << "  heartbeats "
-     << fmt_rate(rate(vs::obs::kTsHeartbeats)) << "\n";
-  os << "  finds: " << v(vs::obs::kTsFindsIssued) << " issued, "
-     << v(vs::obs::kTsFindsCompleted) << " completed; latency us p50="
-     << v(vs::obs::kTsFindLatencyP50) << " p90="
-     << v(vs::obs::kTsFindLatencyP90) << " p99="
-     << v(vs::obs::kTsFindLatencyP99) << "\n";
+  if (has({"events_fired", "msgs_total", "work_total", "finds_completed",
+           "heartbeats"})) {
+    os << "  rates/s: events " << fmt_rate(rate("events_fired")) << "  msgs "
+       << fmt_rate(rate("msgs_total")) << "  work "
+       << fmt_rate(rate("work_total")) << "  finds "
+       << fmt_rate(rate("finds_completed")) << "  heartbeats "
+       << fmt_rate(rate("heartbeats")) << "\n";
+  }
+  if (has({"finds_issued", "finds_completed", "find_latency_p50_us",
+           "find_latency_p90_us", "find_latency_p99_us"})) {
+    os << "  finds: " << v("finds_issued") << " issued, "
+       << v("finds_completed") << " completed; latency us p50="
+       << v("find_latency_p50_us") << " p90=" << v("find_latency_p90_us")
+       << " p99=" << v("find_latency_p99_us") << "\n";
+  }
 
   // Ingest panel — the serve daemon's conservation identity and ladder
   // census. Hidden when the stream carries no ingest traffic (sim-only
-  // runs and v1 streams have all-zero ingest series).
-  const std::int64_t ingested = v(vs::obs::kTsIngestBase + 0);
-  if (ingested > 0) {
-    const std::int64_t applied = v(vs::obs::kTsIngestBase + 1);
-    const std::int64_t suppressed = v(vs::obs::kTsIngestBase + 2);
-    const std::int64_t dropped = v(vs::obs::kTsIngestBase + 3);
+  // runs have all-zero ingest series) or no ingest series at all.
+  if (has({"ingest_ingested", "ingest_applied", "ingest_suppressed",
+           "ingest_dropped", "ingest_shed_tier1_entries",
+           "ingest_shed_tier2_entries", "ingest_shed_tier3_entries",
+           "ingest_queue_depth_peak"}) &&
+      v("ingest_ingested") > 0) {
+    const std::int64_t ingested = v("ingest_ingested");
+    const std::int64_t applied = v("ingest_applied");
+    const std::int64_t suppressed = v("ingest_suppressed");
+    const std::int64_t dropped = v("ingest_dropped");
     os << "  ingest: " << ingested << " ingested = " << applied
        << " applied + " << suppressed << " suppressed + " << dropped
        << " dropped"
-       << (ingested == applied + suppressed + dropped
+       << (ingested == vs::codec::wrapping_add(
+                              vs::codec::wrapping_add(applied, suppressed),
+                              dropped)
                ? ""
                : "  CONSERVATION BROKEN")
-       << "  (" << fmt_rate(rate(vs::obs::kTsIngestBase)) << "/s)\n";
-    os << "    shed tiers: t1 " << v(vs::obs::kTsIngestBase + 4) << " t2 "
-       << v(vs::obs::kTsIngestBase + 5) << " t3 "
-       << v(vs::obs::kTsIngestBase + 6) << "; queue depth peak "
-       << v(vs::obs::kTsIngestBase + 7) << "\n";
-    // Serve-RPC block (v3; older streams widen to zeros): reader-side
-    // wire errors ride the conservation story — frames that never became
-    // updates — and the tier-3 retry-after hint is the backpressure
-    // clients are being asked to honor.
-    os << "    wire errors " << v(vs::obs::kTsServeBase + 0)
-       << "; tier-3 retry-after " << v(vs::obs::kTsServeBase + 1)
-       << "us\n";
-    const std::int64_t rpc_issued = v(vs::obs::kTsServeBase + 2);
-    if (rpc_issued > 0) {
-      os << "    find rpcs: " << rpc_issued << " issued, "
-         << v(vs::obs::kTsServeBase + 3) << " done, "
-         << v(vs::obs::kTsServeBase + 4) << " deadline miss(es), "
-         << v(vs::obs::kTsServeBase + 5) << " attempt(s)\n";
+       << "  (" << fmt_rate(rate("ingest_ingested")) << "/s)\n";
+    os << "    shed tiers: t1 " << v("ingest_shed_tier1_entries") << " t2 "
+       << v("ingest_shed_tier2_entries") << " t3 "
+       << v("ingest_shed_tier3_entries") << "; queue depth peak "
+       << v("ingest_queue_depth_peak") << "\n";
+    // Reader-side wire errors ride the conservation story — frames that
+    // never became updates — and the tier-3 retry-after hint is the
+    // backpressure clients are being asked to honor.
+    if (has({"ingest_wire_errors", "ingest_retry_after_us"})) {
+      os << "    wire errors " << v("ingest_wire_errors")
+         << "; tier-3 retry-after " << v("ingest_retry_after_us") << "us\n";
+    }
+    if (has({"ingest_rpc_finds_issued", "ingest_rpc_finds_done",
+             "ingest_rpc_deadline_misses", "ingest_rpc_find_attempts"}) &&
+        v("ingest_rpc_finds_issued") > 0) {
+      os << "    find rpcs: " << v("ingest_rpc_finds_issued") << " issued, "
+         << v("ingest_rpc_finds_done") << " done, "
+         << v("ingest_rpc_deadline_misses") << " deadline miss(es), "
+         << v("ingest_rpc_find_attempts") << " attempt(s)\n";
     }
   }
 
   // Bound gauges: milli-ratios, full scale = 2× the bound (so the 1.0×
   // bound sits mid-bar). All four zero means no auditor was attached.
-  const std::int64_t mw = v(vs::obs::kTsAuditBase + 0);
-  const std::int64_t mt = v(vs::obs::kTsAuditBase + 1);
-  const std::int64_t fw = v(vs::obs::kTsAuditBase + 2);
-  const std::int64_t ft = v(vs::obs::kTsAuditBase + 3);
+  if (!has({"audit_move_work_ratio_milli", "audit_move_time_ratio_milli",
+            "audit_find_work_ratio_milli", "audit_find_time_ratio_milli"})) {
+    return;
+  }
+  const std::int64_t mw = v("audit_move_work_ratio_milli");
+  const std::int64_t mt = v("audit_move_time_ratio_milli");
+  const std::int64_t fw = v("audit_find_work_ratio_milli");
+  const std::int64_t ft = v("audit_find_time_ratio_milli");
   if (mw == 0 && mt == 0 && fw == 0 && ft == 0) {
     os << "  bounds: (no sliding-window auditor attached)\n";
   } else {

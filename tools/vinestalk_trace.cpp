@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 #include "hier/grid_hierarchy.hpp"
 #include "obs/chrome_export.hpp"
@@ -293,28 +294,34 @@ int cmd_telemetry(const std::string& path, bool csv) {
     return 0;
   }
   const vs::obs::TelemetryHeader& h = file.header;
+  // Per-level series are named level<l>_*, so the hierarchy's depth is
+  // the number of level<l>_move_msgs series.
+  const auto levels = std::ranges::count_if(h.series, [](const auto& d) {
+    return d.name.starts_with("level") && d.name.ends_with("_move_msgs");
+  });
   std::cout << "VSTELEM1 stream: " << file.samples.size() << " sample(s), "
             << (file.complete ? "complete" : "unterminated (tail read)")
-            << "\n  cadence " << h.cadence_us << "us, " << h.series
-            << " series, max level " << h.max_level;
+            << "\n  cadence " << h.cadence_us << "us, " << h.series.size()
+            << " series";
+  if (levels > 0) std::cout << ", max level " << levels - 1;
   std::cout << "\n";
   if (file.samples.empty()) return 0;
   const vs::obs::TelemetrySample& first = file.samples.front();
   const vs::obs::TelemetrySample& last = file.samples.back();
   std::cout << "  t = [" << first.t_us << "us, " << last.t_us << "us]\n";
-  const std::vector<std::string> names = vs::obs::telemetry_series_names(h);
+  // Decoded values may be anything: differences wrap, never overflow.
   const double span_s =
-      static_cast<double>(last.t_us - first.t_us) / 1e6;
-  for (std::size_t i = 0; i < names.size(); ++i) {
+      static_cast<double>(vs::codec::wrapping_sub(last.t_us, first.t_us)) /
+      1e6;
+  for (std::size_t i = 0; i < h.series.size(); ++i) {
     const std::int64_t v = last.values[i];
     if (v == 0) continue;  // keep the summary to series that moved
-    std::cout << "  " << names[i] << ": " << v;
-    const std::int64_t delta = v - first.values[i];
-    // Rates only make sense for counters, not for the _us quantile and
-    // milli-ratio gauges.
-    const bool gauge = names[i].ends_with("_us") ||
-                       names[i].ends_with("_milli");
-    if (!gauge && span_s > 0 && delta > 0) {
+    std::cout << "  " << h.series[i].name << ": " << v;
+    const std::int64_t delta = vs::codec::wrapping_sub(v, first.values[i]);
+    // Rates only make sense for counters, not for gauges (percentiles,
+    // ratios, high-water marks, settings).
+    const bool counter = h.series[i].kind == vs::obs::SeriesKind::kCounter;
+    if (counter && span_s > 0 && delta > 0) {
       std::cout << " (" << static_cast<std::int64_t>(
                                static_cast<double>(delta) / span_s)
                 << "/s over the stream)";
