@@ -44,21 +44,16 @@ void Stabilizer::on_tick() {
 }
 
 obs::OpId Stabilizer::tick_hb_op() const {
-  return obs::kTraceCompiled
-             ? obs::make_op(obs::OpClass::kHeartbeat,
-                            static_cast<std::uint64_t>(ticks_))
-             : obs::kBackgroundOp;
+  return obs::make_op(obs::OpClass::kHeartbeat,
+                      static_cast<std::uint64_t>(ticks_));
 }
 
 obs::OpId Stabilizer::tick_repair_op() const {
-  return obs::kTraceCompiled
-             ? obs::make_op(obs::OpClass::kRepair,
-                            static_cast<std::uint64_t>(ticks_))
-             : obs::kBackgroundOp;
+  return obs::make_op(obs::OpClass::kRepair,
+                      static_cast<std::uint64_t>(ticks_));
 }
 
 obs::OpId Stabilizer::repair_op_from(obs::OpId source) const {
-  if (!obs::kTraceCompiled) return obs::kBackgroundOp;
   if (obs::op_class(source) == obs::OpClass::kHeartbeat) {
     return obs::make_op(obs::OpClass::kRepair, obs::op_index(source));
   }

@@ -50,7 +50,7 @@ AuditReport BoundAuditor::audit_window(const OpLedger& ledger,
   AuditReport r;
   r.total_msgs = ledger.total_msgs();
   r.total_work = ledger.total_work();
-  const OpCost bg = ledger.class_total(OpClass::kBackground);
+  const OpCost& bg = ledger.class_total(OpClass::kBackground);
   r.background_msgs = bg.msgs;
   r.background_work = bg.work;
 
@@ -275,7 +275,7 @@ void print_audit(std::ostream& os, const TraceAttribution& attribution,
   for (const OpClass cls :
        {OpClass::kBackground, OpClass::kMove, OpClass::kFindSearch,
         OpClass::kFindTrace, OpClass::kHeartbeat, OpClass::kRepair}) {
-    const OpCost c = attribution.ledger.class_total(cls);
+    const OpCost& c = attribution.ledger.class_total(cls);
     if (c.msgs == 0 && c.work == 0) continue;
     os << "  " << std::left << std::setw(12) << op_class_name(cls)
        << std::right << std::setw(8) << c.msgs << " msgs" << std::setw(10)

@@ -6,23 +6,6 @@ namespace vs::obs {
 
 namespace {
 
-void merge_into(OpCost& acc, const OpCost& c) {
-  acc.msgs += c.msgs;
-  acc.work += c.work;
-  if (c.first_us >= 0 && (acc.first_us < 0 || c.first_us < acc.first_us)) {
-    acc.first_us = c.first_us;
-  }
-  if (c.last_us > acc.last_us) acc.last_us = c.last_us;
-  if (acc.msgs_by_level.size() < c.msgs_by_level.size()) {
-    acc.msgs_by_level.resize(c.msgs_by_level.size(), 0);
-    acc.work_by_level.resize(c.work_by_level.size(), 0);
-  }
-  for (std::size_t l = 0; l < c.msgs_by_level.size(); ++l) {
-    acc.msgs_by_level[l] += c.msgs_by_level[l];
-    acc.work_by_level[l] += c.work_by_level[l];
-  }
-}
-
 void emit_levels(std::ostream& os, const OpCost& c) {
   os << "[";
   bool first = true;
@@ -38,23 +21,15 @@ void emit_levels(std::ostream& os, const OpCost& c) {
 
 }  // namespace
 
-OpCost OpLedger::class_total(OpClass cls) const {
-  OpCost acc;
-  for (const auto& [op, c] : ops_) {
-    if (op_class(op) == cls) merge_into(acc, c);
-  }
-  return acc;
-}
-
 std::int64_t OpLedger::total_msgs() const {
   std::int64_t sum = 0;
-  for (const auto& [op, c] : ops_) sum += c.msgs;
+  for (const OpCost& c : classes_) sum += c.msgs;
   return sum;
 }
 
 std::int64_t OpLedger::total_work() const {
   std::int64_t sum = 0;
-  for (const auto& [op, c] : ops_) sum += c.work;
+  for (const OpCost& c : classes_) sum += c.work;
   return sum;
 }
 
@@ -62,6 +37,7 @@ void OpLedger::clear() {
   ops_.clear();
   moves_.clear();
   finds_.clear();
+  classes_.fill(OpCost{});
 }
 
 std::string OpLedger::to_json() const {
@@ -84,7 +60,7 @@ std::string OpLedger::to_json() const {
       OpClass::kFindTrace,  OpClass::kHeartbeat, OpClass::kRepair};
   first = true;
   for (const OpClass cls : kClasses) {
-    const OpCost acc = class_total(cls);
+    const OpCost& acc = class_total(cls);
     if (acc.msgs == 0 && acc.work == 0) continue;
     if (!first) os << ",";
     first = false;

@@ -75,8 +75,7 @@ Watchdog::Watchdog(tracking::TrackingNetwork& net, TargetId target,
       });
   // Flight recorder: take over the recorder only if nobody is already
   // tracing (a full-trace run keeps its unbounded log and still gets its
-  // events into incidents — events() works in either mode). With tracing
-  // compiled out the ring stays empty; bundles then carry no events. The
+  // events into incidents — events() works in either mode). The
   // destructor undoes the take-over, so a later full-trace run on the same
   // world is not silently capped at the ring size.
   if (cfg_.ring_capacity > 0 && !net.trace().enabled()) {
@@ -121,7 +120,7 @@ Watchdog::Watchdog(tracking::TrackingNetwork& net, TargetId target,
   // *canonical* paper-default timer policy — a run driven with scaled
   // timers (ScenarioSpec::timer_scale) still obeys inequality (1), but
   // its cost must answer to what the paper promises.
-  if (cfg_.audit && kTraceCompiled) {
+  if (cfg_.audit) {
     ledger_.set_enabled(true);
     auditor_ = std::make_unique<BoundAuditor>(
         net.hierarchy(),
@@ -288,8 +287,7 @@ void Watchdog::full_check() {
 
 AuditReport Watchdog::audit_now() const {
   VS_REQUIRE(auditor_ != nullptr,
-             "audit_now requires a watchdog with cfg.audit (and tracing "
-             "compiled in)");
+             "audit_now requires a watchdog with cfg.audit");
   return auditor_->audit(ledger_);
 }
 

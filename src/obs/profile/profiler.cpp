@@ -45,7 +45,6 @@ void ProfBuf::clear() {
 }
 
 void Profiler::enable() {
-  if (!kProfileCompiled) return;
   main_.clear();
   snapshots_.clear();
   fires_since_snapshot_ = 0;

@@ -11,13 +11,9 @@
 // "ns per unit of Theorem-4.9 work" becomes a reportable
 // hardware-efficiency number.
 //
-// Cost model, in the same three states as tracing (obs/trace.hpp):
-//  * compiled out (-DVINESTALK_PROFILE=OFF): kProfileCompiled is false
-//    and every scope is dead code the compiler deletes (the scheduler's
-//    probe calls are `if constexpr` guarded, so the fire loop is
-//    byte-for-byte the unprofiled one);
-//  * compiled in, disabled: a scope is a pointer test plus a bool load —
-//    no clock reads, no stores, no allocation;
+// Cost model, in the same two runtime states as tracing (obs/trace.hpp):
+//  * disabled: a scope is a pointer test plus a bool load — no clock
+//    reads, no stores, no allocation;
 //  * enabled: two steady_clock reads plus a small-map upsert per scope.
 //
 // Determinism doctrine: wall-clock values are inherently nondeterministic,
@@ -46,12 +42,6 @@
 #include "stats/counters.hpp"
 
 namespace vs::obs {
-
-#if defined(VINESTALK_PROFILE) && VINESTALK_PROFILE
-inline constexpr bool kProfileCompiled = true;
-#else
-inline constexpr bool kProfileCompiled = false;
-#endif
 
 /// Subsystem a scope attributes its self-time to.
 enum class ProfDomain : std::uint8_t {
@@ -177,7 +167,7 @@ class Profiler {
   void enable();
   /// Stop accumulating (tallies survive for report()).
   void disable();
-  [[nodiscard]] bool enabled() const { return kProfileCompiled && enabled_; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   /// Stable address of the enabled flag — the scheduler's one-load gate.
   [[nodiscard]] const bool* enabled_flag() const { return &enabled_; }
 
@@ -244,23 +234,19 @@ class Profiler {
   std::uint64_t fires_since_snapshot_ = 0;
 };
 
-/// RAII scope: no-op unless compiled in, attached, and enabled. The
-/// buffer pointer is resolved once at entry so an enable()/disable()
-/// toggle mid-scope cannot unbalance the stack.
+/// RAII scope: no-op unless attached and enabled. The buffer pointer is
+/// resolved once at entry so an enable()/disable() toggle mid-scope
+/// cannot unbalance the stack.
 class ProfScope {
  public:
   ProfScope(Profiler* p, ProfDomain d) {
-    if constexpr (kProfileCompiled) {
-      if (p != nullptr && p->enabled()) {
-        buf_ = &p->buf();
-        Profiler::begin_scope(*buf_, d);
-      }
+    if (p != nullptr && p->enabled()) {
+      buf_ = &p->buf();
+      Profiler::begin_scope(*buf_, d);
     }
   }
   ~ProfScope() {
-    if constexpr (kProfileCompiled) {
-      if (buf_ != nullptr) Profiler::end_scope(*buf_);
-    }
+    if (buf_ != nullptr) Profiler::end_scope(*buf_);
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;

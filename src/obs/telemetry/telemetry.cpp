@@ -23,13 +23,14 @@ namespace {
 using stats::IngestCounters;
 using stats::WorkCounters;
 
-/// What one sample reads, gathered once per sample. The ledger and audit
-/// entries walk history, so each is computed once, not once per row.
+/// What one sample reads, gathered once per sample. The audit entries
+/// walk history, so they are computed once, not once per row.
 struct SampleInputs {
   tracking::TrackingNetwork& net;
   const WorkCounters& wc;
-  /// Per-class ledger totals in OpClass order; zero with no ledger.
-  std::array<OpCost, 6> ledger{};
+  /// The attached ledger, whose class totals the ledger rows read; null
+  /// (every ledger row 0) with none.
+  const OpLedger* ledger = nullptr;
   /// Trailing-window audit ratios ×1000 — move work, move time, max find
   /// work, max find time; zero with no auditor.
   std::array<std::int64_t, 4> audit{};
@@ -55,7 +56,7 @@ std::int64_t shed_tier(const In& in, Level) {
 }
 template <OpClass C, std::int64_t OpCost::*F>
 std::int64_t ledger_cost(const In& in, Level) {
-  return in.ledger[static_cast<std::size_t>(C)].*F;
+  return in.ledger != nullptr ? in.ledger->class_total(C).*F : 0;
 }
 template <std::size_t I>
 std::int64_t audit_milli(const In& in, Level) {
@@ -201,7 +202,6 @@ TelemetrySampler::TelemetrySampler(tracking::TrackingNetwork& net,
 TelemetrySampler::~TelemetrySampler() { finish(); }
 
 void TelemetrySampler::enable() {
-  if (!kTraceCompiled) return;  // compiled out: stays fully dead
   if (enabled_) return;
   enabled_ = true;
   // First boundary: the next cadence multiple strictly after now — sample
@@ -286,12 +286,7 @@ void TelemetrySampler::take_sample(std::int64_t t_us) {
   s.t_us = t_us;
   s.values.resize(header_.series.size());
 
-  SampleInputs in{*net_, net_->counters()};
-  if (const OpLedger* ledger = net_->op_ledger(); ledger != nullptr) {
-    for (std::size_t c = 0; c < in.ledger.size(); ++c) {
-      in.ledger[c] = ledger->class_total(static_cast<OpClass>(c));
-    }
-  }
+  SampleInputs in{*net_, net_->counters(), net_->op_ledger()};
   if (auditor_ != nullptr && audit_ledger_ != nullptr &&
       cfg_.audit_window > sim::Duration::zero()) {
     const AuditReport r =

@@ -11,9 +11,7 @@
 // boundaries beyond the final event simply wait for the next run_until
 // deadline flush.
 //
-// Cost model mirrors tracing's three states:
-//  * compiled out (-DVINESTALK_TRACE=OFF): enable() is a no-op; the
-//    scheduler hook is never armed and every sampling path is dead code;
+// Cost model mirrors tracing's two runtime states:
 //  * constructed but not enabled: nothing armed — the scheduler hot path
 //    pays its usual single compare against a never() boundary, the
 //    sampler holds no samples and writes no file;
@@ -81,7 +79,7 @@ class TelemetrySampler {
   TelemetrySampler& operator=(const TelemetrySampler&) = delete;
 
   /// Arm the scheduler boundary hook; first boundary is the next cadence
-  /// multiple strictly after now(). No-op when tracing is compiled out.
+  /// multiple strictly after now().
   void enable();
   [[nodiscard]] bool enabled() const { return enabled_; }
 

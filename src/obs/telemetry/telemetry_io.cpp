@@ -1,6 +1,9 @@
 #include "obs/telemetry/telemetry_io.hpp"
 
+#include <cmath>
+#include <iomanip>
 #include <ostream>
+#include <sstream>
 
 #include "common/codec.hpp"
 #include "common/error.hpp"
@@ -165,6 +168,13 @@ void telemetry_to_csv(std::ostream& os, const TelemetryFile& file) {
     for (const std::int64_t v : s.values) os << "," << v;
     os << "\n";
   }
+}
+
+std::string format_rate(double per_s) {
+  std::ostringstream os;
+  // + 0.0 turns a truncated -0 into 0.
+  os << std::fixed << std::setprecision(0) << std::trunc(per_s) + 0.0;
+  return os.str();
 }
 
 }  // namespace vs::obs

@@ -131,4 +131,10 @@ struct TelemetryFile {
 /// by the header).
 void telemetry_to_csv(std::ostream& os, const TelemetryFile& file);
 
+/// A per-second rate as the viewers print it: `per_s` truncated toward
+/// zero, in whole digits. It is printed from the double itself, so a rate
+/// past the int64 range (a crafted stream can imply one) still prints its
+/// value.
+[[nodiscard]] std::string format_rate(double per_s);
+
 }  // namespace vs::obs

@@ -17,11 +17,9 @@
 // deliveries to the found output, and grow/shrink propagation depth is
 // directly measurable against the Lemma 4.1–4.4 update bounds.
 //
-// Cost model, in three states:
-//  * compiled out (-DVINESTALK_TRACE=OFF): kTraceCompiled is false and
-//    every record point is dead code the compiler deletes;
-//  * compiled in, disabled (the default at runtime): a record point is a
-//    pointer test plus a bool load, no stores, no allocation;
+// Cost model, in two runtime states:
+//  * disabled (the default): a record point is a pointer test plus a bool
+//    load, no stores, no allocation;
 //  * enabled: one TraceEvent store per record, segment-granular growth.
 
 #include <cstdint>
@@ -31,12 +29,6 @@
 #include <vector>
 
 namespace vs::obs {
-
-#if defined(VINESTALK_TRACE) && VINESTALK_TRACE
-inline constexpr bool kTraceCompiled = true;
-#else
-inline constexpr bool kTraceCompiled = false;
-#endif
 
 /// What happened. Field semantics per kind are documented inline; unused
 /// fields are -1 (ids) or 0 (arg/extra) so traces are byte-deterministic.

@@ -2,7 +2,8 @@
 // Trace file format: the bench/CLI artifact the vinestalk_trace tool reads.
 //
 // Layout (all integers little-endian native, the build's own byte order —
-// traces are run artifacts like BENCH_*.json, not an interchange format):
+// traces are run artifacts like the benches' --obs-json, not an
+// interchange format):
 //
 //   bytes 0..7   magic "VSTRACE1"
 //   u32          format version (kTraceFormatVersion)

@@ -8,22 +8,14 @@
 // pop and the event action itself. Everything finer-grained (delivery,
 // tracker handlers, telemetry) self-scopes at its own layer.
 //
-// Cost: compiled out (-DVINESTALK_PROFILE=OFF) the call sites are
-// `if constexpr` dead code — the fire loop is byte-for-byte the
-// unprofiled one. Compiled in but unset: one null test per phase site.
-// Set but disabled: the null test plus one bool load through
-// `enabled_flag` (the profiler's runtime gate lives at the profiler so
-// enable()/disable() never re-arm the scheduler).
+// Cost: unset, one null test per phase site. Set but disabled: the null
+// test plus one bool load through `enabled_flag` (the profiler's runtime
+// gate lives at the profiler so enable()/disable() never re-arm the
+// scheduler).
 
 #include <cstdint>
 
 namespace vs::sim {
-
-#if defined(VINESTALK_PROFILE) && VINESTALK_PROFILE
-inline constexpr bool kProfileProbeCompiled = true;
-#else
-inline constexpr bool kProfileProbeCompiled = false;
-#endif
 
 inline constexpr int kProbeQueuePopBegin = 0;
 inline constexpr int kProbeQueuePopEnd = 1;

@@ -100,28 +100,19 @@ class Scheduler {
   /// TrackingNetwork::set_profiler). Phases pair around the event-queue
   /// pop and the fired action. `enabled` is the profiler's runtime gate —
   /// read here so enable()/disable() never re-arm the scheduler. Unset:
-  /// one null test per phase site; compiled out (-DVINESTALK_PROFILE=OFF):
-  /// the sites are `if constexpr` dead code.
-  void set_profile_probe([[maybe_unused]] ProfileProbe fn,
-                         [[maybe_unused]] void* ctx,
-                         [[maybe_unused]] const bool* enabled) {
-    if constexpr (kProfileProbeCompiled) {
-      probe_ = fn;
-      probe_ctx_ = ctx;
-      probe_enabled_ = enabled;
-    }
+  /// one null test per phase site.
+  void set_profile_probe(ProfileProbe fn, void* ctx, const bool* enabled) {
+    probe_ = fn;
+    probe_ctx_ = ctx;
+    probe_enabled_ = enabled;
   }
 
 
  private:
-  /// Emit one profile-probe phase; dead code when profiling is compiled
-  /// out, a null test when no probe is set, plus one bool load when the
-  /// attached profiler is disabled.
-  void probe([[maybe_unused]] int phase,
-             [[maybe_unused]] std::int64_t t_us) const {
-    if constexpr (kProfileProbeCompiled) {
-      if (probe_ != nullptr && *probe_enabled_) probe_(probe_ctx_, phase, t_us);
-    }
+  /// Emit one profile-probe phase: a null test when no probe is set, plus
+  /// one bool load when the attached profiler is disabled.
+  void probe(int phase, std::int64_t t_us) const {
+    if (probe_ != nullptr && *probe_enabled_) probe_(probe_ctx_, phase, t_us);
   }
 
   /// Emit every due boundary <= `upto` through the hook and advance

@@ -130,6 +130,10 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
     if (it == finds_.end()) return;
     ++it->second.messages;
     it->second.work += hops;
+    if (it->second.done) {
+      ++census_.messages;
+      census_.work += hops;
+    }
     if (m.type == vsa::MsgType::kFindQuery) {
       it->second.max_search_level =
           std::max(it->second.max_search_level, level);
@@ -201,7 +205,7 @@ void TrackingNetwork::record_move(TargetId target, RegionId from, RegionId to,
   if (ledger_ != nullptr) {
     ledger_->begin_move(obs::op_index(op), distance, sched_.now().count());
   }
-  if (!obs::kTraceCompiled || !trace_.enabled()) return;
+  if (!trace_.enabled()) return;
   trace_.append(obs::TraceEvent{
       .time_us = sched_.now().count(),
       .seq = sched_.current_seq(),
@@ -297,7 +301,7 @@ FindId TrackingNetwork::start_find(RegionId from, TargetId target) {
   if (ledger_ != nullptr) {
     ledger_->begin_find(obs::op_index(op), sched_.now().count());
   }
-  if (obs::kTraceCompiled && trace_.enabled()) {
+  if (trace_.enabled()) {
     record(obs::TraceKind::kFindIssued, f, target, from, op,
            static_cast<std::int32_t>(r.distance));
   }
@@ -325,11 +329,13 @@ void TrackingNetwork::on_found_output(FindId f, TargetId t, RegionId region,
   it->second.completed = sched_.now();
   ++census_.completed;
   census_.latency_us.record(it->second.latency().count());
+  census_.messages += it->second.messages;
+  census_.work += it->second.work;
   if (ledger_ != nullptr) {
     ledger_->complete_find(static_cast<std::uint32_t>(f.value()),
                            it->second.distance, sched_.now().count());
   }
-  if (obs::kTraceCompiled && trace_.enabled()) {
+  if (trace_.enabled()) {
     record(obs::TraceKind::kFoundOutput, f, t, region,
            obs::make_op(obs::OpClass::kFindTrace,
                         static_cast<std::uint32_t>(f.value())));
@@ -354,11 +360,8 @@ obs::MetricsRegistry TrackingNetwork::export_metrics() const {
     m.add("find.completed", census_.completed);
     m.histogram("find.latency_us", census_.latency_us.bounds())
         .merge(census_.latency_us);
-  }
-  for (const auto& [id, fr] : finds_) {
-    if (!fr.done) continue;
-    m.add("find.messages", fr.messages);
-    m.add("find.work", fr.work);
+    m.add("find.messages", census_.messages);
+    m.add("find.work", census_.work);
   }
   return m;
 }

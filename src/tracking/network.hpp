@@ -87,6 +87,11 @@ struct FindResult {
 struct FindCensus {
   std::int64_t issued = 0;
   std::int64_t completed = 0;
+  /// Sums of FindResult::messages / ::work over completed finds: a find's
+  /// cost so far lands at its first found, every later send of it as it
+  /// happens.
+  std::int64_t messages = 0;
+  std::int64_t work = 0;
   /// Completed finds' latency in µs, bucketed at powers of two of a
   /// millisecond (1 ms … 1024 ms).
   obs::Histogram latency_us;

@@ -170,7 +170,7 @@ void Tracker::nudge_timer(TargetId target, obs::OpId op) {
   if (timer_armed(target)) return;
   // The armed-op is gone with the lost timer; charge the re-evaluated
   // expiry (and its cascade) to the repair op driving the nudge.
-  if (obs::kTraceCompiled && op != obs::kBackgroundOp) {
+  if (op != obs::kBackgroundOp) {
     target_state(target).op = op;
   }
   on_timer(target);
@@ -341,7 +341,7 @@ void Tracker::on_timer(TargetId t) {
   PerTarget& s = target_state(t);
   // The expiry's cascade belongs to the operation that armed the timer.
   OpScope scope(&current_op_, s.op);
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     const std::int32_t branch =
         s.c.valid() && !s.p.valid() && lvl_ != hier_->max_level() ? 1
         : !s.c.valid() && s.p.valid()                             ? 2
@@ -412,11 +412,9 @@ void Tracker::try_advance_find(FindId f) {
   // Theorem 5.2 "descend" leg); c = ⊥ means it is still searching. The
   // find's index is its FindId, so both phases are derivable anywhere.
   const obs::OpId phase_op =
-      !obs::kTraceCompiled
-          ? obs::kBackgroundOp
-          : obs::make_op(ts.c.valid() ? obs::OpClass::kFindTrace
-                                      : obs::OpClass::kFindSearch,
-                         static_cast<std::uint64_t>(f.value()));
+      obs::make_op(ts.c.valid() ? obs::OpClass::kFindTrace
+                                : obs::OpClass::kFindSearch,
+                   static_cast<std::uint64_t>(f.value()));
   OpScope scope(&current_op_, phase_op);
 
   if (ts.c == clust_) {
@@ -503,11 +501,9 @@ void Tracker::on_nbrtimeout(FindId f) {
   if (!pf.finding) return;
   // A timed-out query escalates — still the find's search phase.
   OpScope scope(&current_op_,
-                obs::kTraceCompiled
-                    ? obs::make_op(obs::OpClass::kFindSearch,
-                                   static_cast<std::uint64_t>(f.value()))
-                    : obs::kBackgroundOp);
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+                obs::make_op(obs::OpClass::kFindSearch,
+                             static_cast<std::uint64_t>(f.value())));
+  if (trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kFindTimeout, pf.target, f, 0);
   }
   const PerTarget& ts = target_view(pf.target);

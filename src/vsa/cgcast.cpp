@@ -160,8 +160,7 @@ bool CGcast::apply_channel_faults(const Message& m, sim::Duration& delay,
 }
 
 void CGcast::send(ClusterId from, ClusterId to, const Message& m) {
-  if (obs::kTraceCompiled && ambient_op_ != obs::kBackgroundOp &&
-      m.op == obs::kBackgroundOp) {
+  if (ambient_op_ != obs::kBackgroundOp && m.op == obs::kBackgroundOp) {
     Message tagged = m;
     tagged.op = ambient_op_;
     send(from, to, tagged);
@@ -175,14 +174,14 @@ void CGcast::send(ClusterId from, ClusterId to, const Message& m) {
   const std::int64_t hops = work_to(from, to);
   counters_->record(m.type, l, hops);
   notify_observers(m, from, to, l, hops);
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kSend, m, from.value(), to.value(), l,
            static_cast<std::int32_t>(hops));
   }
   bool duplicate = false;
   if (lose_message() ||  // vanished in flight (fault injection)
       apply_channel_faults(m, delay, duplicate)) {
-    if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+    if (trace_ != nullptr && trace_->enabled()) {
       record(obs::TraceKind::kLost, m, from.value(), to.value(), l, 0);
     }
     return;
@@ -193,8 +192,7 @@ void CGcast::send(ClusterId from, ClusterId to, const Message& m) {
 }
 
 void CGcast::send_from_client(RegionId at, const Message& m) {
-  if (obs::kTraceCompiled && ambient_op_ != obs::kBackgroundOp &&
-      m.op == obs::kBackgroundOp) {
+  if (ambient_op_ != obs::kBackgroundOp && m.op == obs::kBackgroundOp) {
     Message tagged = m;
     tagged.op = ambient_op_;
     send_from_client(at, tagged);
@@ -204,13 +202,13 @@ void CGcast::send_from_client(RegionId at, const Message& m) {
   const ClusterId dest = h.cluster_of(at, 0);
   counters_->record(m.type, 0, 1);
   notify_observers(m, ClusterId::invalid(), dest, 0, 1);
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kClientSend, m, at.value(), dest.value(), 0, 1);
   }
   sim::Duration delay = config_.delta;  // rule (e)
   bool duplicate = false;
   if (lose_message() || apply_channel_faults(m, delay, duplicate)) {
-    if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+    if (trace_ != nullptr && trace_->enabled()) {
       record(obs::TraceKind::kLost, m, at.value(), dest.value(), 0, 0);
     }
     return;
@@ -220,8 +218,7 @@ void CGcast::send_from_client(RegionId at, const Message& m) {
 }
 
 void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
-  if (obs::kTraceCompiled && ambient_op_ != obs::kBackgroundOp &&
-      m.op == obs::kBackgroundOp) {
+  if (ambient_op_ != obs::kBackgroundOp && m.op == obs::kBackgroundOp) {
     Message tagged = m;
     tagged.op = ambient_op_;
     broadcast_to_clients(from_level0, tagged);
@@ -232,7 +229,7 @@ void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
   const RegionId region = h.members(from_level0).front();
   counters_->record(m.type, 0, 1);
   notify_observers(m, from_level0, ClusterId::invalid(), 0, 1);
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kBroadcast, m, from_level0.value(), region.value(),
            0, 1);
   }
@@ -247,7 +244,7 @@ void CGcast::deliver_row(std::uint32_t row) {
   release(row);
   if (!process_alive(r.to)) {
     ++dropped_;
-    if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+    if (trace_ != nullptr && trace_->enabled()) {
       record(obs::TraceKind::kDrop, r.msg,
              r.from.valid() ? r.from.value() : -1, r.to.value(),
              hier_->level(r.to), 0);
@@ -256,13 +253,13 @@ void CGcast::deliver_row(std::uint32_t row) {
                      << " (no alive hosting VSA)");
     return;
   }
-  if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {
+  if (trace_ != nullptr && trace_->enabled()) {
     record(obs::TraceKind::kDeliver, r.msg,
            r.from.valid() ? r.from.value() : -1, r.to.value(),
            hier_->level(r.to), 0);
   }
   VS_REQUIRE(static_cast<bool>(tracker_sink_), "no tracker sink installed");
-  if (obs::kProfileCompiled && prof_ != nullptr && prof_->enabled()) {
+  if (prof_ != nullptr && prof_->enabled()) {
     // Inclusive handler time, charged to the message's kind and op — the
     // per-message bridge between CPU ns and the ledger's virtual cost.
     obs::ProfBuf& pb = prof_->buf();

@@ -124,8 +124,7 @@ class CGcast {
   /// counters, observers, and trace records see the send. Drivers bracket
   /// operation roots (a move's grow/shrink injection, a find injection)
   /// with set/clear; everything deeper inherits the op through message
-  /// propagation in the Tracker. Compiled out with tracing: when
-  /// kTraceCompiled is false the stamp never happens and every op stays 0.
+  /// propagation in the Tracker.
   void set_ambient_op(obs::OpId op) { ambient_op_ = op; }
   [[nodiscard]] obs::OpId ambient_op() const { return ambient_op_; }
 
@@ -203,8 +202,8 @@ class CGcast {
   void notify_observers(const Message& m, ClusterId from, ClusterId to,
                         Level level, std::int64_t hops);
   /// Append one message-shaped trace record. Callers gate on
-  /// obs::kTraceCompiled && trace_ && trace_->enabled() so the disabled
-  /// path stays a pointer test and the OFF build deletes the call.
+  /// trace_ && trace_->enabled() so the disabled path stays a pointer
+  /// test.
   void record(obs::TraceKind kind, const Message& m, std::int32_t a,
               std::int32_t b, Level level, std::int32_t arg);
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,44 @@ AuditedRun run_audited_walk(int steps, std::uint64_t seed) {
   return r;
 }
 
+/// Each class total the ledger keeps as sends are noted must equal a
+/// recount over its ops: summed msgs/work and per-level rows, the earliest
+/// first_us and the latest last_us.
+void expect_class_totals_match_ops(const obs::OpLedger& ledger) {
+  for (const obs::OpClass cls :
+       {obs::OpClass::kBackground, obs::OpClass::kMove,
+        obs::OpClass::kFindSearch, obs::OpClass::kFindTrace,
+        obs::OpClass::kHeartbeat, obs::OpClass::kRepair}) {
+    obs::OpCost want;
+    for (const auto& [op, c] : ledger.ops()) {
+      if (obs::op_class(op) != cls) continue;
+      want.msgs += c.msgs;
+      want.work += c.work;
+      if (want.first_us < 0 || c.first_us < want.first_us) {
+        want.first_us = c.first_us;
+      }
+      want.last_us = std::max(want.last_us, c.last_us);
+      if (want.msgs_by_level.size() < c.msgs_by_level.size()) {
+        want.msgs_by_level.resize(c.msgs_by_level.size(), 0);
+        want.work_by_level.resize(c.work_by_level.size(), 0);
+      }
+      for (std::size_t l = 0; l < c.msgs_by_level.size(); ++l) {
+        want.msgs_by_level[l] += c.msgs_by_level[l];
+        want.work_by_level[l] += c.work_by_level[l];
+      }
+    }
+    const obs::OpCost& got = ledger.class_total(cls);
+    const char* name = obs::op_class_name(cls);
+    EXPECT_EQ(got.msgs, want.msgs) << name;
+    EXPECT_EQ(got.work, want.work) << name;
+    EXPECT_EQ(got.first_us, want.first_us) << name;
+    EXPECT_EQ(got.last_us, want.last_us) << name;
+    EXPECT_EQ(got.msgs_by_level, want.msgs_by_level) << name;
+    EXPECT_EQ(got.work_by_level, want.work_by_level) << name;
+  }
+}
+
 TEST(Audit, AttributionConservationOnSeededWalk) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   AuditedRun r = run_audited_walk(12, 0xAD17);
   const obs::WorldTrace w{0, r.g.net->trace().events()};
   const obs::TraceAttribution attr = obs::attribute_trace(w);
@@ -75,12 +112,26 @@ TEST(Audit, AttributionConservationOnSeededWalk) {
 }
 
 TEST(Audit, OfflineAttributionMatchesLiveLedger) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   AuditedRun r = run_audited_walk(10, 0xBEE5);
   const obs::WorldTrace w{0, r.g.net->trace().events()};
   const obs::TraceAttribution attr = obs::attribute_trace(w);
   EXPECT_EQ(attr.ledger.to_json(), r.ledger.to_json());
   EXPECT_GT(r.ledger.entries(), 0u);
+
+  // The class totals, live and offline, equal a recount over the ops.
+  EXPECT_GT(r.ledger.class_total(obs::OpClass::kMove).msgs, 0);
+  EXPECT_GT(r.ledger.class_total(obs::OpClass::kFindTrace).msgs, 0);
+  expect_class_totals_match_ops(r.ledger);
+  expect_class_totals_match_ops(attr.ledger);
+
+  // clear() empties them with the ops, and they count afresh after it.
+  r.ledger.clear();
+  expect_class_totals_match_ops(r.ledger);
+  EXPECT_EQ(r.ledger.total_msgs(), 0);
+  r.g.net->start_find(r.g.at(26, 0), r.target);
+  r.g.net->run_to_quiescence();
+  EXPECT_GT(r.ledger.class_total(obs::OpClass::kFindSearch).msgs, 0);
+  expect_class_totals_match_ops(r.ledger);
 }
 
 TEST(Audit, FindResultCarriesOpAndDistance) {
@@ -125,7 +176,6 @@ TEST(Audit, LedgerByteIdenticalAcrossJobs) {
 }
 
 TEST(Audit, HealthyRunStaysWithinSlack) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   GridNet g = make_grid(27, 3);
   const RegionId start = g.at(13, 13);
   const TargetId t = g.net->add_evader(start);
@@ -168,7 +218,6 @@ obs::ScenarioSpec walk_scenario(int steps, std::uint64_t seed) {
 }
 
 TEST(Audit, ScaledTimersBlowTimeBoundAndReplay) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   // κ × the paper-default timers still satisfy inequality (1), so the
   // protocol runs correctly — but the timer-bound part of every cascade
   // takes κ times longer, and the auditor judges against the canonical

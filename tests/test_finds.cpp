@@ -161,6 +161,15 @@ TEST(Finds, CensusEqualsARecountOverTheHistory) {
   tracking::NetworkConfig cfg;
   cfg.clients_per_region = 3;
   GridNet g = make_grid(27, 3, cfg);
+  // Sends of a find that has already been answered: the census adds these
+  // as they happen rather than at the first found.
+  int late_sends = 0;
+  g.net->cgcast().add_send_observer(
+      [&](const vsa::Message& m, ClusterId, ClusterId, Level, std::int64_t) {
+        if (m.find_id.valid() && g.net->find_result(m.find_id).done) {
+          ++late_sends;
+        }
+      });
   const TargetId t = g.net->add_evader(g.at(13, 13));
   g.net->run_to_quiescence();
   for (int i = 0; i < 9; ++i) {
@@ -181,18 +190,25 @@ TEST(Finds, CensusEqualsARecountOverTheHistory) {
   EXPECT_EQ(bounds.back(), 1'024'000);
   std::int64_t issued = 0;
   std::int64_t completed = 0;
+  std::int64_t messages = 0;
+  std::int64_t work = 0;
   obs::Histogram latency(bounds);
   for (const auto& [id, fr] : g.net->finds()) {
     ++issued;
     if (!fr.done) continue;
     ++completed;
+    messages += fr.messages;
+    work += fr.work;
     EXPECT_EQ(g.net->clients().alive_clients_in(fr.found_region), 3u);
     latency.record(fr.latency().count());
   }
   EXPECT_EQ(issued, 12);
   EXPECT_EQ(completed, 10);
+  EXPECT_GT(late_sends, 0);
   EXPECT_EQ(census.issued, issued);
   EXPECT_EQ(census.completed, completed);
+  EXPECT_EQ(census.messages, messages);
+  EXPECT_EQ(census.work, work);
   EXPECT_EQ(census.latency_us.buckets(), latency.buckets());
   EXPECT_EQ(census.latency_us.count(), latency.count());
   EXPECT_EQ(census.latency_us.sum(), latency.sum());
@@ -203,6 +219,8 @@ TEST(Finds, CensusEqualsARecountOverTheHistory) {
   const obs::MetricsRegistry m = g.net->export_metrics();
   EXPECT_EQ(m.counter("find.issued"), issued);
   EXPECT_EQ(m.counter("find.completed"), completed);
+  EXPECT_EQ(m.counter("find.messages"), messages);
+  EXPECT_EQ(m.counter("find.work"), work);
   const obs::Histogram* exported = m.find_histogram("find.latency_us");
   ASSERT_NE(exported, nullptr);
   EXPECT_EQ(exported->buckets(), latency.buckets());

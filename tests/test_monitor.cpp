@@ -282,11 +282,9 @@ TEST(Watchdog, IncidentCarriesContextAndRing) {
   EXPECT_EQ(b.scenario.seed, 42u);
   EXPECT_FALSE(b.config_json.empty());
   EXPECT_FALSE(b.metrics_json.empty());
-  if (obs::kTraceCompiled) {
-    // The flight recorder captured the walk's tail, bounded by the ring.
-    EXPECT_FALSE(b.ring.empty());
-    EXPECT_LE(b.ring.size(), 64u);
-  }
+  // The flight recorder captured the walk's tail, bounded by the ring.
+  EXPECT_FALSE(b.ring.empty());
+  EXPECT_LE(b.ring.size(), 64u);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +420,6 @@ TEST(IncidentReplay, NonReplayableScenarioIsRefusedWithDiagnostic) {
 // Flight-recorder ring.
 
 TEST(RingBuffer, KeepsExactlyLastK) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   obs::TraceRecorder rec;
   rec.set_ring_capacity(16);
   rec.set_enabled(true);
@@ -443,7 +440,6 @@ TEST(RingBuffer, KeepsExactlyLastK) {
 }
 
 TEST(RingBuffer, BelowCapacityReturnsAllInOrder) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   obs::TraceRecorder rec;
   rec.set_ring_capacity(16);
   rec.set_enabled(true);
@@ -463,7 +459,6 @@ TEST(RingBuffer, BelowCapacityReturnsAllInOrder) {
 // Chrome export.
 
 TEST(ChromeExport, RoundTripsEventCountsAndTimestamps) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   GridNet g = make_grid(27, 3);
   g.net->set_tracing(true);
   const RegionId start = g.at(13, 13);

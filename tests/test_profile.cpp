@@ -5,9 +5,8 @@
 // conservation holds by construction (paths sum == domain sum == root
 // sum ≤ wall time); snapshots are virtual-time ordered and monotone; the
 // VSPROF1 sidecar round-trips exactly; the folded/JSON/Prometheus/Perfetto
-// renderings are well-formed; the vinestalk_top --profile panel renders a
-// golden frame; and the vinestalk_bench regression gate passes against
-// its own baseline while failing on an injected synthetic regression.
+// renderings are well-formed; and the vinestalk_top --profile panel
+// renders a golden frame.
 
 #include <gtest/gtest.h>
 
@@ -32,9 +31,6 @@
 
 #ifndef VS_TOP_PATH
 #error "VS_TOP_PATH must be defined by the build"
-#endif
-#ifndef VS_BENCH_PATH
-#error "VS_BENCH_PATH must be defined by the build"
 #endif
 
 namespace vstest {
@@ -124,7 +120,6 @@ RunArtifacts run_world(bool profiled, const std::string& tag,
 }
 
 TEST(Profile, DeterministicArtifactsByteIdenticalAcrossJobsAndShards) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   // Baseline: serial, unprofiled. Every jobs sweep with profiling ENABLED
   // must reproduce the identical trace bytes, telemetry stream bytes, and
   // observable outputs — wall-clock accumulation may never leak into a
@@ -149,16 +144,14 @@ TEST(Profile, DeterministicArtifactsByteIdenticalAcrossJobsAndShards) {
       EXPECT_EQ(one, expect) << "jobs=" << jobs;
     }
   }
-  // And the profiled runs really did profile (when compiled in).
-  if (obs::kProfileCompiled) {
-    const RunArtifacts p = run_world(true, "really");
-    EXPECT_GT(p.scopes, 0u);
-    EXPECT_GT(p.report.total_ns, 0u);
-  }
+  // And the profiled runs really did profile.
+  const RunArtifacts p = run_world(true, "really");
+  EXPECT_GT(p.scopes, 0u);
+  EXPECT_GT(p.report.total_ns, 0u);
 }
 
 TEST(Profile, AttachedButDisabledRecordsNothing) {
-  // Compiled in but never enabled: every scope site is a pointer test and
+  // Attached but never enabled: every scope site is a pointer test and
   // a bool load — no clock reads, no map growth, zero scopes recorded
   // (the same zero-cost pin as TraceRecorder::segments_allocated).
   GridNet g = make_grid(27, 3);
@@ -179,7 +172,6 @@ TEST(Profile, AttachedButDisabledRecordsNothing) {
 }
 
 TEST(Profile, ConservationByConstruction) {
-  if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
   // Long enough for several periodic snapshots (one per kSnapshotEvery
   // fired events).
   const RunArtifacts a = run_world(true, "conserve", 800);
@@ -225,7 +217,6 @@ TEST(Profile, ConservationByConstruction) {
 }
 
 TEST(Profile, SidecarRoundTripsExactly) {
-  if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
   const RunArtifacts a = run_world(true, "roundtrip");
   const obs::ProfileReport& r = a.report;
   const std::string path = testing::TempDir() + "roundtrip.vsprof";
@@ -272,7 +263,6 @@ TEST(Profile, SidecarRejectsOpOutsideEveryClass) {
 }
 
 TEST(Profile, RenderingsAreWellFormed) {
-  if (!obs::kProfileCompiled) GTEST_SKIP() << "profiling compiled out";
   const RunArtifacts a = run_world(true, "render");
   const obs::ProfileReport& r = a.report;
 
@@ -390,51 +380,6 @@ TEST(Profile, TopProfilePanelGoldenFrame) {
       &code2);
   EXPECT_EQ(code2, 0);
   EXPECT_NE(waiting.find("waiting for sidecar"), std::string::npos);
-}
-
-TEST(Profile, BenchGatePassesSelfAndFailsSyntheticRegression) {
-  // The perf-trajectory gate, driven end to end: a quick run updates a
-  // fresh baseline (gate passes against itself), then a baseline doctored
-  // to claim 10× the serial throughput must trip the gate.
-  const std::string dir = testing::TempDir();
-  const std::string history = dir + "bench_history.jsonl";
-  const std::string baseline = dir + "bench_baseline.json";
-  std::remove(history.c_str());
-
-  int code = -1;
-  const std::string out = run_tool(std::string(VS_BENCH_PATH) +
-                                       " --quick --history=" + history +
-                                       " --baseline=" + baseline +
-                                       " --update-baseline --check",
-                                   &code);
-  EXPECT_EQ(code, 0) << out;
-  EXPECT_NE(out.find("within tolerance"), std::string::npos) << out;
-
-  // Every run appended one machine-stamped history line.
-  const std::string hist = slurp(history);
-  EXPECT_NE(hist.find("\"cpu_model\""), std::string::npos);
-  EXPECT_NE(hist.find("\"git_sha\""), std::string::npos);
-  EXPECT_NE(hist.find("\"serial_events_per_sec\""), std::string::npos);
-
-  // Inject the synthetic regression: multiply the baseline's serial
-  // throughput ~10×, so the fresh measurement reads as a >35% loss.
-  std::string doctored = slurp(baseline);
-  const std::string key = "\"serial_events_per_sec\": ";
-  const auto at = doctored.find(key);
-  ASSERT_NE(at, std::string::npos);
-  doctored.insert(at + key.size(), "9");  // prepend a digit: ~10x
-  {
-    std::ofstream os(baseline, std::ios::trunc);
-    os << doctored;
-  }
-  int code2 = -1;
-  const std::string out2 = run_tool(std::string(VS_BENCH_PATH) +
-                                        " --quick --history=" + history +
-                                        " --baseline=" + baseline +
-                                        " --check",
-                                    &code2);
-  EXPECT_EQ(code2, 1) << out2;
-  EXPECT_NE(out2.find("REGRESSION DETECTED"), std::string::npos) << out2;
 }
 
 }  // namespace

@@ -519,7 +519,6 @@ TEST(IngestServer, FindMeetsDeadlineAndMissesReportRetryAfter) {
 // ------------------------------------------------------- telemetry series
 
 TEST(ServeTelemetry, IngestSeriesReflectTheCounters) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "telemetry compiled out";
   serve::ServeConfig cfg;
   cfg.queues = 1;
   cfg.queue_capacity = 4;
@@ -603,7 +602,6 @@ TEST(ServedBinary, OpenLoopLoadClimbsTheLadderIncidentFree) {
 }
 
 TEST(ServedBinary, CaptureReplaysToByteIdenticalWorldTrace) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const std::string cap = tmp_path("served_cap.vsingest");
   const std::string live = tmp_path("served_live.vst");
   const std::string common =

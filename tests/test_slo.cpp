@@ -518,7 +518,6 @@ TEST(SloServer, ServerClosesSpansThroughItsHooks) {
 // ------------------------------------------------- telemetry serve series
 
 TEST(SloTelemetry, ServeSeriesCarryRpcCounters) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "telemetry compiled out";
   serve::ServeConfig cfg;
   cfg.queues = 1;
   cfg.queue_capacity = 8;
@@ -591,7 +590,6 @@ const char* kTightSpec =
     "end\n";
 
 TEST(ServedSlo, ArtifactsByteIdenticalSloOnVsOff) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const std::string spec = tmp_path("slo_loose.slo");
   spit(spec, kLooseSpec);
   const std::string common =
@@ -624,7 +622,6 @@ TEST(ServedSlo, ArtifactsByteIdenticalSloOnVsOff) {
 }
 
 TEST(ServedSlo, TightSpecFiresBurnIncidentWhoseExemplarReplays) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const std::string dir = tmp_path("slo_fire");
   ::mkdir(dir.c_str(), 0755);
   const std::string spec = dir + "/tight.slo";

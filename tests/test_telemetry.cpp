@@ -68,7 +68,6 @@ void run_streamed(const std::string& path, std::uint64_t seed) {
 }
 
 TEST(Telemetry, StreamByteIdenticalAcrossJobsAndShards) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   // Every jobs value must produce the same per-trial stream bytes:
   // inter-world concurrency may not leak into what the sampler observes
   // at a cadence boundary.
@@ -110,7 +109,6 @@ TEST(Telemetry, DisabledSamplerHoldsNothingAndArmsNothing) {
 }
 
 TEST(Telemetry, RingKeepsExactlyLastK) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   GridNet g = make_grid(27, 3);
   obs::TelemetryConfig cfg;
   cfg.cadence = sim::Duration::millis(1);
@@ -139,7 +137,6 @@ TEST(Telemetry, RingKeepsExactlyLastK) {
 }
 
 TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const std::string path = testing::TempDir() + "telem_tail.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
@@ -191,7 +188,6 @@ obs::ScenarioSpec walk_scenario(int steps, std::uint64_t seed) {
 }
 
 TEST(Telemetry, SlidingWindowAuditFiresMidRunAndReplaysExactly) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   obs::ScenarioSpec s = walk_scenario(10, 0x5CA1);
   s.timer_scale = 32.0;  // over Theorem 4.9's time bound, within ineq (1)
 
@@ -400,10 +396,49 @@ TEST(Telemetry, ExtremeValuesRoundTripAndViewersStayDefined) {
   EXPECT_EQ(rc, 0);
   (void)run_tool(std::string(VS_TOP_PATH) + " " + path + " --once", &rc);
   EXPECT_EQ(rc, 0);
+
+  // Five counters that rise by 2^62 in 1us: a rate of ~4.6e24/s, past
+  // the int64 range, so casting it to int64 would be undefined. Both
+  // viewers must print it as the positive number it is.
+  obs::TelemetryHeader fast;
+  fast.cadence_us = 1;
+  for (const char* name : {"events_fired", "msgs_total", "work_total",
+                           "finds_completed", "heartbeats"}) {
+    fast.series.push_back({name, obs::SeriesKind::kCounter});
+  }
+  const std::string fast_path = testing::TempDir() + "telem_fast.vst";
+  {
+    obs::TelemetryWriter writer(fast_path, fast);
+    obs::TelemetrySample s;
+    for (const auto& [t, v] : {std::pair{std::int64_t{1000}, std::int64_t{0}},
+                               std::pair{std::int64_t{1001},
+                                         std::int64_t{1} << 62}}) {
+      s.t_us = t;
+      s.values.assign(fast.series.size(), v);
+      writer.append(s);
+    }
+  }
+  const std::string summary = run_tool(
+      std::string(VS_TRACE_TOOL_PATH) + " telemetry " + fast_path, &rc);
+  EXPECT_EQ(rc, 0) << summary;
+  int rates = 0;
+  for (auto at = summary.find(" (461168601842738"); at != std::string::npos;
+       at = summary.find(" (461168601842738", at + 1)) {
+    ++rates;
+  }
+  EXPECT_EQ(rates, 5) << summary;
+  EXPECT_EQ(summary.find("(-"), std::string::npos) << summary;
+  const std::string frame =
+      run_tool(std::string(VS_TOP_PATH) + " " + fast_path + " --once", &rc);
+  EXPECT_EQ(rc, 0) << frame;
+  const auto at = frame.find("  rates/s: ");
+  ASSERT_NE(at, std::string::npos) << frame;
+  const std::string line = frame.substr(at, frame.find('\n', at) - at);
+  EXPECT_EQ(line.find('-'), std::string::npos) << line;
+  EXPECT_EQ(line.find("events 461168601842738"), 11u) << line;
 }
 
 TEST(Telemetry, PrometheusSnapshotIsWellFormedExposition) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "tracing compiled out";
   const std::string path = testing::TempDir() + "telem_prom.txt";
   GridNet g = make_grid(27, 3);
   obs::TelemetryConfig cfg;

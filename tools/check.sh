@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Pre-merge check: a plain build + full test suite (tracing compiled in,
-# run three times in a row to catch flaky tests, with a traced quickstart
-# run gated by `vinestalk_trace check`), then a ThreadSanitizer build
-# exercising the concurrency surface (the trial pool, the single-writer
-# log, and the observability merge paths) with more workers than trials
-# need, then a tracing-compiled-out build proving every record point is
-# optional dead code, then a watchdog
-# stage: a monitored quickstart must stay clean, a CLI-seeded corruption
-# must produce an incident bundle that replays to the same violation,
-# and the Chrome export must be valid JSON. A chaos stage arms a
+# Pre-merge check: a plain build + full test suite (run three times in a
+# row to catch flaky tests, with a traced quickstart run gated by
+# `vinestalk_trace check`), then a ThreadSanitizer build exercising the
+# concurrency surface (the trial pool, the single-writer log, and the
+# observability merge paths) with more workers than trials need, then a
+# watchdog stage: a monitored quickstart must stay clean, a CLI-seeded
+# corruption must produce an incident bundle that replays to the same
+# violation, and the Chrome export must be valid JSON. A chaos stage arms a
 # canned FaultPlan through the CLI: the run must meet its recovery
 # deadline with a consistent structure, and an incident captured under
 # the same faults must --replay to the exact same violation. A final
@@ -23,10 +21,9 @@
 # and the Prometheus snapshot must parse as text exposition format. A perf stage pins the CPU profiler: a profiled
 # quickstart must write a VSPROF1 sidecar whose flamegraph folds cleanly,
 # every deterministic artifact must stay byte-identical with profiling
-# on vs off, and the vinestalk_bench trajectory gate must append a
-# machine-stamped history row and pass against the committed baseline.
-# A no-profile stage (-DVINESTALK_PROFILE=OFF) proves every probe is
-# optional dead code. A serve stage drives the vinestalk_served ingest
+# on vs off, and a brief bench_micro run from an empty directory must
+# exit 0, count ledger entries in its enabled-ledger case, and leave no
+# file behind. A serve stage drives the vinestalk_served ingest
 # daemon: a 2×-capacity load burst under a chaos fault plan must finish
 # incident-free with the conservation identity intact, the shed ladder
 # visible in the Prometheus snapshot and no rate printed for the
@@ -38,30 +35,28 @@
 # objective under 2× overdrive chaos must fire a burn-rate incident
 # mid-run, and that incident's exemplar OpId must resolve to real span
 # events in the trace that survive a capture replay byte-identically.
-# An ASan+UBSan stage builds everything with both sanitizers (any UB
-# report aborts) and bounds-checked std containers, and runs the full
-# suite: the message path keeps indices into growable tables, and a
-# reference held across a reallocation is exactly what it catches; the
-# per-format codec fuzzer (tests/test_codec.cpp) runs there too.
+# An ASan+UBSan stage builds everything with both sanitizers plus
+# float-cast-overflow (any UB report aborts) and bounds-checked std
+# containers, and runs the full suite: the message path keeps indices
+# into growable tables, and a reference held across a reallocation is
+# exactly what it catches; the per-format codec fuzzer
+# (tests/test_codec.cpp) runs there too.
 #
 #   tools/check.sh              # all stages
 #   tools/check.sh --plain      # stage 1 only
 #   tools/check.sh --tsan       # stage 2 only
-#   tools/check.sh --no-trace   # stage 3 only
-#   tools/check.sh --monitor    # stage 4 only (reuses build-check/)
-#   tools/check.sh --chaos      # stage 5 only (reuses build-check/)
-#   tools/check.sh --audit      # stage 6 only (reuses build-check/)
-#   tools/check.sh --telemetry  # stage 7 only (reuses build-check/)
-#   tools/check.sh --perf       # stage 8 only (reuses build-check/)
-#   tools/check.sh --no-profile # stage 9 only
-#   tools/check.sh --serve      # stage 10 only (reuses build-check/)
-#   tools/check.sh --slo        # stage 11 only (reuses build-check/)
-#   tools/check.sh --asan       # stage 12 only
+#   tools/check.sh --monitor    # stage 3 only (reuses build-check/)
+#   tools/check.sh --chaos      # stage 4 only (reuses build-check/)
+#   tools/check.sh --audit      # stage 5 only (reuses build-check/)
+#   tools/check.sh --telemetry  # stage 6 only (reuses build-check/)
+#   tools/check.sh --perf       # stage 7 only (reuses build-check/)
+#   tools/check.sh --serve      # stage 8 only (reuses build-check/)
+#   tools/check.sh --slo        # stage 9 only (reuses build-check/)
+#   tools/check.sh --asan       # stage 10 only
 #
-# Build trees: build-check/ (plain), build-tsan/ (TSan),
-# build-notrace/ (-DVINESTALK_TRACE=OFF), build-noprof/
-# (-DVINESTALK_PROFILE=OFF), and build-asan/ (ASan+UBSan); all separate
-# from the default build/ so this never dirties a dev tree.
+# Build trees: build-check/ (plain), build-tsan/ (TSan), and build-asan/
+# (ASan+UBSan); all separate from the default build/ so this never
+# dirties a dev tree.
 
 set -euo pipefail
 
@@ -70,8 +65,8 @@ jobs="${JOBS:-$(nproc)}"
 stage="${1:-all}"
 
 run_plain() {
-  echo "== stage 1: plain build (tracing on) + ctest + trace check =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 1: plain build + ctest + trace check =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs"
   # Flake guard: every test must pass three parallel runs in a row.
   ctest --test-dir "$root/build-check" --output-on-failure -j "$jobs" \
@@ -108,36 +103,9 @@ run_tsan() {
   echo "TSan stage clean (zero reports would have aborted the run)."
 }
 
-run_notrace() {
-  echo "== stage 3: tracing compiled out (-DVINESTALK_TRACE=OFF) =="
-  cmake -B "$root/build-notrace" -S "$root" -DVINESTALK_TRACE=OFF > /dev/null
-  cmake --build "$root/build-notrace" -j "$jobs" \
-    --target test_obs test_sim test_audit test_telemetry test_profile \
-    test_serve test_slo example_quickstart
-  "$root/build-notrace/tests/test_obs"
-  "$root/build-notrace/tests/test_sim"
-  # The op-ledger API must compile to no-ops: the trace-dependent audit
-  # tests skip themselves, the disabled-ledger pin still runs.
-  "$root/build-notrace/tests/test_audit"
-  # Same for the telemetry sampler: enable() must be a no-op, streaming
-  # tests skip themselves, the disabled-holds-nothing pin still runs.
-  "$root/build-notrace/tests/test_telemetry"
-  # The profiler's byte-identity pin needs the trace; it skips itself,
-  # the pure-report and renderer tests still run.
-  "$root/build-notrace/tests/test_profile"
-  # And the serve daemon: the trace-gated byte-identity tests skip
-  # themselves, the wire-format/ladder/conservation pins still run.
-  "$root/build-notrace/tests/test_serve"
-  # The SLO layer has no trace dependency for spec/monitor/sidecar logic;
-  # only the daemon byte-identity and exemplar-replay tests skip.
-  "$root/build-notrace/tests/test_slo"
-  "$root/build-notrace/examples/example_quickstart" > /dev/null
-  echo "Compiled-out stage clean (record points are dead code)."
-}
-
 run_monitor() {
-  echo "== stage 4: live watchdog end-to-end =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 3: live watchdog end-to-end =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target example_quickstart vinestalk_cli vinestalk_trace
   # A healthy run under the watchdog must stay violation-free in both modes.
@@ -169,8 +137,8 @@ EOF
 }
 
 run_chaos() {
-  echo "== stage 5: fault-plan chaos end-to-end =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 4: fault-plan chaos end-to-end =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target vinestalk_cli vinestalk_trace
   local dir
@@ -220,8 +188,8 @@ EOF
 }
 
 run_audit() {
-  echo "== stage 6: per-operation cost audit end-to-end =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 5: per-operation cost audit end-to-end =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target example_quickstart vinestalk_cli vinestalk_trace
   local dir
@@ -272,8 +240,8 @@ EOF
 }
 
 run_telemetry() {
-  echo "== stage 7: time-series telemetry end-to-end =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 6: time-series telemetry end-to-end =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target example_quickstart vinestalk_cli vinestalk_trace vinestalk_top
   local dir
@@ -342,10 +310,10 @@ EOF
 }
 
 run_perf() {
-  echo "== stage 8: CPU profiler + perf-trajectory gate =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 7: CPU profiler + bench_micro =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
-    --target example_quickstart vinestalk_trace vinestalk_top vinestalk_bench
+    --target example_quickstart vinestalk_trace vinestalk_top bench_micro
   local dir
   dir="$(mktemp -d /tmp/vs_perf.XXXXXX)"
   # A profiled quickstart must drop a VSPROF1 sidecar (plus its JSON twin)
@@ -378,38 +346,32 @@ run_perf() {
     echo "FAIL: profiling changed the trace" >&2; exit 1; }
   cmp "$dir/base.vstelem" "$dir/p.vstelem" || {
     echo "FAIL: profiling changed telemetry" >&2; exit 1; }
-  # The trajectory gate must append a machine-stamped history row and pass
-  # against the committed baseline (a foreign machine fingerprint makes the
-  # gate advisory, which still exits 0 — that is the intended behavior).
-  "$root/build-check/tools/vinestalk_bench" --quick \
-    --history="$dir/history.jsonl" \
-    --baseline="$root/docs/perf/BENCH_baseline.json" --check
-  grep -q '"cpu_model"' "$dir/history.jsonl" || {
-    echo "FAIL: history row carries no machine stamp" >&2; exit 1; }
+  # bench_micro, briefly, from an empty directory: it must exit 0 (the
+  # slow every-change watchdog case is left out), its enabled-ledger case
+  # must count ledger entries, and it must leave no file behind.
+  mkdir "$dir/micro"
+  (cd "$dir/micro" &&
+    "$root/build-check/bench/bench_micro" --benchmark_min_time=0.01 \
+      --benchmark_filter='-BM_MoveAndQuiesceWatched/2' \
+      --benchmark_format=json > "$dir/micro.json")
+  python3 - "$dir/micro.json" <<'EOF'
+import json, sys
+runs = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]}
+ledgered = runs.get("BM_MoveAndQuiesceLedgered/2")
+assert ledgered is not None, "BM_MoveAndQuiesceLedgered/2 did not run"
+assert ledgered["ledger_entries"] > 0, "the enabled ledger counted no entries"
+EOF
+  [ -z "$(ls -A "$dir/micro")" ] || {
+    echo "FAIL: bench_micro left files behind" >&2
+    ls -A "$dir/micro" >&2; exit 1; }
   rm -rf "$dir"
   echo "Perf stage clean (sidecar folds, artifacts profile-invariant," \
-       "gate passed)."
-}
-
-run_noprof() {
-  echo "== stage 9: profiling compiled out (-DVINESTALK_PROFILE=OFF) =="
-  cmake -B "$root/build-noprof" -S "$root" -DVINESTALK_PROFILE=OFF \
-    > /dev/null
-  cmake --build "$root/build-noprof" -j "$jobs" \
-    --target test_profile example_quickstart
-  # Every probe must be optional dead code: the enabled-path tests skip
-  # themselves, the disabled pin and the renderers still run.
-  "$root/build-noprof/tests/test_profile"
-  # VS_PROFILE on a compiled-out binary must be ignored, not an error.
-  VS_PROFILE=/tmp/vs_noprof_ignored.vsprof \
-    "$root/build-noprof/examples/example_quickstart" > /dev/null
-  rm -f /tmp/vs_noprof_ignored.vsprof /tmp/vs_noprof_ignored.vsprof.json
-  echo "No-profile stage clean (probes are dead code, VS_PROFILE ignored)."
+       "bench_micro clean)."
 }
 
 run_serve() {
-  echo "== stage 10: streaming ingest daemon end-to-end =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 8: streaming ingest daemon end-to-end =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target vinestalk_served vinestalk_top vinestalk_trace
   local dir
@@ -486,8 +448,8 @@ EOF
 }
 
 run_slo() {
-  echo "== stage 11: request-level SLO observability =="
-  cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
+  echo "== stage 9: request-level SLO observability =="
+  cmake -B "$root/build-check" -S "$root" > /dev/null
   cmake --build "$root/build-check" -j "$jobs" \
     --target vinestalk_served vinestalk_trace vinestalk_top
   local dir
@@ -629,7 +591,7 @@ EOF
 }
 
 run_asan() {
-  echo "== stage 12: AddressSanitizer + UndefinedBehaviorSanitizer =="
+  echo "== stage 10: AddressSanitizer + UndefinedBehaviorSanitizer =="
   cmake -B "$root/build-asan" -S "$root" \
     -DVINESTALK_SANITIZE=address,undefined > /dev/null
   cmake --build "$root/build-asan" -j "$jobs"
@@ -638,21 +600,19 @@ run_asan() {
 }
 
 case "$stage" in
-  all) run_plain; run_tsan; run_notrace; run_monitor; run_chaos; run_audit
-       run_telemetry; run_perf; run_noprof; run_serve; run_slo; run_asan ;;
+  all) run_plain; run_tsan; run_monitor; run_chaos; run_audit
+       run_telemetry; run_perf; run_serve; run_slo; run_asan ;;
   --plain) run_plain ;;
   --tsan) run_tsan ;;
-  --no-trace) run_notrace ;;
   --monitor) run_monitor ;;
   --chaos) run_chaos ;;
   --audit) run_audit ;;
   --telemetry) run_telemetry ;;
   --perf) run_perf ;;
-  --no-profile) run_noprof ;;
   --serve) run_serve ;;
   --slo) run_slo ;;
   --asan) run_asan ;;
-  *) echo "usage: tools/check.sh [--plain|--tsan|--no-trace|--monitor|--chaos|--audit|--telemetry|--perf|--no-profile|--serve|--slo|--asan]" >&2
+  *) echo "usage: tools/check.sh [--plain|--tsan|--monitor|--chaos|--audit|--telemetry|--perf|--serve|--slo|--asan]" >&2
      exit 2 ;;
 esac
 echo "check.sh: all stages passed"

@@ -374,8 +374,6 @@ class Cli {
       std::string sub;
       ss >> sub;
       if (sub == "on") {
-        VS_REQUIRE(obs::kTraceCompiled,
-                   "tracing compiled out (rebuild with -DVINESTALK_TRACE=ON)");
         // An explicit full-trace request outranks an attached watchdog's
         // bounded flight recorder — otherwise `trace dump` would silently
         // hold only the ring's last K events.
@@ -409,8 +407,6 @@ class Cli {
             << " sample(s)\n";
         telemetry_.reset();
       } else if (!sub.empty()) {
-        VS_REQUIRE(obs::kTraceCompiled,
-                   "telemetry compiled out (rebuild with -DVINESTALK_TRACE=ON)");
         VS_REQUIRE(telemetry_ == nullptr,
                    "a telemetry sampler is already running (telemetry off "
                    "first)");

@@ -390,11 +390,7 @@ int main(int argc, char** argv) {
     net_cfg.model_vsa_failures = true;
     net_cfg.t_restart = sim::Duration::millis(5);
     tracking::TrackingNetwork net(hierarchy, net_cfg);
-    if (!opt.trace_path.empty()) {
-      VS_REQUIRE(obs::kTraceCompiled,
-                 "tracing compiled out (rebuild with -DVINESTALK_TRACE=ON)");
-      net.set_tracing(true);
-    }
+    if (!opt.trace_path.empty()) net.set_tracing(true);
 
     opt.serve.capture_path = opt.capture_path;
     serve::IngestServer srv(net, hierarchy, opt.serve);
@@ -440,8 +436,6 @@ int main(int argc, char** argv) {
     // Prometheus), watchdog supervision, chaos plan, heartbeat stabilizer.
     std::optional<obs::TelemetrySampler> telemetry;
     if (!opt.telemetry_path.empty() || !opt.prometheus_path.empty()) {
-      VS_REQUIRE(obs::kTraceCompiled,
-                 "telemetry compiled out (rebuild with -DVINESTALK_TRACE=ON)");
       obs::TelemetryConfig tcfg;
       tcfg.stream_path = opt.telemetry_path;
       tcfg.prometheus_path = opt.prometheus_path;

@@ -39,7 +39,6 @@
 #include <iomanip>
 #include <initializer_list>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -77,13 +76,8 @@ std::string bar(double frac, int width) {
 }
 
 std::string fmt_rate(double v) {
-  std::ostringstream os;
-  if (v >= 1e6) {
-    os << static_cast<std::int64_t>(v / 1e3) << "k";
-  } else {
-    os << static_cast<std::int64_t>(v);
-  }
-  return os.str();
+  return v >= 1e6 ? vs::obs::format_rate(v / 1e3) + "k"
+                  : vs::obs::format_rate(v);
 }
 
 void render(std::ostream& os, const std::string& path,

@@ -322,8 +322,8 @@ int cmd_telemetry(const std::string& path, bool csv) {
     // ratios, high-water marks, settings).
     const bool counter = h.series[i].kind == vs::obs::SeriesKind::kCounter;
     if (counter && span_s > 0 && delta > 0) {
-      std::cout << " (" << static_cast<std::int64_t>(
-                               static_cast<double>(delta) / span_s)
+      std::cout << " ("
+                << vs::obs::format_rate(static_cast<double>(delta) / span_s)
                 << "/s over the stream)";
     }
     std::cout << "\n";
