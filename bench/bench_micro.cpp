@@ -1,6 +1,8 @@
 // E9 — engineering microbenchmarks (google-benchmark): raw simulator
 // throughput, so the experiment benches' virtual-time measurements can be
 // related to wall-clock cost and regressions in the substrate show up.
+// BM_SchedulerDaemonMix replays the serving daemon's measured delay mix,
+// which the event queue's delay classes serve without its fallback heap.
 // Every figure is a google-benchmark case, so the binary takes the
 // library's own flags (--benchmark_filter, --benchmark_min_time,
 // --benchmark_format=json, ...) and leaves no file behind.
@@ -14,8 +16,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "obs/ledger/ledger.hpp"
@@ -147,6 +152,101 @@ void BM_SchedulerSteadyStateTraced(benchmark::State& state) {
 BENCHMARK(BM_SchedulerSteadyStateTraced)
     ->Args({100000, 0})
     ->Args({100000, 1});
+
+// The daemon's queue shape: perfbench steady_mixed's delay mix, measured
+// on its seed 1, session 0 (delay in ms, pushes in the session) — C-gcast's
+// δ, δ+e and (δ+e)·{n(l), p(l), 2n(l)} plus the per-level timers.
+constexpr std::array<std::array<std::int64_t, 2>, 21> kDaemonDelayMix{{
+    {1, 29'412},  {2, 224'814}, {4, 9'645},   {6, 18'007},  {10, 51'860},
+    {14, 2'885},  {16, 2'562},  {20, 505},    {34, 13'014}, {38, 489},
+    {52, 1'460},  {68, 500},    {106, 6'235}, {110, 172},   {160, 1'292},
+    {212, 461},   {322, 3'038}, {326, 152},   {484, 794},   {644, 216},
+    {1'940, 68},
+}};
+
+// kChains self-rescheduling chains keep ~85 events live, as the daemon's
+// queue held at a pop; each push draws its delay from kDaemonDelayMix, and
+// one push in 200 is a re-arm that cancels another chain's pending event
+// first (the tracker's timer re-arm; 0.55% of pushes in the session).
+class DaemonMix {
+ public:
+  static constexpr std::uint32_t kChains = 85;
+
+  DaemonMix(std::uint64_t events, std::uint64_t seed)
+      : left_(events), rng_(seed), pending_(kChains) {
+    std::int64_t sum = 0;
+    for (const auto& delay_pushes : kDaemonDelayMix) {
+      sum += delay_pushes[1];
+      cumulative_.push_back(sum);
+    }
+    for (std::uint32_t c = 0; c < kChains; ++c) arm(c);
+  }
+  // Pending events hold `this`.
+  DaemonMix(const DaemonMix&) = delete;
+  DaemonMix& operator=(const DaemonMix&) = delete;
+
+  std::uint64_t run() {
+    sched_.run();
+    return sched_.events_fired();
+  }
+  [[nodiscard]] std::uint64_t fallback_pushes() const {
+    return sched_.fallback_pushes();
+  }
+
+ private:
+  struct Fire {
+    DaemonMix* mix;
+    std::uint32_t chain;
+    void operator()() const { mix->fire(chain); }
+  };
+
+  std::uint64_t next() {
+    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng_ >> 33;
+  }
+  void arm(std::uint32_t c) {
+    const auto r =
+        static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(
+                                               cumulative_.back()));
+    const auto i = static_cast<std::size_t>(
+        std::upper_bound(cumulative_.begin(), cumulative_.end(), r) -
+        cumulative_.begin());
+    pending_[c] = sched_.schedule_after(
+        sim::Duration::millis(kDaemonDelayMix[i][0]), Fire{this, c});
+  }
+  void fire(std::uint32_t c) {
+    pending_[c] = sim::EventId{};
+    if (left_ == 0) return;
+    --left_;
+    arm(c);
+    if (next() % 200 == 0) {
+      const auto other = static_cast<std::uint32_t>(next() % kChains);
+      if (sched_.cancel(pending_[other])) arm(other);
+    }
+  }
+
+  sim::Scheduler sched_;
+  std::uint64_t left_;
+  std::uint64_t rng_;
+  std::vector<sim::EventId> pending_;
+  std::vector<std::int64_t> cumulative_;
+};
+
+void BM_SchedulerDaemonMix(benchmark::State& state) {
+  std::int64_t fired = 0;
+  std::uint64_t fallbacks = 0;
+  for (auto _ : state) {
+    DaemonMix mix(static_cast<std::uint64_t>(state.range(0)), /*seed=*/1);
+    const std::uint64_t n = mix.run();
+    benchmark::DoNotOptimize(n);
+    fired += static_cast<std::int64_t>(n);
+    fallbacks += mix.fallback_pushes();
+  }
+  state.SetItemsProcessed(fired);
+  state.counters["fallback_pushes"] =
+      benchmark::Counter(static_cast<double>(fallbacks));
+}
+BENCHMARK(BM_SchedulerDaemonMix)->Arg(100000);
 
 void BM_EventQueueCancelChurn(benchmark::State& state) {
   // Arm-then-cancel traffic (the Timer::arm/disarm pattern): every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "obs/slo/slo.hpp"
@@ -261,12 +260,14 @@ RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
   }
 
   // Tier 1: coalesce — only the last update per object survives the round.
-  std::vector<char> keep(batch.size(), 1);
+  // last_[o] is written for every object in the batch before it is read,
+  // so entries left over from earlier rounds are never seen.
+  keep_.assign(batch.size(), 1);
   if (tier >= 1) {
-    std::unordered_map<std::uint64_t, std::size_t> last;
-    for (std::size_t i = 0; i < batch.size(); ++i) last[batch[i].object()] = i;
+    last_.resize(objects_.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) last_[batch[i].object()] = i;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (last[batch[i].object()] != i) keep[i] = 0;
+      if (last_[batch[i].object()] != i) keep_[i] = 0;
     }
   }
   // An update span closes when the frame is *resolved* — applied or
@@ -280,7 +281,7 @@ RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
   const geo::Tiling& tiling = hier_->tiling();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Pending& p = batch[i];
-    if (keep[i] == 0) {
+    if (keep_[i] == 0) {
       ++rep.suppressed;
       resolve_span(p);
       continue;

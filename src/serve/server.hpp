@@ -206,6 +206,10 @@ class IngestServer {
   int tier_ = 0;
   bool finished_ = false;
   std::vector<Pending> batch_;  // reused per-round drain scratch
+  // Tier-1 coalescing scratch, reused across rounds: keep_[i] says whether
+  // batch entry i survives, last_[o] is object o's last index in the batch.
+  std::vector<char> keep_;
+  std::vector<std::size_t> last_;
 
   // Reader-side accounting (folded into WorkCounters at round boundaries).
   std::atomic<std::int64_t> ingested_{0};

@@ -3,15 +3,34 @@
 //
 // Ordering is (time, sequence-number): two events at the same instant fire
 // in the order they were scheduled, which makes every run reproducible.
-// Cancellation is O(1) by tombstoning; tombstones are skimmed off at pop.
+// Cancellation is O(1) by tombstoning; tombstones are skimmed off when
+// they reach the front.
 //
-// Hot-path layout: the heap holds small (time, seq, slot) entries; the
-// callables live in a slot vector indexed by those entries, with freed
-// slots recycled through a free list. A heap entry is stale exactly when
-// its slot's generation (`seq`) no longer matches, so cancel is one array
-// write and pop is one array read — no per-event hash lookups, and no
-// per-event allocations thanks to EventAction's inline buffer.
+// Delay classes. The model's latencies are a handful of constants —
+// C-gcast's rules (a)–(e) deliver after δ, δ+e or (δ+e)·{n(l), p(l),
+// 2n(l)}, and Figure 2's timers g(l), s(l) and nbrtimeout are fixed per
+// level — so nearly every event arrives through push_after() with one of a
+// few distinct delays. Each distinct delay gets its own FIFO, assigned
+// first come, first served up to kMaxClasses. The clock a caller passes
+// never goes back, so a class's entries (now + delay, seq) arrive already
+// sorted by (time, seq): a push is an append, and the earliest event is
+// the least of the non-empty FIFOs' heads (found through a bitmask of
+// non-empty classes) and the top of one fallback binary heap. The heap
+// takes absolute-time pushes (push(), Scheduler::schedule_at) and any
+// delay past the class cap. Firing order is exactly (time, seq), whatever
+// queue an event sits in.
+//
+// Hot-path layout: FIFOs and heap hold small (time, seq, slot) entries;
+// the callables live in a slot vector indexed by those entries, with freed
+// slots recycled through a free list. An entry is stale exactly when its
+// slot's generation (`seq`) no longer matches, so cancel is one array
+// write and skimming is one array read — no per-event hash lookups, and
+// no per-event allocations thanks to EventAction's inline buffer. The
+// least head is looked up once and cached until the next push, pop or
+// cancel, so the scheduler's empty() → next_time() → pop() sequence
+// searches once per event.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,18 +60,28 @@ class EventQueue {
  public:
   using Action = EventAction;
 
-  /// Schedule `action` at absolute time `when`. Requires !when.is_never().
-  /// `cause` is the sequence number of the event being fired when this one
-  /// was scheduled (0 = scheduled from outside any event) — the causal
-  /// edge the observability layer reconstructs spans from.
-  EventId push(TimePoint when, Action action, std::uint64_t cause = 0);
+  /// Distinct delays that get their own FIFO; later delays use the heap.
+  static constexpr std::size_t kMaxClasses = 32;
+
+  /// Schedule `action` at absolute time `when` (on the fallback heap).
+  /// Requires !when.is_never(). `cause` is the sequence number of the
+  /// event being fired when this one was scheduled (0 = scheduled from
+  /// outside any event) — the causal edge the observability layer
+  /// reconstructs spans from.
+  EventId push(TimePoint when, Action&& action, std::uint64_t cause = 0);
+
+  /// Schedule `action` at `now + delay` in `delay`'s class FIFO (the heap
+  /// once kMaxClasses delays have classes). `now` must never decrease
+  /// across calls: that keeps each FIFO sorted. Requires delay >= 0.
+  EventId push_after(TimePoint now, Duration delay, Action&& action,
+                     std::uint64_t cause = 0);
 
   /// Cancel a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event is a harmless no-op (returns false).
   bool cancel(EventId id);
 
   /// True if no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const { return live_count_ == 0; }
 
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -79,6 +108,12 @@ class EventQueue {
   /// recycled (observable in tests and the slot-reuse microbenchmark).
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
+  /// Pushes that went to the fallback heap: every push(), plus every
+  /// push_after() whose delay found no class.
+  [[nodiscard]] std::uint64_t fallback_pushes() const {
+    return fallback_pushes_;
+  }
+
  private:
   struct Entry {
     TimePoint when;
@@ -96,14 +131,60 @@ class EventQueue {
     std::uint64_t seq{0};    // generation of the occupying event; 0 = free
     std::uint64_t cause{0};  // seq of the event that scheduled this one
   };
+  /// One delay class: a ring buffer (power-of-two capacity) of entries in
+  /// (time, seq) order.
+  struct Fifo {
+    std::vector<Entry> ring;
+    std::uint32_t head{0};
+    std::uint32_t count{0};
+  };
 
-  void skim() const;  // drop cancelled entries off the top
+  /// Class index for `delay`, assigning a new class if one is free;
+  /// kNoClass once the table is full and `delay` has none.
+  std::uint32_t class_of(Duration delay);
+  /// Book `action` into a fresh slot; returns the slot index.
+  std::uint32_t store(Action&& action, std::uint64_t seq,
+                      std::uint64_t cause);
+  void push_heap(const Entry& e);
+  void push_fifo(std::uint32_t c, const Entry& e);
+  void pop_front(std::uint32_t c) const;
+  /// Find the least live entry (skimming stale fronts) and cache its
+  /// source in min_src_. Requires !empty().
+  void find_min() const;
+  [[nodiscard]] bool stale(const Entry& e) const {
+    return slots_[e.slot].seq != e.seq;
+  }
+  /// Drop every remaining (stale) entry once no live event is left.
+  void clear_tombstones();
 
+  static constexpr std::uint32_t kNoClass = 0xffffffffU;
+  static constexpr std::uint32_t kHeapSrc = kMaxClasses;  // min_src_ value
+  static constexpr unsigned kTableBits = 6;
+  static constexpr std::size_t kTableSize = std::size_t{1} << kTableBits;
+  static_assert(kTableSize >= 2 * kMaxClasses, "class table load <= 1/2");
+  static_assert(kMaxClasses <= 32, "nonempty_ is a 32-bit mask");
+
+  // Delay → class: open addressing with linear probing, keyed by the
+  // delay in microseconds plus one, so a zero key marks an empty cell.
+  std::array<std::uint64_t, kTableSize> table_key_{};
+  std::array<std::uint32_t, kTableSize> table_class_{};
+  std::uint32_t classes_{0};
+
+  mutable std::array<Fifo, kMaxClasses> fifos_{};
+  /// Copy of each non-empty FIFO's front entry, so the head scan reads
+  /// one contiguous array.
+  mutable std::array<Entry, kMaxClasses> heads_{};
+  mutable std::uint32_t nonempty_{0};  // bit c set iff fifos_[c] non-empty
   mutable std::vector<Entry> heap_;
+  /// Source of the least live entry (class index or kHeapSrc), or kNoClass
+  /// when not yet looked up since the last push, pop or cancel.
+  mutable std::uint32_t min_src_{kNoClass};
+
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{1};
   std::size_t live_count_{0};
+  std::uint64_t fallback_pushes_{0};
 };
 
 }  // namespace vs::sim

@@ -4,13 +4,13 @@
 
 namespace vs::sim {
 
-EventId Scheduler::schedule_after(Duration delay, Action action) {
+EventId Scheduler::schedule_after(Duration delay, Action&& action) {
   VS_REQUIRE(delay >= Duration::zero(),
              "negative delay " << delay << " at " << now());
-  return schedule_at(now() + delay, std::move(action));
+  return queue_.push_after(now_, delay, std::move(action), current_seq_);
 }
 
-EventId Scheduler::schedule_at(TimePoint when, Action action) {
+EventId Scheduler::schedule_at(TimePoint when, Action&& action) {
   VS_REQUIRE(when >= now_,
              "scheduling into the past: " << when << " < " << now_);
   return queue_.push(when, std::move(action), current_seq_);

@@ -23,10 +23,13 @@ class Scheduler {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedule `action` to run `delay` from now. Requires delay >= 0.
-  EventId schedule_after(Duration delay, Action action);
+  /// Events with equal delays share one FIFO in the queue (see
+  /// event_queue.hpp).
+  EventId schedule_after(Duration delay, Action&& action);
 
   /// Schedule `action` at absolute time `when`. Requires when >= now().
-  EventId schedule_at(TimePoint when, Action action);
+  /// Goes to the queue's fallback heap.
+  EventId schedule_at(TimePoint when, Action&& action);
 
   /// Cancel a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id);
@@ -50,6 +53,12 @@ class Scheduler {
 
   /// Total events fired over the scheduler's lifetime.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
+
+  /// Pushes that missed the queue's delay classes and went to its
+  /// fallback heap (every schedule_at, and delays past the class cap).
+  [[nodiscard]] std::uint64_t fallback_pushes() const {
+    return queue_.fallback_pushes();
+  }
 
   /// Identity (queue sequence number) of the event currently firing, or 0
   /// when called from outside any event. Anything scheduled while an event

@@ -102,7 +102,7 @@ void ClientPopulation::on_evader_move(TargetId target, RegionId from,
       Client& c = clients_[static_cast<std::size_t>(id.value())];
       if (!c.alive) continue;
       any_alive = true;
-      c.believes_here[target] = false;
+      c.believes_here.erase(target);
       // `left` input → shrink to the level-0 cluster (§IV-A).
       Message m;
       m.type = MsgType::kShrink;
@@ -121,7 +121,7 @@ void ClientPopulation::on_evader_move(TargetId target, RegionId from,
       Client& c = clients_[static_cast<std::size_t>(id.value())];
       if (!c.alive) continue;
       any_alive = true;
-      c.believes_here[target] = true;
+      c.believes_here.insert(target);
       // `move` input → grow to the level-0 cluster (§IV-A).
       Message m;
       m.type = MsgType::kGrow;
@@ -158,8 +158,7 @@ void ClientPopulation::on_broadcast(RegionId region, const Message& m) {
     for (const ClientId id : clients_at(region)) {
       const Client& c = clients_[static_cast<std::size_t>(id.value())];
       if (!c.alive) continue;
-      const auto it = c.believes_here.find(m.target);
-      if (it != c.believes_here.end() && it->second) {
+      if (c.believes_here.contains(m.target)) {
         any_believer = true;
         break;
       }
@@ -183,8 +182,7 @@ void ClientPopulation::on_broadcast(RegionId region, const Message& m) {
   for (const ClientId id : clients_at(region)) {
     Client& c = clients_[static_cast<std::size_t>(id.value())];
     if (!c.alive) continue;
-    const auto it = c.believes_here.find(m.target);
-    if (it != c.believes_here.end() && it->second) {
+    if (c.believes_here.contains(m.target)) {
       if (found_output_) found_output_(m.find_id, m.target, region, id);
     }
   }
@@ -202,8 +200,7 @@ int ClientPopulation::refresh_detection(TargetId target, obs::OpId op) {
     for (const ClientId id : by_region_[r]) {
       const Client& c = clients_[static_cast<std::size_t>(id.value())];
       if (!c.alive) continue;
-      const auto it = c.believes_here.find(target);
-      if (it == c.believes_here.end() || !it->second) continue;
+      if (!c.believes_here.contains(target)) continue;
       // The detection grow again — the silent level-0 cluster lost it.
       Message m;
       m.type = MsgType::kGrow;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -27,9 +28,10 @@ struct Client {
   ClientId id{};
   RegionId region{};
   bool alive = true;
-  /// Per-target: did this client's last move/left input indicate the
-  /// evader is in its region?
-  std::map<TargetId, bool> believes_here;
+  /// Targets whose last move/left input at this client indicated the
+  /// evader is in its region. A `left` erases its target, so the set is
+  /// bounded by the live objects, not by every object that passed through.
+  std::set<TargetId> believes_here;
 };
 
 class ClientPopulation {

@@ -1,23 +1,33 @@
 // Edge-case tests for the slot-vector event queue and its inline-buffer
 // callable: tombstone skimming, same-instant ordering, slot recycling,
-// and EventAction's small-buffer/heap split. Complements the basic
-// EventQueue coverage in test_sim.cpp.
+// the delay classes against a reference model, and EventAction's
+// small-buffer/heap split. Complements the basic EventQueue coverage in
+// test_sim.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/action.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/scheduler.hpp"
 
 namespace vstest {
 namespace {
 
+using vs::Rng;
+using vs::sim::Duration;
 using vs::sim::EventAction;
 using vs::sim::EventId;
 using vs::sim::EventQueue;
+using vs::sim::Scheduler;
 using vs::sim::TimePoint;
 
 TEST(EventQueueEdge, CancelThenPopSkimsTombstones) {
@@ -94,6 +104,216 @@ TEST(EventQueueEdge, StaleIdForReusedSlotDoesNotCancelNewEvent) {
   TimePoint when;
   q.pop(when)();
   EXPECT_TRUE(fired);
+}
+
+TEST(EventQueueClasses, DelayPastTheCapGoesToTheHeapAndKeepsOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto note = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  // Delays 10..41 take all kMaxClasses classes: events at t = 10..41.
+  constexpr int kClasses = static_cast<int>(EventQueue::kMaxClasses);
+  for (int i = 0; i < kClasses; ++i) {
+    (void)q.push_after(TimePoint{0}, Duration{10 + i}, note(i));
+  }
+  EXPECT_EQ(q.fallback_pushes(), 0u);
+  // A new delay finds no class and lands on the heap at t = 100 ...
+  (void)q.push_after(TimePoint{0}, Duration{100}, note(100));
+  EXPECT_EQ(q.fallback_pushes(), 1u);
+  // ... and still fires in (time, seq) order against class heads: the
+  // same instant from a class (later seq), an earlier instant from a
+  // class, and the same instant again from an absolute push.
+  (void)q.push_after(TimePoint{60}, Duration{40}, note(101));
+  (void)q.push_after(TimePoint{60}, Duration{39}, note(99));
+  (void)q.push(TimePoint{100}, note(102));
+  EXPECT_EQ(q.fallback_pushes(), 2u);
+  std::vector<TimePoint> times;
+  TimePoint when;
+  while (!q.empty()) {
+    q.pop(when)();
+    times.push_back(when);
+  }
+  std::vector<int> want;
+  for (int i = 0; i < kClasses; ++i) want.push_back(i);
+  for (const int tag : {99, 100, 101, 102}) want.push_back(tag);
+  EXPECT_EQ(order, want);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  EXPECT_EQ(times.back(), TimePoint{100});
+}
+
+TEST(EventQueueClasses, SchedulerAfterUsesClassesAndAtUsesTheHeap) {
+  Scheduler s;
+  int fired = 0;
+  for (int i = 0; i < 100; ++i) {
+    (void)s.schedule_after(Duration::micros(1 + i % 7), [&] { ++fired; });
+  }
+  EXPECT_EQ(s.fallback_pushes(), 0u);
+  (void)s.schedule_at(TimePoint{3}, [&] { ++fired; });
+  EXPECT_EQ(s.fallback_pushes(), 1u);
+  EXPECT_EQ(s.run(), 101u);
+  EXPECT_EQ(fired, 101);
+}
+
+// One seeded random program against a reference model. The program mixes
+// push_after over more distinct delays than kMaxClasses, absolute pushes,
+// cancels of class heads, of the newest event (a FIFO tail or a heap
+// entry), of random earlier ids and of the event currently firing, and
+// pushes from inside firing actions. Delays and offsets are a few
+// microseconds, so same-instant ties across two classes and across a
+// class and the heap are frequent. The model is the set of live
+// (time, seq, cause) triples; every pop must yield its least element.
+class DifferentialProgram {
+ public:
+  using Key = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+
+  explicit DifferentialProgram(std::uint64_t seed) : rng_(seed) {}
+
+  void run() {
+    for (int i = 0; i < 20; ++i) step();
+    while (!q_.empty()) {
+      ASSERT_FALSE(model_.empty());
+      ASSERT_EQ(q_.next_time().count(), std::get<0>(*model_.begin()));
+      EventQueue::Popped p = q_.pop();
+      if (!fired_.empty() && std::get<0>(fired_.back()) == p.when.count()) {
+        ++ties_;
+      }
+      fired_.emplace_back(p.when.count(), p.seq, p.cause);
+      expected_.push_back(*model_.begin());
+      by_seq_.erase(std::get<1>(*model_.begin()));
+      model_.erase(model_.begin());
+      ASSERT_GE(p.when, now_);
+      now_ = p.when;
+      firing_ = ids_.at(p.seq);
+      p.action();
+      ASSERT_EQ(q_.size(), model_.size());
+    }
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(fired_, expected_);
+  }
+
+  [[nodiscard]] std::uint64_t fallback_pushes() const {
+    return q_.fallback_pushes();
+  }
+  [[nodiscard]] std::size_t fired() const { return fired_.size(); }
+  [[nodiscard]] std::size_t ties() const { return ties_; }
+  [[nodiscard]] std::size_t live_cancels() const { return live_cancels_; }
+
+ private:
+  // A firing action performs 2–4 random steps while pushes remain (about
+  // 2.1 pushes against 0.9 cancels, so the program grows to its push
+  // budget), then 0–1 (so it drains).
+  void act() {
+    const auto steps = pushes_left_ > 0 ? rng_.uniform_int(2, 4)
+                                        : rng_.uniform_int(0, 1);
+    for (std::int64_t i = 0; i < steps; ++i) step();
+  }
+
+  void step() {
+    switch (rng_.uniform_int(0, 9)) {
+      case 0:
+        push_at();
+        break;
+      case 1:
+        if (!model_.empty()) cancel(by_seq_.at(std::get<1>(*model_.begin())));
+        break;
+      case 2:
+        if (!issued_.empty()) cancel(issued_.back());
+        break;
+      case 3:
+        if (!issued_.empty()) {
+          cancel(issued_[static_cast<std::size_t>(rng_.uniform_int(
+              0, static_cast<std::int64_t>(issued_.size()) - 1))]);
+        }
+        break;
+      case 4:
+        if (firing_.valid()) {
+          EXPECT_FALSE(q_.cancel(firing_));
+        }
+        break;
+      default:
+        push_after();
+        break;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t cause() const { return firing_.value(); }
+
+  void push_after() {
+    if (pushes_left_ == 0) return;
+    --pushes_left_;
+    // Delays 0..kMaxClasses+7: the first kMaxClasses distinct ones seen get
+    // classes, the rest go to the heap.
+    const Duration delay{rng_.uniform_int(
+        0, static_cast<std::int64_t>(EventQueue::kMaxClasses) + 7)};
+    record(q_.push_after(now_, delay, [this] { act(); }, cause()),
+           now_ + delay);
+  }
+
+  void push_at() {
+    if (pushes_left_ == 0) return;
+    --pushes_left_;
+    const TimePoint when = now_ + Duration{rng_.uniform_int(0, 12)};
+    record(q_.push(when, [this] { act(); }, cause()), when);
+  }
+
+  void record(EventId id, TimePoint when) {
+    issued_.push_back(id);
+    const Key key{when.count(), id.value(), cause()};
+    model_.insert(key);
+    by_seq_.emplace(id.value(), id);
+    ids_.emplace(id.value(), id);
+    keys_.emplace(id.value(), key);
+  }
+
+  void cancel(EventId id) {
+    const bool live = by_seq_.contains(id.value());
+    EXPECT_EQ(q_.cancel(id), live);
+    if (live) {
+      model_.erase(keys_.at(id.value()));
+      by_seq_.erase(id.value());
+      ++live_cancels_;
+    }
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  TimePoint now_{0};
+  EventId firing_{};
+  int pushes_left_ = 400;
+  std::vector<EventId> issued_;
+  std::set<Key> model_;
+  std::map<std::uint64_t, EventId> by_seq_;  // live events by seq
+  std::map<std::uint64_t, EventId> ids_;     // every event by seq
+  std::map<std::uint64_t, Key> keys_;        // every event's model key
+  std::vector<Key> fired_;
+  std::vector<Key> expected_;
+  std::size_t ties_ = 0;          // pops at the same instant as the last
+  std::size_t live_cancels_ = 0;  // cancels that removed a live event
+};
+
+TEST(EventQueueClasses, DifferentialAgainstSortedModel) {
+  std::uint64_t fired = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t ties = 0;
+  std::uint64_t live_cancels = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    DifferentialProgram program(seed);
+    program.run();
+    if (HasFatalFailure()) return;
+    fired += program.fired();
+    fallbacks += program.fallback_pushes();
+    ties += program.ties();
+    live_cancels += program.live_cancels();
+  }
+  // The programs exercised the classes, the fallback heap, same-instant
+  // ties and cancels of pending events.
+  EXPECT_GT(fired, 10'000u);
+  EXPECT_GT(fallbacks, 1'000u);
+  EXPECT_LT(fallbacks, fired);
+  EXPECT_GT(ties, 1'000u);
+  EXPECT_GT(live_cancels, 1'000u);
 }
 
 TEST(EventActionTest, SmallCallablesStayInline) {

@@ -1,8 +1,8 @@
 // The per-message path's resource contract: the serving path builds no
 // scheduler event on the heap (C-gcast's in-flight slab and the trackers'
 // inline timer actions keep every closure inside EventAction's buffer),
-// and tracker state is bounded by live objects and in-flight finds, not by
-// history.
+// schedules none onto the event queue's fallback heap, and tracker state
+// is bounded by live objects and in-flight finds, not by history.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +59,41 @@ TEST(MessagePath, ServingPathBuildsNoEventOnTheHeap) {
   EXPECT_GT(g.net->scheduler().events_fired(), 10'000u);
   EXPECT_EQ(sim::EventAction::heap_fallbacks(), before)
       << "a serving-path event closure outgrew EventAction's inline buffer";
+}
+
+TEST(MessagePath, ServingPathStaysOnTheDelayClasses) {
+  // Every serving-path event is a C-gcast delivery or a tracker timer,
+  // scheduled after one of the model's constant delays, so none of them
+  // reaches the event queue's fallback heap.
+  constexpr int kSide = 81;
+  tracking::NetworkConfig cfg;
+  cfg.model_vsa_failures = true;
+  cfg.t_restart = sim::Duration::millis(5);
+  GridNet g = make_grid(kSide, 3, cfg);
+  serve::IngestServer srv(*g.net, *g.hierarchy, serve::ServeConfig{});
+  std::vector<std::pair<int, int>> pos = {{10, 10}, {40, 40}, {70, 20}};
+  for (const auto& [x, y] : pos) srv.add_object(g.at(x, y));
+  Rng rng{23};
+  for (int round = 0; round < 200; ++round) {
+    for (std::size_t obj = 0; obj < pos.size(); ++obj) {
+      auto& [x, y] = pos[obj];
+      x = std::clamp(x + static_cast<int>(rng.uniform_int(-1, 1)), 0,
+                     kSide - 1);
+      y = std::clamp(y + static_cast<int>(rng.uniform_int(-1, 1)), 0,
+                     kSide - 1);
+      ASSERT_EQ(srv.offer(serve::UpdateFrame{obj, x, y}),
+                serve::IngestServer::Admit::kQueued);
+    }
+    srv.run_round();
+    if (round % 10 == 9) {
+      (void)srv.find(g.at(0, kSide - 1),
+                     static_cast<std::uint64_t>(round / 10) % pos.size(),
+                     sim::Duration::millis(400));
+    }
+  }
+  srv.finish();
+  EXPECT_GT(g.net->scheduler().events_fired(), 5'000u);
+  EXPECT_EQ(g.net->scheduler().fallback_pushes(), 0u);
 }
 
 TEST(MessagePath, TrackerRowsStayBoundedOverALongRun) {

@@ -164,6 +164,48 @@ TEST(Clients, FoundBeliefIsPerRegion) {
   EXPECT_EQ(r.found_region, g.at(2, 1));
 }
 
+TEST(Clients, BeliefsAreBoundedByLiveObjects) {
+  // A `left` input erases the client's belief, so after any walk the
+  // clients hold one entry per (object, alive client in the object's
+  // region) pair, not one per region an object ever passed through.
+  GridNet g = make_grid(9, 3);
+  auto& pop = g.net->clients();
+  for (const RegionId r : {g.at(4, 4), g.at(2, 6), g.at(7, 1)}) {
+    (void)pop.add_client(r);  // two clients in a few regions
+  }
+  const geo::Tiling& tiling = g.hierarchy->grid();
+  const std::vector<RegionId> starts{g.at(1, 1), g.at(4, 4), g.at(7, 7)};
+  constexpr int kSteps = 40;
+  std::vector<TargetId> objects;
+  std::vector<std::vector<RegionId>> walks;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    objects.push_back(g.net->add_evader(starts[k]));
+    walks.push_back(random_walk(tiling, starts[k], kSteps, 17 + k));
+  }
+  g.net->run_to_quiescence();
+  for (std::size_t step = 1; step <= kSteps; ++step) {
+    for (std::size_t k = 0; k < objects.size(); ++k) {
+      g.net->move_and_quiesce(objects[k], walks[k][step]);
+    }
+  }
+  std::size_t beliefs = 0;
+  for (std::size_t r = 0; r < tiling.num_regions(); ++r) {
+    const RegionId region{static_cast<RegionId::rep_type>(r)};
+    for (const ClientId id : pop.clients_in(region)) {
+      beliefs += pop.client(id).believes_here.size();
+    }
+  }
+  std::size_t pairs = 0;
+  for (const TargetId t : objects) {
+    const RegionId here = g.net->evaders().region_of(t);
+    pairs += pop.alive_clients_in(here);
+    for (const ClientId id : pop.clients_in(here)) {
+      EXPECT_TRUE(pop.client(id).believes_here.contains(t));
+    }
+  }
+  EXPECT_EQ(beliefs, pairs);
+}
+
 TEST(Clients, FindFromRegionWithoutClientThrows) {
   GridNet g = make_grid(6, 2);
   const TargetId t = g.net->add_evader(g.at(1, 1));

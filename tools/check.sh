@@ -348,7 +348,9 @@ run_perf() {
     echo "FAIL: profiling changed telemetry" >&2; exit 1; }
   # bench_micro, briefly, from an empty directory: it must exit 0 (the
   # slow every-change watchdog case is left out), its enabled-ledger case
-  # must count ledger entries, and it must leave no file behind.
+  # must count ledger entries, the daemon's delay mix must stay on the
+  # event queue's delay classes (no fallback-heap push), and it must leave
+  # no file behind.
   mkdir "$dir/micro"
   (cd "$dir/micro" &&
     "$root/build-check/bench/bench_micro" --benchmark_min_time=0.01 \
@@ -360,6 +362,10 @@ runs = {b["name"]: b for b in json.load(open(sys.argv[1]))["benchmarks"]}
 ledgered = runs.get("BM_MoveAndQuiesceLedgered/2")
 assert ledgered is not None, "BM_MoveAndQuiesceLedgered/2 did not run"
 assert ledgered["ledger_entries"] > 0, "the enabled ledger counted no entries"
+mix = runs.get("BM_SchedulerDaemonMix/100000")
+assert mix is not None, "BM_SchedulerDaemonMix/100000 did not run"
+assert mix["fallback_pushes"] == 0, \
+    "the daemon delay mix hit the fallback heap: %r" % mix["fallback_pushes"]
 EOF
   [ -z "$(ls -A "$dir/micro")" ] || {
     echo "FAIL: bench_micro left files behind" >&2
