@@ -8,15 +8,11 @@
 
 namespace vs::hier {
 
-namespace {
-std::size_t idx(ClusterId c) { return static_cast<std::size_t>(c.value()); }
-std::size_t idx(RegionId u) { return static_cast<std::size_t>(u.value()); }
-}  // namespace
-
 void ClusterHierarchy::build(const geo::Tiling& t,
                              const std::vector<LevelAssignment>& levels,
                              const HeadSelector& pick_head) {
   tiling_ = &t;
+  num_regions_ = t.num_regions();
   VS_REQUIRE(levels.size() >= 2, "need MAX > 0, got " << levels.size() << " level(s)");
   max_level_ = static_cast<Level>(levels.size()) - 1;
   const std::size_t num_regions = t.num_regions();
@@ -222,39 +218,10 @@ void ClusterHierarchy::set_geometry(std::vector<std::int64_t> n,
   omega_ = std::move(omega);
 }
 
-ClusterId ClusterHierarchy::cluster_of(RegionId u, Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level " << l << " out of range");
-  VS_REQUIRE(u.valid() && idx(u) < tiling_->num_regions(),
-             "region " << u << " out of range");
-  return cluster_of_[static_cast<std::size_t>(l) * tiling_->num_regions() +
-                     idx(u)];
-}
-
-Level ClusterHierarchy::level(ClusterId c) const {
-  check_cluster(c);
-  return level_of_[idx(c)];
-}
-
-RegionId ClusterHierarchy::head(ClusterId c) const {
-  check_cluster(c);
-  return head_[idx(c)];
-}
-
 std::span<const RegionId> ClusterHierarchy::members(ClusterId c) const {
   check_cluster(c);
   return {member_flat_.data() + member_offset_[idx(c)],
           member_offset_[idx(c) + 1] - member_offset_[idx(c)]};
-}
-
-std::span<const ClusterId> ClusterHierarchy::nbrs(ClusterId c) const {
-  check_cluster(c);
-  return {nbr_flat_.data() + nbr_offset_[idx(c)],
-          nbr_offset_[idx(c) + 1] - nbr_offset_[idx(c)]};
-}
-
-ClusterId ClusterHierarchy::parent(ClusterId c) const {
-  check_cluster(c);
-  return parent_[idx(c)];
 }
 
 std::span<const ClusterId> ClusterHierarchy::children(ClusterId c) const {
@@ -263,20 +230,12 @@ std::span<const ClusterId> ClusterHierarchy::children(ClusterId c) const {
           child_offset_[idx(c) + 1] - child_offset_[idx(c)]};
 }
 
-std::int64_t ClusterHierarchy::n(Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level out of range");
-  return n_[static_cast<std::size_t>(l)];
-}
-std::int64_t ClusterHierarchy::p(Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level out of range");
-  return p_[static_cast<std::size_t>(l)];
-}
 std::int64_t ClusterHierarchy::q(Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level out of range");
+  check_level(l);
   return q_[static_cast<std::size_t>(l)];
 }
 std::int64_t ClusterHierarchy::omega(Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level out of range");
+  check_level(l);
   return omega_[static_cast<std::size_t>(l)];
 }
 
@@ -290,15 +249,10 @@ int ClusterHierarchy::head_distance(ClusterId a, ClusterId b) const {
 }
 
 std::span<const ClusterId> ClusterHierarchy::clusters_at(Level l) const {
-  VS_REQUIRE(l >= 0 && l <= max_level_, "level out of range");
+  check_level(l);
   const auto lo = level_offset_[static_cast<std::size_t>(l)];
   const auto hi = level_offset_[static_cast<std::size_t>(l) + 1];
   return {level_flat_.data() + lo, hi - lo};
-}
-
-void ClusterHierarchy::check_cluster(ClusterId c) const {
-  VS_REQUIRE(c.valid() && idx(c) < num_clusters(),
-             "cluster id " << c << " out of range");
 }
 
 }  // namespace vs::hier

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "geo/tiling.hpp"
 
@@ -41,22 +42,40 @@ class ClusterHierarchy {
   [[nodiscard]] std::size_t num_clusters() const { return level_of_.size(); }
 
   /// cluster(u, l): the level-l cluster containing region u.
-  [[nodiscard]] ClusterId cluster_of(RegionId u, Level l) const;
+  [[nodiscard]] ClusterId cluster_of(RegionId u, Level l) const {
+    check_level(l);
+    VS_REQUIRE(u.valid() && idx(u) < num_regions_,
+               "region " << u << " out of range");
+    return cluster_of_[static_cast<std::size_t>(l) * num_regions_ + idx(u)];
+  }
 
   /// level(c).
-  [[nodiscard]] Level level(ClusterId c) const;
+  [[nodiscard]] Level level(ClusterId c) const {
+    check_cluster(c);
+    return level_of_[idx(c)];
+  }
 
   /// h(c): the clusterhead region (a member of c).
-  [[nodiscard]] RegionId head(ClusterId c) const;
+  [[nodiscard]] RegionId head(ClusterId c) const {
+    check_cluster(c);
+    return head_[idx(c)];
+  }
 
   /// members(c): regions of c, ascending id order.
   [[nodiscard]] std::span<const RegionId> members(ClusterId c) const;
 
   /// nbrs(c): same-level clusters sharing a region boundary with c.
-  [[nodiscard]] std::span<const ClusterId> nbrs(ClusterId c) const;
+  [[nodiscard]] std::span<const ClusterId> nbrs(ClusterId c) const {
+    check_cluster(c);
+    return {nbr_flat_.data() + nbr_offset_[idx(c)],
+            nbr_offset_[idx(c) + 1] - nbr_offset_[idx(c)]};
+  }
 
   /// parent(c); invalid id at level MAX.
-  [[nodiscard]] ClusterId parent(ClusterId c) const;
+  [[nodiscard]] ClusterId parent(ClusterId c) const {
+    check_cluster(c);
+    return parent_[idx(c)];
+  }
 
   /// children(c); empty at level 0.
   [[nodiscard]] std::span<const ClusterId> children(ClusterId c) const;
@@ -66,8 +85,14 @@ class ClusterHierarchy {
 
   /// Geometry bounds (§II-B assumptions 2-5). Valid for every level in
   /// {0..MAX}; n/p are only *used* below MAX but defined everywhere.
-  [[nodiscard]] std::int64_t n(Level l) const;
-  [[nodiscard]] std::int64_t p(Level l) const;
+  [[nodiscard]] std::int64_t n(Level l) const {
+    check_level(l);
+    return n_[static_cast<std::size_t>(l)];
+  }
+  [[nodiscard]] std::int64_t p(Level l) const {
+    check_level(l);
+    return p_[static_cast<std::size_t>(l)];
+  }
   [[nodiscard]] std::int64_t q(Level l) const;
   [[nodiscard]] std::int64_t omega(Level l) const;
 
@@ -107,9 +132,23 @@ class ClusterHierarchy {
                     std::vector<std::int64_t> omega);
 
  private:
-  void check_cluster(ClusterId c) const;
+  static std::size_t idx(ClusterId c) {
+    return static_cast<std::size_t>(c.value());
+  }
+  static std::size_t idx(RegionId u) {
+    return static_cast<std::size_t>(u.value());
+  }
+  void check_cluster(ClusterId c) const {
+    VS_REQUIRE(c.valid() && idx(c) < num_clusters(),
+               "cluster id " << c << " out of range");
+  }
+  void check_level(Level l) const {
+    VS_REQUIRE(l >= 0 && l <= max_level_, "level " << l << " out of range");
+  }
 
   const geo::Tiling* tiling_ = nullptr;
+  /// tiling_->num_regions(), cached: cluster_of indexes by it.
+  std::size_t num_regions_ = 0;
   Level max_level_ = 0;
   ClusterId root_{};
 

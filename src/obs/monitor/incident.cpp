@@ -6,6 +6,7 @@
 #include "common/codec.hpp"
 #include "common/error.hpp"
 #include "obs/op.hpp"
+#include "obs/trace_io.hpp"
 #include "obs/trace_query.hpp"
 
 namespace vs::obs {
@@ -151,6 +152,7 @@ IncidentBundle read_incident(std::string_view bytes) {
   b.config_json = r.str();
   b.metrics_json = r.str();
   b.ring = r.records<TraceEvent>(r.get<std::uint64_t>());
+  check_trace_records(b.ring);
   r.end(kEndMagic);
   return b;
 }

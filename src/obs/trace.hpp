@@ -46,6 +46,8 @@ enum class TraceKind : std::uint8_t {
   kMoveIssued,   // evader placed/moved: a=from region (-1 on placement),
                  // b=to region, arg=walk distance (0 on placement)
 };
+/// The highest TraceKind: recorded kinds are 1..kLastTraceKind.
+inline constexpr TraceKind kLastTraceKind = TraceKind::kMoveIssued;
 
 [[nodiscard]] std::string_view to_string(TraceKind kind);
 

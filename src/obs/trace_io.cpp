@@ -5,6 +5,7 @@
 
 #include "common/codec.hpp"
 #include "common/error.hpp"
+#include "stats/counters.hpp"
 
 namespace vs::obs {
 
@@ -59,6 +60,7 @@ std::vector<WorldTrace> read_trace(std::string_view bytes) {
     t.world = r.get<std::uint32_t>();
     (void)r.get<std::uint32_t>();  // reserved
     t.events = r.records<TraceEvent>(r.get<std::uint64_t>());
+    check_trace_records(t.events);
     total += t.events.size();
   }
   const auto declared_total = r.get<std::uint64_t>();
@@ -68,6 +70,21 @@ std::vector<WorldTrace> read_trace(std::string_view bytes) {
                                                 << total);
   r.end(kEndMagic);
   return worlds;
+}
+
+void check_trace_records(std::span<const TraceEvent> events) {
+  constexpr auto kFirst = static_cast<std::uint8_t>(TraceKind::kSend);
+  constexpr auto kLast = static_cast<std::uint8_t>(kLastTraceKind);
+  constexpr auto kMsgKinds = static_cast<std::uint8_t>(stats::MsgKind::kCount);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    VS_REQUIRE(e.kind >= kFirst && e.kind <= kLast,
+               "corrupt trace: record " << i << " has kind "
+                                        << static_cast<int>(e.kind));
+    VS_REQUIRE(e.msg == kNoMsg || e.msg < kMsgKinds,
+               "corrupt trace: record " << i << " has message kind "
+                                        << static_cast<int>(e.msg));
+  }
 }
 
 std::vector<WorldTrace> read_trace_file(const std::string& path) {

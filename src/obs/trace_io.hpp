@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,8 +53,13 @@ void write_trace_file(const std::string& path,
 void write_trace_file(const std::string& path, const TraceRecorder& recorder);
 
 /// Decodes a whole VSTRACE1 file. Throws vs::Error on bad
-/// magic/version/truncation.
+/// magic/version/truncation and on any record check_trace_records rejects.
 [[nodiscard]] std::vector<WorldTrace> read_trace(std::string_view bytes);
+
+/// Throws vs::Error naming the first record whose `kind` is not a
+/// TraceKind or whose `msg` is neither kNoMsg nor a stats::MsgKind — what
+/// every decoder of recorded events checks before handing them on.
+void check_trace_records(std::span<const TraceEvent> events);
 [[nodiscard]] std::vector<WorldTrace> read_trace_file(const std::string& path);
 
 }  // namespace vs::obs

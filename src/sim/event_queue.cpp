@@ -46,6 +46,7 @@ void EventQueue::push_heap(const Entry& e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++fallback_pushes_;
+  ++queued_;
 }
 
 void EventQueue::push_fifo(std::uint32_t c, const Entry& e) {
@@ -69,9 +70,11 @@ void EventQueue::push_fifo(std::uint32_t c, const Entry& e) {
   }
   f.ring[(f.head + f.count) & (f.ring.size() - 1)] = e;
   ++f.count;
+  ++queued_;
 }
 
 void EventQueue::pop_front(std::uint32_t c) const {
+  --queued_;
   Fifo& f = fifos_[c];
   f.head = static_cast<std::uint32_t>((f.head + 1) & (f.ring.size() - 1));
   if (--f.count == 0) {
@@ -117,7 +120,11 @@ bool EventQueue::cancel(EventId id) {
   s.seq = 0;
   free_slots_.push_back(id.slot_);
   min_src_ = kNoClass;
-  if (--live_count_ == 0) clear_tombstones();
+  if (--live_count_ == 0) {
+    clear_tombstones();
+  } else if (queued_ - live_count_ > std::max(live_count_, kCompactFloor)) {
+    drop_tombstones();
+  }
   return true;
 }
 
@@ -127,6 +134,33 @@ void EventQueue::clear_tombstones() {
   }
   nonempty_ = 0;
   heap_.clear();
+  queued_ = 0;
+}
+
+void EventQueue::drop_tombstones() {
+  for (std::uint32_t m = nonempty_; m != 0; m &= m - 1) {
+    const auto c = static_cast<std::uint32_t>(std::countr_zero(m));
+    Fifo& f = fifos_[c];
+    const std::size_t mask = f.ring.size() - 1;
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < f.count; ++i) {
+      const Entry& e = f.ring[(f.head + i) & mask];
+      if (!stale(e)) f.ring[(f.head + kept++) & mask] = e;
+    }
+    f.count = kept;
+    if (kept == 0) {
+      nonempty_ &= ~(1U << c);
+    } else {
+      heads_[c] = f.ring[f.head];
+    }
+  }
+  std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  queued_ = heap_.size();
+  for (std::uint32_t m = nonempty_; m != 0; m &= m - 1) {
+    queued_ += fifos_[static_cast<std::size_t>(std::countr_zero(m))].count;
+  }
+  VS_DCHECK(queued_ == live_count_, "a live event lost its queue entry");
 }
 
 void EventQueue::find_min() const {
@@ -154,6 +188,7 @@ void EventQueue::find_min() const {
     if (src == kHeapSrc) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       heap_.pop_back();
+      --queued_;
     } else {
       pop_front(src);
     }
@@ -180,6 +215,7 @@ EventQueue::Popped EventQueue::pop() {
     top = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    --queued_;
   } else {
     top = heads_[min_src_];
     pop_front(min_src_);

@@ -4,7 +4,9 @@
 // Ordering is (time, sequence-number): two events at the same instant fire
 // in the order they were scheduled, which makes every run reproducible.
 // Cancellation is O(1) by tombstoning; tombstones are skimmed off when
-// they reach the front.
+// they reach the front, and once they outnumber the live events (past
+// kCompactFloor) a sweep drops them all, so queued entries stay within
+// 2·size() + kCompactFloor however long a far-future event pins a queue.
 //
 // Delay classes. The model's latencies are a handful of constants —
 // C-gcast's rules (a)–(e) deliver after δ, δ+e or (δ+e)·{n(l), p(l),
@@ -62,6 +64,8 @@ class EventQueue {
 
   /// Distinct delays that get their own FIFO; later delays use the heap.
   static constexpr std::size_t kMaxClasses = 32;
+  /// Tombstones tolerated before they may outnumber the live events.
+  static constexpr std::size_t kCompactFloor = 64;
 
   /// Schedule `action` at absolute time `when` (on the fallback heap).
   /// Requires !when.is_never(). `cause` is the sequence number of the
@@ -102,6 +106,10 @@ class EventQueue {
 
   /// Number of live events (O(1); maintained incrementally).
   [[nodiscard]] std::size_t size() const { return live_count_; }
+
+  /// Entries held in the FIFOs and the heap: the live events plus the
+  /// tombstones not yet dropped. At most 2·size() + kCompactFloor.
+  [[nodiscard]] std::size_t queued() const { return queued_; }
 
   /// High-water mark of action slots ever allocated — stays at the peak
   /// number of simultaneously pending events because freed slots are
@@ -156,6 +164,9 @@ class EventQueue {
   }
   /// Drop every remaining (stale) entry once no live event is left.
   void clear_tombstones();
+  /// Drop every stale entry, keeping each FIFO's order, and rebuild the
+  /// heap.
+  void drop_tombstones();
 
   static constexpr std::uint32_t kNoClass = 0xffffffffU;
   static constexpr std::uint32_t kHeapSrc = kMaxClasses;  // min_src_ value
@@ -184,6 +195,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{1};
   std::size_t live_count_{0};
+  mutable std::size_t queued_{0};
   std::uint64_t fallback_pushes_{0};
 };
 

@@ -1,6 +1,8 @@
 #include "tracking/network.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -15,21 +17,61 @@ constexpr std::int64_t kFindLatencyBoundsUs[] = {
 
 }  // namespace
 
+TrackingNetwork::TrackerArray::TrackerArray(const TrackerEnv& env,
+                                            std::size_t n)
+    : data_(std::allocator<Tracker>{}.allocate(n)) {
+  try {
+    for (; size_ < n; ++size_) {
+      std::construct_at(data_ + size_, env,
+                        ClusterId{static_cast<ClusterId::rep_type>(size_)});
+    }
+  } catch (...) {
+    std::destroy_n(data_, size_);
+    std::allocator<Tracker>{}.deallocate(data_, n);
+    throw;
+  }
+}
+
+TrackingNetwork::TrackerArray::~TrackerArray() {
+  std::destroy_n(data_, size_);
+  std::allocator<Tracker>{}.deallocate(data_, size_);
+}
+
+namespace {
+
+TrackerConfig make_tracker_config(const hier::ClusterHierarchy& hierarchy,
+                                  const NetworkConfig& config) {
+  TrackerConfig tc;
+  tc.lateral_links = config.lateral_links;
+  tc.timers = config.timers
+                  ? *config.timers
+                  : TimerPolicy::paper_default(hierarchy, config.cgcast);
+  validate_timer_policy(tc.timers, hierarchy, config.cgcast);
+  return tc;
+}
+
+}  // namespace
+
 TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
                                  NetworkConfig config)
     : hier_(&hierarchy),
       config_(std::move(config)),
       counters_(hierarchy.max_level()),
+      tracker_config_(make_tracker_config(hierarchy, config_)),
+      cgcast_(std::make_unique<vsa::CGcast>(sched_, hierarchy, config_.cgcast,
+                                            counters_)),
       evaders_(hierarchy.tiling()),
+      // Observability: one recorder per world, shared by the message
+      // service and every cluster process; off until set_tracing(true).
+      tracker_env_{.sched = &sched_,
+                   .hier = &hierarchy,
+                   .cgcast = cgcast_.get(),
+                   .config = &tracker_config_,
+                   .trace = &trace_,
+                   .prof = nullptr,
+                   .state_hook = {}},
+      trackers_(tracker_env_, hierarchy.num_clusters()),
       census_{.latency_us = obs::Histogram(kFindLatencyBoundsUs)} {
-  tracker_config_.lateral_links = config_.lateral_links;
-  tracker_config_.timers =
-      config_.timers ? *config_.timers
-                     : TimerPolicy::paper_default(hierarchy, config_.cgcast);
-  validate_timer_policy(tracker_config_.timers, hierarchy, config_.cgcast);
-
-  cgcast_ = std::make_unique<vsa::CGcast>(sched_, hierarchy, config_.cgcast,
-                                          counters_);
 
   if (config_.model_vsa_failures) {
     directory_ = std::make_unique<vsa::VsaDirectory>(
@@ -44,34 +86,49 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
     clients_->on_evader_move(t, from, to);
   });
 
-  trackers_.reserve(hierarchy.num_clusters());
-  for (std::size_t c = 0; c < hierarchy.num_clusters(); ++c) {
-    trackers_.push_back(std::make_unique<Tracker>(
-        sched_, hierarchy, *cgcast_, tracker_config_,
-        ClusterId{static_cast<ClusterId::rep_type>(c)}));
-  }
-
   // Replica placement (§VII): the head plus members spread evenly across
   // the cluster, capped by cluster size (level-0 clusters are singletons).
   VS_REQUIRE(config_.head_replicas >= 1, "head_replicas must be >= 1");
-  replicas_.resize(hierarchy.num_clusters());
-  hosted_.resize(hierarchy.tiling().num_regions());
-  for (std::size_t c = 0; c < hierarchy.num_clusters(); ++c) {
+  const std::size_t num_clusters = hierarchy.num_clusters();
+  const auto want = static_cast<std::size_t>(config_.head_replicas);
+  replica_offset_.reserve(num_clusters + 1);
+  replica_offset_.push_back(0);
+  replica_flat_.reserve(num_clusters);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
     const ClusterId id{static_cast<ClusterId::rep_type>(c)};
-    auto& reps = replicas_[c];
-    reps.push_back(hierarchy.head(id));
+    const std::uint32_t first = replica_offset_.back();
+    const auto placed = [&](RegionId r) {
+      return std::find(replica_flat_.begin() + first, replica_flat_.end(),
+                       r) != replica_flat_.end();
+    };
+    replica_flat_.push_back(hierarchy.head(id));
     const auto members = hierarchy.members(id);
-    const auto want = static_cast<std::size_t>(config_.head_replicas);
-    for (std::size_t k = 0; reps.size() < want && k < members.size(); ++k) {
+    for (std::size_t k = 0;
+         replica_flat_.size() - first < want && k < members.size(); ++k) {
       // Even spread over the member list.
-      const std::size_t i = k * members.size() / want;
-      const RegionId candidate = members[i];
-      if (std::find(reps.begin(), reps.end(), candidate) == reps.end()) {
-        reps.push_back(candidate);
-      }
+      const RegionId candidate = members[k * members.size() / want];
+      if (!placed(candidate)) replica_flat_.push_back(candidate);
     }
-    for (const RegionId r : reps) {
-      hosted_[static_cast<std::size_t>(r.value())].push_back(id);
+    replica_offset_.push_back(
+        static_cast<std::uint32_t>(replica_flat_.size()));
+  }
+  // Hosted lists: a counting sort of the replicas by region, filled in
+  // cluster-id order.
+  hosted_offset_.assign(hierarchy.tiling().num_regions() + 1, 0);
+  for (const RegionId r : replica_flat_) {
+    ++hosted_offset_[static_cast<std::size_t>(r.value()) + 1];
+  }
+  std::partial_sum(hosted_offset_.begin(), hosted_offset_.end(),
+                   hosted_offset_.begin());
+  hosted_flat_.resize(replica_flat_.size());
+  std::vector<std::uint32_t> cursor(hosted_offset_.begin(),
+                                    hosted_offset_.end() - 1);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    for (std::uint32_t i = replica_offset_[c]; i < replica_offset_[c + 1];
+         ++i) {
+      const auto r = static_cast<std::size_t>(replica_flat_[i].value());
+      hosted_flat_[cursor[r]++] =
+          ClusterId{static_cast<ClusterId::rep_type>(c)};
     }
   }
 
@@ -110,10 +167,7 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
     // Restart is from the initial (empty) state; reset on fail suffices.
   }
 
-  // Observability: one recorder per world, shared by the message service
-  // and every cluster process. Recording is off until set_tracing(true).
   cgcast_->set_trace_recorder(&trace_);
-  for (const auto& tr : trackers_) tr->set_trace_recorder(&trace_);
 
   // Stamp this thread's log lines with this world's virtual clock (the
   // newest world on a thread wins; the destructor's identity-guarded clear
@@ -163,13 +217,13 @@ void TrackingNetwork::set_profiler(obs::Profiler* prof) {
       prof != nullptr ? &obs::Profiler::probe_thunk : nullptr, prof,
       prof != nullptr ? prof->enabled_flag() : nullptr);
   cgcast_->set_profiler(prof);
-  for (const auto& tr : trackers_) tr->set_profiler(prof);
+  tracker_env_.prof = prof;
 }
 
 Tracker& TrackingNetwork::tracker(ClusterId c) {
   VS_REQUIRE(c.valid() && static_cast<std::size_t>(c.value()) < trackers_.size(),
              "cluster " << c << " out of range");
-  return *trackers_[static_cast<std::size_t>(c.value())];
+  return trackers_[static_cast<std::size_t>(c.value())];
 }
 
 void TrackingNetwork::dispatch(ClusterId dest, const vsa::Message& m) {
@@ -387,7 +441,7 @@ SystemSnapshot TrackingNetwork::snapshot(TargetId target) const {
   snap.hier = hier_;
   snap.target = target;
   snap.trackers.reserve(trackers_.size());
-  for (const auto& tr : trackers_) snap.trackers.push_back(tr->state(target));
+  for (const Tracker& tr : trackers_) snap.trackers.push_back(tr.state(target));
   for (const auto& in : cgcast_->in_transit()) {
     if (in.msg.target != target) continue;
     if (!stats::is_move_kind(in.msg.type)) continue;
@@ -398,19 +452,26 @@ SystemSnapshot TrackingNetwork::snapshot(TargetId target) const {
 }
 
 std::span<const ClusterId> TrackingNetwork::hosted_at(RegionId u) const {
-  VS_REQUIRE(u.valid() && static_cast<std::size_t>(u.value()) < hosted_.size(),
+  VS_REQUIRE(u.valid() &&
+                 static_cast<std::size_t>(u.value()) + 1 < hosted_offset_.size(),
              "region " << u << " out of range");
-  return hosted_[static_cast<std::size_t>(u.value())];
+  const auto i = static_cast<std::size_t>(u.value());
+  return {hosted_flat_.data() + hosted_offset_[i],
+          hosted_offset_[i + 1] - hosted_offset_[i]};
 }
 
 std::span<const RegionId> TrackingNetwork::replicas_of(ClusterId c) const {
-  VS_REQUIRE(c.valid() && static_cast<std::size_t>(c.value()) < replicas_.size(),
+  VS_REQUIRE(c.valid() && static_cast<std::size_t>(c.value()) + 1 <
+                              replica_offset_.size(),
              "cluster " << c << " out of range");
-  return replicas_[static_cast<std::size_t>(c.value())];
+  const auto i = static_cast<std::size_t>(c.value());
+  return {replica_flat_.data() + replica_offset_[i],
+          replica_offset_[i + 1] - replica_offset_[i]};
 }
 
-void TrackingNetwork::set_state_change_hook(Tracker::StateChangeHook hook) {
-  for (const auto& tr : trackers_) tr->set_state_change_hook(hook);
+void TrackingNetwork::set_state_change_hook(
+    TrackerEnv::StateChangeHook hook) {
+  tracker_env_.state_hook = std::move(hook);
 }
 
 }  // namespace vs::tracking

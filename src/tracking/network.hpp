@@ -2,10 +2,11 @@
 // TrackingNetwork — the assembled VINESTALK system.
 //
 // Owns the scheduler, the C-gcast service, the VSA directory, the client
-// population, the evader model, and one Tracker per cluster, wired exactly
-// as §III-B prescribes: clients broadcast detections to their level-0
-// VSAs; Trackers maintain the tracking path; finds are injected at client
-// regions and complete with a client found output at the evader's region.
+// population, the evader model, and one Tracker per cluster (one array
+// behind one shared TrackerEnv), wired exactly as §III-B prescribes:
+// clients broadcast detections to their level-0 VSAs; Trackers maintain
+// the tracking path; finds are injected at client regions and complete
+// with a client found output at the evader's region.
 //
 // This is the facade downstream code uses: examples, benches, the spec
 // checkers and the baselines all drive a TrackingNetwork.
@@ -134,8 +135,8 @@ class TrackingNetwork {
   [[nodiscard]] obs::OpLedger* op_ledger() { return ledger_; }
 
   /// Attach (or with nullptr detach) a wall-clock CPU profiler. Wires the
-  /// scheduler's probe, C-gcast's deliver scope, and every Tracker's
-  /// handler scopes. The profiler must outlive the attachment and is
+  /// scheduler's probe, C-gcast's deliver scope, and the trackers' handler
+  /// scopes. The profiler must outlive the attachment and is
   /// never owned. Profile output is nondeterministic sidecar data only —
   /// attaching and enabling one never changes any deterministic artifact.
   void set_profiler(obs::Profiler* prof);
@@ -187,7 +188,7 @@ class TrackingNetwork {
   [[nodiscard]] std::span<const RegionId> replicas_of(ClusterId c) const;
 
   /// Hook invoked on every tracker pointer-state change (monitors).
-  void set_state_change_hook(Tracker::StateChangeHook hook);
+  void set_state_change_hook(TrackerEnv::StateChangeHook hook);
 
   /// Observer of evader placement/relocation as seen at the network API:
   /// (target, from, to, quiescent_at_issue); `from` is invalid on initial
@@ -234,6 +235,26 @@ class TrackingNetwork {
   void record_move(TargetId target, RegionId from, RegionId to,
                    std::int64_t distance, obs::OpId op);
 
+  /// One Tracker per cluster, by cluster id, each built in place once in
+  /// one block. The block never reallocates and no tracker moves: armed
+  /// timer actions capture `this`.
+  class TrackerArray {
+   public:
+    TrackerArray(const TrackerEnv& env, std::size_t n);
+    ~TrackerArray();
+    TrackerArray(const TrackerArray&) = delete;
+    TrackerArray& operator=(const TrackerArray&) = delete;
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    Tracker& operator[](std::size_t i) { return data_[i]; }
+    [[nodiscard]] const Tracker* begin() const { return data_; }
+    [[nodiscard]] const Tracker* end() const { return data_ + size_; }
+
+   private:
+    Tracker* data_;
+    std::size_t size_ = 0;
+  };
+
   const hier::ClusterHierarchy* hier_;
   NetworkConfig config_;
   sim::Scheduler sched_;
@@ -243,13 +264,20 @@ class TrackingNetwork {
   std::unique_ptr<vsa::VsaDirectory> directory_;
   std::unique_ptr<vsa::ClientPopulation> clients_;
   vsa::EvaderModel evaders_;
-  std::vector<std::unique_ptr<Tracker>> trackers_;  // by cluster id
-  std::vector<std::vector<ClusterId>> hosted_;      // by region id
-  std::vector<std::vector<RegionId>> replicas_;     // by cluster id
+  obs::TraceRecorder trace_;
+  TrackerEnv tracker_env_;
+  TrackerArray trackers_;
+  // §VII replica placement as offset + flat (CSR) tables: the regions
+  // hosting cluster c are replica_flat_[replica_offset_[c] ..
+  // replica_offset_[c + 1]), the clusters hosted at region u likewise
+  // from the hosted_ pair, in cluster-id order.
+  std::vector<std::uint32_t> replica_offset_;  // by cluster id
+  std::vector<RegionId> replica_flat_;
+  std::vector<std::uint32_t> hosted_offset_;  // by region id
+  std::vector<ClusterId> hosted_flat_;
   std::map<FindId, FindResult> finds_;
   FindCensus census_;
   FindId::rep_type next_find_{1};
-  obs::TraceRecorder trace_;
   obs::OpLedger* ledger_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   vsa::CGcast::ObserverId ledger_observer_ = 0;

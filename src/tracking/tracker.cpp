@@ -38,15 +38,8 @@ auto* lookup_row(Rows& rows, Id id, Key key) {
 
 }  // namespace
 
-Tracker::Tracker(sim::Scheduler& sched,
-                 const hier::ClusterHierarchy& hierarchy, vsa::CGcast& cgcast,
-                 const TrackerConfig& config, ClusterId clust)
-    : sched_(&sched),
-      hier_(&hierarchy),
-      cgcast_(&cgcast),
-      config_(&config),
-      clust_(clust),
-      lvl_(hierarchy.level(clust)) {}
+Tracker::Tracker(const TrackerEnv& env, ClusterId clust)
+    : env_(&env), clust_(clust), lvl_(env.hier->level(clust)) {}
 
 Tracker::~Tracker() { reset(); }
 
@@ -104,21 +97,21 @@ void Tracker::retire(PerFind& pf) {
 }
 
 void Tracker::disarm(sim::EventId& timer) {
-  if (timer.valid()) sched_->cancel(timer);
+  if (timer.valid()) env_->sched->cancel(timer);
   timer = sim::EventId{};
 }
 
 void Tracker::arm_timer(PerTarget& s, sim::Duration delay) {
   disarm(s.timer);
   const TargetId t = s.target;
-  s.timer = sched_->schedule_after(delay, [this, t] { on_timer_expiry(t); });
+  s.timer = env_->sched->schedule_after(delay, [this, t] { on_timer_expiry(t); });
 }
 
 void Tracker::arm_nbrtimeout(PerFind& pf, sim::Duration delay) {
   disarm(pf.nbrtimeout);
   const FindId f = pf.find;
   pf.nbrtimeout =
-      sched_->schedule_after(delay, [this, f] { on_nbrtimeout_expiry(f); });
+      env_->sched->schedule_after(delay, [this, f] { on_nbrtimeout_expiry(f); });
 }
 
 void Tracker::on_timer_expiry(TargetId t) {
@@ -190,20 +183,30 @@ bool Tracker::finding(FindId find) const {
   return pf != nullptr && pf->finding;
 }
 
-void Tracker::send(ClusterId to, MsgType type, TargetId target, FindId find,
-                   ClusterId ack_pointer) {
+Message Tracker::message(MsgType type, TargetId target, FindId find) const {
   Message m;
   m.type = type;
   m.from_cluster = clust_;
   m.target = target;
   m.find_id = find;
-  m.ack_pointer = ack_pointer;
   m.op = current_op_;
-  cgcast_->send(clust_, to, m);
+  return m;
+}
+
+void Tracker::send(ClusterId to, MsgType type, TargetId target, FindId find,
+                   ClusterId ack_pointer) {
+  Message m = message(type, target, find);
+  m.ack_pointer = ack_pointer;
+  env_->cgcast->send(clust_, to, m);
+}
+
+void Tracker::send_to_nbrs(MsgType type, TargetId target, FindId find,
+                           ClusterId except) {
+  env_->cgcast->send_to_nbrs(clust_, message(type, target, find), except);
 }
 
 void Tracker::notify_state_change(TargetId t) {
-  if (state_hook_) state_hook_(clust_, t);
+  if (env_->state_hook) env_->state_hook(clust_, t);
 }
 
 void Tracker::on_message(const Message& m) {
@@ -231,7 +234,7 @@ constexpr obs::ProfDomain profile_domain(MsgType t) {
 }  // namespace
 
 void Tracker::dispatch(const Message& m) {
-  const obs::ProfScope prof(prof_, profile_domain(m.type));
+  const obs::ProfScope prof(env_->prof, profile_domain(m.type));
   switch (m.type) {
     case MsgType::kGrow: on_grow(m); return;
     case MsgType::kGrowPar: on_grow_par(m); return;
@@ -253,8 +256,8 @@ void Tracker::dispatch(const Message& m) {
 // (c = p = ⊥, below MAX), then point c at the sender unconditionally.
 void Tracker::on_grow(const Message& m) {
   PerTarget& s = target_state(m.target);
-  if (!s.c.valid() && !s.p.valid() && lvl_ != hier_->max_level()) {
-    arm_timer(s, config_->timers.grow(lvl_));
+  if (!s.c.valid() && !s.p.valid() && lvl_ != env_->hier->max_level()) {
+    arm_timer(s, env_->config->timers.grow(lvl_));
     s.op = current_op_;
   }
   s.c = m.from_cluster;
@@ -286,8 +289,8 @@ void Tracker::on_shrink(const Message& m) {
   PerTarget* s = target_row(m.target);
   if (s == nullptr || s->c != m.from_cluster) return;
   s->c = ClusterId::invalid();
-  if (lvl_ != hier_->max_level()) {
-    arm_timer(*s, config_->timers.shrink(lvl_));
+  if (lvl_ != env_->hier->max_level()) {
+    arm_timer(*s, env_->config->timers.shrink(lvl_));
     s->op = current_op_;
   }
   notify_state_change(m.target);
@@ -318,10 +321,10 @@ void Tracker::on_shrink_upd(const Message& m) {
 // Timer expiry: the two timer-gated outputs of Figure 2.
 void Tracker::record(obs::TraceKind kind, TargetId target, FindId find,
                      std::int32_t arg) {
-  trace_->append(obs::TraceEvent{
-      .time_us = sched_->now().count(),
-      .seq = sched_->current_seq(),
-      .cause = sched_->current_cause(),
+  env_->trace->append(obs::TraceEvent{
+      .time_us = env_->sched->now().count(),
+      .seq = env_->sched->current_seq(),
+      .cause = env_->sched->current_cause(),
       .find = find.valid() ? find.value() : -1,
       .a = clust_.value(),
       .b = -1,
@@ -337,36 +340,33 @@ void Tracker::record(obs::TraceKind kind, TargetId target, FindId find,
 }
 
 void Tracker::on_timer(TargetId t) {
-  const obs::ProfScope prof(prof_, obs::ProfDomain::kTrackerTimer);
+  const obs::ProfScope prof(env_->prof, obs::ProfDomain::kTrackerTimer);
   PerTarget& s = target_state(t);
   // The expiry's cascade belongs to the operation that armed the timer.
   OpScope scope(&current_op_, s.op);
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (tracing()) {
     const std::int32_t branch =
-        s.c.valid() && !s.p.valid() && lvl_ != hier_->max_level() ? 1
+        s.c.valid() && !s.p.valid() && lvl_ != env_->hier->max_level() ? 1
         : !s.c.valid() && s.p.valid()                             ? 2
                                                                   : 0;
     record(obs::TraceKind::kTimerFire, t, FindId{}, branch);
   }
-  if (s.c.valid() && !s.p.valid() && lvl_ != hier_->max_level()) {
+  if (s.c.valid() && !s.p.valid() && lvl_ != env_->hier->max_level()) {
     // Output cTOBsend(⟨grow, clust⟩, par): extend the tracking path. Use a
     // lateral link if a neighbour advertises a parent-connected position.
     ClusterId par;
-    const bool lateral = config_->lateral_links && s.nbrptup.valid();
-    par = lateral ? s.nbrptup : hier_->parent(clust_);
+    const bool lateral = env_->config->lateral_links && s.nbrptup.valid();
+    par = lateral ? s.nbrptup : env_->hier->parent(clust_);
     s.p = par;
     send(par, MsgType::kGrow, t);
-    const MsgType note = lateral ? MsgType::kGrowNbr : MsgType::kGrowPar;
-    for (const ClusterId b : hier_->nbrs(clust_)) send(b, note, t);
+    send_to_nbrs(lateral ? MsgType::kGrowNbr : MsgType::kGrowPar, t);
     notify_state_change(t);
     advance_finds_of(t);
   } else if (!s.c.valid() && s.p.valid()) {
     // Output cTOBsend(⟨shrink, clust⟩, p): retire from the deserted branch.
     send(s.p, MsgType::kShrink, t);
     s.p = ClusterId::invalid();
-    for (const ClusterId b : hier_->nbrs(clust_)) {
-      send(b, MsgType::kShrinkUpd, t);
-    }
+    send_to_nbrs(MsgType::kShrinkUpd, t);
     notify_state_change(t);
     advance_finds_of(t);
   }
@@ -454,12 +454,9 @@ void Tracker::stop_finding(PerFind& pf) {
 void Tracker::issue_find_query(FindId f, PerFind& pf, const PerTarget& ts) {
   pf.queried = true;
   const sim::Duration roundtrip =
-      2 * hier_->n(lvl_) * (cgcast_->config().delta + cgcast_->config().e);
+      2 * env_->hier->n(lvl_) * (env_->cgcast->config().delta + env_->cgcast->config().e);
   arm_nbrtimeout(pf, roundtrip);
-  for (const ClusterId b : hier_->nbrs(clust_)) {
-    if (b == ts.p) continue;  // Figure 2: nbrs(clust) − {p}
-    send(b, MsgType::kFindQuery, pf.target, f);
-  }
+  send_to_nbrs(MsgType::kFindQuery, pf.target, f, ts.p);  // nbrs(clust) − {p}
 }
 
 // Input cTOBrcv(⟨findQuery, cid⟩): answer with the best pointer we hold.
@@ -496,14 +493,14 @@ void Tracker::on_find_ack(const Message& m) {
 
 // nbrtimeout expiry: no neighbour answered in time — escalate.
 void Tracker::on_nbrtimeout(FindId f) {
-  const obs::ProfScope prof(prof_, obs::ProfDomain::kTrackerFind);
+  const obs::ProfScope prof(env_->prof, obs::ProfDomain::kTrackerFind);
   PerFind& pf = *find_row(f);  // an armed timeout keeps its row
   if (!pf.finding) return;
   // A timed-out query escalates — still the find's search phase.
   OpScope scope(&current_op_,
                 obs::make_op(obs::OpClass::kFindSearch,
                              static_cast<std::uint64_t>(f.value())));
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (tracing()) {
     record(obs::TraceKind::kFindTimeout, pf.target, f, 0);
   }
   const PerTarget& ts = target_view(pf.target);
@@ -515,8 +512,8 @@ void Tracker::on_nbrtimeout(FindId f) {
   }
   ClusterId dest;
   if (!ts.nbrptup.valid()) {
-    dest = lvl_ == hier_->max_level() ? ClusterId::invalid()
-                                      : hier_->parent(clust_);
+    dest = lvl_ == env_->hier->max_level() ? ClusterId::invalid()
+                                      : env_->hier->parent(clust_);
   } else {
     dest = ts.nbrptup;  // nbrptup = p case of Figure 2's timeout branch
   }
@@ -537,19 +534,11 @@ void Tracker::on_nbrtimeout(FindId f) {
 }
 
 void Tracker::emit_found(FindId f, TargetId t) {
-  Message m;
-  m.type = MsgType::kFound;
-  m.from_cluster = clust_;
-  m.target = t;
-  m.find_id = f;
-  m.op = current_op_;
-  cgcast_->broadcast_to_clients(clust_, m);
+  env_->cgcast->broadcast_to_clients(clust_, message(MsgType::kFound, t, f));
   // Figure 2 also queues ⟨j, found⟩ for every neighbour cluster; receiving
   // trackers relay to their own regions' clients so clients "in that and
   // neighboring regions" observe the found.
-  for (const ClusterId b : hier_->nbrs(clust_)) {
-    send(b, MsgType::kFound, t, f);
-  }
+  send_to_nbrs(MsgType::kFound, t, f);
 }
 
 // A relayed found at a (level-0) neighbour cluster: re-broadcast locally.
@@ -557,7 +546,7 @@ void Tracker::on_found(const Message& m) {
   if (lvl_ != 0) return;  // found relays only occur at level 0
   Message out = m;
   out.from_cluster = clust_;
-  cgcast_->broadcast_to_clients(clust_, out);
+  env_->cgcast->broadcast_to_clients(clust_, out);
 }
 
 }  // namespace vs::tracking

@@ -25,7 +25,9 @@
 // only while it holds something a later action can observe: a target row
 // is erased once its four pointers are ⊥ and its timer is disarmed, a find
 // row once the find stopped finding, its nbrtimeout is disarmed and it
-// has no root retry recorded.
+// has no root retry recorded. Everything the trackers of one world share
+// (scheduler, hierarchy, C-gcast, config, observers) lives in one
+// TrackerEnv they point at, so a tracker holds only its own state.
 
 #include <cstdint>
 #include <functional>
@@ -43,14 +45,34 @@
 
 namespace vs::tracking {
 
-class Tracker {
- public:
-  /// Notification that some target's pointer state changed at this tracker
+/// The world-wide context of every Tracker in one world, owned by the
+/// TrackingNetwork. Observers attach here once rather than per tracker.
+struct TrackerEnv {
+  /// Notification that some target's pointer state changed at a tracker
   /// (used by invariant monitors).
   using StateChangeHook = std::function<void(ClusterId, TargetId)>;
 
-  Tracker(sim::Scheduler& sched, const hier::ClusterHierarchy& hierarchy,
-          vsa::CGcast& cgcast, const TrackerConfig& config, ClusterId clust);
+  sim::Scheduler* sched = nullptr;
+  const hier::ClusterHierarchy* hier = nullptr;
+  vsa::CGcast* cgcast = nullptr;
+  const TrackerConfig* config = nullptr;
+  /// The world's trace recorder (nullptr: none); not owned. Trackers record
+  /// the local, non-message actions — timer expiries and find timeouts —
+  /// that message records alone cannot reconstruct.
+  obs::TraceRecorder* trace = nullptr;
+  /// The world's wall-clock profiler (nullptr: none); not owned. Handlers
+  /// run under per-family scopes (grow/shrink/find/timer) nested inside
+  /// C-gcast's kDeliver, so the flamegraph splits delivery time by the
+  /// Figure 2 handler that consumed it.
+  obs::Profiler* prof = nullptr;
+  StateChangeHook state_hook;
+};
+
+class Tracker {
+ public:
+  /// `env` must outlive the tracker. Armed timer actions capture `this`,
+  /// so a tracker never moves.
+  Tracker(const TrackerEnv& env, ClusterId clust);
 
   Tracker(const Tracker&) = delete;
   Tracker& operator=(const Tracker&) = delete;
@@ -91,21 +113,6 @@ class Tracker {
   /// active target.
   [[nodiscard]] std::size_t target_rows() const { return targets_.size(); }
   [[nodiscard]] std::size_t find_rows() const { return finds_.size(); }
-
-  void set_state_change_hook(StateChangeHook hook) {
-    state_hook_ = std::move(hook);
-  }
-
-  /// Attach the world's trace recorder (nullptr detaches); not owned.
-  /// Records the local, non-message actions — timer expiries and find
-  /// timeouts — that message records alone cannot reconstruct.
-  void set_trace_recorder(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attach the world's wall-clock profiler (nullptr detaches); not owned.
-  /// Handlers run under per-family scopes (grow/shrink/find/timer) nested
-  /// inside C-gcast's kDeliver, so the flamegraph splits delivery time by
-  /// the Figure 2 handler that consumed it.
-  void set_profiler(obs::Profiler* prof) { prof_ = prof; }
 
  private:
   struct PerTarget {
@@ -194,28 +201,34 @@ class Tracker {
   void stop_finding(PerFind& pf);
   void emit_found(FindId f, TargetId t);
 
+  /// An outgoing message from this tracker, stamped with the current op.
+  [[nodiscard]] vsa::Message message(vsa::MsgType type, TargetId target,
+                                     FindId find = FindId{}) const;
   void send(ClusterId to, vsa::MsgType type, TargetId target,
             FindId find = FindId{}, ClusterId ack_pointer = ClusterId{});
+  /// The same message to every neighbour cluster except `except`.
+  void send_to_nbrs(vsa::MsgType type, TargetId target,
+                    FindId find = FindId{},
+                    ClusterId except = ClusterId::invalid());
   void notify_state_change(TargetId t);
   void record(obs::TraceKind kind, TargetId target, FindId find,
               std::int32_t arg);
+  [[nodiscard]] bool tracing() const {
+    return env_->trace != nullptr && env_->trace->enabled();
+  }
 
-  sim::Scheduler* sched_;
-  const hier::ClusterHierarchy* hier_;
-  vsa::CGcast* cgcast_;
-  const TrackerConfig* config_;
+  const TrackerEnv* env_;
   ClusterId clust_;
   Level lvl_;
-
-  std::vector<PerTarget> targets_;  // sorted by target
-  std::vector<PerFind> finds_;      // sorted by find
-  StateChangeHook state_hook_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Profiler* prof_ = nullptr;
   /// Operation the currently-executing handler is charged to; every send()
   /// stamps it onto the outgoing message. Saved/restored per handler so
   /// nesting (advance_finds_of inside a grow) keeps each action's op.
   obs::OpId current_op_ = obs::kBackgroundOp;
+
+  std::vector<PerTarget> targets_;  // sorted by target
+  std::vector<PerFind> finds_;      // sorted by find
 };
+// One per cluster (66,430 on a 243×243 world): keep the fixed part small.
+static_assert(sizeof(Tracker) <= 80, "a Tracker holds only its own state");
 
 }  // namespace vs::tracking

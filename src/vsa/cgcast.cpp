@@ -168,9 +168,29 @@ void CGcast::send(ClusterId from, ClusterId to, const Message& m) {
   }
   VS_REQUIRE(from.valid() && to.valid() && from != to,
              "bad VSA send " << from << " → " << to);
+  transmit(from, to, hier_->level(from), m, vsa_delay(from, to));
+}
+
+void CGcast::send_to_nbrs(ClusterId from, const Message& m,
+                          ClusterId except) {
+  if (ambient_op_ != obs::kBackgroundOp && m.op == obs::kBackgroundOp) {
+    Message tagged = m;
+    tagged.op = ambient_op_;
+    send_to_nbrs(from, tagged, except);
+    return;
+  }
   const auto& h = *hier_;
   const Level l = h.level(from);
-  sim::Duration delay = vsa_delay(from, to);
+  // Rule (a): a neighbour is never the parent or a child (they sit at
+  // other levels), so vsa_delay would return this for every destination.
+  const sim::Duration delay = (config_.delta + config_.e) * h.n(l);
+  for (const ClusterId to : h.nbrs(from)) {
+    if (to != except) transmit(from, to, l, m, delay);
+  }
+}
+
+void CGcast::transmit(ClusterId from, ClusterId to, Level l, const Message& m,
+                      sim::Duration delay) {
   const std::int64_t hops = work_to(from, to);
   counters_->record(m.type, l, hops);
   notify_observers(m, from, to, l, hops);

@@ -134,6 +134,13 @@ class CGcast {
   /// `from` — anything else is a protocol error and throws.
   void send(ClusterId from, ClusterId to, const Message& m);
 
+  /// The same message from `from` to every cluster of nbrs(from) except
+  /// `except` (invalid = none), in nbrs() order: exactly a loop of send()
+  /// over those destinations, with rule (a)'s delay (δ+e)·n(l) computed
+  /// once instead of searched per destination.
+  void send_to_nbrs(ClusterId from, const Message& m,
+                    ClusterId except = ClusterId::invalid());
+
   /// cTOBsend from a client at region `at` to its region's level-0 cluster
   /// (rule (e), delay δ).
   void send_from_client(RegionId at, const Message& m);
@@ -189,6 +196,11 @@ class CGcast {
   /// Books one in-flight row and schedules its delivery.
   void enqueue(ClusterId from, ClusterId to, const Message& m,
                sim::Duration delay);
+  /// One VSA→VSA send after its delay is known: counters, observers, the
+  /// send record, loss and channel faults, then the slab row. `m` already
+  /// carries its op.
+  void transmit(ClusterId from, ClusterId to, Level l, const Message& m,
+                sim::Duration delay);
   /// Applies the channel-fault oracle to an outgoing message: updates
   /// `delay`/`duplicate` and returns true if the message is dropped.
   [[nodiscard]] bool apply_channel_faults(const Message& m,

@@ -11,10 +11,10 @@
 // Clients can fail/restart and move between regions; their presence also
 // drives VSA liveness via the VsaDirectory.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -24,6 +24,28 @@
 
 namespace vs::vsa {
 
+/// A small set of targets kept as one sorted vector: a client believes at
+/// most the few objects in its region, and an empty set allocates nothing.
+class TargetSet {
+ public:
+  [[nodiscard]] bool contains(TargetId t) const {
+    return std::binary_search(ids_.begin(), ids_.end(), t);
+  }
+  void insert(TargetId t) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
+    if (it == ids_.end() || *it != t) ids_.insert(it, t);
+  }
+  void erase(TargetId t) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
+    if (it != ids_.end() && *it == t) ids_.erase(it);
+  }
+  void clear() { ids_.clear(); }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+ private:
+  std::vector<TargetId> ids_;  // ascending
+};
+
 struct Client {
   ClientId id{};
   RegionId region{};
@@ -31,7 +53,7 @@ struct Client {
   /// Targets whose last move/left input at this client indicated the
   /// evader is in its region. A `left` erases its target, so the set is
   /// bounded by the live objects, not by every object that passed through.
-  std::set<TargetId> believes_here;
+  TargetSet believes_here;
 };
 
 class ClientPopulation {

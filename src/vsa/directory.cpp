@@ -7,24 +7,17 @@ namespace vs::vsa {
 
 VsaDirectory::VsaDirectory(sim::Scheduler& sched, std::size_t num_regions,
                            sim::Duration t_restart)
-    : sched_(&sched), t_restart_(t_restart), state_(num_regions) {
+    : sched_(&sched),
+      t_restart_(t_restart),
+      alive_(num_regions, 1),
+      clients_present_(num_regions, 1) {
   VS_REQUIRE(t_restart >= sim::Duration::zero(), "negative t_restart");
 }
 
-VsaDirectory::RegionState& VsaDirectory::state_of(RegionId u) {
-  VS_REQUIRE(u.valid() && static_cast<std::size_t>(u.value()) < state_.size(),
-             "region " << u << " out of range");
-  return state_[static_cast<std::size_t>(u.value())];
-}
-
-bool VsaDirectory::alive(RegionId u) const {
-  return const_cast<VsaDirectory*>(this)->state_of(u).alive;
-}
-
 void VsaDirectory::fail(RegionId u) {
-  RegionState& s = state_of(u);
-  if (!s.alive) return;
-  s.alive = false;
+  const std::size_t i = index(u);
+  if (alive_[i] == 0) return;
+  alive_[i] = 0;
   ++failures_;
   VS_DEBUG("VSA at region " << u << " failed at " << sched_->now());
   if (on_fail_) on_fail_(u);
@@ -32,12 +25,13 @@ void VsaDirectory::fail(RegionId u) {
 }
 
 void VsaDirectory::set_clients_present(RegionId u, bool present) {
-  RegionState& s = state_of(u);
-  if (s.clients_present == present) return;
-  s.clients_present = present;
+  const std::size_t i = index(u);
+  if ((clients_present_[i] != 0) == present) return;
+  clients_present_[i] = present ? 1 : 0;
   if (!present) {
     // Presence lapse aborts any pending restart and fails a live VSA.
-    if (s.restart_timer) s.restart_timer->disarm();
+    const auto timer = restart_timers_.find(u);
+    if (timer != restart_timers_.end()) timer->second->disarm();
     fail(u);
   } else {
     maybe_schedule_restart(u);
@@ -45,19 +39,19 @@ void VsaDirectory::set_clients_present(RegionId u, bool present) {
 }
 
 void VsaDirectory::maybe_schedule_restart(RegionId u) {
-  RegionState& s = state_of(u);
-  if (s.alive || !s.clients_present) return;
-  if (!s.restart_timer) {
-    s.restart_timer = std::make_unique<sim::Timer>(*sched_, [this, u] {
-      RegionState& rs = state_of(u);
-      if (rs.alive || !rs.clients_present) return;
-      rs.alive = true;
+  const std::size_t i = index(u);
+  if (alive_[i] != 0 || clients_present_[i] == 0) return;
+  std::unique_ptr<sim::Timer>& timer = restart_timers_[u];
+  if (!timer) {
+    timer = std::make_unique<sim::Timer>(*sched_, [this, i, u] {
+      if (alive_[i] != 0 || clients_present_[i] == 0) return;
+      alive_[i] = 1;
       ++restarts_;
       VS_DEBUG("VSA at region " << u << " restarted at " << sched_->now());
       if (on_restart_) on_restart_(u);
     });
   }
-  s.restart_timer->arm_after(t_restart_);
+  timer->arm_after(t_restart_);
 }
 
 }  // namespace vs::vsa

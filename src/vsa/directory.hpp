@@ -7,12 +7,18 @@
 // liveness, drives the restart rule from client-presence notifications, and
 // invokes callbacks so the tracking layer can wipe / reinitialise the
 // Tracker subautomata hosted at that region.
+//
+// Layout: liveness and client presence are one byte per region, so the
+// per-delivery alive() check reads one flat array. Restart timers exist
+// only for regions that ever failed with clients present, in a map.
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -26,8 +32,8 @@ class VsaDirectory {
   VsaDirectory(sim::Scheduler& sched, std::size_t num_regions,
                sim::Duration t_restart);
 
-  [[nodiscard]] bool alive(RegionId u) const;
-  [[nodiscard]] std::size_t num_regions() const { return state_.size(); }
+  [[nodiscard]] bool alive(RegionId u) const { return alive_[index(u)] != 0; }
+  [[nodiscard]] std::size_t num_regions() const { return alive_.size(); }
 
   /// Fault injection: fail the VSA at `u` now (as if its emulators all
   /// crashed). If clients are present, the restart clock starts
@@ -49,18 +55,19 @@ class VsaDirectory {
   [[nodiscard]] std::int64_t restarts() const { return restarts_; }
 
  private:
-  struct RegionState {
-    bool alive = true;
-    bool clients_present = true;
-    std::unique_ptr<sim::Timer> restart_timer;
-  };
-
-  RegionState& state_of(RegionId u);
+  [[nodiscard]] std::size_t index(RegionId u) const {
+    VS_REQUIRE(u.valid() && static_cast<std::size_t>(u.value()) < alive_.size(),
+               "region " << u << " out of range");
+    return static_cast<std::size_t>(u.value());
+  }
   void maybe_schedule_restart(RegionId u);
 
   sim::Scheduler* sched_;
   sim::Duration t_restart_;
-  std::vector<RegionState> state_;
+  // By region id; std::uint8_t, not bool: vector<bool> proxies.
+  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint8_t> clients_present_;
+  std::map<RegionId, std::unique_ptr<sim::Timer>> restart_timers_;
   Callback on_fail_;
   Callback on_restart_;
   std::int64_t failures_{0};

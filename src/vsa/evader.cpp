@@ -13,26 +13,19 @@ TargetId EvaderModel::add_evader(RegionId start) {
                  static_cast<std::size_t>(start.value()) < tiling_->num_regions(),
              "bad start region");
   const TargetId id{static_cast<TargetId::rep_type>(where_.size())};
-  where_[id] = start;
+  where_.push_back(start);
   if (hook_) hook_(id, RegionId::invalid(), start);
   return id;
 }
 
 void EvaderModel::move(TargetId target, RegionId to) {
-  const auto it = where_.find(target);
-  VS_REQUIRE(it != where_.end(), "unknown evader " << target);
-  const RegionId from = it->second;
+  RegionId& at = where_[index(target)];
+  const RegionId from = at;
   VS_REQUIRE(tiling_->are_neighbors(from, to),
              "evader may only move to a neighbouring region (" << from << " → "
                                                                << to << ")");
-  it->second = to;
+  at = to;
   if (hook_) hook_(target, from, to);
-}
-
-RegionId EvaderModel::region_of(TargetId target) const {
-  const auto it = where_.find(target);
-  VS_REQUIRE(it != where_.end(), "unknown evader " << target);
-  return it->second;
 }
 
 RandomWalkMover::RandomWalkMover(const geo::Tiling& tiling, std::uint64_t seed)

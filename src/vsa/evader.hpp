@@ -8,9 +8,9 @@
 // nondeterminism reproducibly for tests and benches.
 
 #include <functional>
-#include <map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "geo/grid_tiling.hpp"
@@ -29,7 +29,9 @@ class EvaderModel {
   /// region and `move` at the new one.
   void move(TargetId target, RegionId to);
 
-  [[nodiscard]] RegionId region_of(TargetId target) const;
+  [[nodiscard]] RegionId region_of(TargetId target) const {
+    return where_[index(target)];
+  }
   [[nodiscard]] std::size_t num_evaders() const { return where_.size(); }
 
   /// Subscribed by the client population: (target, from, to); `from` is
@@ -38,8 +40,16 @@ class EvaderModel {
   void set_move_hook(MoveHook hook) { hook_ = std::move(hook); }
 
  private:
+  [[nodiscard]] std::size_t index(TargetId target) const {
+    VS_REQUIRE(target.valid() &&
+                   static_cast<std::size_t>(target.value()) < where_.size(),
+               "unknown evader " << target);
+    return static_cast<std::size_t>(target.value());
+  }
+
   const geo::Tiling* tiling_;
-  std::map<TargetId, RegionId> where_;
+  /// Positions by TargetId: ids are issued densely from 0.
+  std::vector<RegionId> where_;
   MoveHook hook_;
 };
 

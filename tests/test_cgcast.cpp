@@ -1,11 +1,21 @@
 // Unit tests for the C-gcast service (paper §II-C.3): the exact latency
 // rules (a)-(e), work accounting, in-transit introspection, drop-on-failed
-// VSA, and locality enforcement.
+// VSA, locality enforcement, and the neighbour fan-out's equivalence with
+// per-neighbour sends.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "hier/grid_hierarchy.hpp"
+#include "hier/strip_hierarchy.hpp"
+#include "hier/torus_hierarchy.hpp"
+#include "obs/op.hpp"
+#include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 #include "stats/counters.hpp"
 #include "vsa/cgcast.hpp"
@@ -183,6 +193,186 @@ TEST(CGcast, RejectsSelfSendAndBadConfig) {
   WorkCounters c2{2};
   EXPECT_THROW(CGcast(s2, f.hier, CGcastConfig{Duration::zero(), Duration::zero()}, c2),
                vs::Error);
+}
+
+// --- send_to_nbrs against a loop of send() ---------------------------------
+
+/// One C-gcast service with every send-side surface recorded: counters,
+/// observer calls and trace records, plus (optionally) loss and a seeded
+/// channel-fault oracle. Nothing is delivered: the comparison reads the
+/// in-flight slab.
+struct FanOutWorld {
+  using Observed =
+      std::tuple<MsgKind, vs::obs::OpId, ClusterId, ClusterId, Level,
+                 std::int64_t>;
+
+  FanOutWorld(const vs::hier::ClusterHierarchy& h, double loss, bool faults)
+      : counters(h.max_level()),
+        cg(sched, h,
+           CGcastConfig{Duration::millis(1), Duration::millis(1), loss, 7},
+           counters),
+        fault_rng(11) {
+    trace.set_enabled(true);
+    cg.set_trace_recorder(&trace);
+    cg.add_send_observer([this](const Message& m, ClusterId from,
+                                ClusterId to, Level l, std::int64_t hops) {
+      observed.emplace_back(m.type, m.op, from, to, l, hops);
+    });
+    if (faults) {
+      cg.set_channel_faults([this](const Message&) {
+        CGcast::ChannelDecision d;
+        d.drop = fault_rng.chance(0.1);
+        d.duplicate = fault_rng.chance(0.1);
+        if (fault_rng.chance(0.3)) {
+          d.advance = Duration::micros(fault_rng.uniform_int(1, 3000));
+        }
+        return d;
+      });
+    }
+  }
+
+  Scheduler sched;
+  WorkCounters counters;
+  CGcast cg;
+  vs::Rng fault_rng;
+  vs::obs::TraceRecorder trace;
+  std::vector<Observed> observed;
+};
+
+/// Sends one message per cluster and fan-out flavour through `world`,
+/// either as send_to_nbrs or as the equivalent loop of send().
+void drive_fan_outs(FanOutWorld& w, const vs::hier::ClusterHierarchy& h,
+                    bool fan_out) {
+  for (std::size_t i = 0; i < h.num_clusters(); ++i) {
+    const ClusterId c{static_cast<ClusterId::rep_type>(i)};
+    const auto nbrs = h.nbrs(c);
+    Message m;
+    m.from_cluster = c;
+    m.target = vs::TargetId{static_cast<vs::TargetId::rep_type>(i % 5)};
+    // growPar with an explicit op; findQuery to nbrs − {one neighbour};
+    // shrinkUpd stamped by the ambient op.
+    m.type = MsgKind::kGrowPar;
+    m.op = vs::obs::make_op(vs::obs::OpClass::kMove, i);
+    if (fan_out) {
+      w.cg.send_to_nbrs(c, m);
+    } else {
+      for (const ClusterId b : nbrs) w.cg.send(c, b, m);
+    }
+    m.type = MsgKind::kFindQuery;
+    m.find_id = vs::FindId{static_cast<vs::FindId::rep_type>(i)};
+    const ClusterId except = nbrs.empty() ? ClusterId{} : nbrs[i % nbrs.size()];
+    if (fan_out) {
+      w.cg.send_to_nbrs(c, m, except);
+    } else {
+      for (const ClusterId b : nbrs) {
+        if (b != except) w.cg.send(c, b, m);
+      }
+    }
+    m.type = MsgKind::kShrinkUpd;
+    m.find_id = vs::FindId{};
+    m.op = vs::obs::kBackgroundOp;
+    w.cg.set_ambient_op(vs::obs::make_op(vs::obs::OpClass::kMove, i + 1));
+    if (fan_out) {
+      w.cg.send_to_nbrs(c, m);
+    } else {
+      for (const ClusterId b : nbrs) w.cg.send(c, b, m);
+    }
+    w.cg.set_ambient_op(vs::obs::kBackgroundOp);
+  }
+}
+
+void expect_same_sends(const vs::hier::ClusterHierarchy& h, double loss,
+                       bool faults) {
+  FanOutWorld fan(h, loss, faults);
+  FanOutWorld loop(h, loss, faults);
+  drive_fan_outs(fan, h, true);
+  drive_fan_outs(loop, h, false);
+
+  const auto a = fan.cg.in_transit();
+  const auto b = loop.cg.in_transit();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(a[i].to, b[i].to);
+    ASSERT_EQ(a[i].deliver_at, b[i].deliver_at);
+    ASSERT_EQ(a[i].from, b[i].from);
+    ASSERT_EQ(a[i].msg.type, b[i].msg.type);
+    ASSERT_EQ(a[i].msg.target, b[i].msg.target);
+    ASSERT_EQ(a[i].msg.find_id, b[i].msg.find_id);
+    ASSERT_EQ(a[i].msg.op, b[i].msg.op);
+  }
+  for (int k = 0; k < static_cast<int>(MsgKind::kCount); ++k) {
+    const auto kind = static_cast<MsgKind>(k);
+    EXPECT_EQ(fan.counters.messages(kind), loop.counters.messages(kind));
+    EXPECT_EQ(fan.counters.work(kind), loop.counters.work(kind));
+  }
+  for (Level l = 0; l <= h.max_level(); ++l) {
+    EXPECT_EQ(fan.counters.messages_at_level(l),
+              loop.counters.messages_at_level(l));
+    EXPECT_EQ(fan.counters.work_at_level(l), loop.counters.work_at_level(l));
+  }
+  EXPECT_EQ(fan.counters.duplicated(), loop.counters.duplicated());
+  EXPECT_EQ(fan.counters.jittered(), loop.counters.jittered());
+  EXPECT_EQ(fan.cg.lost(), loop.cg.lost());
+  EXPECT_EQ(fan.observed, loop.observed);
+  const auto ta = fan.trace.events();
+  const auto tb = loop.trace.events();
+  ASSERT_EQ(ta.size(), tb.size());
+  EXPECT_EQ(std::memcmp(ta.data(), tb.data(), ta.size() * sizeof(ta[0])), 0);
+  if (loss > 0.0 || faults) {
+    EXPECT_GT(fan.cg.lost(), 0);
+  }
+  if (faults) {
+    EXPECT_GT(fan.counters.duplicated(), 0);
+    EXPECT_GT(fan.counters.jittered(), 0);
+  }
+}
+
+TEST(CGcastFanOut, MatchesPerNeighbourSendsOnEveryCluster) {
+  const vs::hier::GridHierarchy grid(27, 27, 3);
+  const vs::hier::StripHierarchy strip(81, 3);
+  const vs::hier::TorusHierarchy torus(27, 3);
+  for (const vs::hier::ClusterHierarchy* h :
+       {static_cast<const vs::hier::ClusterHierarchy*>(&grid),
+        static_cast<const vs::hier::ClusterHierarchy*>(&strip),
+        static_cast<const vs::hier::ClusterHierarchy*>(&torus)}) {
+    SCOPED_TRACE(h->num_clusters());
+    {
+      SCOPED_TRACE("reliable");
+      expect_same_sends(*h, 0.0, false);
+    }
+    {
+      SCOPED_TRACE("lossy");
+      expect_same_sends(*h, 0.2, false);
+    }
+    {
+      SCOPED_TRACE("lossy with channel faults");
+      expect_same_sends(*h, 0.1, true);
+    }
+  }
+}
+
+TEST(CGcastFanOut, DelayIsRuleAOnEveryLevel) {
+  // On these hierarchies n(l) != p(l) at every level, so a fan-out filed
+  // under rule (b) would show here as well as in the comparison above.
+  Fixture f;
+  f.cg.set_tracker_sink([](ClusterId, const Message&) {});
+  for (Level l = 0; l < f.hier.max_level(); ++l) {
+    ASSERT_NE(f.hier.n(l), f.hier.p(l));
+    const ClusterId c = f.at(13, 13, l);
+    Message m;
+    m.type = MsgKind::kShrinkUpd;
+    m.from_cluster = c;
+    f.cg.send_to_nbrs(c, m);
+    const auto in_flight = f.cg.in_transit();
+    ASSERT_EQ(in_flight.size(), f.hier.nbrs(c).size());
+    for (const auto& in : in_flight) {
+      EXPECT_EQ((in.deliver_at - f.sched.now()).count(),
+                (Duration::millis(2) * f.hier.n(l)).count());
+    }
+    f.sched.run();
+  }
 }
 
 }  // namespace

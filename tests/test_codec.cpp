@@ -33,6 +33,7 @@
 #include "obs/telemetry/telemetry_io.hpp"
 #include "obs/trace_io.hpp"
 #include "serve/ingest_io.hpp"
+#include "stats/counters.hpp"
 #include "util.hpp"
 
 namespace {
@@ -215,7 +216,7 @@ obs::TraceEvent event(int i) {
   e.target = 7;
   e.arg = i % 5;
   e.level = static_cast<std::int16_t>(i % 4);
-  e.kind = static_cast<std::uint8_t>(i % 9);
+  e.kind = static_cast<std::uint8_t>(1 + i % 11);
   e.msg = i % 2 == 0 ? static_cast<std::uint8_t>(i % 7) : obs::kNoMsg;
   e.op = obs::make_op(obs::OpClass::kMove, static_cast<std::uint64_t>(i));
   return e;
@@ -565,13 +566,36 @@ TEST(Codec, RetiredFormatVersionsAreRejected) {
 
 // ------------------------------------------------------------------- fuzz
 
+/// The record oracle: a decoded record's kind is a TraceKind and its msg
+/// is kNoMsg or a stats::MsgKind. A violation escapes as a non-vs::Error,
+/// which the fuzz loop reports as a broken case.
+void expect_valid_records(const std::vector<obs::TraceEvent>& events) {
+  for (const obs::TraceEvent& e : events) {
+    if (e.kind < static_cast<std::uint8_t>(obs::TraceKind::kSend) ||
+        e.kind > static_cast<std::uint8_t>(obs::kLastTraceKind)) {
+      throw std::logic_error("decoded a record of kind " +
+                             std::to_string(e.kind));
+    }
+    if (e.msg != obs::kNoMsg &&
+        e.msg >= static_cast<std::uint8_t>(stats::MsgKind::kCount)) {
+      throw std::logic_error("decoded a record of message kind " +
+                             std::to_string(e.msg));
+    }
+  }
+}
+
 TEST(CodecFuzz, Trace) {
-  fuzz(trace_seed(), [](const std::string& b) { (void)obs::read_trace(b); });
+  fuzz(trace_seed(), [](const std::string& b) {
+    for (const obs::WorldTrace& w : obs::read_trace(b)) {
+      expect_valid_records(w.events);
+    }
+  });
 }
 
 TEST(CodecFuzz, Incident) {
-  fuzz(incident_bytes(incident_bundle()),
-       [](const std::string& b) { (void)obs::read_incident(b); });
+  fuzz(incident_bytes(incident_bundle()), [](const std::string& b) {
+    expect_valid_records(obs::read_incident(b).ring);
+  });
 }
 
 TEST(CodecFuzz, Telemetry) {

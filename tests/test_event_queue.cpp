@@ -316,6 +316,80 @@ TEST(EventQueueClasses, DifferentialAgainstSortedModel) {
   EXPECT_GT(live_cancels, 1'000u);
 }
 
+TEST(EventQueueTombstones, CancelChurnBehindAnAnchorStaysBounded) {
+  // One far-future anchor keeps the queue non-empty, so no cancel ever
+  // empties it, and each round pushes and cancels one event: the shape of
+  // an armed-then-disarmed timer beside a long-lived one. The cancelled
+  // entries must not pile up behind the anchor, on the heap or in a FIFO.
+  for (const bool fifo : {false, true}) {
+    SCOPED_TRACE(fifo);
+    EventQueue q;
+    int anchor_fired = 0;
+    (void)q.push(TimePoint{std::int64_t{1} << 30}, [&] { ++anchor_fired; });
+    for (int i = 0; i < 100'000; ++i) {
+      const EventId id = fifo ? q.push_after(TimePoint{0}, Duration{1000}, [] {})
+                              : q.push(TimePoint{1000}, [] {});
+      ASSERT_LE(q.queued(), 2 * q.size() + EventQueue::kCompactFloor) << i;
+      ASSERT_TRUE(q.cancel(id));
+      ASSERT_LE(q.queued(), 2 * q.size() + EventQueue::kCompactFloor) << i;
+    }
+    EXPECT_EQ(q.size(), 1u);
+    TimePoint when;
+    q.pop(when)();
+    EXPECT_EQ(when, TimePoint{std::int64_t{1} << 30});
+    EXPECT_EQ(anchor_fired, 1);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.queued(), 0u);
+  }
+}
+
+TEST(EventQueueTombstones, SweepKeepsFiringOrder) {
+  // Live events in more delay classes than the cap plus absolute-time
+  // pushes; cancelling three in four at random sweeps the tombstones
+  // several times, and the survivors still fire in (time, seq) order.
+  EventQueue q;
+  Rng rng(5);
+  std::vector<EventId> ids;
+  std::set<std::pair<std::int64_t, std::uint64_t>> model;
+  for (int i = 0; i < 4000; ++i) {
+    const TimePoint now{i / 8};
+    EventId id;
+    TimePoint when;
+    if (rng.chance(0.2)) {
+      when = now + Duration{rng.uniform_int(0, 50)};
+      id = q.push(when, [] {});
+    } else {
+      const Duration delay{rng.uniform_int(
+          0, static_cast<std::int64_t>(EventQueue::kMaxClasses) + 8)};
+      when = now + delay;
+      id = q.push_after(now, delay, [] {});
+    }
+    ids.push_back(id);
+    model.emplace(when.count(), id.value());
+  }
+  std::shuffle(ids.begin(), ids.end(), rng);
+  for (std::size_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(q.cancel(ids[i]));
+    ASSERT_LE(q.queued(), 2 * q.size() + EventQueue::kCompactFloor) << i;
+  }
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto it = std::find_if(model.begin(), model.end(), [&](const auto& k) {
+      return k.second == ids[i].value();
+    });
+    ASSERT_NE(it, model.end());
+    model.erase(it);
+  }
+  // Sweeps ran: without them all 4000 entries would still be queued.
+  EXPECT_EQ(q.size(), 1000u);
+  EXPECT_LE(q.queued(), 2 * q.size() + EventQueue::kCompactFloor);
+  std::vector<std::pair<std::int64_t, std::uint64_t>> fired;
+  while (!q.empty()) {
+    EventQueue::Popped p = q.pop();
+    fired.emplace_back(p.when.count(), p.seq);
+  }
+  EXPECT_EQ(fired, std::vector(model.begin(), model.end()));
+}
+
 TEST(EventActionTest, SmallCallablesStayInline) {
   int hits = 0;
   EventAction a{[&hits] { ++hits; }};

@@ -305,6 +305,8 @@ obs::IncidentBundle sample_bundle() {
   obs::TraceEvent ev{};
   ev.time_us = 99;
   ev.seq = 7;
+  ev.kind = static_cast<std::uint8_t>(obs::TraceKind::kTimerFire);
+  ev.msg = obs::kNoMsg;
   b.ring.push_back(ev);
   return b;
 }

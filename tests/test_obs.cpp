@@ -505,6 +505,53 @@ TEST(TraceIO, CraftedHeadersThrowWithoutHugeAllocations) {
   }
 }
 
+TEST(TraceIO, OutOfRangeKindOrMessageIsRejected) {
+  // A record's kind must be a TraceKind (1..kLastTraceKind) and its msg
+  // either kNoMsg or a stats::MsgKind; anything else is refused at decode
+  // instead of reaching vinestalk_trace.
+  const auto bytes_of = [](obs::TraceEvent e) {
+    std::ostringstream os;
+    obs::WorldTrace w;
+    w.events = {event(obs::TraceKind::kSend, 0, 0, kGrow, 7), e};
+    obs::write_trace(os, {w});
+    return os.str();
+  };
+  const auto rejects = [&](obs::TraceEvent e, const std::string& expect) {
+    try {
+      (void)obs::read_trace(bytes_of(e));
+      ADD_FAILURE() << "accepted: " << expect;
+    } catch (const vs::Error& err) {
+      EXPECT_NE(std::string(err.what()).find(expect), std::string::npos)
+          << err.what();
+    }
+  };
+  obs::TraceEvent e = event(obs::TraceKind::kSend, 10, 0, kGrow, 7);
+  e.kind = 0;
+  rejects(e, "record 1 has kind 0");
+  e.kind = static_cast<std::uint8_t>(obs::kLastTraceKind) + 1;
+  rejects(e, "record 1 has kind 12");
+  e.kind = 0xff;
+  rejects(e, "record 1 has kind 255");
+  e = event(obs::TraceKind::kDeliver, 10, 0, kGrow, 7);
+  e.msg = static_cast<std::uint8_t>(stats::MsgKind::kCount);
+  rejects(e, "record 1 has message kind 12");
+  e.msg = obs::kNoMsg - 1;
+  rejects(e, "record 1 has message kind 254");
+
+  // The edges of both ranges decode.
+  for (const auto& [kind, msg] :
+       {std::pair{obs::TraceKind::kSend, kGrow},
+        std::pair{obs::kLastTraceKind, obs::kNoMsg},
+        std::pair{obs::TraceKind::kDeliver,
+                  static_cast<std::uint8_t>(
+                      static_cast<std::uint8_t>(stats::MsgKind::kCount) -
+                      1)}}) {
+    const auto worlds = obs::read_trace(bytes_of(event(kind, 10, 0, msg, 7)));
+    ASSERT_EQ(worlds.size(), 1u);
+    EXPECT_EQ(worlds[0].events.size(), 2u);
+  }
+}
+
 TEST(TraceTool, TruncatedFileExitsOneWithDiagnostic) {
   const std::string path = ::testing::TempDir() + "vs_truncated_trace.bin";
   {

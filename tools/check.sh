@@ -40,7 +40,11 @@
 # containers, and runs the full suite: the message path keeps indices
 # into growable tables, and a reference held across a reallocation is
 # exactly what it catches; the per-format codec fuzzer
-# (tests/test_codec.cpp) runs there too.
+# (tests/test_codec.cpp) runs there too. A Debug stage builds without
+# NDEBUG, so every VS_DCHECK is compiled in (the scheduler's time-order
+# check, the telemetry boundary hook's advance check, the event queue's
+# delay-class FIFO-order and tombstone-sweep checks), and runs the full
+# suite; every other build defines NDEBUG and compiles them out.
 #
 #   tools/check.sh              # all stages
 #   tools/check.sh --plain      # stage 1 only
@@ -53,10 +57,11 @@
 #   tools/check.sh --serve      # stage 8 only (reuses build-check/)
 #   tools/check.sh --slo        # stage 9 only (reuses build-check/)
 #   tools/check.sh --asan       # stage 10 only
+#   tools/check.sh --debug      # stage 11 only
 #
-# Build trees: build-check/ (plain), build-tsan/ (TSan), and build-asan/
-# (ASan+UBSan); all separate from the default build/ so this never
-# dirties a dev tree.
+# Build trees: build-check/ (plain), build-tsan/ (TSan), build-asan/
+# (ASan+UBSan) and build-debug/ (Debug); all separate from the default
+# build/ so this never dirties a dev tree.
 
 set -euo pipefail
 
@@ -605,9 +610,17 @@ run_asan() {
   echo "ASan+UBSan stage clean (full suite, no sanitizer report)."
 }
 
+run_debug() {
+  echo "== stage 11: Debug build (VS_DCHECKs compiled in) + ctest =="
+  cmake -B "$root/build-debug" -S "$root" -DCMAKE_BUILD_TYPE=Debug > /dev/null
+  cmake --build "$root/build-debug" -j "$jobs"
+  ctest --test-dir "$root/build-debug" --output-on-failure -j "$jobs"
+  echo "Debug stage clean (full suite with every VS_DCHECK armed)."
+}
+
 case "$stage" in
   all) run_plain; run_tsan; run_monitor; run_chaos; run_audit
-       run_telemetry; run_perf; run_serve; run_slo; run_asan ;;
+       run_telemetry; run_perf; run_serve; run_slo; run_asan; run_debug ;;
   --plain) run_plain ;;
   --tsan) run_tsan ;;
   --monitor) run_monitor ;;
@@ -618,7 +631,8 @@ case "$stage" in
   --serve) run_serve ;;
   --slo) run_slo ;;
   --asan) run_asan ;;
-  *) echo "usage: tools/check.sh [--plain|--tsan|--monitor|--chaos|--audit|--telemetry|--perf|--serve|--slo|--asan]" >&2
+  --debug) run_debug ;;
+  *) echo "usage: tools/check.sh [--plain|--tsan|--monitor|--chaos|--audit|--telemetry|--perf|--serve|--slo|--asan|--debug]" >&2
      exit 2 ;;
 esac
 echo "check.sh: all stages passed"
