@@ -249,7 +249,7 @@ void BM_SchedulerDaemonMix(benchmark::State& state) {
 BENCHMARK(BM_SchedulerDaemonMix)->Arg(100000);
 
 void BM_EventQueueCancelChurn(benchmark::State& state) {
-  // Arm-then-cancel traffic (the Timer::arm/disarm pattern): every
+  // Arm-then-cancel traffic (a timer re-armed before it fires): every
   // iteration recycles a slot through the free list and leaves one
   // tombstone for the heap to skim.
   sim::EventQueue q;
@@ -265,17 +265,6 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(q.slot_capacity()));
 }
 BENCHMARK(BM_EventQueueCancelChurn);
-
-void BM_TimerChurn(benchmark::State& state) {
-  sim::Scheduler sched;
-  sim::Timer t(sched, [] {});
-  for (auto _ : state) {
-    t.arm_after(sim::Duration::millis(1));
-    t.disarm();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerChurn);
 
 void BM_TrialPoolSweep(benchmark::State& state) {
   // Eight small but real simulation worlds per iteration, sharded over

@@ -16,19 +16,20 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "hier/grid_hierarchy.hpp"
-#include "obs/metrics.hpp"
 #include "obs/monitor/incident.hpp"
 #include "obs/monitor/watchdog.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "runner/trial_pool.hpp"
 #include "stats/table.hpp"
 #include "tracking/network.hpp"
+#include "tracking/series.hpp"
 
 namespace vsbench {
 
@@ -98,7 +99,7 @@ inline std::vector<RegionId> random_walk(const geo::Tiling& tiling,
 struct BenchOptions {
   int jobs = 0;  // 0 = runner::default_jobs() (hardware concurrency)
   /// --obs-json=FILE: write the bench's observability artifact (per-trial
-  /// WorkCounters + merged MetricsRegistry) as JSON. Empty = off.
+  /// WorkCounters and metrics table) as JSON. Empty = off.
   std::string obs_json;
   /// --monitor[=every|<us>]: run every trial under the live invariant
   /// watchdog (obs::Watchdog). kOff = no watchdog constructed at all.
@@ -155,9 +156,8 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
                 << "  --jobs N  worker threads for the trial sweep "
                    "(default: hardware concurrency; output is identical "
                    "for every N)\n"
-                   "  --obs-json FILE  write per-trial work counters and the "
-                   "merged metrics registry as JSON (deterministic for "
-                   "every --jobs)\n"
+                   "  --obs-json FILE  write per-trial work counters and "
+                   "metrics as JSON (deterministic for every --jobs)\n"
                    "  --monitor[=every|US]  run each trial under the live "
                    "invariant watchdog (default: 10000us cadence; 'every' "
                    "checks on each state change); nonzero exit on "
@@ -209,22 +209,21 @@ auto sweep(const BenchOptions& opt, std::size_t n, Fn&& fn) {
 /// pool threads (distinct indices — race-free; TrialPool's join provides
 /// the happens-before for write()). write() renders every trial's counters
 /// through stats::WorkCounters::to_json — the single counter-JSON emitter,
-/// no bench hand-formats counters — plus the trial-index-order merge of
-/// the per-trial metrics registries. Byte-identical for every --jobs.
+/// no bench hand-formats counters — and every trial's metrics table as
+/// tracking::series_to_json renders it for an incident bundle. Trials stay
+/// separate: trials of different depths carry different per-level series.
+/// Byte-identical for every --jobs.
 class BenchObs {
  public:
   BenchObs(std::string bench, std::size_t trials)
       : bench_(std::move(bench)), counters_(trials), metrics_(trials) {}
 
-  /// Record trial `trial`'s outputs (call once per trial, from its thread).
-  void record(std::size_t trial, const stats::WorkCounters& counters,
-              obs::MetricsRegistry metrics = {}) {
-    counters_[trial].emplace(counters);
-    metrics_[trial] = std::move(metrics);
-  }
-  /// Convenience: a whole world's counters + exported metrics.
+  /// Record trial `trial`'s world (call once per trial, from its thread).
   void record(std::size_t trial, tracking::TrackingNetwork& net) {
-    record(trial, net.counters(), net.export_metrics());
+    counters_[trial].emplace(net.counters());
+    std::ostringstream os;
+    tracking::series_to_json(os, net, 4);
+    metrics_[trial] = os.str();
   }
 
   void write(std::ostream& os) const {
@@ -240,9 +239,12 @@ class BenchObs {
       }
     }
     os << "\n  ],\n";
-    os << "  \"metrics\": ";
-    runner::merge_metrics(metrics_).to_json(os, 2);
-    os << "\n}\n";
+    os << "  \"metrics\": [";
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      os << (i == 0 ? "\n    " : ",\n    ")
+         << (metrics_[i].empty() ? "null" : metrics_[i]);
+    }
+    os << "\n  ]\n}\n";
   }
 
   /// Write to --obs-json if set; silent no-op otherwise.
@@ -260,7 +262,8 @@ class BenchObs {
  private:
   std::string bench_;
   std::vector<std::optional<stats::WorkCounters>> counters_;
-  std::vector<obs::MetricsRegistry> metrics_;
+  /// series_to_json per trial; empty until recorded.
+  std::vector<std::string> metrics_;
 };
 
 /// Canonical ScenarioSpec for the common bench shape (grid world + seeded

@@ -14,33 +14,51 @@ Stabilizer::Stabilizer(tracking::TrackingNetwork& net, TargetId target,
     : net_(&net),
       target_(target),
       period_(period),
-      timer_(net.scheduler(), [this] { on_tick(); }),
-      retry_timer_(net.scheduler(), [this] { on_retry(); }),
       anchor_miss_(net.hierarchy().num_clusters(), 0),
       downward_ok_(net.hierarchy().num_clusters(), -1) {
   hb_token_ = net_->add_heartbeat_handler(
       [this](ClusterId dest, const Message& m) { on_heartbeat(dest, m); });
 }
 
-Stabilizer::~Stabilizer() { net_->remove_heartbeat_handler(hb_token_); }
+Stabilizer::~Stabilizer() {
+  stop();
+  net_->remove_heartbeat_handler(hb_token_);
+}
 
 void Stabilizer::start() {
   running_ = true;
-  timer_.arm_after(period_);
+  schedule_tick();
 }
 
 void Stabilizer::stop() {
   running_ = false;
-  timer_.disarm();
-  retry_timer_.disarm();
+  net_->scheduler().cancel(tick_);
+  net_->scheduler().cancel(retry_);
+  tick_ = retry_ = sim::EventId{};
   pending_.clear();
+}
+
+void Stabilizer::schedule_tick() {
+  net_->scheduler().cancel(tick_);
+  tick_ = net_->scheduler().schedule_after(period_, [this] {
+    tick_ = sim::EventId{};
+    on_tick();
+  });
+}
+
+void Stabilizer::schedule_retry() {
+  net_->scheduler().cancel(retry_);
+  retry_ = net_->scheduler().schedule_after(retry_delay_, [this] {
+    retry_ = sim::EventId{};
+    on_retry();
+  });
 }
 
 void Stabilizer::on_tick() {
   if (!running_) return;
   const obs::ProfScope prof(net_->profiler(), obs::ProfDomain::kStabilizer);
   tick_once();
-  if (running_) timer_.arm_after(period_);
+  if (running_) schedule_tick();
 }
 
 obs::OpId Stabilizer::tick_hb_op() const {
@@ -78,7 +96,8 @@ int Stabilizer::tick_once() {
   // A fresh probe round: whatever last round never heard back about gets
   // re-examined from scratch.
   pending_.clear();
-  retry_timer_.disarm();
+  net_->scheduler().cancel(retry_);
+  retry_ = sim::EventId{};
 
   // Client-side re-detection (§IV-A: GPS inputs are periodic). Believing
   // clients whose level-0 cluster sent no presence query since the last
@@ -360,7 +379,7 @@ void Stabilizer::on_ack(ClusterId x, const Message& m) {
 void Stabilizer::arm_retry() {
   if (pending_.empty()) return;
   retry_delay_ = sim::Duration::micros(period_.count() / 4);
-  retry_timer_.arm_after(retry_delay_);
+  schedule_retry();
 }
 
 void Stabilizer::on_retry() {
@@ -385,7 +404,7 @@ void Stabilizer::on_retry() {
   pending_ = std::move(again);
   if (!pending_.empty()) {
     retry_delay_ = retry_delay_ * 2;
-    retry_timer_.arm_after(retry_delay_);
+    schedule_retry();
   }
 }
 

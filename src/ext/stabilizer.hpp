@@ -47,7 +47,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/timer.hpp"
+#include "sim/event_queue.hpp"
 #include "tracking/network.hpp"
 #include "vsa/messages.hpp"
 
@@ -61,7 +61,8 @@ class Stabilizer {
   /// mistaken for damage.
   Stabilizer(tracking::TrackingNetwork& net, TargetId target,
              sim::Duration period);
-  /// Detaches the heartbeat handler. The network must outlive this.
+  /// Stops ticking and detaches the heartbeat handler. The network must
+  /// outlive this.
   ~Stabilizer();
 
   Stabilizer(const Stabilizer&) = delete;
@@ -123,6 +124,10 @@ class Stabilizer {
   [[nodiscard]] obs::OpId repair_op_from(obs::OpId source) const;
   void on_retry();
   void arm_retry();
+  /// Arm the tick (period_ from now) / the retry (retry_delay_ from now),
+  /// replacing a pending one.
+  void schedule_tick();
+  void schedule_retry();
   /// Local predicate: is `y` a reset process mid-re-attachment (subtree or
   /// armed timer but no parent yet)?
   [[nodiscard]] bool reattaching(ClusterId y) const;
@@ -133,8 +138,8 @@ class Stabilizer {
   tracking::TrackingNetwork* net_;
   TargetId target_;
   sim::Duration period_;
-  sim::Timer timer_;
-  sim::Timer retry_timer_;
+  sim::EventId tick_{};   // pending tick (invalid = none)
+  sim::EventId retry_{};  // pending probe retry (invalid = none)
   bool running_ = false;
   std::int64_t repairs_{0};
   std::int64_t ticks_{0};

@@ -36,7 +36,7 @@ FaultInjector::FaultInjector(tracking::TrackingNetwork& net, FaultPlan plan)
 }
 
 FaultInjector::~FaultInjector() {
-  events_.clear();  // timer dtors cancel any pending fault events
+  for (const sim::EventId e : events_) net_->scheduler().cancel(e);
   if (armed_) net_->cgcast().set_channel_faults({});
 }
 
@@ -160,14 +160,12 @@ vsa::CGcast::ChannelDecision FaultInjector::decide(const vsa::Message&) {
 void FaultInjector::schedule(std::int64_t at_us, std::function<void()> action) {
   // Directive execution runs under a kFault scope so chaos-run profiles
   // separate injected-fault handling from the protocol's own cost.
-  auto timer = std::make_unique<sim::Timer>(
-      net_->scheduler(), [this, action = std::move(action)] {
-        const obs::ProfScope prof(net_->profiler(),
-                                  obs::ProfDomain::kFault);
+  events_.push_back(net_->scheduler().schedule_at(
+      std::max(net_->now(), sim::TimePoint{at_us}),
+      [this, action = std::move(action)] {
+        const obs::ProfScope prof(net_->profiler(), obs::ProfDomain::kFault);
         action();
-      });
-  timer->arm(std::max(net_->now(), sim::TimePoint{at_us}));
-  events_.push_back(std::move(timer));
+      }));
 }
 
 }  // namespace vs::fault

@@ -16,13 +16,13 @@
 // yields the same faults at any --jobs value.
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
-#include "sim/timer.hpp"
+#include "sim/event_queue.hpp"
 #include "tracking/network.hpp"
 
 namespace vs::fault {
@@ -72,7 +72,9 @@ class FaultInjector {
   bool armed_ = false;
   int faults_injected_ = 0;
   int planned_faults_ = 0;
-  std::vector<std::unique_ptr<sim::Timer>> events_;
+  /// Every scheduled directive, cancelled on destruction (an action
+  /// captures `this`). Fired ones cancel as no-ops.
+  std::vector<sim::EventId> events_;
   /// Clients killed per depopulated region, for the matching restore.
   std::vector<std::vector<ClientId>> killed_;
 };

@@ -70,22 +70,6 @@ std::vector<std::int64_t> log2_bounds(std::int64_t lo, std::int64_t hi) {
   return bounds;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0 && bounds_.empty()) {
-    *this = other;
-    return;
-  }
-  VS_REQUIRE(bounds_ == other.bounds_, "histogram bucket layouts differ");
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::int64_t Histogram::percentile(double q) const {
   if (count_ == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -130,121 +114,6 @@ void Histogram::to_json(std::ostream& os) const {
     os << ", \"count\": " << buckets_[i] << "}";
   }
   os << "]}";
-}
-
-void MetricsRegistry::check_name_free(std::string_view name,
-                                      std::string_view wanted) const {
-  // One name, one type. A counter and a gauge sharing a name would merge
-  // under different semantics (sum vs max) depending on which map a reader
-  // consults — fail at registration, not at export.
-  const bool c = counters_.find(name) != counters_.end();
-  const bool g = gauges_.find(name) != gauges_.end();
-  const bool h = histograms_.find(name) != histograms_.end();
-  VS_REQUIRE((!c || wanted == "counter") && (!g || wanted == "gauge") &&
-                 (!h || wanted == "histogram"),
-             "metric \"" << name << "\" already registered as a "
-                         << (c ? "counter" : g ? "gauge" : "histogram")
-                         << ", cannot re-register as a " << wanted);
-}
-
-void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    check_name_free(name, "counter");
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
-}
-
-void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    check_name_free(name, "gauge");
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const std::int64_t> bounds) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    check_name_free(name, "histogram");
-    it = histograms_.emplace(std::string(name), Histogram(bounds)).first;
-  } else {
-    VS_REQUIRE(std::equal(bounds.begin(), bounds.end(),
-                          it->second.bounds().begin(),
-                          it->second.bounds().end()),
-               "histogram " << name << " re-declared with different bounds");
-  }
-  return it->second;
-}
-
-std::int64_t MetricsRegistry::counter(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::int64_t MetricsRegistry::gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, v] : other.counters_) add(name, v);
-  for (const auto& [name, v] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      check_name_free(name, "gauge");
-      gauges_.emplace(name, v);
-    } else {
-      it->second = std::max(it->second, v);
-    }
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      check_name_free(name, "histogram");
-      histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
-    }
-  }
-}
-
-void MetricsRegistry::to_json(std::ostream& os, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string pad2 = pad + "  ";
-  const std::string pad4 = pad2 + "  ";
-  os << "{\n" << pad2 << "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters_) {
-    os << (first ? "\n" : ",\n") << pad4 << "\"" << name << "\": " << v;
-    first = false;
-  }
-  os << (first ? "" : "\n" + pad2) << "},\n";
-  os << pad2 << "\"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges_) {
-    os << (first ? "\n" : ",\n") << pad4 << "\"" << name << "\": " << v;
-    first = false;
-  }
-  os << (first ? "" : "\n" + pad2) << "},\n";
-  os << pad2 << "\"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << pad4 << "\"" << name << "\": ";
-    h.to_json(os);
-    first = false;
-  }
-  os << (first ? "" : "\n" + pad2) << "}\n" << pad << "}";
 }
 
 }  // namespace vs::obs

@@ -1,22 +1,11 @@
 #pragma once
-// Named counters, gauges, and histograms with a deterministic merge.
-//
-// Every metric value here derives from simulation state (virtual time,
-// message counts), never from wall-clock or thread identity, so per-trial
-// registries merged in trial-index order produce byte-identical JSON for
-// every --jobs value. Merge semantics: counters and histogram buckets sum,
-// gauges keep the maximum — all commutative, so the index-order convention
-// is a determinism guarantee rather than a correctness requirement.
-//
-// Registries are name-keyed (sorted maps) so to_json output is stable and
-// two registries merge by name without a shared registration sequence.
+// Fixed-bound histograms: the find census's latency distribution and the
+// SLO monitor's latency currency. The metrics schema itself — every named
+// counter and gauge — is the series table in tracking/series.hpp.
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace vs::obs {
@@ -37,8 +26,6 @@ class Histogram {
                                             std::int64_t max);
 
   void record(std::int64_t value);
-  /// Requires identical bucket bounds.
-  void merge(const Histogram& other);
   /// Zero every tally, keeping the bucket layout — lets a periodic
   /// sampler reuse one histogram instead of reallocating per sample.
   void reset();
@@ -78,57 +65,5 @@ class Histogram {
 /// orders of magnitude apart. Requires 0 < lo <= hi.
 [[nodiscard]] std::vector<std::int64_t> log2_bounds(std::int64_t lo,
                                                     std::int64_t hi);
-
-class MetricsRegistry {
- public:
-  /// Add `delta` to a counter (created at 0 on first use). Registering a
-  /// name that already exists as a different metric type fails fast (it
-  /// used to silently alias — two series under one name with divergent
-  /// merge semantics).
-  void add(std::string_view name, std::int64_t delta = 1);
-  /// Set a gauge (merge keeps the maximum across trials).
-  void set_gauge(std::string_view name, std::int64_t value);
-  /// Histogram accessor; `bounds` fixes the bucket layout on first use and
-  /// must match on later calls.
-  Histogram& histogram(std::string_view name,
-                       std::span<const std::int64_t> bounds);
-
-  [[nodiscard]] std::int64_t counter(std::string_view name) const;
-  [[nodiscard]] std::int64_t gauge(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
-  [[nodiscard]] bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
-
-  /// Exporter iteration, sorted by name (stable output order) — what the
-  /// Prometheus renderer walks.
-  [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
-  counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
-  gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
-  histograms() const {
-    return histograms_;
-  }
-
-  /// Fold another registry in (the TrialPool join step — call in
-  /// trial-index order for deterministic artifacts).
-  void merge(const MetricsRegistry& other);
-
-  void to_json(std::ostream& os, int indent = 0) const;
-
- private:
-  /// Fails unless `name` is absent from the two maps of other types
-  /// (`wanted` names the type being registered, for the error message).
-  void check_name_free(std::string_view name, std::string_view wanted) const;
-
-  std::map<std::string, std::int64_t, std::less<>> counters_;
-  std::map<std::string, std::int64_t, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
-};
 
 }  // namespace vs::obs

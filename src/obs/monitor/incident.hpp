@@ -168,7 +168,8 @@ struct IncidentBundle {
   std::int64_t audit_window_us = 0;
   ScenarioSpec scenario;
   std::string config_json;   // world configuration at detection
-  std::string metrics_json;  // MetricsRegistry::to_json snapshot
+  /// The world's metrics table at detection (tracking::series_to_json).
+  std::string metrics_json;
   /// Burn-window state per objective at fire time (obs::SloMonitor JSON;
   /// empty when the incident is not SLO-sourced).
   std::string slo_state_json;

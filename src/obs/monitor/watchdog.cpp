@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "spec/consistency.hpp"
 #include "spec/look_ahead.hpp"
+#include "tracking/series.hpp"
 
 namespace vs::obs {
 
@@ -329,7 +330,7 @@ void Watchdog::on_violation(std::string predicate, std::string detail,
   b.scenario = scenario_;
   b.config_json = describe_config(*net_);
   std::ostringstream metrics;
-  net_->export_metrics().to_json(metrics);
+  tracking::series_to_json(metrics, *net_);
   b.metrics_json = metrics.str();
   b.ring = net_->trace().events();
   incidents_.push_back(std::move(b));

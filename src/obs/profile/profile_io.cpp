@@ -6,6 +6,7 @@
 
 #include "common/codec.hpp"
 #include "common/error.hpp"
+#include "obs/telemetry/prometheus.hpp"
 
 namespace vs::obs {
 
@@ -211,8 +212,8 @@ void profile_to_folded(std::ostream& os, const ProfileReport& r) {
   }
 }
 
-void profile_to_prometheus(std::ostream& os, const ProfileReport& r,
-                           const std::string& prefix) {
+void profile_to_prometheus(std::ostream& os, const ProfileReport& r) {
+  constexpr std::string_view prefix = kPrometheusPrefix;
   os << "# TYPE " << prefix << "_profile_self_ns gauge\n";
   for (std::size_t d = 0; d < kProfDomains; ++d) {
     os << prefix << "_profile_self_ns{domain=\"" << domain_label(d)

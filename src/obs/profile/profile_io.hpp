@@ -37,9 +37,8 @@ void profile_to_json(std::ostream& os, const ProfileReport& report);
 /// path with recorded scopes, path-sorted.
 void profile_to_folded(std::ostream& os, const ProfileReport& report);
 
-/// Prometheus text-exposition gauges under `prefix` (vinestalk →
-/// vinestalk_profile_self_ns{domain="fire"} etc).
-void profile_to_prometheus(std::ostream& os, const ProfileReport& report,
-                           const std::string& prefix);
+/// Prometheus text-exposition gauges (vinestalk_profile_self_ns{domain=
+/// "fire"} etc; the prefix is obs/telemetry/prometheus.hpp's).
+void profile_to_prometheus(std::ostream& os, const ProfileReport& report);
 
 }  // namespace vs::obs

@@ -5,6 +5,7 @@
 
 #include "common/codec.hpp"
 #include "common/error.hpp"
+#include "obs/telemetry/prometheus.hpp"
 
 namespace vs::obs {
 
@@ -213,8 +214,8 @@ void slo_to_json(std::ostream& os, const SloReport& rep) {
   os << "]\n}\n";
 }
 
-void slo_to_prometheus(std::ostream& os, const SloReport& rep,
-                       const std::string& prefix) {
+void slo_to_prometheus(std::ostream& os, const SloReport& rep) {
+  constexpr std::string_view prefix = kPrometheusPrefix;
   os << "# TYPE " << prefix << "_slo_requests_total counter\n";
   for (std::size_t c = 0; c < kSloClasses; ++c) {
     os << prefix << "_slo_requests_total{class=\""

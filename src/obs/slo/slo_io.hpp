@@ -31,11 +31,10 @@ void write_slo_file(const std::string& path, const SloReport& report);
 /// sidecar's `.json` twin.
 void slo_to_json(std::ostream& os, const SloReport& report);
 
-/// Prometheus text-exposition gauges under `prefix` (vinestalk →
-/// vinestalk_slo_requests_total{class="find"},
-/// vinestalk_slo_burn_rate_centi{objective="...",window="short"}, ...).
-void slo_to_prometheus(std::ostream& os, const SloReport& report,
-                       const std::string& prefix);
+/// Prometheus text-exposition gauges (vinestalk_slo_requests_total{class=
+/// "find"}, vinestalk_slo_burn_rate_centi{objective="...",window="short"},
+/// ...; the prefix is obs/telemetry/prometheus.hpp's).
+void slo_to_prometheus(std::ostream& os, const SloReport& report);
 
 /// Latency-bucket CSV: class,le_ns,count rows (le_ns "+inf" for the
 /// overflow bucket), classes then find distance bands.

@@ -18,20 +18,21 @@
 //  * enabled: one hook call per crossed boundary; events between
 //    boundaries cost one compare.
 //
-// Each sample snapshots: scheduler event count; WorkCounters totals and
-// per-level move/find splits; the network's find census (issued,
-// completed, latency percentiles); trace event count; OpLedger per-class
-// totals (when a ledger is attached); sliding-window BoundAuditor ratios
-// (when an auditor is bound); and the serve daemon's IngestCounters. One
-// table in telemetry.cpp lists every series with its kind and how it is
-// read; the header is built from it once.
+// Each sample reads every series of the metrics table
+// (tracking/series.hpp): scheduler event count; WorkCounters totals and
+// per-level move/find splits; C-gcast drops and losses; the network's
+// find census (issued, completed, latency percentiles); trace event
+// count; OpLedger per-class totals (when a ledger is attached);
+// sliding-window BoundAuditor ratios (when an auditor is bound); and the
+// serve daemon's IngestCounters. The header is built from the table once.
 //
 // Samples land in a bounded in-memory ring (exactly the last
 // ring_capacity samples — live introspection) and, when stream_path is
 // set, in a VSTELEM1 file flushed once per boundary crossing so
 // `vinestalk_top` can tail it mid-run. When prometheus_path is set, each
-// boundary crossing also rewrites a Prometheus text-exposition snapshot
-// (obs/telemetry/prometheus.hpp) from its latest sample. Per-sample
+// boundary crossing also replaces a Prometheus text-exposition snapshot
+// (obs/telemetry/prometheus.hpp) rendered from its latest sample and the
+// find latency histogram. Per-sample
 // allocations are recycled (ring slots, the writer's encode scratch): the
 // enabled path's cost is dominated by reading the counters, not by memory
 // or I/O churn.
@@ -61,8 +62,8 @@ struct TelemetryConfig {
   std::size_t ring_capacity = 256;
   /// VSTELEM1 stream destination ("" = ring only).
   std::string stream_path;
-  /// Prometheus text-exposition snapshot, rewritten at each sample
-  /// ("" = off).
+  /// Prometheus text-exposition snapshot, replaced at each boundary
+  /// crossing ("" = off).
   std::string prometheus_path;
   /// Trailing window for the sliding-window bound audit series
   /// (zero = audit series stay 0 even when an auditor is bound).
@@ -114,6 +115,8 @@ class TelemetrySampler {
  private:
   static sim::TimePoint hook_thunk(void* ctx, sim::TimePoint upto);
   sim::TimePoint on_boundary(sim::TimePoint upto);
+  /// Replace the Prometheus snapshot (via <path>.tmp and a rename).
+  void write_prometheus();
   void take_sample(std::int64_t t_us);
 
   tracking::TrackingNetwork* net_;

@@ -39,7 +39,7 @@ TelemetryWriter::TelemetryWriter(const std::string& path,
   w.put(std::uint32_t{0});  // flags
   w.put(header.cadence_us);
   w.put(static_cast<std::uint32_t>(header.series.size()));
-  for (const SeriesDef& d : header.series) {
+  for (const tracking::SeriesDef& d : header.series) {
     w.str(d.name);
     w.put(d.kind);
   }
@@ -99,13 +99,14 @@ TelemetryFile read_telemetry(std::string_view bytes, bool strict) {
   // A series takes at least its name's length word and its kind byte.
   const auto declared = r.get<std::uint32_t>();
   h.series.resize(r.count(declared, sizeof(std::uint32_t) + 1));
-  for (SeriesDef& d : h.series) {
+  for (tracking::SeriesDef& d : h.series) {
     d.name = r.str();
     const auto kind = r.get<std::uint8_t>();
-    VS_REQUIRE(kind <= static_cast<std::uint8_t>(SeriesKind::kGauge),
-               "bad telemetry series kind " << static_cast<int>(kind)
-                                            << " for " << d.name);
-    d.kind = static_cast<SeriesKind>(kind);
+    VS_REQUIRE(
+        kind <= static_cast<std::uint8_t>(tracking::SeriesKind::kGauge),
+        "bad telemetry series kind " << static_cast<int>(kind) << " for "
+                                     << d.name);
+    d.kind = static_cast<tracking::SeriesKind>(kind);
   }
   const std::size_t width = h.series.size();  // values per sample
 
@@ -161,7 +162,9 @@ TelemetryFile read_telemetry_file(const std::string& path, bool strict) {
 
 void telemetry_to_csv(std::ostream& os, const TelemetryFile& file) {
   os << "t_us";
-  for (const SeriesDef& d : file.header.series) os << "," << d.name;
+  for (const tracking::SeriesDef& d : file.header.series) {
+    os << "," << d.name;
+  }
   os << "\n";
   for (const TelemetrySample& s : file.samples) {
     os << s.t_us;

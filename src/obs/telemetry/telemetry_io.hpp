@@ -50,23 +50,16 @@
 #include <string_view>
 #include <vector>
 
+#include "tracking/series.hpp"
+
 namespace vs::obs {
 
 inline constexpr std::uint32_t kTelemetryFormatVersion = 4;
 
-/// A counter only accumulates, so a rate over it is meaningful; a gauge
-/// is a level (a percentile, a ratio, a high-water mark, a setting).
-enum class SeriesKind : std::uint8_t { kCounter = 0, kGauge = 1 };
-
-struct SeriesDef {
-  std::string name;
-  SeriesKind kind = SeriesKind::kCounter;
-};
-
 struct TelemetryHeader {
   std::int64_t cadence_us = 0;
   /// One entry per sample value, in values order.
-  std::vector<SeriesDef> series;
+  std::vector<tracking::SeriesDef> series;
 
   /// Position of the series called `name` in every sample's values, or
   /// nullopt when the stream does not carry it.

@@ -28,13 +28,6 @@ TrialPool::TrialPool(int jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
   VS_REQUIRE(jobs_ >= 1, "TrialPool needs at least one worker, got " << jobs);
 }
 
-obs::MetricsRegistry merge_metrics(
-    const std::vector<obs::MetricsRegistry>& parts) {
-  obs::MetricsRegistry merged;
-  for (const auto& part : parts) merged.merge(part);
-  return merged;
-}
-
 std::vector<obs::WorldTrace> merge_traces(
     std::vector<std::vector<obs::TraceEvent>> parts) {
   std::vector<obs::WorldTrace> merged;

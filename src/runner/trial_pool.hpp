@@ -22,7 +22,6 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_io.hpp"
 
 namespace vs::runner {
@@ -93,14 +92,6 @@ class TrialPool {
  private:
   int jobs_;
 };
-
-/// Join step for per-trial metrics: fold `parts` — already in trial-index
-/// order, exactly as TrialPool::run returns them — into one registry.
-/// Merge semantics are commutative (obs/metrics.hpp), but folding in index
-/// order keeps the artifact byte-identical for every --jobs value even if
-/// that ever changes.
-[[nodiscard]] obs::MetricsRegistry merge_metrics(
-    const std::vector<obs::MetricsRegistry>& parts);
 
 /// Join step for per-trial traces: label each trial's events with its
 /// index and concatenate in trial-index order — the multi-world layout

@@ -184,10 +184,6 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
     if (it == finds_.end()) return;
     ++it->second.messages;
     it->second.work += hops;
-    if (it->second.done) {
-      ++census_.messages;
-      census_.work += hops;
-    }
     if (m.type == vsa::MsgType::kFindQuery) {
       it->second.max_search_level =
           std::max(it->second.max_search_level, level);
@@ -383,8 +379,6 @@ void TrackingNetwork::on_found_output(FindId f, TargetId t, RegionId region,
   it->second.completed = sched_.now();
   ++census_.completed;
   census_.latency_us.record(it->second.latency().count());
-  census_.messages += it->second.messages;
-  census_.work += it->second.work;
   if (ledger_ != nullptr) {
     ledger_->complete_find(static_cast<std::uint32_t>(f.value()),
                            it->second.distance, sched_.now().count());
@@ -394,30 +388,6 @@ void TrackingNetwork::on_found_output(FindId f, TargetId t, RegionId region,
            obs::make_op(obs::OpClass::kFindTrace,
                         static_cast<std::uint32_t>(f.value())));
   }
-}
-
-obs::MetricsRegistry TrackingNetwork::export_metrics() const {
-  obs::MetricsRegistry m;
-  m.add("sched.events_fired",
-        static_cast<std::int64_t>(sched_.events_fired()));
-  m.add("cgcast.msgs_total", counters_.total_messages());
-  m.add("cgcast.work_total", counters_.total_work());
-  m.add("cgcast.dropped", cgcast_->dropped());
-  m.add("cgcast.lost", cgcast_->lost());
-  m.add("cgcast.duplicated", counters_.duplicated());
-  m.add("cgcast.jittered", counters_.jittered());
-  m.add("cgcast.heartbeats", counters_.heartbeats());
-  m.add("trace.events", static_cast<std::int64_t>(trace_.size()));
-  m.set_gauge("sched.virtual_time_us", sched_.now().count());
-  if (census_.issued > 0) m.add("find.issued", census_.issued);
-  if (census_.completed > 0) {
-    m.add("find.completed", census_.completed);
-    m.histogram("find.latency_us", census_.latency_us.bounds())
-        .merge(census_.latency_us);
-    m.add("find.messages", census_.messages);
-    m.add("find.work", census_.work);
-  }
-  return m;
 }
 
 std::uint64_t TrackingNetwork::run_to_quiescence() { return sched_.run(); }

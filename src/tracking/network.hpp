@@ -88,11 +88,6 @@ struct FindResult {
 struct FindCensus {
   std::int64_t issued = 0;
   std::int64_t completed = 0;
-  /// Sums of FindResult::messages / ::work over completed finds: a find's
-  /// cost so far lands at its first found, every later send of it as it
-  /// happens.
-  std::int64_t messages = 0;
-  std::int64_t work = 0;
   /// Completed finds' latency in µs, bucketed at powers of two of a
   /// millisecond (1 ms … 1024 ms).
   obs::Histogram latency_us;
@@ -145,11 +140,6 @@ class TrackingNetwork {
   /// Move steps taken so far (placements included); the move-op index.
   [[nodiscard]] std::uint32_t move_count() const { return move_count_; }
 
-  /// Deterministic run metrics (events fired, message/work totals, drops,
-  /// find outcomes and latency histogram), rebuilt from live state on each
-  /// call. TrialPool merges these across worlds in trial-index order.
-  [[nodiscard]] obs::MetricsRegistry export_metrics() const;
-
   // Evader control.
   TargetId add_evader(RegionId start);
   void move_evader(TargetId target, RegionId to);
@@ -164,7 +154,7 @@ class TrackingNetwork {
     return finds_;
   }
   /// Issued/completed counts and the latency distribution of finds() —
-  /// what the telemetry sampler and export_metrics read.
+  /// what the metrics table (tracking/series.hpp) reads.
   [[nodiscard]] const FindCensus& find_census() const { return census_; }
 
   // Execution.

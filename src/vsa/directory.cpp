@@ -14,6 +14,10 @@ VsaDirectory::VsaDirectory(sim::Scheduler& sched, std::size_t num_regions,
   VS_REQUIRE(t_restart >= sim::Duration::zero(), "negative t_restart");
 }
 
+VsaDirectory::~VsaDirectory() {
+  for (const auto& [u, event] : restarts_pending_) sched_->cancel(event);
+}
+
 void VsaDirectory::fail(RegionId u) {
   const std::size_t i = index(u);
   if (alive_[i] == 0) return;
@@ -30,8 +34,7 @@ void VsaDirectory::set_clients_present(RegionId u, bool present) {
   clients_present_[i] = present ? 1 : 0;
   if (!present) {
     // Presence lapse aborts any pending restart and fails a live VSA.
-    const auto timer = restart_timers_.find(u);
-    if (timer != restart_timers_.end()) timer->second->disarm();
+    cancel_restart(u);
     fail(u);
   } else {
     maybe_schedule_restart(u);
@@ -41,17 +44,22 @@ void VsaDirectory::set_clients_present(RegionId u, bool present) {
 void VsaDirectory::maybe_schedule_restart(RegionId u) {
   const std::size_t i = index(u);
   if (alive_[i] != 0 || clients_present_[i] == 0) return;
-  std::unique_ptr<sim::Timer>& timer = restart_timers_[u];
-  if (!timer) {
-    timer = std::make_unique<sim::Timer>(*sched_, [this, i, u] {
-      if (alive_[i] != 0 || clients_present_[i] == 0) return;
-      alive_[i] = 1;
-      ++restarts_;
-      VS_DEBUG("VSA at region " << u << " restarted at " << sched_->now());
-      if (on_restart_) on_restart_(u);
-    });
-  }
-  timer->arm_after(t_restart_);
+  cancel_restart(u);
+  restarts_pending_[u] = sched_->schedule_after(t_restart_, [this, i, u] {
+    restarts_pending_.erase(u);
+    if (alive_[i] != 0 || clients_present_[i] == 0) return;
+    alive_[i] = 1;
+    ++restarts_;
+    VS_DEBUG("VSA at region " << u << " restarted at " << sched_->now());
+    if (on_restart_) on_restart_(u);
+  });
+}
+
+void VsaDirectory::cancel_restart(RegionId u) {
+  const auto it = restarts_pending_.find(u);
+  if (it == restarts_pending_.end()) return;
+  sched_->cancel(it->second);
+  restarts_pending_.erase(it);
 }
 
 }  // namespace vs::vsa

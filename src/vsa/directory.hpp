@@ -9,19 +9,17 @@
 // Tracker subautomata hosted at that region.
 //
 // Layout: liveness and client presence are one byte per region, so the
-// per-delivery alive() check reads one flat array. Restart timers exist
-// only for regions that ever failed with clients present, in a map.
+// per-delivery alive() check reads one flat array. Pending restarts are
+// kept sparse, by region in a map: most worlds never restart a VSA.
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/ids.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/timer.hpp"
 
 namespace vs::vsa {
 
@@ -31,6 +29,11 @@ class VsaDirectory {
 
   VsaDirectory(sim::Scheduler& sched, std::size_t num_regions,
                sim::Duration t_restart);
+  /// Cancels pending restarts. The scheduler must outlive this.
+  ~VsaDirectory();
+
+  VsaDirectory(const VsaDirectory&) = delete;
+  VsaDirectory& operator=(const VsaDirectory&) = delete;
 
   [[nodiscard]] bool alive(RegionId u) const { return alive_[index(u)] != 0; }
   [[nodiscard]] std::size_t num_regions() const { return alive_.size(); }
@@ -61,13 +64,16 @@ class VsaDirectory {
     return static_cast<std::size_t>(u.value());
   }
   void maybe_schedule_restart(RegionId u);
+  void cancel_restart(RegionId u);
 
   sim::Scheduler* sched_;
   sim::Duration t_restart_;
   // By region id; std::uint8_t, not bool: vector<bool> proxies.
   std::vector<std::uint8_t> alive_;
   std::vector<std::uint8_t> clients_present_;
-  std::map<RegionId, std::unique_ptr<sim::Timer>> restart_timers_;
+  /// Pending restart event by region; a region leaves the map when its
+  /// restart fires or is cancelled.
+  std::map<RegionId, sim::EventId> restarts_pending_;
   Callback on_fail_;
   Callback on_restart_;
   std::int64_t failures_{0};

@@ -270,7 +270,7 @@ std::string one_series_telemetry() {
   const std::string path = testing::TempDir() + "codec_one_series.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.series = {{"x", obs::SeriesKind::kCounter}};
+  h.series = {{"x", tracking::SeriesKind::kCounter}};
   obs::TelemetryWriter(path, h).finish();
   return codec::read_file(path);
 }

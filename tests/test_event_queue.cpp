@@ -79,7 +79,7 @@ TEST(EventQueueEdge, SameInstantTieBreakSurvivesCancellation) {
 }
 
 TEST(EventQueueEdge, SlotIndicesAreRecycled) {
-  // Arm/cancel churn (the Timer pattern) must reuse freed slots, not
+  // Arm/cancel churn (a re-armed timer) must reuse freed slots, not
   // grow the slot vector: capacity stays at the peak live count.
   EventQueue q;
   (void)q.push(TimePoint{1'000'000}, [] {});  // anchor keeps q non-empty

@@ -133,6 +133,31 @@ TEST(FaultInjector, RecoveryDeadlineScalesWithPlannedFaults) {
   EXPECT_EQ(deadline->count(), 2'700'000);
 }
 
+TEST(FaultInjector, DestroyedOwnersLeaveNoEventToFire) {
+  // Pending fault directives and stabilizer ticks capture their owner's
+  // `this`: destroying the owner must cancel them, or they would fire on
+  // a dead object (heap-allocated here so ASan would see it).
+  GridNet g = make_grid(9, 3, failure_cfg());
+  const TargetId t = g.net->add_evader(g.at(4, 4));
+  g.net->run_to_quiescence();
+  const std::uint64_t fired = g.net->scheduler().events_fired();
+  fault::FaultPlan p;
+  p.crashes.push_back({40, 1'000'000});
+  p.depopulations.push_back({3, 2'000'000, 3'000'000});
+  auto inj = std::make_unique<fault::FaultInjector>(*g.net, p);
+  inj->arm();
+  auto stab = std::make_unique<ext::Stabilizer>(*g.net, t,
+                                                sim::Duration::millis(500));
+  stab->start();
+  EXPECT_EQ(g.net->scheduler().pending(), 4u);  // 3 directives + 1 tick
+  inj.reset();
+  stab.reset();
+  EXPECT_EQ(g.net->scheduler().pending(), 0u);
+  g.net->run_until(sim::TimePoint{10'000'000});
+  EXPECT_EQ(g.net->scheduler().events_fired(), fired);
+  EXPECT_EQ(g.net->directory()->failures(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Channel-fault determinism: the same (world, plan) pair must produce the
 // same faults — drop for drop — on every run.

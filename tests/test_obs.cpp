@@ -1,7 +1,8 @@
 // Observability layer: trace determinism across --jobs, causal span
 // completeness for a scripted find, disabled-mode zero overhead, the
 // Lemma replay of check_trace on hand-crafted violating traces (both the
-// library and the vinestalk_trace binary), and metrics-merge determinism.
+// library and the vinestalk_trace binary), deterministic metrics JSON, and
+// histogram percentiles.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "obs/trace_query.hpp"
 #include "runner/trial_pool.hpp"
 #include "stats/counters.hpp"
+#include "tracking/series.hpp"
 #include "util.hpp"
 
 namespace vstest {
@@ -256,39 +258,6 @@ TEST(TraceTool, CheckAndSummaryAcceptCleanTrace) {
 // ---------------------------------------------------------------------------
 // Metrics.
 
-TEST(Metrics, MergeIsCommutativeAndJsonStable) {
-  constexpr std::array<std::int64_t, 3> kBounds{10, 100, 1000};
-  obs::MetricsRegistry a;
-  a.add("msgs", 5);
-  a.set_gauge("time_us", 400);
-  a.histogram("lat", kBounds).record(7);
-  a.histogram("lat", kBounds).record(5000);
-  obs::MetricsRegistry b;
-  b.add("msgs", 3);
-  b.add("drops", 1);
-  b.set_gauge("time_us", 900);
-  b.histogram("lat", kBounds).record(50);
-
-  obs::MetricsRegistry ab = a;
-  ab.merge(b);
-  obs::MetricsRegistry ba = b;
-  ba.merge(a);
-
-  std::ostringstream os_ab, os_ba;
-  ab.to_json(os_ab);
-  ba.to_json(os_ba);
-  EXPECT_EQ(os_ab.str(), os_ba.str());
-
-  EXPECT_EQ(ab.counter("msgs"), 8);
-  EXPECT_EQ(ab.counter("drops"), 1);
-  EXPECT_EQ(ab.gauge("time_us"), 900);
-  const obs::Histogram* h = ab.find_histogram("lat");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 3);
-  EXPECT_EQ(h->sum(), 7 + 5000 + 50);
-  EXPECT_EQ(h->buckets().back(), 1);  // the 5000 overflow
-}
-
 TEST(Metrics, ExportedNetworkMetricsAreDeterministic) {
   const auto run = [] {
     GridNet g = make_grid(27, 3);
@@ -297,37 +266,24 @@ TEST(Metrics, ExportedNetworkMetricsAreDeterministic) {
     g.net->start_find(g.at(0, 0), t);
     g.net->run_to_quiescence();
     std::ostringstream os;
-    g.net->export_metrics().to_json(os);
+    tracking::series_to_json(os, *g.net);
     return os.str();
   };
   const std::string first = run();
   EXPECT_EQ(first, run());
-  EXPECT_NE(first.find("find.completed"), std::string::npos);
-  EXPECT_NE(first.find("sched.events_fired"), std::string::npos);
-}
-
-TEST(Metrics, PoolMergeMatchesSerialFold) {
-  runner::TrialPool pool(4);
-  auto parts = pool.run(6, [](std::size_t trial) {
-    obs::MetricsRegistry m;
-    m.add("trials");
-    m.add("value", static_cast<std::int64_t>(trial));
-    m.set_gauge("max_trial", static_cast<std::int64_t>(trial));
-    return m;
-  });
-  const obs::MetricsRegistry merged = runner::merge_metrics(parts);
-  EXPECT_EQ(merged.counter("trials"), 6);
-  EXPECT_EQ(merged.counter("value"), 0 + 1 + 2 + 3 + 4 + 5);
-  EXPECT_EQ(merged.gauge("max_trial"), 5);
+  EXPECT_NE(first.find("\"finds_completed\": 1,"), std::string::npos)
+      << first;
+  EXPECT_NE(first.find("\"events_fired\": "), std::string::npos);
+  EXPECT_NE(first.find("\"find_latency_us\": {\"count\": 1,"),
+            std::string::npos);
 }
 
 TEST(Metrics, HistogramPercentilesAreExactOnUniformFill) {
-  obs::MetricsRegistry m;
   // Bucket bounds at every integer 1..100: the interpolated estimate of a
   // quantile over a uniform 1..100 fill is the exact nearest value.
   std::vector<std::int64_t> bounds;
   for (std::int64_t i = 1; i <= 100; ++i) bounds.push_back(i);
-  auto& h = m.histogram("latency", bounds);
+  obs::Histogram h{std::span<const std::int64_t>(bounds)};
   for (std::int64_t v = 1; v <= 100; ++v) h.record(v);
   EXPECT_EQ(h.percentile(0.50), 50);
   EXPECT_EQ(h.percentile(0.90), 90);
@@ -358,9 +314,9 @@ TEST(Metrics, PercentileClampsToObservedRangeOnOverflowBucket) {
   EXPECT_EQ(h.percentile(0.99), 5000);  // clamped to max, not +inf
 }
 
-// Log-bucketed histograms are the SLO monitor's latency currency: merge is
-// the TrialPool / sidecar fold, percentile the alert threshold, from_parts
-// the VSSLO1 reader. All three have to agree bucket-for-bucket.
+// Log-bucketed histograms are the SLO monitor's latency currency:
+// percentile is the alert threshold, from_parts the VSSLO1 reader. Both
+// have to agree bucket-for-bucket with what was recorded.
 
 TEST(Metrics, Log2BoundsDoubleFromLoToHi) {
   const std::vector<std::int64_t> b = obs::log2_bounds(1'000, 8'000);
@@ -368,40 +324,6 @@ TEST(Metrics, Log2BoundsDoubleFromLoToHi) {
   // hi between bounds: the ladder runs to the first bound >= hi.
   EXPECT_EQ(obs::log2_bounds(1, 5).back(), 8);
   EXPECT_EQ(obs::log2_bounds(7, 7), (std::vector<std::int64_t>{7}));
-}
-
-TEST(Metrics, LogBucketMergeSumsBucketsAndTallies) {
-  const std::vector<std::int64_t> bounds = obs::log2_bounds(1, 1024);
-  obs::Histogram a{std::span<const std::int64_t>(bounds)};
-  obs::Histogram b{std::span<const std::int64_t>(bounds)};
-  for (const std::int64_t v : {1, 3, 700}) a.record(v);
-  for (const std::int64_t v : {2, 3, 5'000}) b.record(v);  // 5000 overflows
-
-  obs::Histogram ab = a;
-  ab.merge(b);
-  obs::Histogram ba = b;
-  ba.merge(a);
-  // Commutative merge: trial-index order is a determinism convention, not
-  // a correctness requirement.
-  EXPECT_EQ(ab.buckets(), ba.buckets());
-  EXPECT_EQ(ab.count(), 6);
-  EXPECT_EQ(ab.sum(), 1 + 3 + 700 + 2 + 3 + 5'000);
-  EXPECT_EQ(ab.min(), 1);
-  EXPECT_EQ(ab.max(), 5'000);
-  EXPECT_EQ(ab.buckets().back(), 1) << "the overflow sample";
-  std::int64_t total = 0;
-  for (const std::int64_t c : ab.buckets()) total += c;
-  EXPECT_EQ(total, ab.count()) << "every sample lands in exactly one bucket";
-
-  // Merging an empty histogram is the identity, in both directions.
-  obs::Histogram empty{std::span<const std::int64_t>(bounds)};
-  obs::Histogram ab2 = ab;
-  ab2.merge(empty);
-  EXPECT_EQ(ab2.buckets(), ab.buckets());
-  EXPECT_EQ(ab2.min(), ab.min());
-  empty.merge(ab);
-  EXPECT_EQ(empty.buckets(), ab.buckets());
-  EXPECT_EQ(empty.count(), ab.count());
 }
 
 TEST(Metrics, LogBucketPercentileAtBucketEdges) {
@@ -432,11 +354,19 @@ TEST(Metrics, HistogramFromPartsRoundTrips) {
   EXPECT_EQ(back.sum(), h.sum());
   EXPECT_EQ(back.percentile(0.5), h.percentile(0.5));
   EXPECT_EQ(back.percentile(0.99), h.percentile(0.99));
-  // A reconstructed histogram keeps recording and merging like the
-  // original — the sidecar reader's output is a first-class histogram.
+  // A reconstructed histogram keeps recording like the original — the
+  // sidecar reader's output is a first-class histogram — and every sample
+  // lands in exactly one bucket, the overflow one included.
   obs::Histogram grown = back;
-  grown.merge(h);
-  EXPECT_EQ(grown.count(), 2 * h.count());
+  grown.record(5'000'000);
+  EXPECT_EQ(grown.count(), h.count() + 1);
+  EXPECT_EQ(grown.sum(), h.sum() + 5'000'000);
+  EXPECT_EQ(grown.min(), 1'500);
+  EXPECT_EQ(grown.max(), 5'000'000);
+  EXPECT_EQ(grown.buckets().back(), 1) << "the overflow sample";
+  std::int64_t total = 0;
+  for (const std::int64_t c : grown.buckets()) total += c;
+  EXPECT_EQ(total, grown.count());
 }
 
 // ---------------------------------------------------------------------------

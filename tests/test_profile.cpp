@@ -292,7 +292,7 @@ TEST(Profile, RenderingsAreWellFormed) {
 
   // Prometheus: every non-comment line is `vinestalk_profile_* value`.
   std::ostringstream prom;
-  obs::profile_to_prometheus(prom, r, "vinestalk");
+  obs::profile_to_prometheus(prom, r);
   std::istringstream pin(prom.str());
   bool saw_gauge = false;
   while (std::getline(pin, line)) {

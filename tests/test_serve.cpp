@@ -568,11 +568,11 @@ TEST(ServeTelemetry, SeriesNamesIncludeIngestBlock) {
       "ingest_shed_tier3_entries", "ingest_queue_depth_peak"};
   ASSERT_LE(*first + block.size(), h.series.size());
   for (std::size_t i = 0; i < block.size(); ++i) {
-    const obs::SeriesDef& d = h.series[*first + i];
+    const tracking::SeriesDef& d = h.series[*first + i];
     EXPECT_EQ(d.name, block[i]);
     EXPECT_EQ(d.kind, block[i] == "ingest_queue_depth_peak"
-                          ? obs::SeriesKind::kGauge
-                          : obs::SeriesKind::kCounter)
+                          ? tracking::SeriesKind::kGauge
+                          : tracking::SeriesKind::kCounter)
         << d.name;
   }
 }

@@ -1,5 +1,4 @@
-// Unit tests for the discrete-event substrate: event queue, scheduler,
-// TIOA-style timers.
+// Unit tests for the discrete-event substrate: event queue and scheduler.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include "common/error.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/timer.hpp"
 
 namespace vstest {
 namespace {
@@ -18,7 +16,6 @@ using vs::sim::EventId;
 using vs::sim::EventQueue;
 using vs::sim::Scheduler;
 using vs::sim::TimePoint;
-using vs::sim::Timer;
 
 TEST(Time, Arithmetic) {
   const TimePoint t{100};
@@ -134,72 +131,6 @@ TEST(SchedulerTest, RejectsPastAndNegative) {
   s.run();
   EXPECT_THROW(s.schedule_at(TimePoint{5}, [] {}), vs::Error);
   EXPECT_THROW(s.schedule_after(Duration::micros(-1), [] {}), vs::Error);
-}
-
-TEST(TimerTest, FiresAtDeadline) {
-  Scheduler s;
-  int fired = 0;
-  Timer t(s, [&] { ++fired; });
-  t.arm_after(Duration::micros(7));
-  EXPECT_TRUE(t.armed());
-  s.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(t.armed());
-  EXPECT_TRUE(t.deadline().is_never());
-}
-
-TEST(TimerTest, RearmReplacesDeadline) {
-  Scheduler s;
-  std::vector<std::int64_t> fire_times;
-  Timer t(s, [&] { fire_times.push_back(s.now().count()); });
-  t.arm(TimePoint{10});
-  t.arm(TimePoint{25});  // assignment to the TIOA timer variable
-  s.run();
-  EXPECT_EQ(fire_times, (std::vector<std::int64_t>{25}));
-}
-
-TEST(TimerTest, DisarmIsInfinity) {
-  Scheduler s;
-  int fired = 0;
-  Timer t(s, [&] { ++fired; });
-  t.arm_after(Duration::micros(3));
-  t.disarm();
-  s.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(TimerTest, ArmNeverIsDisarm) {
-  Scheduler s;
-  int fired = 0;
-  Timer t(s, [&] { ++fired; });
-  t.arm_after(Duration::micros(3));
-  t.arm(TimePoint::never());
-  EXPECT_FALSE(t.armed());
-  s.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(TimerTest, DestructionCancels) {
-  Scheduler s;
-  int fired = 0;
-  {
-    Timer t(s, [&] { ++fired; });
-    t.arm_after(Duration::micros(3));
-  }
-  s.run();
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(TimerTest, CanRearmInsideCallback) {
-  Scheduler s;
-  int fired = 0;
-  Timer t(s, [&] {
-    if (++fired < 3) t.arm_after(Duration::micros(5));
-  });
-  t.arm_after(Duration::micros(5));
-  s.run();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(s.now(), TimePoint{15});
 }
 
 }  // namespace

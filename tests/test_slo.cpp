@@ -409,7 +409,7 @@ TEST(SloSidecar, RenderingsCarryTheReport) {
       << "exemplars must name their op";
 
   std::ostringstream prom;
-  obs::slo_to_prometheus(prom, rep, "vinestalk");
+  obs::slo_to_prometheus(prom, rep);
   EXPECT_NE(prom.str().find("vinestalk_slo_requests_total{class=\"find\"} 1"),
             std::string::npos)
       << prom.str();
@@ -566,8 +566,8 @@ TEST(SloTelemetry, ServeSeriesCarryRpcCounters) {
   EXPECT_EQ(h.index_of("ingest_queue_depth_peak"), *first - 1);
   EXPECT_EQ(h.index_of("ingest_retry_after_us"), *first + 1);
   EXPECT_EQ(h.index_of("ingest_rpc_find_attempts"), *first + 5);
-  EXPECT_EQ(h.series[*first + 1].kind, obs::SeriesKind::kGauge);
-  EXPECT_EQ(h.series[*first + 5].kind, obs::SeriesKind::kCounter);
+  EXPECT_EQ(h.series[*first + 1].kind, tracking::SeriesKind::kGauge);
+  EXPECT_EQ(h.series[*first + 5].kind, tracking::SeriesKind::kCounter);
 }
 
 // --------------------------------------------- the daemon, quarantined SLO

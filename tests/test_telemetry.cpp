@@ -6,22 +6,26 @@
 // exactly; vinestalk_top --once renders a golden frame from series it
 // finds by name; the vinestalk_trace summary prints rates for counters
 // only; the Prometheus snapshot is well-formed exposition text typed by
-// series kind; and MetricsRegistry rejects registering one name as two
-// metric types.
+// series kind, one family per value, replaced whole; and every series of
+// the metrics table reaches every surface under an identifier name.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/monitor/replay.hpp"
 #include "obs/monitor/watchdog.hpp"
 #include "obs/telemetry/prometheus.hpp"
@@ -30,6 +34,7 @@
 #include "obs/trace.hpp"
 #include "runner/trial_pool.hpp"
 #include "tracking/config.hpp"
+#include "tracking/series.hpp"
 #include "util.hpp"
 
 #if !defined(VS_TOP_PATH) || !defined(VS_TRACE_TOOL_PATH)
@@ -140,8 +145,8 @@ TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
   const std::string path = testing::TempDir() + "telem_tail.vst";
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
-  h.series = {{"events_fired", obs::SeriesKind::kCounter},
-              {"find_latency_p50_us", obs::SeriesKind::kGauge}};
+  h.series = {{"events_fired", tracking::SeriesKind::kCounter},
+              {"find_latency_p50_us", tracking::SeriesKind::kGauge}};
   obs::TelemetryWriter writer(path, h);
   obs::TelemetrySample s;
   s.values.assign(h.series.size(), 0);
@@ -170,7 +175,7 @@ TEST(Telemetry, TailReadToleratesUnfinishedStreamStrictDoesNot) {
   // The header round-trips: names and kinds in values order.
   ASSERT_EQ(full.header.series.size(), 2u);
   EXPECT_EQ(full.header.series[1].name, "find_latency_p50_us");
-  EXPECT_EQ(full.header.series[1].kind, obs::SeriesKind::kGauge);
+  EXPECT_EQ(full.header.series[1].kind, tracking::SeriesKind::kGauge);
   EXPECT_EQ(full.header.index_of("events_fired"), 0u);
   EXPECT_FALSE(full.header.index_of("events").has_value());
 }
@@ -273,23 +278,23 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
   const std::string path = testing::TempDir() + "telem_top.vst";
   const struct {
     const char* name;
-    obs::SeriesKind kind;
+    tracking::SeriesKind kind;
     std::int64_t value;
   } shown[] = {
-      {"not_a_dashboard_series", obs::SeriesKind::kCounter, 123},
-      {"find_latency_p90_us", obs::SeriesKind::kGauge, 2500},
-      {"audit_move_time_ratio_milli", obs::SeriesKind::kGauge, 1600},
-      {"heartbeats", obs::SeriesKind::kCounter, 8},
-      {"finds_completed", obs::SeriesKind::kCounter, 2},
-      {"audit_find_work_ratio_milli", obs::SeriesKind::kGauge, 300},
-      {"events_fired", obs::SeriesKind::kCounter, 500},
-      {"find_latency_p99_us", obs::SeriesKind::kGauge, 4000},
-      {"work_total", obs::SeriesKind::kCounter, 900},
-      {"audit_move_work_ratio_milli", obs::SeriesKind::kGauge, 700},
-      {"finds_issued", obs::SeriesKind::kCounter, 3},
-      {"msgs_total", obs::SeriesKind::kCounter, 400},
-      {"audit_find_time_ratio_milli", obs::SeriesKind::kGauge, 450},
-      {"find_latency_p50_us", obs::SeriesKind::kGauge, 1500},
+      {"not_a_dashboard_series", tracking::SeriesKind::kCounter, 123},
+      {"find_latency_p90_us", tracking::SeriesKind::kGauge, 2500},
+      {"audit_move_time_ratio_milli", tracking::SeriesKind::kGauge, 1600},
+      {"heartbeats", tracking::SeriesKind::kCounter, 8},
+      {"finds_completed", tracking::SeriesKind::kCounter, 2},
+      {"audit_find_work_ratio_milli", tracking::SeriesKind::kGauge, 300},
+      {"events_fired", tracking::SeriesKind::kCounter, 500},
+      {"find_latency_p99_us", tracking::SeriesKind::kGauge, 4000},
+      {"work_total", tracking::SeriesKind::kCounter, 900},
+      {"audit_move_work_ratio_milli", tracking::SeriesKind::kGauge, 700},
+      {"finds_issued", tracking::SeriesKind::kCounter, 3},
+      {"msgs_total", tracking::SeriesKind::kCounter, 400},
+      {"audit_find_time_ratio_milli", tracking::SeriesKind::kGauge, 450},
+      {"find_latency_p50_us", tracking::SeriesKind::kGauge, 1500},
   };
   obs::TelemetryHeader h;
   h.cadence_us = 1000;
@@ -370,7 +375,7 @@ TEST(Telemetry, ExtremeValuesRoundTripAndViewersStayDefined) {
         "ingest_suppressed", "ingest_dropped", "ingest_shed_tier1_entries",
         "ingest_shed_tier2_entries", "ingest_shed_tier3_entries",
         "ingest_queue_depth_peak"}) {
-    h.series.push_back({name, obs::SeriesKind::kCounter});
+    h.series.push_back({name, tracking::SeriesKind::kCounter});
   }
   const std::string path = testing::TempDir() + "telem_extreme.vst";
   {
@@ -404,7 +409,7 @@ TEST(Telemetry, ExtremeValuesRoundTripAndViewersStayDefined) {
   fast.cadence_us = 1;
   for (const char* name : {"events_fired", "msgs_total", "work_total",
                            "finds_completed", "heartbeats"}) {
-    fast.series.push_back({name, obs::SeriesKind::kCounter});
+    fast.series.push_back({name, tracking::SeriesKind::kCounter});
   }
   const std::string fast_path = testing::TempDir() + "telem_fast.vst";
   {
@@ -491,21 +496,99 @@ TEST(Telemetry, PrometheusSnapshotIsWellFormedExposition) {
   EXPECT_NE(
       text.find("# TYPE vinestalk_telemetry_find_latency_p99_us gauge\n"),
       std::string::npos);
+  // Each value is written once: one TYPE line per family.
+  std::map<std::string, int> types;
+  for (std::size_t at = text.find("# TYPE "); at != std::string::npos;
+       at = text.find("# TYPE ", at + 1)) {
+    const std::size_t name = at + 7;
+    ++types[text.substr(name, text.find(' ', name) - name)];
+  }
+  for (const auto& [family, n] : types) EXPECT_EQ(n, 1) << family;
+  // The snapshot is replaced through a temporary beside it, which the
+  // rename consumes.
+  std::ifstream tmp(path + ".tmp");
+  EXPECT_FALSE(tmp.good()) << "left behind: " << path << ".tmp";
 }
 
-TEST(Metrics, CrossTypeRegistrationFailsFast) {
-  obs::MetricsRegistry m;
-  m.add("x.count");
-  m.add("x.count", 3);  // same type: fine
-  EXPECT_THROW(m.set_gauge("x.count", 1), vs::Error);
-  static constexpr std::int64_t kBounds[] = {10, 100};
-  EXPECT_THROW((void)m.histogram("x.count", kBounds), vs::Error);
-  m.set_gauge("x.gauge", 7);
-  m.set_gauge("x.gauge", 9);  // same type: fine
-  EXPECT_THROW(m.add("x.gauge"), vs::Error);
-  (void)m.histogram("x.hist", kBounds);
-  EXPECT_THROW(m.add("x.hist"), vs::Error);
-  EXPECT_THROW(m.set_gauge("x.hist", 1), vs::Error);
+TEST(Metrics, EveryTableNameIsAnIdentifier) {
+  // Prometheus family names and JSON keys take table names verbatim.
+  const auto ident = [](std::string_view name) {
+    return !name.empty() &&
+           std::all_of(name.begin(), name.end(), [](char c) {
+             return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                    c == '_';
+           });
+  };
+  const std::vector<tracking::SeriesDef> defs = tracking::series_defs(4);
+  ASSERT_FALSE(defs.empty());
+  for (const tracking::SeriesDef& d : defs) {
+    EXPECT_TRUE(ident(d.name)) << d.name;
+  }
+  EXPECT_TRUE(ident(tracking::kFindLatencySeries));
+}
+
+TEST(Metrics, EverySurfaceCarriesEveryTableSeries) {
+  const std::string stream = testing::TempDir() + "table_walk.vstelem";
+  const std::string prom = testing::TempDir() + "table_walk_prom.txt";
+  GridNet g = make_grid(27, 3);
+  obs::TelemetryConfig cfg;
+  cfg.cadence = sim::Duration::millis(2);
+  cfg.stream_path = stream;
+  cfg.prometheus_path = prom;
+  obs::TelemetrySampler sampler(*g.net, cfg);
+  sampler.enable();
+  const TargetId t = g.net->add_evader(g.at(13, 13));
+  g.net->run_to_quiescence();
+  g.net->start_find(g.at(26, 0), t);
+  g.net->run_to_quiescence();
+  obs::WatchdogConfig wcfg;
+  wcfg.source = "test";
+  obs::Watchdog wd(*g.net, t, wcfg);
+  // A seeded corruption (one grow front) makes the watchdog capture a
+  // bundle with the world's metrics.
+  const ClusterId c0 = g.hierarchy->cluster_of(g.at(2, 2), 0);
+  tracking::TrackerSnapshot forced;
+  forced.clust = c0;
+  forced.c = c0;
+  g.net->tracker(c0).corrupt_state(t, forced);
+  wd.check_now();
+  ASSERT_FALSE(wd.incidents().empty());
+  const std::string& bundle_json = wd.incidents().front().metrics_json;
+  vsbench::BenchObs bench("table_walk", 1);
+  bench.record(0, *g.net);
+  std::ostringstream bench_json;
+  bench.write(bench_json);
+  sampler.finish();
+
+  const obs::TelemetryFile file = obs::read_telemetry_file(stream);
+  std::ostringstream csv;
+  obs::telemetry_to_csv(csv, file);
+  const std::string csv_header = csv.str().substr(0, csv.str().find('\n'));
+  const std::string prom_text = slurp(prom);
+
+  const auto defs = tracking::series_defs(g.hierarchy->max_level());
+  ASSERT_EQ(file.header.series.size(), defs.size());
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    const std::string& name = defs[i].name;
+    EXPECT_EQ(file.header.series[i].name, name);
+    EXPECT_NE(("," + csv_header + ",").find("," + name + ","),
+              std::string::npos)
+        << name;
+    EXPECT_NE(prom_text.find("\nvinestalk_telemetry_" + name + " "),
+              std::string::npos)
+        << name;
+    EXPECT_NE(bundle_json.find("\"" + name + "\": "), std::string::npos)
+        << name;
+    EXPECT_NE(bench_json.str().find("\"" + name + "\": "), std::string::npos)
+        << name;
+  }
+  const std::string hist(tracking::kFindLatencySeries);
+  EXPECT_NE(prom_text.find("\nvinestalk_" + hist + "_count "),
+            std::string::npos);
+  EXPECT_NE(bundle_json.find("\"" + hist + "\": {\"count\": 1,"),
+            std::string::npos);
+  EXPECT_NE(bench_json.str().find("\"" + hist + "\": {\"count\": 1,"),
+            std::string::npos);
 }
 
 }  // namespace

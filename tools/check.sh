@@ -292,7 +292,9 @@ EOF
   grep -Eq "ledger_repair_msgs: [1-9]" "$dir/chaos.summary" || {
     echo "FAIL: chaos telemetry shows no repair traffic" >&2
     cat "$dir/chaos.summary" >&2; exit 1; }
-  # The Prometheus snapshot must parse as text exposition format.
+  # The Prometheus snapshot must parse as text exposition format, write
+  # each value once (one TYPE line per family, no sample twice) and carry
+  # the C-gcast drop and loss rows of the metrics table.
   VS_TELEMETRY="$dir/prom.vstelem" VS_PROMETHEUS="$dir/prom.txt" \
     "$root/build-check/examples/example_quickstart" > /dev/null
   python3 - "$dir/prom.txt" <<'EOF'
@@ -301,13 +303,26 @@ lines = open(sys.argv[1]).read().splitlines()
 assert lines, "empty Prometheus snapshot"
 metric = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]+(\.[0-9]+)?$')
 names = set()
+samples = set()
+families = set()
 for ln in lines:
+    if ln.startswith("# TYPE "):
+        family = ln.split()[2]
+        assert family not in families, f"second TYPE line for {family}"
+        families.add(family)
+        continue
     if not ln or ln.startswith("#"):
         continue
     assert metric.match(ln), f"bad exposition line: {ln!r}"
+    sample = ln.rsplit(" ", 1)[0]
+    assert sample not in samples, f"sample written twice: {sample}"
+    samples.add(sample)
     names.add(ln.split("{")[0].split(" ")[0])
 assert any(n.startswith("vinestalk_telemetry_") for n in names), names
 assert any(n.endswith("_bucket") for n in names), "no histogram series"
+for n in ("vinestalk_telemetry_cgcast_dropped",
+          "vinestalk_telemetry_cgcast_lost"):
+    assert n in names, f"missing {n}"
 EOF
   rm -rf "$dir"
   echo "Telemetry stage clean (stream readable, hb/repair visible," \

@@ -320,7 +320,8 @@ int cmd_telemetry(const std::string& path, bool csv) {
     const std::int64_t delta = vs::codec::wrapping_sub(v, first.values[i]);
     // Rates only make sense for counters, not for gauges (percentiles,
     // ratios, high-water marks, settings).
-    const bool counter = h.series[i].kind == vs::obs::SeriesKind::kCounter;
+    const bool counter =
+        h.series[i].kind == vs::tracking::SeriesKind::kCounter;
     if (counter && span_s > 0 && delta > 0) {
       std::cout << " ("
                 << vs::obs::format_rate(static_cast<double>(delta) / span_s)
