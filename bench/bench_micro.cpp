@@ -7,6 +7,9 @@
 // library's own flags (--benchmark_filter, --benchmark_min_time,
 // --benchmark_format=json, ...) and leaves no file behind.
 //
+// BM_HierarchyConstruction and BM_NetworkConstruction time building the
+// daemon's world, layer by layer, on 27², 81² and 243² grids.
+//
 // Each observability surface is timed in its runtime states on one shared
 // walk (Walk81 below): BM_MoveAndQuiesce{Watched,Telemetered,Profiled,
 // Ledgered}/0 times the walk bare, /1 and /2 with the surface attached
@@ -15,6 +18,7 @@
 // serving path end to end is timed by perfbench/, not here.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <array>
@@ -299,6 +303,36 @@ void BM_HierarchyConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HierarchyConstruction)->Arg(27)->Arg(81)->Arg(243);
+
+// The network vinestalk_served builds on a prebuilt hierarchy: trackers,
+// replica and hosted tables, VSA directory and one client per region.
+// bytes_per_region is the heap the network holds once built (mallinfo2,
+// heap plus mmapped blocks, around one construction outside the timing).
+void BM_NetworkConstruction(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const hier::GridHierarchy h(side, side, 3);
+  tracking::NetworkConfig cfg;
+  cfg.model_vsa_failures = true;
+  cfg.t_restart = sim::Duration::millis(5);
+  const auto in_use = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const std::size_t before = in_use();
+  std::size_t bytes = 0;
+  {
+    const tracking::TrackingNetwork net(h, cfg);
+    bytes = in_use() - before;
+  }
+  for (auto _ : state) {
+    tracking::TrackingNetwork net(h, cfg);
+    benchmark::DoNotOptimize(&net);
+  }
+  state.counters["bytes_per_region"] =
+      static_cast<double>(bytes) /
+      static_cast<double>(h.tiling().num_regions());
+}
+BENCHMARK(BM_NetworkConstruction)->Arg(27)->Arg(81)->Arg(243);
 
 void BM_MoveAndQuiesce(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

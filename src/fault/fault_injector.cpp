@@ -93,9 +93,8 @@ void FaultInjector::crash_region(RegionId r) {
 void FaultInjector::depopulate(std::size_t di) {
   ++faults_injected_;
   const RegionId r{plan_.depopulations[di].region};
-  // Copy: kill_client edits the per-region index we are iterating.
-  const std::vector<ClientId> present = net_->clients().clients_in(r);
-  for (const ClientId id : present) {
+  // kill_client leaves the region's client list as it is.
+  for (const ClientId id : net_->clients().clients_in(r)) {
     if (!net_->clients().client(id).alive) continue;
     killed_[di].push_back(id);
     net_->clients().kill_client(id);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -10,25 +11,26 @@ namespace vs::geo {
 GridTiling::GridTiling(int width, int height) : width_(width), height_(height) {
   VS_REQUIRE(width >= 1 && height >= 1, "grid dimensions must be positive");
   VS_REQUIRE(num_regions() >= 2, "tiling needs at least two regions");
+  VS_REQUIRE(num_regions() <= std::numeric_limits<std::uint32_t>::max() / 8,
+             "grid of " << num_regions() << " regions is too large");
   nbr_offset_.resize(num_regions() + 1, 0);
   nbr_flat_.reserve(num_regions() * 8);
-  std::size_t off = 0;
+  // Row-major ids: the neighbour (x + dx, y + dy) of u is u + dy·W + dx.
   for (int y = 0; y < height_; ++y) {
     for (int x = 0; x < width_; ++x) {
-      nbr_offset_[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
-                  static_cast<std::size_t>(x)] = off;
+      const int u = y * width_ + x;
+      nbr_offset_[static_cast<std::size_t>(u)] =
+          static_cast<std::uint32_t>(nbr_flat_.size());
       for (int dy = -1; dy <= 1; ++dy) {
+        if (y + dy < 0 || y + dy >= height_) continue;
         for (int dx = -1; dx <= 1; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const Coord c{x + dx, y + dy};
-          if (!in_bounds(c)) continue;
-          nbr_flat_.push_back(region_at(c));
-          ++off;
+          if ((dx == 0 && dy == 0) || x + dx < 0 || x + dx >= width_) continue;
+          nbr_flat_.emplace_back(u + dy * width_ + dx);
         }
       }
     }
   }
-  nbr_offset_[num_regions()] = off;
+  nbr_offset_[num_regions()] = static_cast<std::uint32_t>(nbr_flat_.size());
 }
 
 std::span<const RegionId> GridTiling::neighbors(RegionId u) const {

@@ -7,6 +7,7 @@
 // neighbors"), so the neighbour graph is the 8-adjacency king graph and hop
 // distance is the Chebyshev distance max(|Δx|, |Δy|).
 
+#include <cstdint>
 #include <vector>
 
 #include "geo/tiling.hpp"
@@ -50,7 +51,7 @@ class GridTiling final : public Tiling {
   int width_;
   int height_;
   // CSR neighbour lists, precomputed once (≤ 8 per region).
-  std::vector<std::size_t> nbr_offset_;
+  std::vector<std::uint32_t> nbr_offset_;
   std::vector<RegionId> nbr_flat_;
 };
 

@@ -1,7 +1,7 @@
 #include "hier/grid_hierarchy.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -38,20 +38,24 @@ GridHierarchy::GridHierarchy(int width, int height, int base, HeadPolicy policy,
   const Level max_level = levels_needed(side, base);
 
   // Per-level block assignment: region (x, y) belongs to block
-  // (x / base^l, y / base^l).
+  // (x / base^l, y / base^l), filled row by row with one division per
+  // column and per row.
   std::vector<LevelAssignment> levels(static_cast<std::size_t>(max_level) + 1);
+  std::vector<std::int32_t> block_x(static_cast<std::size_t>(width));
   for (Level l = 0; l <= max_level; ++l) {
     const std::int64_t block = ipow(base, l);
-    const int blocks_x =
-        static_cast<int>((width + block - 1) / block);  // ceil division
+    const auto blocks_x =
+        static_cast<std::int32_t>((width + block - 1) / block);  // ceil
+    for (int x = 0; x < width; ++x) {
+      block_x[static_cast<std::size_t>(x)] =
+          static_cast<std::int32_t>(x / block);
+    }
     auto& assign = levels[static_cast<std::size_t>(l)].cluster_index_of_region;
     assign.resize(grid_.num_regions());
-    for (std::size_t u = 0; u < grid_.num_regions(); ++u) {
-      const geo::Coord c =
-          grid_.coord(RegionId{static_cast<RegionId::rep_type>(u)});
-      const auto bx = static_cast<int>(c.x / block);
-      const auto by = static_cast<int>(c.y / block);
-      assign[u] = by * blocks_x + bx;
+    auto out = assign.begin();
+    for (int y = 0; y < height; ++y) {
+      const auto row = static_cast<std::int32_t>(y / block) * blocks_x;
+      for (const std::int32_t bx : block_x) *out++ = row + bx;
     }
   }
 
@@ -68,32 +72,19 @@ GridHierarchy::GridHierarchy(int width, int height, int base, HeadPolicy policy,
       case HeadPolicy::kCenter:
         break;
     }
-    // Member nearest the centroid of the block's bounding box.
-    int min_x = width, max_x = -1, min_y = height, max_y = -1;
-    for (const RegionId u : mem) {
-      const geo::Coord c = grid_.coord(u);
-      min_x = std::min(min_x, c.x);
-      max_x = std::max(max_x, c.x);
-      min_y = std::min(min_y, c.y);
-      max_y = std::max(max_y, c.y);
-    }
-    const double cx = (min_x + max_x) / 2.0;
-    const double cy = (min_y + max_y) / 2.0;
-    RegionId best = mem.front();
-    double best_d = 1e30;
-    for (const RegionId u : mem) {
-      const geo::Coord c = grid_.coord(u);
-      const double d =
-          std::max(std::abs(c.x - cx), std::abs(c.y - cy));
-      if (d < best_d) {
-        best_d = d;
-        best = u;
-      }
-    }
-    return best;
+    // The first member, in ascending region id, at the least Chebyshev
+    // distance from the centre of the block's bounding box. The block is
+    // a rectangle from its first member to its last; per axis the nearest
+    // coordinates are the middle one, or the two middle ones of an even
+    // side, so the first nearest member is the lower middle of each side.
+    const int x0 = mem.front().value() % width;
+    const int y0 = mem.front().value() / width;
+    const int x1 = mem.back().value() % width;
+    const int y1 = mem.back().value() / width;
+    return grid_.region_at((x0 + x1) / 2, (y0 + y1) / 2);
   };
 
-  build(grid_, levels, pick_head);
+  build(grid_, std::move(levels), pick_head);
 
   // Paper's analytic geometry functions for the base-r grid.
   std::vector<std::int64_t> n, p, q, omega;

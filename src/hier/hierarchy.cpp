@@ -1,15 +1,16 @@
 #include "hier/hierarchy.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <numeric>
-#include <set>
 
 #include "common/error.hpp"
 
 namespace vs::hier {
 
 void ClusterHierarchy::build(const geo::Tiling& t,
-                             const std::vector<LevelAssignment>& levels,
+                             std::vector<LevelAssignment> levels,
                              const HeadSelector& pick_head) {
   tiling_ = &t;
   num_regions_ = t.num_regions();
@@ -45,19 +46,26 @@ void ClusterHierarchy::build(const geo::Tiling& t,
     level_base[l + 1] = level_base[l] + clusters_at_level[l];
   }
   const std::size_t total = level_base.back();
+  constexpr std::size_t kMaxOffset = std::numeric_limits<std::uint32_t>::max();
+  VS_REQUIRE(levels.size() * num_regions <= kMaxOffset,
+             "" << levels.size() << " levels of " << num_regions
+                << " regions overflow the 32-bit member table");
 
   // cluster_of_ table and level_of_ per cluster. Requirements 1 and 4 hold
   // by construction (each cluster id belongs to one level; assignment is a
-  // function, so same-level clusters partition the regions).
+  // function, so same-level clusters partition the regions). Each level's
+  // assignment is released once copied, so the tables built next can reuse
+  // its memory.
   cluster_of_.assign(levels.size() * num_regions, ClusterId::invalid());
   level_of_.assign(total, 0);
   for (std::size_t l = 0; l < levels.size(); ++l) {
-    const auto& assign = levels[l].cluster_index_of_region;
+    auto& assign = levels[l].cluster_index_of_region;
     for (std::size_t u = 0; u < num_regions; ++u) {
       const auto global = static_cast<ClusterId::rep_type>(
           level_base[l] + static_cast<std::size_t>(assign[u]));
       cluster_of_[l * num_regions + u] = ClusterId{global};
     }
+    std::vector<std::int32_t>().swap(assign);
     for (std::size_t c = 0; c < clusters_at_level[l]; ++c) {
       level_of_[level_base[l] + c] = static_cast<Level>(l);
     }
@@ -65,17 +73,13 @@ void ClusterHierarchy::build(const geo::Tiling& t,
 
   // Members (CSR), ascending region order per cluster.
   {
-    std::vector<std::size_t> counts(total, 0);
-    for (std::size_t l = 0; l < levels.size(); ++l) {
-      for (std::size_t u = 0; u < num_regions; ++u) {
-        ++counts[idx(cluster_of_[l * num_regions + u])];
-      }
-    }
+    std::vector<std::uint32_t> counts(total, 0);
+    for (const ClusterId c : cluster_of_) ++counts[idx(c)];
     member_offset_.assign(total + 1, 0);
     std::partial_sum(counts.begin(), counts.end(), member_offset_.begin() + 1);
     member_flat_.resize(member_offset_.back());
-    std::vector<std::size_t> cursor(member_offset_.begin(),
-                                    member_offset_.end() - 1);
+    std::vector<std::uint32_t> cursor(member_offset_.begin(),
+                                      member_offset_.end() - 1);
     for (std::size_t l = 0; l < levels.size(); ++l) {
       for (std::size_t u = 0; u < num_regions; ++u) {
         const ClusterId c = cluster_of_[l * num_regions + u];
@@ -86,37 +90,6 @@ void ClusterHierarchy::build(const geo::Tiling& t,
     for (std::size_t c = 0; c < total; ++c) {
       VS_REQUIRE(member_offset_[c + 1] > member_offset_[c],
                  "empty cluster " << c << " — `cluster` must be onto");
-    }
-  }
-
-  // Requirement: every cluster's member set is connected in the region
-  // graph (a cluster is "a connected set of regions"). Flat scratch keyed
-  // by region id keeps this linear per level.
-  {
-    std::vector<std::uint8_t> mark(num_regions, 0);  // 1 = member, 2 = seen
-    std::vector<RegionId> stack;
-    for (std::size_t c = 0; c < total; ++c) {
-      const std::span<const RegionId> mem{
-          member_flat_.data() + member_offset_[c],
-          member_offset_[c + 1] - member_offset_[c]};
-      for (const RegionId u : mem) mark[idx(u)] = 1;
-      std::size_t seen = 1;
-      mark[idx(mem.front())] = 2;
-      stack.assign(1, mem.front());
-      while (!stack.empty()) {
-        const RegionId u = stack.back();
-        stack.pop_back();
-        for (const RegionId v : t.neighbors(u)) {
-          if (mark[idx(v)] == 1) {
-            mark[idx(v)] = 2;
-            ++seen;
-            stack.push_back(v);
-          }
-        }
-      }
-      VS_REQUIRE(seen == mem.size(),
-                 "cluster " << c << " is not a connected set of regions");
-      for (const RegionId u : mem) mark[idx(u)] = 0;
     }
   }
 
@@ -137,15 +110,15 @@ void ClusterHierarchy::build(const geo::Tiling& t,
     }
   }
   {
-    std::vector<std::size_t> counts(total, 0);
+    std::vector<std::uint32_t> counts(total, 0);
     for (std::size_t c = 0; c < total; ++c) {
       if (parent_[c].valid()) ++counts[idx(parent_[c])];
     }
     child_offset_.assign(total + 1, 0);
     std::partial_sum(counts.begin(), counts.end(), child_offset_.begin() + 1);
     child_flat_.resize(child_offset_.back());
-    std::vector<std::size_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
+    std::vector<std::uint32_t> cursor(child_offset_.begin(),
+                                      child_offset_.end() - 1);
     for (std::size_t c = 0; c < total; ++c) {
       if (parent_[c].valid()) {
         child_flat_[cursor[idx(parent_[c])]++] =
@@ -154,32 +127,95 @@ void ClusterHierarchy::build(const geo::Tiling& t,
     }
   }
 
-  // Neighbour clusters: derived from the region neighbour relation.
-  // Gather-then-dedupe keeps this linear-ish for large worlds.
+  // Neighbours and connectivity, level by level. Level 0 is the region
+  // relation itself. Above it, two clusters share a region boundary exactly
+  // when a child of one shares one with a child of the other, so a
+  // cluster's neighbours are the parents of its children's neighbours,
+  // other than itself. And a cluster's regions are connected (it is "a
+  // connected set of regions") exactly when its children, each connected,
+  // are connected through their neighbours: by induction from the
+  // singleton level 0, no level walks the regions again. One walk over the
+  // children's neighbour lists does both. The levels above 0 go first, into
+  // a scratch table, reading level 0 from the tiling; then the table is
+  // allocated once at its size and filled, level 0 first.
   {
-    std::vector<std::vector<ClusterId>> nbr_lists(total);
-    for (std::size_t u = 0; u < num_regions; ++u) {
-      const RegionId ru{static_cast<RegionId::rep_type>(u)};
-      for (const RegionId rv : t.neighbors(ru)) {
-        for (std::size_t l = 0; l < levels.size(); ++l) {
-          const ClusterId cu = cluster_of_[l * num_regions + u];
-          const ClusterId cv = cluster_of_[l * num_regions + idx(rv)];
-          if (cu != cv) nbr_lists[idx(cu)].push_back(cv);
+    nbr_offset_.assign(total + 1, 0);
+    // Until the table is filled, offsets above level 0 index `upper`.
+    std::vector<ClusterId> upper;
+    const auto for_each_nbr = [&](ClusterId a, const auto& visit) {
+      if (idx(a) < level_base[1]) {
+        const RegionId u = member_flat_[member_offset_[idx(a)]];
+        for (const RegionId v : t.neighbors(u)) visit(cluster_of_[idx(v)]);
+      } else {
+        for (std::uint32_t i = nbr_offset_[idx(a)];
+             i < nbr_offset_[idx(a) + 1]; ++i) {
+          visit(upper[i]);
         }
       }
+    };
+    // listed_by[d] == c: d is already among c's neighbours.
+    std::vector<ClusterId> listed_by(total, ClusterId::invalid());
+    std::vector<std::uint8_t> reached(total, 0);
+    std::vector<ClusterId> stack;
+    for (std::size_t c = level_base[1]; c < total; ++c) {
+      const ClusterId self{static_cast<ClusterId::rep_type>(c)};
+      const std::size_t first = upper.size();
+      const ClusterId first_child = child_flat_[child_offset_[c]];
+      std::size_t seen = 1;
+      reached[idx(first_child)] = 1;
+      stack.assign(1, first_child);
+      while (!stack.empty()) {
+        const ClusterId a = stack.back();
+        stack.pop_back();
+        for_each_nbr(a, [&](ClusterId b) {
+          const ClusterId up = parent_[idx(b)];
+          if (up != self) {
+            if (listed_by[idx(up)] != self) {
+              listed_by[idx(up)] = self;
+              upper.push_back(up);
+            }
+          } else if (reached[idx(b)] == 0) {
+            reached[idx(b)] = 1;
+            ++seen;
+            stack.push_back(b);
+          }
+        });
+      }
+      VS_REQUIRE(seen == child_offset_[c + 1] - child_offset_[c],
+                 "cluster " << c << " is not a connected set of regions");
+      std::sort(upper.begin() + static_cast<std::ptrdiff_t>(first),
+                upper.end());
+      // Checked below, before any offset is read.
+      nbr_offset_[c + 1] = static_cast<std::uint32_t>(upper.size());
     }
-    nbr_offset_.assign(total + 1, 0);
-    for (std::size_t c = 0; c < total; ++c) {
-      auto& list = nbr_lists[c];
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-      nbr_offset_[c + 1] = nbr_offset_[c] + list.size();
+
+    std::size_t region_pairs = 0;
+    for (std::size_t u = 0; u < num_regions; ++u) {
+      region_pairs +=
+          t.neighbors(RegionId{static_cast<RegionId::rep_type>(u)}).size();
     }
-    nbr_flat_.resize(nbr_offset_.back());
-    for (std::size_t c = 0; c < total; ++c) {
-      std::copy(nbr_lists[c].begin(), nbr_lists[c].end(),
-                nbr_flat_.begin() + static_cast<std::ptrdiff_t>(nbr_offset_[c]));
+    VS_REQUIRE(region_pairs + upper.size() <= kMaxOffset,
+               "neighbour lists overflow the 32-bit neighbour table");
+    nbr_flat_.reserve(region_pairs + upper.size());
+    for (std::size_t c = 0; c < level_base[1]; ++c) {
+      const auto first = static_cast<std::ptrdiff_t>(nbr_flat_.size());
+      for_each_nbr(ClusterId{static_cast<ClusterId::rep_type>(c)},
+                   [&](ClusterId b) { nbr_flat_.push_back(b); });
+      // Each list ends sorted and without repeats; a grid's region lists
+      // arrive that way, so for them this is only a check.
+      if (std::adjacent_find(nbr_flat_.begin() + first, nbr_flat_.end(),
+                             std::greater_equal<>()) != nbr_flat_.end()) {
+        std::sort(nbr_flat_.begin() + first, nbr_flat_.end());
+        nbr_flat_.erase(std::unique(nbr_flat_.begin() + first, nbr_flat_.end()),
+                        nbr_flat_.end());
+      }
+      nbr_offset_[c + 1] = static_cast<std::uint32_t>(nbr_flat_.size());
     }
+    const auto level0_pairs = static_cast<std::uint32_t>(nbr_flat_.size());
+    for (std::size_t c = level_base[1]; c < total; ++c) {
+      nbr_offset_[c + 1] += level0_pairs;
+    }
+    nbr_flat_.insert(nbr_flat_.end(), upper.begin(), upper.end());
   }
 
   // Heads. Requirement 6: h(c) ∈ members(c).
@@ -188,8 +224,11 @@ void ClusterHierarchy::build(const geo::Tiling& t,
     const std::span<const RegionId> mem{
         member_flat_.data() + member_offset_[c],
         member_offset_[c + 1] - member_offset_[c]};
-    const RegionId h = pick_head(mem, level_of_[c]);
-    VS_REQUIRE(std::find(mem.begin(), mem.end(), h) != mem.end(),
+    const Level l = level_of_[c];
+    const RegionId h = pick_head(mem, l);
+    VS_REQUIRE(h.valid() && idx(h) < num_regions &&
+                   idx(cluster_of_[static_cast<std::size_t>(l) * num_regions +
+                                   idx(h)]) == c,
                "head selector returned a non-member for cluster " << c);
     head_[c] = h;
   }

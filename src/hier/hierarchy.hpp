@@ -8,11 +8,20 @@
 // n, p, q, ω parameterise the tracking algorithm's timers, message delays,
 // and its work/time analysis.
 //
-// This class is a concrete dense store; specific hierarchies (grid, strip)
-// construct it by supplying per-level region→cluster assignments, a head
-// selection rule, and analytic geometry functions. All structural
+// This class is a concrete dense store; specific hierarchies (grid, strip,
+// torus) construct it by supplying per-level region→cluster assignments, a
+// head selection rule, and analytic geometry functions. All structural
 // requirements that are cheap to check are enforced at build time; the
 // expensive geometric axioms are checked by hier::Validator in tests.
+//
+// build() derives each level from the level below. Level 0 is the region
+// relation itself. Above it, a cluster's neighbours are the parents of its
+// children's neighbours, other than itself, and its regions are connected
+// exactly when its children are connected to each other through those
+// neighbours, so one walk over the children's lists gives both, without
+// visiting the regions again. Members, neighbours and children are
+// offset-plus-flat (CSR) tables with 32-bit offsets, allocated once at
+// their size: no heap block per cluster.
 
 #include <cstdint>
 #include <functional>
@@ -109,7 +118,8 @@ class ClusterHierarchy {
  protected:
   ClusterHierarchy() = default;
 
-  /// Chooses a head among `members` of a cluster at `level`.
+  /// Chooses a head among `members` of a cluster at `level`; build() calls
+  /// it once per cluster, in cluster-id order.
   using HeadSelector =
       std::function<RegionId(std::span<const RegionId>, Level)>;
 
@@ -123,7 +133,7 @@ class ClusterHierarchy {
   /// must assign each region its own singleton cluster; the last level must
   /// assign every region to one cluster. Checks requirements 1-6 of §II-B
   /// that are structural; throws vs::Error on violation.
-  void build(const geo::Tiling& t, const std::vector<LevelAssignment>& levels,
+  void build(const geo::Tiling& t, std::vector<LevelAssignment> levels,
              const HeadSelector& pick_head);
 
   /// Declares the geometry functions (one value per level 0..MAX).
@@ -156,11 +166,12 @@ class ClusterHierarchy {
   std::vector<Level> level_of_;
   std::vector<RegionId> head_;
   std::vector<ClusterId> parent_;
-  std::vector<std::size_t> member_offset_;
+  // CSR tables; 32-bit offsets (build() checks that they fit).
+  std::vector<std::uint32_t> member_offset_;
   std::vector<RegionId> member_flat_;
-  std::vector<std::size_t> nbr_offset_;
+  std::vector<std::uint32_t> nbr_offset_;
   std::vector<ClusterId> nbr_flat_;
-  std::vector<std::size_t> child_offset_;
+  std::vector<std::uint32_t> child_offset_;
   std::vector<ClusterId> child_flat_;
 
   // cluster_of_[l * num_regions + u].

@@ -1,5 +1,7 @@
 #include "hier/strip_hierarchy.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace vs::hier {
@@ -31,7 +33,7 @@ StripHierarchy::StripHierarchy(int length, int base)
   const auto pick_head = [](std::span<const RegionId> mem, Level) -> RegionId {
     return mem[mem.size() / 2];  // middle member
   };
-  build(strip_, levels, pick_head);
+  build(strip_, std::move(levels), pick_head);
 
   std::vector<std::int64_t> n, p, q, omega;
   for (Level l = 0; l <= max_level; ++l) {

@@ -1,6 +1,7 @@
 #include "hier/torus_hierarchy.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -48,7 +49,7 @@ TorusHierarchy::TorusHierarchy(int side, int base)
     // offset of the sorted member list is the centre row's centre cell).
     return mem[mem.size() / 2];
   };
-  build(torus_, levels, pick_head);
+  build(torus_, std::move(levels), pick_head);
 
   // The grid's analytic bounds remain valid upper bounds on the torus
   // (wrap only *shortens* distances), and keeping them unclipped preserves

@@ -40,6 +40,7 @@ void ProfBuf::clear() {
   domain_self_ns.fill(0);
   msgs.fill(Cell{});
   ops.clear();
+  classes.fill(Cell{});
   root_ns = 0;
   scopes = 0;
 }
@@ -113,14 +114,30 @@ void Profiler::snapshot_now(std::int64_t t_us) {
   snapshots_.push_back(row);
 }
 
-ProfileReport Profiler::report(std::int64_t total_work,
-                               std::int64_t total_msgs,
-                               const OpLedger* ledger) const {
+ProfileReport Profiler::totals(std::int64_t total_work,
+                               std::int64_t total_msgs) const {
   ProfileReport r;
   r.total_ns = main_.root_ns;
   r.wall_ns = wall_start_ns_ != 0 ? now_ns() - wall_start_ns_ : 0;
   r.scopes = main_.scopes;
   r.domain_self_ns = main_.domain_self_ns;
+  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
+    r.msgs[k].ns = main_.msgs[k].ns;
+    r.msgs[k].count = main_.msgs[k].count;
+  }
+  for (std::size_t c = 0; c < kProfOpClasses; ++c) {
+    r.classes[c].ns = main_.classes[c].ns;
+    r.classes[c].count = main_.classes[c].count;
+  }
+  r.total_work = total_work;
+  r.total_msgs = total_msgs;
+  return r;
+}
+
+ProfileReport Profiler::report(std::int64_t total_work,
+                               std::int64_t total_msgs,
+                               const OpLedger* ledger) const {
+  ProfileReport r = totals(total_work, total_msgs);
   r.paths.reserve(main_.paths.size());
   for (const auto& [path, cell] : main_.paths) {
     r.paths.push_back(ProfilePathStat{path, cell.ns, cell.count});
@@ -129,10 +146,6 @@ ProfileReport Profiler::report(std::int64_t total_work,
             [](const ProfilePathStat& a, const ProfilePathStat& b) {
               return a.path < b.path;
             });
-  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
-    r.msgs[k].ns = main_.msgs[k].ns;
-    r.msgs[k].count = main_.msgs[k].count;
-  }
   r.ops.reserve(main_.ops.size());
   for (const auto& [op, cell] : main_.ops) {
     ProfileOpStat s;
@@ -154,14 +167,10 @@ ProfileReport Profiler::report(std::int64_t total_work,
             });
   for (const ProfileOpStat& s : r.ops) {
     auto& c = r.classes[static_cast<std::size_t>(op_class(s.op))];
-    c.ns += s.ns;
-    c.count += s.count;
     c.work += s.work;
     c.msgs += s.msgs;
   }
   r.snapshots = snapshots_;
-  r.total_work = total_work;
-  r.total_msgs = total_msgs;
   return r;
 }
 

@@ -100,6 +100,7 @@ struct ProfBuf {
   std::array<std::uint64_t, kProfDomains> domain_self_ns{};
   std::array<Cell, kProfMsgKinds> msgs{};  // inclusive deliver ns per kind
   std::unordered_map<OpId, Cell> ops;      // inclusive deliver ns per op
+  std::array<Cell, kProfOpClasses> classes{};  // the same, per op class
   std::uint64_t root_ns = 0;  // sum of elapsed over depth-0 frames
   std::uint64_t scopes = 0;
 
@@ -202,6 +203,9 @@ class Profiler {
     auto& oc = b.ops[op];
     oc.ns += ns;
     ++oc.count;
+    auto& cc = b.classes[static_cast<std::size_t>(op_class(op))];
+    cc.ns += ns;
+    ++cc.count;
   }
 
   /// Scheduler probe (sim/profile_probe.hpp): the scheduler calls this
@@ -219,6 +223,14 @@ class Profiler {
   [[nodiscard]] ProfileReport report(std::int64_t total_work = 0,
                                      std::int64_t total_msgs = 0,
                                      const OpLedger* ledger = nullptr) const;
+
+  /// The report's running totals alone: total, wall and scope counts, the
+  /// per-domain self times and the per-kind and per-class cells, whose
+  /// work/msgs stay 0; paths, ops and snapshots stay empty. Its cost does
+  /// not grow with the run, so a live exporter can take it at every
+  /// crossing.
+  [[nodiscard]] ProfileReport totals(std::int64_t total_work = 0,
+                                     std::int64_t total_msgs = 0) const;
 
   /// Scopes closed so far on the main buffer (0 after a disabled run —
   /// the zero-cost pin, like TraceRecorder::segments_allocated).

@@ -96,11 +96,12 @@ void TelemetrySampler::write_prometheus() {
     histogram_to_prometheus(os, tracking::kFindLatencySeries,
                             net_->find_census().latency_us);
     if (Profiler* p = net_->profiler(); p != nullptr && p->enabled()) {
-      // Live CPU gauges ride along when a profiler is attached. They
-      // are nondeterministic — which is fine here: the Prometheus
-      // snapshot is a live-scrape surface, not one of the
-      // byte-identity-guaranteed artifacts.
-      profile_to_prometheus(os, p->report(net_->counters().total_work(),
+      // Live CPU gauges ride along when a profiler is attached, from its
+      // running totals (the full report grows with the run). They are
+      // nondeterministic — which is fine here: the Prometheus snapshot is
+      // a live-scrape surface, not one of the byte-identity-guaranteed
+      // artifacts.
+      profile_to_prometheus(os, p->totals(net_->counters().total_work(),
                                           net_->counters().total_messages()));
     }
     if (slo_ != nullptr) {

@@ -6,32 +6,51 @@
 
 namespace vs::vsa {
 
+namespace {
+
+std::size_t idx(ClientId id) { return static_cast<std::size_t>(id.value()); }
+
+}  // namespace
+
 ClientPopulation::ClientPopulation(CGcast& cgcast,
                                    const hier::ClusterHierarchy& hierarchy,
                                    VsaDirectory* directory)
     : cgcast_(&cgcast),
       hier_(&hierarchy),
       directory_(directory),
-      by_region_(hierarchy.tiling().num_regions()) {}
+      first_in_region_(hierarchy.tiling().num_regions(), ClientId::invalid()) {}
 
 void ClientPopulation::populate_uniform(int per_region) {
   VS_REQUIRE(per_region >= 1, "need at least one client per region");
-  for (const RegionId u : hier_->tiling().all_regions()) {
-    for (int i = 0; i < per_region; ++i) add_client(u);
+  const std::size_t regions = first_in_region_.size();
+  clients_.reserve(clients_.size() +
+                   regions * static_cast<std::size_t>(per_region));
+  next_in_region_.reserve(clients_.capacity());
+  for (std::size_t u = 0; u < regions; ++u) {
+    for (int i = 0; i < per_region; ++i) {
+      add_client(RegionId{static_cast<RegionId::rep_type>(u)});
+    }
   }
 }
 
-std::vector<ClientId>& ClientPopulation::clients_at(RegionId region) {
-  VS_REQUIRE(region.valid() &&
-                 static_cast<std::size_t>(region.value()) < by_region_.size(),
+ClientId& ClientPopulation::first_link(RegionId region) {
+  VS_REQUIRE(region.valid() && static_cast<std::size_t>(region.value()) <
+                                   first_in_region_.size(),
              "region " << region << " out of range");
-  return by_region_[static_cast<std::size_t>(region.value())];
+  return first_in_region_[static_cast<std::size_t>(region.value())];
+}
+
+ClientId& ClientPopulation::end_link(RegionId region) {
+  ClientId* link = &first_link(region);
+  while (link->valid()) link = &next_in_region_[idx(*link)];
+  return *link;
 }
 
 ClientId ClientPopulation::add_client(RegionId region) {
   const ClientId id{static_cast<ClientId::rep_type>(clients_.size())};
-  clients_.push_back(Client{id, region, true, {}});
-  clients_at(region).push_back(id);
+  end_link(region) = id;
+  clients_.push_back(Client{id, region, true});
+  next_in_region_.push_back(ClientId::invalid());
   notify_presence(region);
   return id;
 }
@@ -39,53 +58,77 @@ ClientId ClientPopulation::add_client(RegionId region) {
 const Client& ClientPopulation::client(ClientId id) const {
   VS_REQUIRE(id.valid() && static_cast<std::size_t>(id.value()) < clients_.size(),
              "client " << id << " out of range");
-  return clients_[static_cast<std::size_t>(id.value())];
+  return clients_[idx(id)];
 }
 
 void ClientPopulation::kill_client(ClientId id) {
-  Client& c = clients_[static_cast<std::size_t>(id.value())];
+  Client& c = clients_[idx(id)];
   if (!c.alive) return;
   c.alive = false;
-  c.believes_here.clear();  // restart is from the initial state (§II-C.1)
+  forget(id);  // restart is from the initial state (§II-C.1)
   notify_presence(c.region);
 }
 
 void ClientPopulation::restart_client(ClientId id) {
-  Client& c = clients_[static_cast<std::size_t>(id.value())];
+  Client& c = clients_[idx(id)];
   if (c.alive) return;
   c.alive = true;
-  c.believes_here.clear();
+  forget(id);
   notify_presence(c.region);
 }
 
 void ClientPopulation::move_client(ClientId id, RegionId to) {
-  Client& c = clients_[static_cast<std::size_t>(id.value())];
+  Client& c = clients_[idx(id)];
   const RegionId from = c.region;
   if (from == to) return;
-  auto& vec = clients_at(from);
-  vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
+  (void)first_link(to);  // range-checks `to` before anything moves
+  ClientId* link = &first_link(from);
+  while (*link != id) link = &next_in_region_[idx(*link)];
+  *link = next_in_region_[idx(id)];
+  next_in_region_[idx(id)] = ClientId::invalid();
+  end_link(to) = id;  // joins the end of its new region's list
   c.region = to;
-  c.believes_here.clear();  // GPSupdate for the new region carries no evader
-  clients_at(to).push_back(id);
+  forget(id);  // GPSupdate for the new region carries no evader
   notify_presence(from);
   notify_presence(to);
 }
 
-const std::vector<ClientId>& ClientPopulation::clients_in(
+ClientPopulation::RegionClients ClientPopulation::clients_in(
     RegionId region) const {
-  VS_REQUIRE(region.valid() &&
-                 static_cast<std::size_t>(region.value()) < by_region_.size(),
+  VS_REQUIRE(region.valid() && static_cast<std::size_t>(region.value()) <
+                                   first_in_region_.size(),
              "region " << region << " out of range");
-  return by_region_[static_cast<std::size_t>(region.value())];
+  return {&next_in_region_,
+          first_in_region_[static_cast<std::size_t>(region.value())]};
 }
 
 std::size_t ClientPopulation::alive_clients_in(RegionId region) const {
   std::size_t count = 0;
-  for (const ClientId id :
-       by_region_[static_cast<std::size_t>(region.value())]) {
-    if (clients_[static_cast<std::size_t>(id.value())].alive) ++count;
+  for (const ClientId id : clients_in(region)) {
+    if (clients_[idx(id)].alive) ++count;
   }
   return count;
+}
+
+bool ClientPopulation::believes(ClientId id, TargetId target) const {
+  return std::binary_search(beliefs_.begin(), beliefs_.end(),
+                            Belief{target, id});
+}
+
+void ClientPopulation::believe(ClientId id, TargetId target) {
+  const Belief b{target, id};
+  const auto it = std::lower_bound(beliefs_.begin(), beliefs_.end(), b);
+  if (it == beliefs_.end() || *it != b) beliefs_.insert(it, b);
+}
+
+void ClientPopulation::disbelieve(ClientId id, TargetId target) {
+  const Belief b{target, id};
+  const auto it = std::lower_bound(beliefs_.begin(), beliefs_.end(), b);
+  if (it != beliefs_.end() && *it == b) beliefs_.erase(it);
+}
+
+void ClientPopulation::forget(ClientId id) {
+  std::erase_if(beliefs_, [id](const Belief& b) { return b.client == id; });
 }
 
 void ClientPopulation::notify_presence(RegionId region) {
@@ -98,11 +141,10 @@ void ClientPopulation::on_evader_move(TargetId target, RegionId from,
                                       RegionId to) {
   if (from.valid()) {
     bool any_alive = false;
-    for (const ClientId id : clients_at(from)) {
-      Client& c = clients_[static_cast<std::size_t>(id.value())];
-      if (!c.alive) continue;
+    for (const ClientId id : clients_in(from)) {
+      if (!clients_[idx(id)].alive) continue;
       any_alive = true;
-      c.believes_here.erase(target);
+      disbelieve(id, target);
       // `left` input → shrink to the level-0 cluster (§IV-A).
       Message m;
       m.type = MsgType::kShrink;
@@ -117,11 +159,10 @@ void ClientPopulation::on_evader_move(TargetId target, RegionId from,
   }
   if (to.valid()) {
     bool any_alive = false;
-    for (const ClientId id : clients_at(to)) {
-      Client& c = clients_[static_cast<std::size_t>(id.value())];
-      if (!c.alive) continue;
+    for (const ClientId id : clients_in(to)) {
+      if (!clients_[idx(id)].alive) continue;
       any_alive = true;
-      c.believes_here.insert(target);
+      believe(id, target);
       // `move` input → grow to the level-0 cluster (§IV-A).
       Message m;
       m.type = MsgType::kGrow;
@@ -152,21 +193,16 @@ void ClientPopulation::on_broadcast(RegionId region, const Message& m) {
   if (m.type == MsgType::kHeartbeat &&
       m.hb_claim == HbClaim::kClientQuery) {
     auto& flags = queried_[m.target];
-    if (flags.empty()) flags.assign(by_region_.size(), 0);
+    if (flags.empty()) flags.assign(first_in_region_.size(), 0);
     flags[static_cast<std::size_t>(region.value())] = 1;
-    bool any_believer = false;
-    for (const ClientId id : clients_at(region)) {
-      const Client& c = clients_[static_cast<std::size_t>(id.value())];
-      if (!c.alive) continue;
-      if (c.believes_here.contains(m.target)) {
-        any_believer = true;
-        break;
+    for (const ClientId id : clients_in(region)) {
+      if (clients_[idx(id)].alive &&
+          believes(id, m.target)) {
+        return;  // marker confirmed, suppress all responses
       }
     }
-    if (any_believer) return;  // marker confirmed, suppress all responses
-    for (const ClientId id : clients_at(region)) {
-      const Client& c = clients_[static_cast<std::size_t>(id.value())];
-      if (!c.alive) continue;
+    for (const ClientId id : clients_in(region)) {
+      if (!clients_[idx(id)].alive) continue;
       // The re-detection shrink: the `left` input's message that the
       // marker evidently never processed.
       Message reply;
@@ -179,28 +215,33 @@ void ClientPopulation::on_broadcast(RegionId region, const Message& m) {
     return;
   }
   if (m.type != MsgType::kFound) return;
-  for (const ClientId id : clients_at(region)) {
-    Client& c = clients_[static_cast<std::size_t>(id.value())];
-    if (!c.alive) continue;
-    if (c.believes_here.contains(m.target)) {
+  for (const ClientId id : clients_in(region)) {
+    if (!clients_[idx(id)].alive) continue;
+    if (believes(id, m.target)) {
       if (found_output_) found_output_(m.find_id, m.target, region, id);
     }
   }
 }
 
 int ClientPopulation::refresh_detection(TargetId target, obs::OpId op) {
-  int sent = 0;
   auto& flags = queried_[target];
-  if (flags.empty()) flags.assign(by_region_.size(), 0);
-  for (std::size_t r = 0; r < by_region_.size(); ++r) {
-    const bool queried = flags[r] != 0;
-    flags[r] = 0;
-    if (queried) continue;
-    const RegionId region{static_cast<RegionId::rep_type>(r)};
-    for (const ClientId id : by_region_[r]) {
-      const Client& c = clients_[static_cast<std::size_t>(id.value())];
-      if (!c.alive) continue;
-      if (!c.believes_here.contains(target)) continue;
+  if (flags.empty()) flags.assign(first_in_region_.size(), 0);
+  // Only a region holding a believer can send; visit those in region
+  // order, as a scan of every region would.
+  std::vector<RegionId> regions;
+  const auto lo = std::lower_bound(beliefs_.begin(), beliefs_.end(),
+                                   Belief{target, ClientId::invalid()});
+  for (auto it = lo; it != beliefs_.end() && it->target == target; ++it) {
+    regions.push_back(clients_[idx(it->client)].region);
+  }
+  std::sort(regions.begin(), regions.end());
+  regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
+  int sent = 0;
+  for (const RegionId region : regions) {
+    if (flags[static_cast<std::size_t>(region.value())] != 0) continue;
+    for (const ClientId id : clients_in(region)) {
+      if (!clients_[idx(id)].alive) continue;
+      if (!believes(id, target)) continue;
       // The detection grow again — the silent level-0 cluster lost it.
       Message m;
       m.type = MsgType::kGrow;
@@ -211,6 +252,7 @@ int ClientPopulation::refresh_detection(TargetId target, obs::OpId op) {
       ++sent;
     }
   }
+  std::fill(flags.begin(), flags.end(), 0);
   return sent;
 }
 

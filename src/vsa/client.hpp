@@ -11,7 +11,6 @@
 // Clients can fail/restart and move between regions; their presence also
 // drives VSA liveness via the VsaDirectory.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,36 +23,10 @@
 
 namespace vs::vsa {
 
-/// A small set of targets kept as one sorted vector: a client believes at
-/// most the few objects in its region, and an empty set allocates nothing.
-class TargetSet {
- public:
-  [[nodiscard]] bool contains(TargetId t) const {
-    return std::binary_search(ids_.begin(), ids_.end(), t);
-  }
-  void insert(TargetId t) {
-    const auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
-    if (it == ids_.end() || *it != t) ids_.insert(it, t);
-  }
-  void erase(TargetId t) {
-    const auto it = std::lower_bound(ids_.begin(), ids_.end(), t);
-    if (it != ids_.end() && *it == t) ids_.erase(it);
-  }
-  void clear() { ids_.clear(); }
-  [[nodiscard]] std::size_t size() const { return ids_.size(); }
-
- private:
-  std::vector<TargetId> ids_;  // ascending
-};
-
 struct Client {
   ClientId id{};
   RegionId region{};
   bool alive = true;
-  /// Targets whose last move/left input at this client indicated the
-  /// evader is in its region. A `left` erases its target, so the set is
-  /// bounded by the live objects, not by every object that passed through.
-  TargetSet believes_here;
 };
 
 class ClientPopulation {
@@ -71,11 +44,52 @@ class ClientPopulation {
   /// Relocates the client (client mobility; affects VSA liveness only).
   void move_client(ClientId id, RegionId to);
 
+  /// The clients homed at one region, alive or not, in the order they
+  /// joined it: a forward range over the population's per-region links.
+  class RegionClients {
+   public:
+    class iterator {
+     public:
+      ClientId operator*() const { return at_; }
+      iterator& operator++() {
+        at_ = (*next_)[static_cast<std::size_t>(at_.value())];
+        return *this;
+      }
+      friend bool operator==(iterator a, iterator b) { return a.at_ == b.at_; }
+
+     private:
+      friend class RegionClients;
+      iterator(const std::vector<ClientId>* next, ClientId at)
+          : next_(next), at_(at) {}
+      const std::vector<ClientId>* next_;
+      ClientId at_;
+    };
+    [[nodiscard]] iterator begin() const { return {next_, first_}; }
+    [[nodiscard]] iterator end() const {
+      return {next_, ClientId::invalid()};
+    }
+
+   private:
+    friend class ClientPopulation;
+    RegionClients(const std::vector<ClientId>* next, ClientId first)
+        : next_(next), first_(first) {}
+    const std::vector<ClientId>* next_;
+    ClientId first_;
+  };
+
   [[nodiscard]] const Client& client(ClientId id) const;
   [[nodiscard]] std::size_t alive_clients_in(RegionId region) const;
-  /// All clients homed at `region`, alive or not (fault injection uses
-  /// this to depopulate a region deterministically).
-  [[nodiscard]] const std::vector<ClientId>& clients_in(RegionId region) const;
+  /// All clients homed at `region` (fault injection uses this to
+  /// depopulate a region deterministically).
+  [[nodiscard]] RegionClients clients_in(RegionId region) const;
+
+  /// Whether client `id`'s last move/left input for `target` said the
+  /// evader is in its region (the paper's presence flag).
+  [[nodiscard]] bool believes(ClientId id, TargetId target) const;
+  /// (client, target) beliefs held. A `left` input, a kill, a restart and
+  /// a move each erase theirs, so this is bounded by the live objects
+  /// times the clients of their regions, not by history.
+  [[nodiscard]] std::size_t num_beliefs() const { return beliefs_.size(); }
 
   /// GPS-service hook: the evader for `target` moved from → to. Issues
   /// `left` inputs at `from` and `move` inputs at `to`; clients react with
@@ -112,14 +126,33 @@ class ClientPopulation {
   void set_found_output(FoundOutput cb) { found_output_ = std::move(cb); }
 
  private:
+  struct Belief {
+    TargetId target;
+    ClientId client;
+    friend constexpr auto operator<=>(const Belief&, const Belief&) = default;
+  };
+
   void notify_presence(RegionId region);
-  std::vector<ClientId>& clients_at(RegionId region);
+  /// The link that names `region`'s first client (range-checked), and
+  /// the invalid link at the end of its list, where a joining client goes.
+  ClientId& first_link(RegionId region);
+  ClientId& end_link(RegionId region);
+  void believe(ClientId id, TargetId target);
+  void disbelieve(ClientId id, TargetId target);
+  void forget(ClientId id);
 
   CGcast* cgcast_;
   const hier::ClusterHierarchy* hier_;
   VsaDirectory* directory_;
   std::vector<Client> clients_;
-  std::vector<std::vector<ClientId>> by_region_;
+  /// One singly linked list per region, in join order: first_in_region_
+  /// names a region's first client and next_in_region_ each client's
+  /// successor (invalid at the end), so the lists take two flat tables and
+  /// no allocation per region.
+  std::vector<ClientId> first_in_region_;
+  std::vector<ClientId> next_in_region_;
+  /// Every (target, client) belief, ascending.
+  std::vector<Belief> beliefs_;
   FoundOutput found_output_;
   /// Per target, per region: did a presence query arrive since the last
   /// refresh_detection scan for that target? Keyed by target so

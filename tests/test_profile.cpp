@@ -216,6 +216,54 @@ TEST(Profile, ConservationByConstruction) {
   }
 }
 
+TEST(Profile, LiveGaugesFromRunningTotalsMatchTheReport) {
+  // The Prometheus snapshot renders the profiler's running totals at each
+  // crossing instead of a full report. On a disabled, so frozen, profiler
+  // both must render the same gauges byte for byte, and the report's class
+  // cells must equal a recount over its per-op rows.
+  GridNet g = make_grid(27, 3);
+  obs::Profiler prof;
+  g.net->set_profiler(&prof);
+  prof.enable();
+  const RegionId start = g.at(13, 13);
+  const TargetId t = g.net->add_evader(start);
+  g.net->run_to_quiescence();
+  const auto walk = random_walk(g.hierarchy->tiling(), start, 40, 0x51E5);
+  for (std::size_t i = 1; i < walk.size(); ++i) {
+    g.net->move_and_quiesce(t, walk[i]);
+  }
+  (void)g.net->start_find(g.at(26, 0), t);
+  g.net->run_to_quiescence();
+  prof.disable();
+  g.net->set_profiler(nullptr);
+
+  const std::int64_t work = g.net->counters().total_work();
+  const std::int64_t msgs = g.net->counters().total_messages();
+  const obs::ProfileReport full = prof.report(work, msgs);
+  std::ostringstream live;
+  std::ostringstream reported;
+  obs::profile_to_prometheus(live, prof.totals(work, msgs));
+  obs::profile_to_prometheus(reported, full);
+  EXPECT_EQ(live.str(), reported.str());
+
+  std::array<obs::ProfileClassStat, obs::kProfOpClasses> recount{};
+  for (const obs::ProfileOpStat& o : full.ops) {
+    auto& c = recount[static_cast<std::size_t>(obs::op_class(o.op))];
+    c.ns += o.ns;
+    c.count += o.count;
+    c.work += o.work;
+    c.msgs += o.msgs;
+  }
+  for (std::size_t c = 0; c < obs::kProfOpClasses; ++c) {
+    EXPECT_EQ(full.classes[c].ns, recount[c].ns) << "class " << c;
+    EXPECT_EQ(full.classes[c].count, recount[c].count) << "class " << c;
+    EXPECT_EQ(full.classes[c].work, recount[c].work) << "class " << c;
+    EXPECT_EQ(full.classes[c].msgs, recount[c].msgs) << "class " << c;
+  }
+  const auto move_class = static_cast<std::size_t>(obs::OpClass::kMove);
+  EXPECT_GT(full.classes[move_class].count, 0u);
+}
+
 TEST(Profile, SidecarRoundTripsExactly) {
   const RunArtifacts a = run_world(true, "roundtrip");
   const obs::ProfileReport& r = a.report;

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "spec/consistency.hpp"
+#include "stats/counters.hpp"
 #include "util.hpp"
+#include "vsa/cgcast.hpp"
+#include "vsa/client.hpp"
 #include "vsa/directory.hpp"
 #include "vsa/evader.hpp"
 
@@ -188,22 +193,15 @@ TEST(Clients, BeliefsAreBoundedByLiveObjects) {
       g.net->move_and_quiesce(objects[k], walks[k][step]);
     }
   }
-  std::size_t beliefs = 0;
-  for (std::size_t r = 0; r < tiling.num_regions(); ++r) {
-    const RegionId region{static_cast<RegionId::rep_type>(r)};
-    for (const ClientId id : pop.clients_in(region)) {
-      beliefs += pop.client(id).believes_here.size();
-    }
-  }
   std::size_t pairs = 0;
   for (const TargetId t : objects) {
     const RegionId here = g.net->evaders().region_of(t);
     pairs += pop.alive_clients_in(here);
     for (const ClientId id : pop.clients_in(here)) {
-      EXPECT_TRUE(pop.client(id).believes_here.contains(t));
+      EXPECT_TRUE(pop.believes(id, t));
     }
   }
-  EXPECT_EQ(beliefs, pairs);
+  EXPECT_EQ(pop.num_beliefs(), pairs);
 }
 
 TEST(Clients, FindFromRegionWithoutClientThrows) {
@@ -231,6 +229,138 @@ TEST(Clients, PopulationBookkeeping) {
   pop.restart_client(extra);
   EXPECT_EQ(pop.alive_clients_in(b), 2u);
   EXPECT_EQ(pop.client(extra).region, b);
+}
+
+/// A region's clients, in iteration order.
+std::vector<ClientId> listed(const vsa::ClientPopulation& pop, RegionId r) {
+  std::vector<ClientId> out;
+  for (const ClientId id : pop.clients_in(r)) out.push_back(id);
+  return out;
+}
+
+TEST(Clients, RegionListsKeepJoinOrder) {
+  // A region's clients iterate in the order they joined it: add_client
+  // appends, a moved client leaves its old list and joins the end of its
+  // new one, and a kill or a restart leaves the order as it is.
+  GridNet g = make_grid(4, 2);
+  auto& pop = g.net->clients();
+  const RegionId a = g.at(1, 1);
+  const RegionId b = g.at(2, 2);
+  const ClientId a0 = listed(pop, a).front();
+  const ClientId b0 = listed(pop, b).front();
+  const ClientId x = pop.add_client(a);
+  const ClientId y = pop.add_client(a);
+  EXPECT_EQ(listed(pop, a), (std::vector{a0, x, y}));
+  pop.move_client(x, b);  // out of the middle
+  EXPECT_EQ(listed(pop, a), (std::vector{a0, y}));
+  EXPECT_EQ(listed(pop, b), (std::vector{b0, x}));
+  pop.move_client(a0, b);  // out of the front
+  pop.move_client(x, a);   // out of the back, and home to the end
+  EXPECT_EQ(listed(pop, a), (std::vector{y, x}));
+  EXPECT_EQ(listed(pop, b), (std::vector{b0, a0}));
+  pop.kill_client(y);
+  EXPECT_EQ(listed(pop, a), (std::vector{y, x}));
+  pop.restart_client(y);
+  EXPECT_EQ(listed(pop, a), (std::vector{y, x}));
+  EXPECT_EQ(pop.alive_clients_in(a), 2u);
+}
+
+/// A client population on its own C-gcast, with three clients in one
+/// region.
+struct ThreeClients {
+  hier::GridHierarchy hier{4, 4, 2};
+  Scheduler sched;
+  stats::WorkCounters counters{hier.max_level()};
+  vsa::CGcast cg{sched, hier,
+                 vsa::CGcastConfig{Duration::millis(1), Duration::millis(1)},
+                 counters};
+  vsa::ClientPopulation pop{cg, hier, nullptr};
+  RegionId here = hier.grid().region_at(1, 2);
+  std::vector<ClientId> ids;
+  TargetId t{0};
+
+  ThreeClients() {
+    pop.populate_uniform(1);
+    ids = {listed(pop, here).front(), pop.add_client(here),
+           pop.add_client(here)};
+  }
+
+  /// The clients that perform the found output, in output order.
+  std::vector<ClientId> found_by() {
+    std::vector<ClientId> out;
+    pop.set_found_output(
+        [&](FindId, TargetId, RegionId, ClientId by) { out.push_back(by); });
+    vsa::Message m;
+    m.type = vsa::MsgType::kFound;
+    m.target = t;
+    m.find_id = FindId{1};
+    pop.on_broadcast(here, m);
+    return out;
+  }
+
+  /// Sends the clients make, by type, in send order.
+  std::vector<vsa::MsgType> sends_during(const std::function<void()>& act) {
+    std::vector<vsa::MsgType> out;
+    const auto obs = cg.add_send_observer(
+        [&](const vsa::Message& m, ClusterId, ClusterId, Level,
+            std::int64_t) { out.push_back(m.type); });
+    act();
+    cg.remove_send_observer(obs);
+    return out;
+  }
+
+  void query_presence() {
+    vsa::Message q;
+    q.type = vsa::MsgType::kHeartbeat;
+    q.hb_claim = vsa::HbClaim::kClientQuery;
+    q.target = t;
+    pop.on_broadcast(here, q);
+  }
+};
+
+TEST(Clients, FoundOutputsFollowJoinOrder) {
+  ThreeClients c;
+  EXPECT_EQ(c.sends_during([&] {
+              c.pop.on_evader_move(c.t, RegionId::invalid(), c.here);
+            }),
+            std::vector<vsa::MsgType>(3, vsa::MsgType::kGrow));
+  EXPECT_EQ(c.found_by(), c.ids);
+  EXPECT_EQ(c.pop.num_beliefs(), 3u);
+  // A killed client neither believes nor answers; a restarted one keeps
+  // its place but starts without the belief.
+  c.pop.kill_client(c.ids[1]);
+  EXPECT_EQ(c.found_by(), (std::vector{c.ids[0], c.ids[2]}));
+  EXPECT_EQ(c.pop.num_beliefs(), 2u);
+  c.pop.restart_client(c.ids[1]);
+  EXPECT_EQ(c.found_by(), (std::vector{c.ids[0], c.ids[2]}));
+  // A client that leaves and comes back joins the end, without a belief
+  // until the next move input.
+  c.pop.move_client(c.ids[0], c.hier.grid().region_at(0, 0));
+  c.pop.move_client(c.ids[0], c.here);
+  EXPECT_EQ(c.found_by(), (std::vector{c.ids[2]}));
+  c.pop.on_evader_move(c.t, RegionId::invalid(), c.here);
+  EXPECT_EQ(c.found_by(), (std::vector{c.ids[1], c.ids[2], c.ids[0]}));
+  EXPECT_EQ(c.pop.num_beliefs(), 3u);
+}
+
+TEST(Clients, PresenceRepliesAndRedetectionComeFromEachAliveClient) {
+  ThreeClients c;
+  // No client believes the evader is here: every alive client answers the
+  // query with the missing shrink (the replies are identical messages, so
+  // their number is what shows), and a believer silences them all.
+  c.pop.kill_client(c.ids[1]);
+  EXPECT_EQ(c.sends_during([&] { c.query_presence(); }),
+            std::vector<vsa::MsgType>(2, vsa::MsgType::kShrink));
+  c.pop.restart_client(c.ids[1]);
+  c.pop.on_evader_move(c.t, RegionId::invalid(), c.here);
+  EXPECT_TRUE(c.sends_during([&] { c.query_presence(); }).empty());
+  // Re-detection: the region was just queried, so its believers stay
+  // silent once; the next scan, unqueried, has each of them re-send.
+  EXPECT_EQ(c.pop.refresh_detection(c.t), 0);
+  EXPECT_EQ(c.sends_during([&] { (void)c.pop.refresh_detection(c.t); }),
+            std::vector<vsa::MsgType>(3, vsa::MsgType::kGrow));
+  // Only the believers of that target send.
+  EXPECT_EQ(c.pop.refresh_detection(TargetId{1}), 0);
 }
 
 }  // namespace

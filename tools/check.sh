@@ -22,9 +22,11 @@
 # quickstart must write a VSPROF1 sidecar whose flamegraph folds cleanly,
 # every deterministic artifact must stay byte-identical with profiling
 # on vs off, and a brief bench_micro run from an empty directory must
-# exit 0, count ledger entries in its enabled-ledger case, and leave no
-# file behind. A serve stage drives the vinestalk_served ingest
-# daemon: a 2×-capacity load burst under a chaos fault plan must finish
+# exit 0, count ledger entries in its enabled-ledger case, run the
+# network construction case at every size, and leave no file behind. A
+# serve stage drives the vinestalk_served ingest daemon: a 2×-capacity
+# load burst under a chaos fault plan (which must lose and jitter
+# messages, with the heartbeat stabilizer repairing) must finish
 # incident-free with the conservation identity intact, the shed ladder
 # visible in the Prometheus snapshot and no rate printed for the
 # queue-depth gauge in the telemetry summary, and its VSINGEST1 capture
@@ -32,9 +34,10 @@
 # request-level observability: arming a spec must leave every
 # deterministic artifact (stdout, trace, telemetry, capture)
 # byte-identical to the unarmed run, a tight find-p99
-# objective under 2× overdrive chaos must fire a burn-rate incident
-# mid-run, and that incident's exemplar OpId must resolve to real span
-# events in the trace that survive a capture replay byte-identically.
+# objective under 2× overdrive chaos (losses and jitter injected) must
+# fire a burn-rate incident mid-run, and that incident's exemplar OpId
+# must resolve to real span events in the trace that survive a capture
+# replay byte-identically.
 # An ASan+UBSan stage builds everything with both sanitizers plus
 # float-cast-overflow (any UB report aborts) and bounds-checked std
 # containers, and runs the full suite: the message path keeps indices
@@ -68,6 +71,19 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
 stage="${1:-all}"
+
+# A chaos session's Prometheus snapshot must show the plan's channel
+# faults: a plan whose windows miss the session injects nothing.
+expect_faults() {
+  local prom="$1" what="$2" series
+  for series in cgcast_lost jittered; do
+    awk -v s="vinestalk_telemetry_$series" '$1 == s && $2 > 0 { ok = 1 }
+      END { exit !ok }' "$prom" || {
+      echo "FAIL: $what injected no $series faults" >&2
+      grep "^vinestalk_telemetry_$series " "$prom" >&2 || true
+      exit 1; }
+  done
+}
 
 run_plain() {
   echo "== stage 1: plain build + ctest + trace check =="
@@ -369,8 +385,9 @@ run_perf() {
   # bench_micro, briefly, from an empty directory: it must exit 0 (the
   # slow every-change watchdog case is left out), its enabled-ledger case
   # must count ledger entries, the daemon's delay mix must stay on the
-  # event queue's delay classes (no fallback-heap push), and it must leave
-  # no file behind.
+  # event queue's delay classes (no fallback-heap push), the network
+  # construction case must run at every size and measure its heap, and it
+  # must leave no file behind.
   mkdir "$dir/micro"
   (cd "$dir/micro" &&
     "$root/build-check/bench/bench_micro" --benchmark_min_time=0.01 \
@@ -386,6 +403,11 @@ mix = runs.get("BM_SchedulerDaemonMix/100000")
 assert mix is not None, "BM_SchedulerDaemonMix/100000 did not run"
 assert mix["fallback_pushes"] == 0, \
     "the daemon delay mix hit the fallback heap: %r" % mix["fallback_pushes"]
+for side in (27, 81, 243):
+    net = runs.get("BM_NetworkConstruction/%d" % side)
+    assert net is not None, "BM_NetworkConstruction/%d did not run" % side
+    assert net["bytes_per_region"] > 0, \
+        "BM_NetworkConstruction/%d measured no heap" % side
 EOF
   [ -z "$(ls -A "$dir/micro")" ] || {
     echo "FAIL: bench_micro left files behind" >&2
@@ -404,12 +426,14 @@ run_serve() {
   dir="$(mktemp -d /tmp/vs_serve.XXXXXX)"
   cat > "$dir/chaos.plan" <<'EOF'
 # check.sh serve chaos: a loss window and a jitter window across the
-# load burst — retransmission keeps the structure consistent, so the
-# monitored run must stay incident-free.
+# load burst. The daemon arms the plan once its objects are placed, past
+# 300,000 us of virtual time, so both windows open after that. C-gcast
+# does not retransmit: the heartbeat stabilizer repairs what a lost
+# message breaks, so the monitored run must stay incident-free.
 faultplan v1
 seed 77
-loss from 2000 until 20000 rate 0.05
-jitter from 5000 until 25000 rate 0.2 advance 500
+loss from 330000 until 348000 rate 0.05
+jitter from 333000 until 353000 rate 0.2 advance 500
 recovery base 1000000 per-fault 200000
 end
 EOF
@@ -419,9 +443,11 @@ EOF
   "$root/build-check/tools/vinestalk_served" \
     --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
     --load 32 --overdrive 2 --seed 42 --find-every 8 --monitor \
+    --heartbeat-us 20000 \
     --fault-plan "$dir/chaos.plan" --incident-dir "$dir" \
     --telemetry "$dir/serve.vstelem" --prometheus "$dir/prom.txt" \
     > "$dir/load.out"
+  expect_faults "$dir/prom.txt" "the serve chaos session"
   grep -q "max tier 3" "$dir/load.out" || {
     echo "FAIL: overload run never reached tier 3" >&2
     cat "$dir/load.out" >&2; exit 1; }
@@ -554,17 +580,22 @@ EOF
   # A tight find-p99 objective under 2× overdrive chaos must burn through
   # its budget and fire a replayable incident mid-run — and the burn alert
   # must not disturb the run's own health checks.
+  # The plan's windows open after placement, as in the serve stage, and
+  # the heartbeat stabilizer repairs what the losses break.
   cat > "$dir/chaos.plan" <<'EOF'
 faultplan v1
 seed 77
-loss from 2000 until 20000 rate 0.05
-jitter from 5000 until 25000 rate 0.2 advance 500
+loss from 330000 until 348000 rate 0.05
+jitter from 333000 until 353000 rate 0.2 advance 500
 recovery base 1000000 per-fault 200000
 end
 EOF
   "$root/build-check/tools/vinestalk_served" "${args[@]}" --monitor \
+    --heartbeat-us 20000 \
     --fault-plan "$dir/chaos.plan" --incident-dir "$dir" \
-    --slo "$dir/tight.slo" > "$dir/burn.out" 2> "$dir/burn.err"
+    --slo "$dir/tight.slo" --prometheus "$dir/burn.prom" \
+    > "$dir/burn.out" 2> "$dir/burn.err"
+  expect_faults "$dir/burn.prom" "the SLO burn session"
   grep -q "SLO BURN" "$dir/burn.err" || {
     echo "FAIL: tight objective under overdrive never fired" >&2
     cat "$dir/burn.err" >&2; exit 1; }
