@@ -7,9 +7,9 @@
 // combination is an independent trial.
 //
 // Loss is driven through a fault::FaultPlan — a single loss window
-// covering the whole run, seeded with the legacy channel-loss seed —
-// embedded in each trial's ScenarioSpec, so incidents captured here
-// replay with the identical loss sequence.
+// covering the whole run, with a fixed seed — embedded in each trial's
+// ScenarioSpec, so incidents captured here replay with the identical loss
+// sequence.
 
 #include <array>
 
@@ -44,12 +44,11 @@ Outcome run(double loss, bool stabilize, BenchObs& obs, std::size_t trial,
   const RegionId start = g.at(13, 13);
 
   fault::FaultPlan plan;
-  plan.seed = 0x10555;  // the legacy CGcastConfig::loss_seed
+  plan.seed = 0x10555;
   if (loss > 0.0) plan.loss_bursts.push_back({0, kLossWindowEndUs, loss, 0});
 
   // A windows-only plan arms before the target is placed: the initial
-  // detection traffic runs over the lossy channel too, exactly like the
-  // legacy loss_probability config this bench used to set.
+  // detection traffic runs over the lossy channel too.
   std::unique_ptr<fault::FaultInjector> inj;
   if (!plan.empty()) {
     inj = std::make_unique<fault::FaultInjector>(*g.net, plan);

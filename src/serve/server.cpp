@@ -8,6 +8,17 @@
 
 namespace vs::serve {
 
+namespace {
+
+// Ladder watermarks in permille of the ring capacity: tier 1 coalesces,
+// tier 3 closes the admission gate, and the gate reopens only below the
+// readmit level (tier 2).
+constexpr std::int64_t kTier1Pm = 250;
+constexpr std::int64_t kReadmitPm = 500;
+constexpr std::int64_t kTier3Pm = 875;
+
+}  // namespace
+
 IngestServer::IngestServer(tracking::TrackingNetwork& net,
                            const hier::GridHierarchy& hier, ServeConfig cfg)
     : net_(&net), hier_(&hier), cfg_(std::move(cfg)) {
@@ -15,10 +26,6 @@ IngestServer::IngestServer(tracking::TrackingNetwork& net,
   VS_REQUIRE(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
   VS_REQUIRE(cfg_.round > sim::Duration::zero(),
              "round length must be positive");
-  VS_REQUIRE(cfg_.tier1_pm >= 0 && cfg_.tier1_pm <= cfg_.tier2_pm &&
-                 cfg_.tier2_pm <= cfg_.tier3_pm,
-             "ladder watermarks must be non-decreasing");
-  VS_REQUIRE(cfg_.dead_band >= 0, "dead band must be >= 0");
   queues_.reserve(cfg_.queues);
   for (std::uint32_t i = 0; i < cfg_.queues; ++i) {
     queues_.push_back(
@@ -151,9 +158,10 @@ void IngestServer::finish() {
   if (capture_.has_value()) capture_->finish();
 }
 
-void IngestServer::replay_file(const std::string& path) {
+std::int64_t IngestServer::replay_file(const std::string& path) {
   VS_REQUIRE(!finished_, "ingest server already finished");
   const IngestFile f = read_ingest_file(path);
+  std::int64_t rounds = 0;
   std::vector<Pending> batch;
   std::vector<std::int64_t> depth(queues_.size(), 0);
   for (const IngestFrame& frame : f.frames) {
@@ -197,6 +205,7 @@ void IngestServer::replay_file(const std::string& path) {
         depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
     process_batch(batch, depth_peak, upto);
     net_->run_until(upto);
+    ++rounds;
     batch.clear();
     std::fill(depth.begin(), depth.end(), 0);
   }
@@ -207,6 +216,7 @@ void IngestServer::replay_file(const std::string& path) {
   finished_ = true;
   shedding_.store(true, std::memory_order_release);
   if (capture_.has_value()) capture_->finish();
+  return rounds;
 }
 
 RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
@@ -219,8 +229,7 @@ RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
   // watermark is at least one slot so an empty round can never engage.
   int tier = 0;
   if (depth_peak > 0) {
-    for (const std::int64_t pm : {cfg_.tier1_pm, cfg_.tier2_pm,
-                                  cfg_.tier3_pm}) {
+    for (const std::int64_t pm : {kTier1Pm, kReadmitPm, kTier3Pm}) {
       if (depth_peak >= std::max<std::int64_t>(1, watermark_slots(pm))) {
         ++tier;
       }
@@ -228,7 +237,8 @@ RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
   }
   tier_ = tier;
   rep.tier = tier;
-  // Admission gate with hysteresis: shed at tier 3, readmit below tier 2.
+  // Admission gate with hysteresis: shed at tier 3, readmit below the
+  // readmit level (tier 2).
   if (tier >= 3) {
     shedding_.store(true, std::memory_order_release);
   } else if (tier < 2) {
@@ -270,35 +280,20 @@ RoundReport IngestServer::process_batch(const std::vector<Pending>& batch,
       if (last_[batch[i].object()] != i) keep_[i] = 0;
     }
   }
-  // An update span closes when the frame is *resolved* — applied or
-  // suppressed, both at this round boundary. Dropped frames never carried a
-  // span; they reach the monitor as RED errors via fold_reader_counters.
-  const auto resolve_span = [&](const Pending& p) {
-    if (slo_ != nullptr && p.admit_ns != 0) {
-      slo_->close_update(p.admit_ns, upto.count());
-    }
-  };
-  const geo::Tiling& tiling = hier_->tiling();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Pending& p = batch[i];
     if (keep_[i] == 0) {
       ++rep.suppressed;
-      resolve_span(p);
-      continue;
+    } else {
+      apply_update(p);
+      ++rep.applied;
     }
-    // Tier 2: dead-band — a fix within dead_band hops of the object's live
-    // position carries no tracking information worth the maintenance work.
-    if (tier >= 2) {
-      const RegionId cur = net_->evaders().region_of(objects_[p.object()]);
-      if (tiling.distance(cur, p.region) <= cfg_.dead_band) {
-        ++rep.suppressed;
-        resolve_span(p);
-        continue;
-      }
+    // An update span closes when the frame is *resolved* — applied or
+    // suppressed, both at this round boundary. Dropped frames never carried
+    // a span; they reach the monitor as RED errors via fold_reader_counters.
+    if (slo_ != nullptr && p.admit_ns != 0) {
+      slo_->close_update(p.admit_ns, upto.count());
     }
-    apply_update(p);
-    ++rep.applied;
-    resolve_span(p);
   }
   ing.applied += rep.applied;
   ing.suppressed += rep.suppressed;

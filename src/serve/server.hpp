@@ -10,18 +10,18 @@
 // advances virtual time one round. All world mutation happens on the
 // driver thread — the reader never touches the simulator.
 //
-// Backpressure and the three-tier graceful-degradation ladder, driven by
-// queue-depth watermarks (deepest per-queue drained batch vs fractions of
-// the ring capacity):
+// Backpressure and the graceful-degradation ladder, driven by queue-depth
+// watermarks (deepest per-queue drained batch vs fixed fractions of the
+// ring capacity). The ladder has two actions and a readmit band between
+// them:
 //
-//   tier 1  coalesce    only the last update per object in the round is
-//                       applied; the rest are `suppressed`
-//   tier 2  dead-band   updates within `dead_band` hops of the object's
-//                       live position are `suppressed` (the adaptive-update
-//                       insight: redundant fixes carry no information)
-//   tier 3  admission   offer() rejects new updates (`dropped`) with a
-//                       retry-after hint until pressure falls below the
-//                       tier-2 watermark
+//   tier 1  coalesce    (>= 25%) only the last update per object in the
+//                       round is applied; the rest are `suppressed`
+//   tier 2  readmit     (>= 50%) coalescing continues; a closed admission
+//           band        gate stays closed until the depth falls below it
+//   tier 3  admission   (>= 87.5%) offer() rejects new updates (`dropped`)
+//                       with a retry-after hint until pressure falls below
+//                       the readmit band
 //
 // A full ring likewise drops at offer(). Every valid update frame is
 // accounted exactly once — the conservation identity the tests pin:
@@ -61,17 +61,11 @@ namespace vs::serve {
 struct ServeConfig {
   /// Region-keyed SPSC rings (key: region id mod queues).
   std::uint32_t queues = 4;
-  /// Slots per ring; bounds ingest memory and anchors the watermarks.
+  /// Slots per ring; bounds ingest memory and anchors the ladder's fixed
+  /// watermarks (25%, 50% and 87.5% of it; at 8 slots: 2, 4 and 7).
   std::size_t queue_capacity = 256;
   /// Virtual time per drain round.
   sim::Duration round = sim::Duration::millis(1);
-  /// Ladder watermarks, in permille of queue_capacity, judged against the
-  /// deepest per-queue drained batch each round. Must be non-decreasing.
-  std::int64_t tier1_pm = 250;
-  std::int64_t tier2_pm = 500;
-  std::int64_t tier3_pm = 875;
-  /// Tier-2 suppression radius in region hops.
-  int dead_band = 1;
   /// Deadline-bounded find RPC: total attempts and the first retry backoff
   /// (doubles per retry).
   int find_attempts = 4;
@@ -151,8 +145,9 @@ class IngestServer {
   /// Deterministically re-execute a capture: batches and round boundaries
   /// come from the file, ladder decisions are recomputed (identically, by
   /// construction). The server must be freshly constructed with the same
-  /// config and object registrations as the captured run.
-  void replay_file(const std::string& path);
+  /// config and object registrations as the captured run. Returns the
+  /// rounds replayed: one per round marker, the final drain's included.
+  std::int64_t replay_file(const std::string& path);
 
   [[nodiscard]] const ServeConfig& config() const { return cfg_; }
   /// Ladder tier of the most recent round.

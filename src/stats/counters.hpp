@@ -50,7 +50,7 @@ enum class MsgKind : std::uint8_t {
 ///
 ///   ingested == applied + suppressed + dropped
 ///
-/// `suppressed` is semantic shedding (tier-1 coalesce, tier-2 dead-band);
+/// `suppressed` is semantic shedding (coalescing, from tier 1 up);
 /// `dropped` is lossy shedding (queue overflow, tier-3 admission reject).
 /// `wire_errors` counts malformed frames the strict reader refused — those
 /// never become ingested, so they sit outside the identity. Zero unless
@@ -61,10 +61,12 @@ enum class MsgKind : std::uint8_t {
 struct IngestCounters {
   std::int64_t ingested = 0;     // valid update frames accepted off the wire
   std::int64_t applied = 0;      // updates that mutated the world
-  std::int64_t suppressed = 0;   // shed semantically (coalesce / dead-band)
+  std::int64_t suppressed = 0;   // shed semantically (coalesced)
   std::int64_t dropped = 0;      // shed lossily (queue full, tier-3 reject)
   std::int64_t wire_errors = 0;  // malformed frames the strict reader refused
-  /// Rounds in which the degradation ladder ran at tier >= 1/2/3.
+  /// Rounds in which the degradation ladder ran at tier >= 1/2/3 (tier 2
+  /// is the readmit band: it coalesces like tier 1 and keeps a closed
+  /// admission gate closed).
   std::array<std::int64_t, 3> shed_tier_entries{};
   std::int64_t queue_depth_peak = 0;  // high-water mark across region queues
 

@@ -12,19 +12,9 @@ CGcast::CGcast(sim::Scheduler& sched, const hier::ClusterHierarchy& hierarchy,
     : sched_(&sched),
       hier_(&hierarchy),
       config_(config),
-      counters_(&counters),
-      loss_rng_(config.loss_seed) {
+      counters_(&counters) {
   VS_REQUIRE(config.delta > sim::Duration::zero(), "delta must be positive");
   VS_REQUIRE(config.e >= sim::Duration::zero(), "e must be non-negative");
-  VS_REQUIRE(config.loss_probability >= 0.0 && config.loss_probability < 1.0,
-             "loss probability must be in [0, 1)");
-}
-
-bool CGcast::lose_message() {
-  if (config_.loss_probability <= 0.0) return false;
-  if (!loss_rng_.chance(config_.loss_probability)) return false;
-  ++lost_;
-  return true;
 }
 
 CGcast::ObserverId CGcast::add_send_observer(SendObserver obs) {
@@ -199,8 +189,7 @@ void CGcast::transmit(ClusterId from, ClusterId to, Level l, const Message& m,
            static_cast<std::int32_t>(hops));
   }
   bool duplicate = false;
-  if (lose_message() ||  // vanished in flight (fault injection)
-      apply_channel_faults(m, delay, duplicate)) {
+  if (apply_channel_faults(m, delay, duplicate)) {
     if (trace_ != nullptr && trace_->enabled()) {
       record(obs::TraceKind::kLost, m, from.value(), to.value(), l, 0);
     }
@@ -227,7 +216,7 @@ void CGcast::send_from_client(RegionId at, const Message& m) {
   }
   sim::Duration delay = config_.delta;  // rule (e)
   bool duplicate = false;
-  if (lose_message() || apply_channel_faults(m, delay, duplicate)) {
+  if (apply_channel_faults(m, delay, duplicate)) {
     if (trace_ != nullptr && trace_->enabled()) {
       record(obs::TraceKind::kLost, m, at.value(), dest.value(), 0, 0);
     }

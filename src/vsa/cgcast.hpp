@@ -27,7 +27,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "hier/hierarchy.hpp"
 #include "obs/profile/profiler.hpp"
 #include "obs/trace.hpp"
@@ -42,12 +41,6 @@ struct CGcastConfig {
   sim::Duration delta = sim::Duration::millis(1);
   /// Max VSA emulation lag e.
   sim::Duration e = sim::Duration::millis(1);
-  /// Fault injection: probability that a VSA→VSA or client→VSA message is
-  /// lost in flight. The paper's C-gcast is reliable (0.0, the default);
-  /// non-zero rates exercise the §VII recovery machinery.
-  double loss_probability = 0.0;
-  /// Seed for the loss process (losses are reproducible).
-  std::uint64_t loss_seed = 0x10555;
 };
 
 class CGcast {
@@ -167,7 +160,7 @@ class CGcast {
 
   /// Messages dropped because the destination VSA was failed at delivery.
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
-  /// Messages lost to injected channel faults (loss_probability).
+  /// Messages lost to injected channel faults (set_channel_faults).
   [[nodiscard]] std::int64_t lost() const { return lost_; }
 
   [[nodiscard]] const CGcastConfig& config() const { return config_; }
@@ -197,7 +190,7 @@ class CGcast {
   void enqueue(ClusterId from, ClusterId to, const Message& m,
                sim::Duration delay);
   /// One VSA→VSA send after its delay is known: counters, observers, the
-  /// send record, loss and channel faults, then the slab row. `m` already
+  /// send record, channel faults, then the slab row. `m` already
   /// carries its op.
   void transmit(ClusterId from, ClusterId to, Level l, const Message& m,
                 sim::Duration delay);
@@ -239,10 +232,6 @@ class CGcast {
   std::uint64_t next_key_{1};
   std::int64_t dropped_{0};
   std::int64_t lost_{0};
-  Rng loss_rng_;
-  /// True if the message should be lost (consumes randomness only when
-  /// loss injection is enabled, keeping default runs byte-identical).
-  [[nodiscard]] bool lose_message();
 };
 
 }  // namespace vs::vsa

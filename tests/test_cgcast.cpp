@@ -197,8 +197,11 @@ TEST(CGcast, RejectsSelfSendAndBadConfig) {
 
 // --- send_to_nbrs against a loop of send() ---------------------------------
 
+/// The channel faults a FanOutWorld's seeded oracle injects.
+enum class Faults { kNone, kDropOnly, kAll };
+
 /// One C-gcast service with every send-side surface recorded: counters,
-/// observer calls and trace records, plus (optionally) loss and a seeded
+/// observer calls and trace records, plus (optionally) a seeded
 /// channel-fault oracle. Nothing is delivered: the comparison reads the
 /// in-flight slab.
 struct FanOutWorld {
@@ -206,10 +209,9 @@ struct FanOutWorld {
       std::tuple<MsgKind, vs::obs::OpId, ClusterId, ClusterId, Level,
                  std::int64_t>;
 
-  FanOutWorld(const vs::hier::ClusterHierarchy& h, double loss, bool faults)
+  FanOutWorld(const vs::hier::ClusterHierarchy& h, Faults faults)
       : counters(h.max_level()),
-        cg(sched, h,
-           CGcastConfig{Duration::millis(1), Duration::millis(1), loss, 7},
+        cg(sched, h, CGcastConfig{Duration::millis(1), Duration::millis(1)},
            counters),
         fault_rng(11) {
     trace.set_enabled(true);
@@ -218,7 +220,13 @@ struct FanOutWorld {
                                 ClusterId to, Level l, std::int64_t hops) {
       observed.emplace_back(m.type, m.op, from, to, l, hops);
     });
-    if (faults) {
+    if (faults == Faults::kDropOnly) {
+      cg.set_channel_faults([this](const Message&) {
+        CGcast::ChannelDecision d;
+        d.drop = fault_rng.chance(0.2);
+        return d;
+      });
+    } else if (faults == Faults::kAll) {
       cg.set_channel_faults([this](const Message&) {
         CGcast::ChannelDecision d;
         d.drop = fault_rng.chance(0.1);
@@ -281,10 +289,9 @@ void drive_fan_outs(FanOutWorld& w, const vs::hier::ClusterHierarchy& h,
   }
 }
 
-void expect_same_sends(const vs::hier::ClusterHierarchy& h, double loss,
-                       bool faults) {
-  FanOutWorld fan(h, loss, faults);
-  FanOutWorld loop(h, loss, faults);
+void expect_same_sends(const vs::hier::ClusterHierarchy& h, Faults faults) {
+  FanOutWorld fan(h, faults);
+  FanOutWorld loop(h, faults);
   drive_fan_outs(fan, h, true);
   drive_fan_outs(loop, h, false);
 
@@ -320,10 +327,10 @@ void expect_same_sends(const vs::hier::ClusterHierarchy& h, double loss,
   const auto tb = loop.trace.events();
   ASSERT_EQ(ta.size(), tb.size());
   EXPECT_EQ(std::memcmp(ta.data(), tb.data(), ta.size() * sizeof(ta[0])), 0);
-  if (loss > 0.0 || faults) {
+  if (faults != Faults::kNone) {
     EXPECT_GT(fan.cg.lost(), 0);
   }
-  if (faults) {
+  if (faults == Faults::kAll) {
     EXPECT_GT(fan.counters.duplicated(), 0);
     EXPECT_GT(fan.counters.jittered(), 0);
   }
@@ -340,15 +347,15 @@ TEST(CGcastFanOut, MatchesPerNeighbourSendsOnEveryCluster) {
     SCOPED_TRACE(h->num_clusters());
     {
       SCOPED_TRACE("reliable");
-      expect_same_sends(*h, 0.0, false);
+      expect_same_sends(*h, Faults::kNone);
     }
     {
-      SCOPED_TRACE("lossy");
-      expect_same_sends(*h, 0.2, false);
+      SCOPED_TRACE("drop-only channel faults");
+      expect_same_sends(*h, Faults::kDropOnly);
     }
     {
-      SCOPED_TRACE("lossy with channel faults");
-      expect_same_sends(*h, 0.1, true);
+      SCOPED_TRACE("drop, duplicate and jitter channel faults");
+      expect_same_sends(*h, Faults::kAll);
     }
   }
 }

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+
 #include "ext/stabilizer.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "spec/consistency.hpp"
 #include "spec/inspect.hpp"
 #include "util.hpp"
@@ -12,11 +18,19 @@
 namespace vstest {
 namespace {
 
-tracking::NetworkConfig lossy_cfg(double p, std::uint64_t seed = 0x105E) {
-  tracking::NetworkConfig cfg;
-  cfg.cgcast.loss_probability = p;
-  cfg.cgcast.loss_seed = seed;
-  return cfg;
+/// Loses each VSA→VSA and client→VSA send with probability `p` for the
+/// whole run: a one-window fault plan, armed before anything is placed so
+/// the detection traffic crosses the lossy channel too.
+std::unique_ptr<fault::FaultInjector> arm_loss(tracking::TrackingNetwork& net,
+                                               double p,
+                                               std::uint64_t seed = 0x105E) {
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  plan.loss_bursts.push_back(
+      {0, std::numeric_limits<std::int64_t>::max(), p, 0});
+  auto inj = std::make_unique<fault::FaultInjector>(net, std::move(plan));
+  inj->arm();
+  return inj;
 }
 
 TEST(MessageLoss, ZeroLossIsDefaultAndCountsNothing) {
@@ -30,7 +44,8 @@ TEST(MessageLoss, ZeroLossIsDefaultAndCountsNothing) {
 TEST(MessageLoss, LossesAreCountedAndReproducible) {
   std::int64_t first_lost = -1;
   for (int run = 0; run < 2; ++run) {
-    GridNet g = make_grid(27, 3, lossy_cfg(0.05));
+    GridNet g = make_grid(27, 3);
+    const auto loss = arm_loss(*g.net, 0.05);
     const RegionId start = g.at(13, 13);
     const TargetId t = g.net->add_evader(start);
     g.net->run_to_quiescence();
@@ -49,7 +64,8 @@ TEST(MessageLoss, LossesAreCountedAndReproducible) {
 }
 
 TEST(MessageLoss, StabilizerRestoresConsistencyUnderLoss) {
-  GridNet g = make_grid(27, 3, lossy_cfg(0.03));
+  GridNet g = make_grid(27, 3);
+  const auto loss = arm_loss(*g.net, 0.03);
   const RegionId start = g.at(13, 13);
   const TargetId t = g.net->add_evader(start);
   g.net->run_to_quiescence();
@@ -81,15 +97,6 @@ TEST(MessageLoss, StabilizerRestoresConsistencyUnderLoss) {
   bool any_done = g.net->find_result(f).done;
   // Check all finds issued (ids are sequential from 1).
   EXPECT_TRUE(any_done || g.net->cgcast().lost() > 0);
-}
-
-TEST(MessageLoss, RejectsInvalidProbability) {
-  hier::GridHierarchy h(9, 9, 3);
-  tracking::NetworkConfig cfg;
-  cfg.cgcast.loss_probability = 1.0;
-  EXPECT_THROW(tracking::TrackingNetwork(h, cfg), vs::Error);
-  cfg.cgcast.loss_probability = -0.1;
-  EXPECT_THROW(tracking::TrackingNetwork(h, cfg), vs::Error);
 }
 
 TEST(Inspect, RenderShowsPathAndTransit) {

@@ -1,7 +1,7 @@
 // The streaming ingest/query daemon (src/serve): VSINGEST1 wire format
-// strictness, bounded SPSC backpressure, the three-tier degradation
-// ladder, the exact conservation identity
-// (ingested == applied + suppressed + dropped), deterministic
+// strictness, bounded SPSC backpressure, the degradation ladder
+// (coalesce, readmit band, admission control), the exact conservation
+// identity (ingested == applied + suppressed + dropped), deterministic
 // capture/replay, the deadline/backoff find RPC, the VSTELEM1 ingest
 // series, and the vinestalk_served binary end to end.
 
@@ -347,36 +347,33 @@ TEST(IngestServer, FullRingDropsWithExactAccounting) {
   expect_conserved(ing);
 }
 
+// The ladder's watermarks are fixed fractions of the ring: with 8 slots,
+// tier 1 starts at 2 drained, the readmit band (tier 2) at 4 and tier 3 at
+// 7.
+
 TEST(IngestServer, LadderTier1CoalescesToLastFixPerObject) {
   serve::ServeConfig cfg;
   cfg.queues = 1;
   cfg.queue_capacity = 8;
-  cfg.tier1_pm = 500;   // tier 1 at 4 drained
-  cfg.tier2_pm = 1000;  // tiers 2/3 out of reach
-  cfg.tier3_pm = 1000;
   ServeWorld w = make_serve_world(cfg, /*objects=*/1);
-  for (const int x : {1, 2, 3, 4}) {
+  for (const int x : {1, 2, 3}) {  // 3 drained: tier 1 only
     ASSERT_EQ(w.srv->offer({0, x, 4}), serve::IngestServer::Admit::kQueued);
   }
   const serve::RoundReport rep = w.srv->run_round();
   EXPECT_EQ(rep.tier, 1);
   EXPECT_EQ(rep.applied, 1) << "only the last fix per object survives";
-  EXPECT_EQ(rep.suppressed, 3);
-  EXPECT_EQ(w.g.net->evaders().region_of(TargetId{0}), w.g.at(4, 4));
+  EXPECT_EQ(rep.suppressed, 2);
+  EXPECT_EQ(w.g.net->evaders().region_of(TargetId{0}), w.g.at(3, 4));
   const stats::IngestCounters& ing = w.g.net->counters().ingest();
   EXPECT_EQ(ing.shed_tier_entries[0], 1);
   EXPECT_EQ(ing.shed_tier_entries[1], 0);
   expect_conserved(ing);
 }
 
-TEST(IngestServer, LadderTier2DeadBandSuppressesNearbyFixes) {
+TEST(IngestServer, LadderTier2AppliesOneHopFixesAndLeavesTheGateOpen) {
   serve::ServeConfig cfg;
   cfg.queues = 1;
   cfg.queue_capacity = 8;
-  cfg.tier1_pm = 250;  // tier 2 at 4 drained
-  cfg.tier2_pm = 500;
-  cfg.tier3_pm = 1000;
-  cfg.dead_band = 1;
   ServeWorld w = make_serve_world(cfg, /*objects=*/4);  // starts at (4,4)
   ASSERT_EQ(w.srv->offer({0, 5, 5}), serve::IngestServer::Admit::kQueued);
   ASSERT_EQ(w.srv->offer({1, 4, 3}), serve::IngestServer::Admit::kQueued);
@@ -384,22 +381,26 @@ TEST(IngestServer, LadderTier2DeadBandSuppressesNearbyFixes) {
   ASSERT_EQ(w.srv->offer({3, 0, 0}), serve::IngestServer::Admit::kQueued);
   const serve::RoundReport rep = w.srv->run_round();
   EXPECT_EQ(rep.tier, 2);
-  // Objects 0 and 1 jittered one hop (inside the dead band): suppressed.
-  // Objects 2 and 3 genuinely moved: applied.
-  EXPECT_EQ(rep.suppressed, 2);
-  EXPECT_EQ(rep.applied, 2);
-  EXPECT_EQ(w.g.net->evaders().region_of(TargetId{0}), w.g.at(4, 4));
+  // The readmit band adds no action of its own: every object's last fix,
+  // the one-hop jitters of objects 0 and 1 included, is applied.
+  EXPECT_EQ(rep.suppressed, 0);
+  EXPECT_EQ(rep.applied, 4);
+  EXPECT_EQ(w.g.net->evaders().region_of(TargetId{0}), w.g.at(5, 5));
+  EXPECT_EQ(w.g.net->evaders().region_of(TargetId{1}), w.g.at(4, 3));
   EXPECT_EQ(w.g.net->evaders().region_of(TargetId{2}), w.g.at(8, 8));
-  expect_conserved(w.g.net->counters().ingest());
+  const stats::IngestCounters& ing = w.g.net->counters().ingest();
+  EXPECT_EQ(ing.shed_tier_entries[0], 1);
+  EXPECT_EQ(ing.shed_tier_entries[1], 1);
+  EXPECT_EQ(ing.shed_tier_entries[2], 0);
+  // Only tier 3 closes the admission gate.
+  EXPECT_EQ(w.srv->offer({0, 4, 4}), serve::IngestServer::Admit::kQueued);
+  expect_conserved(ing);
 }
 
 TEST(IngestServer, LadderTier3ShedsAdmissionWithHysteresis) {
   serve::ServeConfig cfg;
   cfg.queues = 1;
-  cfg.queue_capacity = 8;
-  cfg.tier1_pm = 250;
-  cfg.tier2_pm = 500;
-  cfg.tier3_pm = 875;  // tier 3 at 7 drained
+  cfg.queue_capacity = 8;  // tier 3 at 7 drained
   ServeWorld w = make_serve_world(cfg, /*objects=*/1);
   for (int i = 0; i < 7; ++i) {
     ASSERT_EQ(w.srv->offer({0, 1 + i % 5, 1}),
@@ -411,7 +412,8 @@ TEST(IngestServer, LadderTier3ShedsAdmissionWithHysteresis) {
   EXPECT_EQ(w.srv->offer({0, 2, 2}),
             serve::IngestServer::Admit::kRejectedShed);
   EXPECT_GT(w.srv->retry_after().count(), 0);
-  // Hysteresis: a shed (empty) round drops the tier below 2 and readmits.
+  // Hysteresis: a shed (empty) round falls below the readmit band (tier 2)
+  // and reopens the gate.
   EXPECT_EQ(w.srv->run_round().tier, 0);
   EXPECT_EQ(w.srv->offer({0, 3, 3}), serve::IngestServer::Admit::kQueued);
   w.srv->run_round();
@@ -617,6 +619,52 @@ TEST(ServedBinary, CaptureReplaysToByteIdenticalWorldTrace) {
       run_served(common + "--replay " + cap + " --trace " + replay);
   EXPECT_NE(out2.find("dropped"), std::string::npos) << out2;
   EXPECT_EQ(slurp(replay), live_bytes) << "world trace diverged in replay";
+
+  // The replay's summary reports the live session: the same max tier, tier
+  // entries, applied/suppressed split and finds (a replay has no drops, so
+  // its ingested count differs).
+  const auto line = [](const std::string& out, const std::string& key) {
+    const std::size_t at = out.find(key);
+    return at == std::string::npos ? "<missing " + key + ">"
+                                   : out.substr(at, out.find('\n', at) - at);
+  };
+  const auto applied_suppressed = [&](const std::string& out) {
+    const std::string l = line(out, "ingest:");
+    const std::size_t from = l.find(" = ");
+    const std::size_t to = l.find(" suppressed");
+    return from == std::string::npos || to == std::string::npos
+               ? l
+               : l.substr(from + 3, to - from - 3);
+  };
+  EXPECT_EQ(line(out2, "(max tier"), line(out1, "(max tier")) << out1 << out2;
+  EXPECT_EQ(line(out2, "shed tier entries:"), line(out1, "shed tier entries:"));
+  EXPECT_EQ(applied_suppressed(out2), applied_suppressed(out1));
+  EXPECT_EQ(line(out2, "finds:"), line(out1, "finds:"));
+  EXPECT_EQ(line(out1, "finds:").rfind("finds: 2 issued", 0), 0u) << out1;
+  // Replay counts the final drain's round marker; the live run counts
+  // only its ticks.
+  const auto rounds = [&](const std::string& out) {
+    return std::atoll(line(out, "rounds: ").c_str() + 8);
+  };
+  EXPECT_EQ(rounds(out1), 12) << out1;
+  EXPECT_EQ(rounds(out2), rounds(out1) + 1) << out2;
+}
+
+TEST(ServedBinary, MalformedNumberPrintsUsageAndExitsTwo) {
+  const std::string out = tmp_path("served_badnum.out");
+  for (const std::string bad :
+       {"--side abc", "--load 99999999999999999999", "--seed x1",
+        "--queue-capacity -1", "--queues 4294967296"}) {
+    SCOPED_TRACE(bad);
+    const std::string cmd = std::string(VS_SERVED_PATH) + " --load 4 " +
+                            bad + " > " + out + " 2>&1";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_NE(rc, -1);
+    ASSERT_TRUE(WIFEXITED(rc)) << "the daemon must not die on a signal";
+    EXPECT_EQ(WEXITSTATUS(rc), 2);
+    EXPECT_NE(slurp(out).find("usage: vinestalk_served"), std::string::npos)
+        << slurp(out);
+  }
 }
 
 TEST(ServedBinary, MalformedStdinExitsNonZeroWithoutPartialApply) {

@@ -331,6 +331,19 @@ TEST(Telemetry, TopOnceRendersGoldenFrame) {
   EXPECT_THROW((void)obs::read_telemetry_file(flagged), vs::Error);
 }
 
+TEST(Telemetry, TopRejectsAMalformedIntervalWithUsage) {
+  // Arguments are checked before the stream is read, so no file is needed.
+  const std::string path = testing::TempDir() + "telem_top_absent.vst";
+  for (const std::string bad : {"abc", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    int rc = -1;
+    const std::string out = run_tool(
+        std::string(VS_TOP_PATH) + " " + path + " --interval-ms " + bad, &rc);
+    EXPECT_EQ(rc, 2) << out;
+    EXPECT_NE(out.find("usage: vinestalk_top"), std::string::npos) << out;
+  }
+}
+
 TEST(Telemetry, SummaryPrintsRatesOnlyForCounters) {
   // The sampler's own header (names and kinds from its series table) over
   // two hand-set samples: a counter and a gauge that both moved.

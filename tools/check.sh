@@ -30,7 +30,9 @@
 # incident-free with the conservation identity intact, the shed ladder
 # visible in the Prometheus snapshot and no rate printed for the
 # queue-depth gauge in the telemetry summary, and its VSINGEST1 capture
-# must replay to a byte-identical world trace. An SLO stage pins
+# must replay to a byte-identical world trace and a summary that reports
+# the live session's tiers, applied/suppressed split and finds. An SLO
+# stage pins
 # request-level observability: arming a spec must leave every
 # deterministic artifact (stdout, trace, telemetry, capture)
 # byte-identical to the unarmed run, a tight find-p99
@@ -488,15 +490,36 @@ EOF
   "$root/build-check/tools/vinestalk_served" \
     --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
     --load 24 --overdrive 2 --seed 42 --find-every 8 \
-    --capture "$dir/session.vsingest" --trace "$dir/live.vst" > /dev/null
+    --capture "$dir/session.vsingest" --trace "$dir/live.vst" \
+    > "$dir/live.out"
   "$root/build-check/tools/vinestalk_served" \
     --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
-    --replay "$dir/session.vsingest" --trace "$dir/replay.vst" > /dev/null
+    --replay "$dir/session.vsingest" --trace "$dir/replay.vst" \
+    > "$dir/replay.out"
   cmp "$dir/live.vst" "$dir/replay.vst" || {
     echo "FAIL: replay trace differs from live" >&2; exit 1; }
+  # The replay's summary must report the live session: its max tier, shed
+  # tier entries and queue-depth peak (both judged on drained batches),
+  # applied/suppressed split and finds. The ingested and dropped counts (a
+  # replay has no reader-side drops) and the round count (a replay adds the
+  # final drain's marker) are left out.
+  local s
+  for s in live replay; do
+    sed -n -e 's/^rounds: [0-9]* \((max tier [0-9]*)\)$/\1/p' \
+      -e '/^shed tier entries: /p' \
+      -e 's/^ingest: [0-9]* ingested = \([0-9]* applied + [0-9]* suppressed\) .*/\1/p' \
+      -e '/^finds: /p' "$dir/$s.out" > "$dir/$s.summary"
+  done
+  if [ "$(wc -l < "$dir/live.summary")" -ne 4 ] ||
+     ! grep -q "(max tier 3)" "$dir/live.summary" ||
+     ! cmp -s "$dir/live.summary" "$dir/replay.summary"; then
+    echo "FAIL: replay summary does not report the live session" >&2
+    diff "$dir/live.out" "$dir/replay.out" >&2 || true
+    exit 1
+  fi
   rm -rf "$dir"
   echo "Serve stage clean (overload incident-free, identity exact," \
-       "capture replays byte-identically)."
+       "capture replays byte-identically with the live summary)."
 }
 
 run_slo() {

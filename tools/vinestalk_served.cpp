@@ -27,13 +27,19 @@
 //   --replay <file>      deterministically re-execute a --capture file:
 //                        same batches at the same round boundaries, ladder
 //                        decisions recomputed. With --trace, the world
-//                        trace is byte-identical to the live run's.
+//                        trace is byte-identical to the live run's, and
+//                        the summary's max tier, shed tier entries,
+//                        applied/suppressed and finds equal the live
+//                        run's. Its `rounds:` count includes the final
+//                        drain's round marker, so it reads one more than
+//                        the live run's tick count.
 //
 // Options:
 //   --objects N          tracked objects, spread over the grid (default 4)
 //   --capture <path>     VSINGEST1 capture of drained frames + markers
-//   --queues N --queue-capacity N --round-us N --dead-band N
-//                        serve::ServeConfig knobs
+//   --queues N --queue-capacity N --round-us N
+//                        serve::ServeConfig knobs (the ladder's watermarks
+//                        are fixed fractions of --queue-capacity)
 //   --overdrive N        --load peak per-queue burst, in ring capacities
 //                        (default 2)
 //   --seed S             --load PRNG seed (default 42)
@@ -62,7 +68,9 @@
 //
 // Exit status: 0 on a clean run; 1 on a wire-format error, a watchdog
 // violation, or a broken conservation identity
-// (ingested == applied + suppressed + dropped — checked every run).
+// (ingested == applied + suppressed + dropped — checked every run); 2 on a
+// usage error (an unknown option, a missing value, or a value that is not
+// a number or is out of range).
 // A fired SLO burn-rate alert never changes the exit status: alerting is
 // observability, not a verdict on the run.
 
@@ -73,9 +81,11 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,7 +146,7 @@ std::uint64_t next_rand(std::uint64_t& s) {
 /// Synthesize a VSINGEST1 client session: per round a burst of GPS fixes
 /// (triangular ramp peaking at overdrive x ring capacity per queue) then a
 /// drain tick; every find_every rounds a find RPC. Objects mostly jitter
-/// one cell (tier-2 dead-band fodder) with occasional multi-cell jumps.
+/// one cell, with occasional multi-cell jumps.
 std::string make_load_stream(const Options& opt) {
   std::string out;
   serve::encode_ingest_header(out);
@@ -275,6 +285,18 @@ bool run_reader(serve::IngestServer& srv, ClientLink& link, ReadFn read) {
   }
 }
 
+/// A count option. std::stoul would read "-1" as its type's maximum:
+/// `--queue-capacity -1` wrapped the ring to zero slots.
+template <typename T>
+T to_count(const std::string& s) {
+  const long long v = std::stoll(s);
+  if (v < 0 || static_cast<unsigned long long>(v) >
+                   std::numeric_limits<T>::max()) {
+    throw std::out_of_range(s);
+  }
+  return static_cast<T>(v);
+}
+
 int usage(const char* msg = nullptr) {
   if (msg != nullptr) std::cerr << "vinestalk_served: " << msg << "\n";
   std::cerr << "usage: vinestalk_served --side N --base B "
@@ -309,13 +331,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--capture") {
         opt.capture_path = val();
       } else if (arg == "--queues") {
-        opt.serve.queues = static_cast<std::uint32_t>(std::stoul(val()));
+        opt.serve.queues = to_count<std::uint32_t>(val());
       } else if (arg == "--queue-capacity") {
-        opt.serve.queue_capacity = std::stoul(val());
+        opt.serve.queue_capacity = to_count<std::size_t>(val());
       } else if (arg == "--round-us") {
         opt.serve.round = sim::Duration::micros(std::stoll(val()));
-      } else if (arg == "--dead-band") {
-        opt.serve.dead_band = std::stoi(val());
       } else if (arg == "--overdrive") {
         opt.overdrive = std::stoll(val());
       } else if (arg == "--seed") {
@@ -355,6 +375,10 @@ int main(int argc, char** argv) {
       }
     } catch (const Error& e) {
       return usage(e.what());
+    } catch (const std::logic_error&) {
+      // std::sto* on a value that is not a number or is out of range.
+      return usage((arg + " needs a number in range, got '" + argv[i] + "'")
+                       .c_str());
     }
   }
   // Env fallbacks so a wrapping harness can arm SLO monitoring without
@@ -480,12 +504,10 @@ int main(int argc, char** argv) {
     }
 
     std::int64_t rounds_run = 0;
-    int max_tier = 0;
-    std::int64_t finds_issued = 0, finds_done = 0, find_attempts = 0;
     bool wire_ok = true;
 
     if (!opt.replay_path.empty()) {
-      srv.replay_file(opt.replay_path);
+      rounds_run = srv.replay_file(opt.replay_path);
     } else {
       ClientLink link;
       std::thread reader;
@@ -519,18 +541,13 @@ int main(int argc, char** argv) {
         if (cmd == ClientLink::Cmd::kDone) break;
         lk.unlock();
         if (cmd == ClientLink::Cmd::kRound) {
-          const serve::RoundReport rep = srv.run_round();
+          srv.run_round();
           ++rounds_run;
-          max_tier = std::max(max_tier, rep.tier);
         } else {
           if (ff.object < srv.num_objects() &&
               hierarchy.grid().in_bounds(geo::Coord{ff.x, ff.y})) {
-            const serve::FindOutcome o =
-                srv.find(hierarchy.grid().region_at(ff.x, ff.y), ff.object,
-                         sim::Duration(ff.deadline_us));
-            ++finds_issued;
-            find_attempts += o.attempts;
-            if (o.done) ++finds_done;
+            (void)srv.find(hierarchy.grid().region_at(ff.x, ff.y), ff.object,
+                           sim::Duration(ff.deadline_us));
           } else {
             srv.note_wire_error();
           }
@@ -576,6 +593,12 @@ int main(int argc, char** argv) {
     const char* mode = !opt.replay_path.empty() ? "replay"
                        : opt.from_stdin         ? "stdin"
                                                 : "load";
+    // The highest tier any round reached, from the counters both the live
+    // and the replay path keep.
+    int max_tier = 0;
+    for (std::size_t i = 0; i < ing.shed_tier_entries.size(); ++i) {
+      if (ing.shed_tier_entries[i] > 0) max_tier = static_cast<int>(i) + 1;
+    }
     std::cout << "vinestalk_served: " << mode << " side " << opt.side
               << " base " << opt.base << " objects " << opt.objects
               << "\n";
@@ -591,9 +614,10 @@ int main(int argc, char** argv) {
               << ing.shed_tier_entries[2] << "; queue depth peak "
               << ing.queue_depth_peak << "\n";
     std::cout << "wire errors: " << ing.wire_errors << "\n";
-    if (finds_issued > 0) {
-      std::cout << "finds: " << finds_issued << " issued, " << finds_done
-                << " completed, " << find_attempts << " attempt(s)\n";
+    if (ing.rpc_finds_issued > 0) {
+      std::cout << "finds: " << ing.rpc_finds_issued << " issued, "
+                << ing.rpc_finds_done << " completed, "
+                << ing.rpc_find_attempts << " attempt(s)\n";
     }
     std::cout << "virtual time: " << net.now() << "\n";
     if (watchdog.has_value()) {

@@ -31,7 +31,9 @@
 // home+clear escape at --interval-ms (default 500).
 //
 // Exit status: 0 (stream summarized; live mode exits when the trailer
-// arrives), 1 on usage or a file that is not a telemetry stream.
+// arrives), 1 on a file that is not a telemetry stream, 2 on a usage error
+// (an unknown option, or an --interval-ms that is not a number or is out
+// of range).
 
 #include <algorithm>
 #include <chrono>
@@ -39,6 +41,7 @@
 #include <iomanip>
 #include <initializer_list>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -61,7 +64,7 @@ int usage() {
   std::cerr << "usage: vinestalk_top <telemetry-file> [--once] "
                "[--interval-ms N] [--profile <vsprof-sidecar>] "
                "[--slo <vsslo-sidecar>]\n";
-  return 1;
+  return 2;
 }
 
 /// `width` cells, `frac` of them filled — clamped, so an over-bound gauge
@@ -311,7 +314,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--once") == 0) {
       once = true;
     } else if (std::strcmp(argv[i], "--interval-ms") == 0 && i + 1 < argc) {
-      interval_ms = std::stoi(argv[++i]);
+      try {
+        interval_ms = std::stoi(argv[++i]);
+      } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+        return usage();
+      }
     } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
       profile_path = argv[++i];
     } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
