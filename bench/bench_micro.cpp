@@ -334,6 +334,10 @@ void BM_NetworkConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkConstruction)->Arg(27)->Arg(81)->Arg(243);
 
+// queue_pushes_per_event: event-queue entries pushed per event fired
+// over the timed moves. Every rule-(a) fan-out is one entry for all its
+// members, so it reads well below 1 (one entry per event would read 1 or
+// more: cancelled timers are pushed but never fire).
 void BM_MoveAndQuiesce(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   GridNet g = make_grid(side, 3);
@@ -342,6 +346,9 @@ void BM_MoveAndQuiesce(benchmark::State& state) {
   g.net->run_to_quiescence();
   vsa::RandomWalkMover mover(g.hierarchy->tiling(), 0xB3);
   RegionId cur = start;
+  const sim::Scheduler& sched = g.net->scheduler();
+  const std::uint64_t pushes0 = sched.queue_pushes();
+  const std::uint64_t events0 = sched.events_fired();
   for (auto _ : state) {
     cur = mover.next(cur);
     g.net->move_evader(t, cur);
@@ -349,8 +356,11 @@ void BM_MoveAndQuiesce(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["sim_events"] = benchmark::Counter(
-      static_cast<double>(g.net->scheduler().events_fired()),
-      benchmark::Counter::kIsRate);
+      static_cast<double>(sched.events_fired()), benchmark::Counter::kIsRate);
+  const std::uint64_t events = sched.events_fired() - events0;
+  state.counters["queue_pushes_per_event"] =
+      static_cast<double>(sched.queue_pushes() - pushes0) /
+      static_cast<double>(std::max<std::uint64_t>(1, events));
 }
 BENCHMARK(BM_MoveAndQuiesce)->Arg(27)->Arg(81)->Arg(243);
 

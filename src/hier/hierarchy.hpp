@@ -70,6 +70,9 @@ class ClusterHierarchy {
     return head_[idx(c)];
   }
 
+  /// Every cluster's head, indexed by cluster id.
+  [[nodiscard]] std::span<const RegionId> heads() const { return head_; }
+
   /// members(c): regions of c, ascending id order.
   [[nodiscard]] std::span<const RegionId> members(ClusterId c) const;
 

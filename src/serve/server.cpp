@@ -24,6 +24,13 @@ IngestServer::IngestServer(tracking::TrackingNetwork& net,
     : net_(&net), hier_(&hier), cfg_(std::move(cfg)) {
   VS_REQUIRE(cfg_.queues >= 1, "need at least one ingest queue");
   VS_REQUIRE(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
+  // queue_capacity + 1 <= kMaxRingSlots / queues, written so that no
+  // term can overflow.
+  VS_REQUIRE(cfg_.queue_capacity < ServeConfig::kMaxRingSlots / cfg_.queues,
+             "ingest rings too large: " << cfg_.queues << " queues x ("
+                                        << cfg_.queue_capacity
+                                        << " + 1) slots exceeds the budget of "
+                                        << ServeConfig::kMaxRingSlots);
   VS_REQUIRE(cfg_.round > sim::Duration::zero(),
              "round length must be positive");
   queues_.reserve(cfg_.queues);

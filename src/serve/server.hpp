@@ -59,6 +59,11 @@ class SloMonitor;
 namespace vs::serve {
 
 struct ServeConfig {
+  /// Most ring slots a server allocates, queues × (queue_capacity + 1)
+  /// (a ring keeps one slot empty): 4,194,304 slots of 32 bytes, 128 MiB.
+  /// IngestServer rejects a larger budget instead of allocating it.
+  static constexpr std::size_t kMaxRingSlots = std::size_t{1} << 22;
+
   /// Region-keyed SPSC rings (key: region id mod queues).
   std::uint32_t queues = 4;
   /// Slots per ring; bounds ingest memory and anchors the ladder's fixed

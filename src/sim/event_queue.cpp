@@ -23,7 +23,7 @@ std::uint32_t EventQueue::class_of(Duration delay) {
 }
 
 std::uint32_t EventQueue::store(Action&& action, std::uint64_t seq,
-                                std::uint64_t cause) {
+                                std::uint64_t cause, std::uint32_t members) {
   VS_REQUIRE(static_cast<bool>(action), "empty event action");
   std::uint32_t slot = 0;
   if (!free_slots_.empty()) {
@@ -37,7 +37,9 @@ std::uint32_t EventQueue::store(Action&& action, std::uint64_t seq,
   s.action = std::move(action);
   s.seq = seq;
   s.cause = cause;
-  ++live_count_;
+  ++live_entries_;
+  live_events_ += members;
+  ++pushes_;
   min_src_ = kNoClass;
   return slot;
 }
@@ -88,28 +90,43 @@ EventId EventQueue::push(TimePoint when, Action&& action,
                          std::uint64_t cause) {
   VS_REQUIRE(!when.is_never(), "cannot schedule an event at ∞");
   const std::uint64_t seq = next_seq_;
-  const std::uint32_t slot = store(std::move(action), seq, cause);
+  const std::uint32_t slot = store(std::move(action), seq, cause, 1);
   ++next_seq_;
-  push_heap(Entry{when, seq, slot});
+  push_heap(Entry{when, seq, slot, 1});
   return EventId{seq, slot};
 }
 
-EventId EventQueue::push_after(TimePoint now, Duration delay,
-                               Action&& action, std::uint64_t cause) {
+EventQueue::Entry EventQueue::enqueue_after(TimePoint now, Duration delay,
+                                            std::uint32_t members,
+                                            Action&& action,
+                                            std::uint64_t cause) {
   VS_DCHECK(delay >= Duration::zero(), "negative delay " << delay);
   const TimePoint when = now + delay;
   VS_REQUIRE(!when.is_never(), "cannot schedule an event at ∞");
   const std::uint64_t seq = next_seq_;
-  const std::uint32_t slot = store(std::move(action), seq, cause);
-  ++next_seq_;
-  const Entry e{when, seq, slot};
+  const std::uint32_t slot = store(std::move(action), seq, cause, members);
+  next_seq_ += members;
+  const Entry e{when, seq, slot, members};
   const std::uint32_t c = class_of(delay);
   if (c == kNoClass) {
     push_heap(e);
   } else {
     push_fifo(c, e);
   }
-  return EventId{seq, slot};
+  return e;
+}
+
+EventId EventQueue::push_after(TimePoint now, Duration delay,
+                               Action&& action, std::uint64_t cause) {
+  const Entry e = enqueue_after(now, delay, 1, std::move(action), cause);
+  return EventId{e.seq, e.slot};
+}
+
+void EventQueue::push_fan_out(TimePoint now, Duration delay,
+                              std::uint32_t members, Action&& action,
+                              std::uint64_t cause) {
+  VS_REQUIRE(members >= 1, "a fan-out needs at least one member");
+  (void)enqueue_after(now, delay, members, std::move(action), cause);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -120,9 +137,11 @@ bool EventQueue::cancel(EventId id) {
   s.seq = 0;
   free_slots_.push_back(id.slot_);
   min_src_ = kNoClass;
-  if (--live_count_ == 0) {
+  --live_events_;  // an EventId names a single event, never a fan-out
+  if (--live_entries_ == 0) {
     clear_tombstones();
-  } else if (queued_ - live_count_ > std::max(live_count_, kCompactFloor)) {
+  } else if (queued_ - live_entries_ >
+             std::max(live_entries_, kCompactFloor)) {
     drop_tombstones();
   }
   return true;
@@ -160,13 +179,13 @@ void EventQueue::drop_tombstones() {
   for (std::uint32_t m = nonempty_; m != 0; m &= m - 1) {
     queued_ += fifos_[static_cast<std::size_t>(std::countr_zero(m))].count;
   }
-  VS_DCHECK(queued_ == live_count_, "a live event lost its queue entry");
+  VS_DCHECK(queued_ == live_entries_, "a live entry lost its queue entry");
 }
 
 void EventQueue::find_min() const {
   // Least (time, seq) over the heap top and the non-empty classes' heads.
   // A stale winner — a cancelled event, its slot's generation moved on —
-  // is dropped and the search repeats; live_count_ > 0 guarantees a live
+  // is dropped and the search repeats; live_entries_ > 0 guarantees a live
   // entry in some queue.
   for (;;) {
     const Entry* best = heap_.empty() ? nullptr : &heap_.front();
@@ -208,6 +227,12 @@ EventQueue::Action EventQueue::pop(TimePoint& when) {
 }
 
 EventQueue::Popped EventQueue::pop() {
+  Popped p;
+  pop(p);
+  return p;
+}
+
+void EventQueue::pop(Popped& out) {
   VS_REQUIRE(!empty(), "pop on empty queue");
   if (min_src_ == kNoClass) find_min();
   Entry top{};
@@ -222,11 +247,15 @@ EventQueue::Popped EventQueue::pop() {
   }
   min_src_ = kNoClass;
   Slot& s = slots_[top.slot];
-  Popped p{std::move(s.action), top.when, top.seq, s.cause};
+  out.action = std::move(s.action);
+  out.when = top.when;
+  out.seq = top.seq;
+  out.cause = s.cause;
+  out.members = top.members;
   s.seq = 0;
   free_slots_.push_back(top.slot);
-  if (--live_count_ == 0) clear_tombstones();
-  return p;
+  live_events_ -= top.members;
+  if (--live_entries_ == 0) clear_tombstones();
 }
 
 }  // namespace vs::sim

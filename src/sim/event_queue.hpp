@@ -30,7 +30,17 @@
 // no per-event allocations thanks to EventAction's inline buffer. The
 // least head is looked up once and cached until the next push, pop or
 // cancel, so the scheduler's empty() → next_time() → pop() sequence
-// searches once per event.
+// searches once per entry.
+//
+// Fan-outs. push_fan_out() books n events that share one action, one time
+// and one cause as a single entry reserving n consecutive sequence numbers
+// (base .. base+n−1). No other event can sort between them — a tie at
+// their instant needs a sequence number in that range — so they are
+// contiguous in (time, seq) order, and the scheduler fires them one per
+// step() after a single pop (scheduler.hpp). size() counts the members, so
+// it is the number of events still to fire, as if each had its own entry;
+// one push, one slot, one head scan and one pop serve all of them. A
+// fan-out has no EventId: C-gcast, its only user, never cancels a delivery.
 
 #include <array>
 #include <cstdint>
@@ -80,36 +90,53 @@ class EventQueue {
   EventId push_after(TimePoint now, Duration delay, Action&& action,
                      std::uint64_t cause = 0);
 
+  /// Schedule `members` events at `now + delay` that all run `action`:
+  /// one entry holding `members` consecutive sequence numbers, placed as
+  /// push_after() places one event. Requires members >= 1. Not
+  /// cancellable.
+  void push_fan_out(TimePoint now, Duration delay, std::uint32_t members,
+                    Action&& action, std::uint64_t cause = 0);
+
   /// Cancel a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event is a harmless no-op (returns false).
   bool cancel(EventId id);
 
   /// True if no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
+  [[nodiscard]] bool empty() const { return live_entries_ == 0; }
 
   /// Time of the earliest live event. Requires !empty().
   [[nodiscard]] TimePoint next_time() const;
 
-  /// Remove and return the earliest live event's action.
-  /// Requires !empty(). Also reports the event's time via `when`.
+  /// Remove and return the earliest live entry's action.
+  /// Requires !empty(). Also reports the entry's time via `when`.
   Action pop(TimePoint& when);
 
-  /// Earliest live event with its identity and causal parent (the
-  /// scheduler's step path). Requires !empty().
+  /// Earliest live entry with its identity and causal parent (the
+  /// scheduler's step path): `members` events with sequence numbers
+  /// seq .. seq+members−1 (1 unless the entry is a fan-out).
   struct Popped {
     Action action;
     TimePoint when;
-    std::uint64_t seq;
-    std::uint64_t cause;
+    std::uint64_t seq = 0;
+    std::uint64_t cause = 0;
+    std::uint32_t members = 0;
   };
+  /// Requires !empty(). Moves the entry into `out`, whose action is
+  /// replaced.
+  void pop(Popped& out);
   Popped pop();
 
-  /// Number of live events (O(1); maintained incrementally).
-  [[nodiscard]] std::size_t size() const { return live_count_; }
+  /// Number of live events, a fan-out counting each member (O(1);
+  /// maintained incrementally).
+  [[nodiscard]] std::size_t size() const { return live_events_; }
 
-  /// Entries held in the FIFOs and the heap: the live events plus the
+  /// Entries held in the FIFOs and the heap: the live entries plus the
   /// tombstones not yet dropped. At most 2·size() + kCompactFloor.
   [[nodiscard]] std::size_t queued() const { return queued_; }
+
+  /// Entries ever pushed: one per push(), push_after() or push_fan_out(),
+  /// however many members a fan-out holds.
+  [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
 
   /// High-water mark of action slots ever allocated — stays at the peak
   /// number of simultaneously pending events because freed slots are
@@ -125,8 +152,9 @@ class EventQueue {
  private:
   struct Entry {
     TimePoint when;
-    std::uint64_t seq;
-    std::uint32_t slot;  // index into slots_; stale iff generation mismatch
+    std::uint64_t seq;       // the first member's sequence number
+    std::uint32_t slot;      // index into slots_; stale iff generation mismatch
+    std::uint32_t members;   // events the entry holds (1 but for fan-outs)
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -152,7 +180,11 @@ class EventQueue {
   std::uint32_t class_of(Duration delay);
   /// Book `action` into a fresh slot; returns the slot index.
   std::uint32_t store(Action&& action, std::uint64_t seq,
-                      std::uint64_t cause);
+                      std::uint64_t cause, std::uint32_t members);
+  /// Books an entry of `members` events at `now + delay` into its class
+  /// FIFO (or the heap) and returns it.
+  Entry enqueue_after(TimePoint now, Duration delay, std::uint32_t members,
+                      Action&& action, std::uint64_t cause);
   void push_heap(const Entry& e);
   void push_fifo(std::uint32_t c, const Entry& e);
   void pop_front(std::uint32_t c) const;
@@ -194,8 +226,10 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{1};
-  std::size_t live_count_{0};
+  std::size_t live_entries_{0};
+  std::size_t live_events_{0};  // live entries' members
   mutable std::size_t queued_{0};
+  std::uint64_t pushes_{0};
   std::uint64_t fallback_pushes_{0};
 };
 

@@ -16,6 +16,13 @@ EventId Scheduler::schedule_at(TimePoint when, Action&& action) {
   return queue_.push(when, std::move(action), current_seq_);
 }
 
+void Scheduler::schedule_fan_out(Duration delay, std::uint32_t members,
+                                 Action&& action) {
+  VS_REQUIRE(delay >= Duration::zero(),
+             "negative delay " << delay << " at " << now());
+  queue_.push_fan_out(now_, delay, members, std::move(action), current_seq_);
+}
+
 bool Scheduler::cancel(EventId id) { return queue_.cancel(id); }
 
 void Scheduler::flush_boundaries(TimePoint upto) {
@@ -28,29 +35,31 @@ void Scheduler::flush_boundaries(TimePoint upto) {
 }
 
 bool Scheduler::step() {
-  if (queue_.empty()) return false;
-  probe(kProbeQueuePopBegin, 0);
-  EventQueue::Popped p = queue_.pop();
-  probe(kProbeQueuePopEnd, 0);
-  VS_DCHECK(p.when >= now_, "event queue time went backwards");
+  VS_DCHECK(current_seq_ == 0, "step() called from inside an event action");
+  if (cur_.members == 0) {
+    if (queue_.empty()) return false;
+    probe(kProbeQueuePopBegin, 0);
+    queue_.pop(cur_);
+    probe(kProbeQueuePopEnd, 0);
+    VS_DCHECK(cur_.when >= now_, "event queue time went backwards");
+  }
   // Pre-fire boundary check: the event about to fire is the earliest
-  // pending one, so state right now is "everything with when < p.when has
-  // fired" — the exact sample prefix for any boundary <= p.when.
-  if (p.when >= boundary_due_) flush_boundaries(p.when);
-  now_ = p.when;
+  // pending one (a fan-out's next member is: nothing sorts between its
+  // members), so state right now is "everything with when < cur_.when has
+  // fired" — the exact sample prefix for any boundary <= cur_.when.
+  if (cur_.when >= boundary_due_) flush_boundaries(cur_.when);
+  now_ = cur_.when;
   ++events_fired_;
-  // Save/restore so a nested run() inside an action (rare, but legal in
-  // tests) doesn't clobber the outer firing context.
-  const std::uint64_t saved_seq = current_seq_;
-  const std::uint64_t saved_cause = current_cause_;
-  current_seq_ = p.seq;
-  current_cause_ = p.cause;
-  probe(kProbeFireBegin, p.when.count());
-  p.action();
-  probe(kProbeFireEnd, p.when.count());
-  current_seq_ = saved_seq;
-  current_cause_ = saved_cause;
+  current_seq_ = cur_.seq++;
+  current_cause_ = cur_.cause;
+  --cur_.members;
+  probe(kProbeFireBegin, now_.count());
+  cur_.action();
+  probe(kProbeFireEnd, now_.count());
+  current_seq_ = 0;
+  current_cause_ = 0;
   if (post_step_hook_ != nullptr) post_step_hook_(post_step_ctx_);
+  if (cur_.members == 0) cur_.action.reset();
   return true;
 }
 
@@ -68,7 +77,7 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
 std::uint64_t Scheduler::run_until(TimePoint deadline,
                                    std::uint64_t max_events) {
   std::uint64_t fired = 0;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  while (due_by(deadline)) {
     step();
     ++fired;
     VS_REQUIRE(fired <= max_events,

@@ -5,6 +5,15 @@
 // the paper builds on: automata register actions at future virtual times
 // (message deliveries, timer expiries); the scheduler fires them in
 // deterministic (time, scheduling-order) order and advances `now`.
+//
+// A fan-out (schedule_fan_out: C-gcast's rule-(a) multicast to a
+// cluster's neighbours) is one queue entry for n events. step() pops it
+// once into `cur_` and fires its members from there, one per step(), each
+// under its own sequence number with the shared cause, each counted in
+// events_fired() and pending() and each followed by the post-step hook,
+// so every observer sees exactly the events n separate entries would
+// give. The action runs from `cur_`, outside the queue's slot table, so a
+// member that schedules events may grow that table freely.
 
 #include <cstdint>
 #include <functional>
@@ -31,10 +40,22 @@ class Scheduler {
   /// Goes to the queue's fallback heap.
   EventId schedule_at(TimePoint when, Action&& action);
 
+  /// Schedule `members` events `delay` from now that each run `action`,
+  /// with consecutive sequence numbers and the current event as their
+  /// cause — what `members` schedule_after() calls would fire — as one
+  /// queue entry. The action tells the members apart itself (C-gcast keeps
+  /// a member cursor in its slab row). Requires members >= 1; a fan-out
+  /// cannot be cancelled.
+  void schedule_fan_out(Duration delay, std::uint32_t members,
+                        Action&& action);
+
   /// Cancel a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id);
 
-  /// Fire the single earliest event. Returns false if none pending.
+  /// Fire the single earliest event (one member of a fan-out). Returns
+  /// false if none pending. Not to be called from inside an event action
+  /// (nor run()/run_until()): the entry being fired lives in the
+  /// scheduler, and a nested pop would replace it.
   bool step();
 
   /// Run until no events remain ("quiescence" — the paper's update
@@ -48,8 +69,10 @@ class Scheduler {
   std::uint64_t run_until(TimePoint deadline,
                           std::uint64_t max_events = kDefaultEventBudget);
 
-  /// Number of pending events.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  /// Number of pending events, counting each unfired fan-out member.
+  [[nodiscard]] std::size_t pending() const {
+    return queue_.size() + cur_.members;
+  }
 
   /// Total events fired over the scheduler's lifetime.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
@@ -59,6 +82,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t fallback_pushes() const {
     return queue_.fallback_pushes();
   }
+
+  /// Entries pushed onto the event queue: one per schedule_after(),
+  /// schedule_at() or schedule_fan_out() call.
+  [[nodiscard]] std::uint64_t queue_pushes() const { return queue_.pushes(); }
 
   /// Identity (queue sequence number) of the event currently firing, or 0
   /// when called from outside any event. Anything scheduled while an event
@@ -129,7 +156,16 @@ class Scheduler {
   /// inlined call sites only pay the compare.
   void flush_boundaries(TimePoint upto);
 
+  /// True if an event is due at or before `deadline`.
+  [[nodiscard]] bool due_by(TimePoint deadline) const {
+    if (cur_.members > 0) return cur_.when <= deadline;
+    return !queue_.empty() && queue_.next_time() <= deadline;
+  }
+
   EventQueue queue_;
+  /// The entry being fired: its action, time and cause, the next member's
+  /// sequence number, and the members still to fire (0 when spent).
+  EventQueue::Popped cur_;
   TimePoint now_ = TimePoint::zero();
   std::uint64_t events_fired_{0};
   std::uint64_t current_seq_{0};

@@ -88,47 +88,52 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
 
   // Replica placement (§VII): the head plus members spread evenly across
   // the cluster, capped by cluster size (level-0 clusters are singletons).
+  // With one replica per cluster the replicas are the hierarchy's heads,
+  // and replicas_of() reads them there.
   VS_REQUIRE(config_.head_replicas >= 1, "head_replicas must be >= 1");
   const std::size_t num_clusters = hierarchy.num_clusters();
-  const auto want = static_cast<std::size_t>(config_.head_replicas);
-  replica_offset_.reserve(num_clusters + 1);
-  replica_offset_.push_back(0);
-  replica_flat_.reserve(num_clusters);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    const ClusterId id{static_cast<ClusterId::rep_type>(c)};
-    const std::uint32_t first = replica_offset_.back();
-    const auto placed = [&](RegionId r) {
-      return std::find(replica_flat_.begin() + first, replica_flat_.end(),
-                       r) != replica_flat_.end();
-    };
-    replica_flat_.push_back(hierarchy.head(id));
-    const auto members = hierarchy.members(id);
-    for (std::size_t k = 0;
-         replica_flat_.size() - first < want && k < members.size(); ++k) {
-      // Even spread over the member list.
-      const RegionId candidate = members[k * members.size() / want];
-      if (!placed(candidate)) replica_flat_.push_back(candidate);
+  if (config_.head_replicas > 1) {
+    const auto want = static_cast<std::size_t>(config_.head_replicas);
+    replica_offset_.reserve(num_clusters + 1);
+    replica_offset_.push_back(0);
+    replica_flat_.reserve(num_clusters);
+    for (std::size_t c = 0; c < num_clusters; ++c) {
+      const ClusterId id{static_cast<ClusterId::rep_type>(c)};
+      const std::uint32_t first = replica_offset_.back();
+      const auto placed = [&](RegionId r) {
+        return std::find(replica_flat_.begin() + first, replica_flat_.end(),
+                         r) != replica_flat_.end();
+      };
+      replica_flat_.push_back(hierarchy.head(id));
+      const auto members = hierarchy.members(id);
+      for (std::size_t k = 0;
+           replica_flat_.size() - first < want && k < members.size(); ++k) {
+        // Even spread over the member list.
+        const RegionId candidate = members[k * members.size() / want];
+        if (!placed(candidate)) replica_flat_.push_back(candidate);
+      }
+      replica_offset_.push_back(
+          static_cast<std::uint32_t>(replica_flat_.size()));
     }
-    replica_offset_.push_back(
-        static_cast<std::uint32_t>(replica_flat_.size()));
   }
   // Hosted lists: a counting sort of the replicas by region, filled in
   // cluster-id order.
   hosted_offset_.assign(hierarchy.tiling().num_regions() + 1, 0);
-  for (const RegionId r : replica_flat_) {
-    ++hosted_offset_[static_cast<std::size_t>(r.value()) + 1];
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    for (const RegionId r :
+         replicas_of(ClusterId{static_cast<ClusterId::rep_type>(c)})) {
+      ++hosted_offset_[static_cast<std::size_t>(r.value()) + 1];
+    }
   }
   std::partial_sum(hosted_offset_.begin(), hosted_offset_.end(),
                    hosted_offset_.begin());
-  hosted_flat_.resize(replica_flat_.size());
+  hosted_flat_.resize(hosted_offset_.back());
   std::vector<std::uint32_t> cursor(hosted_offset_.begin(),
                                     hosted_offset_.end() - 1);
   for (std::size_t c = 0; c < num_clusters; ++c) {
-    for (std::uint32_t i = replica_offset_[c]; i < replica_offset_[c + 1];
-         ++i) {
-      const auto r = static_cast<std::size_t>(replica_flat_[i].value());
-      hosted_flat_[cursor[r]++] =
-          ClusterId{static_cast<ClusterId::rep_type>(c)};
+    const ClusterId id{static_cast<ClusterId::rep_type>(c)};
+    for (const RegionId r : replicas_of(id)) {
+      hosted_flat_[cursor[static_cast<std::size_t>(r.value())]++] = id;
     }
   }
 
@@ -431,10 +436,11 @@ std::span<const ClusterId> TrackingNetwork::hosted_at(RegionId u) const {
 }
 
 std::span<const RegionId> TrackingNetwork::replicas_of(ClusterId c) const {
-  VS_REQUIRE(c.valid() && static_cast<std::size_t>(c.value()) + 1 <
-                              replica_offset_.size(),
+  VS_REQUIRE(c.valid() &&
+                 static_cast<std::size_t>(c.value()) < hier_->num_clusters(),
              "cluster " << c << " out of range");
   const auto i = static_cast<std::size_t>(c.value());
+  if (replica_offset_.empty()) return hier_->heads().subspan(i, 1);
   return {replica_flat_.data() + replica_offset_[i],
           replica_offset_[i + 1] - replica_offset_[i]};
 }

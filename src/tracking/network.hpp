@@ -259,8 +259,9 @@ class TrackingNetwork {
   TrackerArray trackers_;
   // §VII replica placement as offset + flat (CSR) tables: the regions
   // hosting cluster c are replica_flat_[replica_offset_[c] ..
-  // replica_offset_[c + 1]), the clusters hosted at region u likewise
-  // from the hosted_ pair, in cluster-id order.
+  // replica_offset_[c + 1]) (both empty at head_replicas = 1, where the
+  // hierarchy's heads are the replicas), the clusters hosted at region u
+  // likewise from the hosted_ pair, in cluster-id order.
   std::vector<std::uint32_t> replica_offset_;  // by cluster id
   std::vector<RegionId> replica_flat_;
   std::vector<std::uint32_t> hosted_offset_;  // by region id

@@ -100,28 +100,38 @@ bool CGcast::process_alive(ClusterId to) const {
   return false;
 }
 
-std::uint32_t CGcast::book(ClusterId from, ClusterId to, const Message& m,
-                           sim::TimePoint deliver_at) {
+std::uint32_t CGcast::book(Row r) {
+  r.key = next_key_;
+  next_key_ += r.left;
   std::uint32_t row = 0;
   if (free_rows_.empty()) {
     row = static_cast<std::uint32_t>(rows_.size());
-    rows_.emplace_back();
+    rows_.push_back(r);
   } else {
     row = free_rows_.back();
     free_rows_.pop_back();
+    rows_[row] = r;
   }
-  rows_[row] = Row{m, from, to, deliver_at, next_key_++};
   return row;
 }
 
-void CGcast::release(std::uint32_t row) {
-  rows_[row].key = 0;
-  free_rows_.push_back(row);
+void CGcast::advance(Row& r) const {
+  const auto nbrs = hier_->nbrs(r.from);
+  do {
+    ++r.nbr;
+  } while (nbrs[r.nbr] == r.except);
+  r.to = nbrs[r.nbr];
+  ++r.key;
 }
 
 void CGcast::enqueue(ClusterId from, ClusterId to, const Message& m,
                      sim::Duration delay) {
-  const std::uint32_t row = book(from, to, m, sched_->now() + delay);
+  const std::uint32_t row = book(Row{.msg = m,
+                                     .from = from,
+                                     .to = to,
+                                     .except = ClusterId::invalid(),
+                                     .deliver_at = sched_->now() + delay,
+                                     .left = 1});
   sched_->schedule_after(delay, [this, row] { deliver_row(row); });
 }
 
@@ -174,13 +184,34 @@ void CGcast::send_to_nbrs(ClusterId from, const Message& m,
   // Rule (a): a neighbour is never the parent or a child (they sit at
   // other levels), so vsa_delay would return this for every destination.
   const sim::Duration delay = (config_.delta + config_.e) * h.n(l);
-  for (const ClusterId to : h.nbrs(from)) {
-    if (to != except) transmit(from, to, l, m, delay);
+  const auto nbrs = h.nbrs(from);
+  if (channel_faults_) {
+    // Each member draws its own fault verdict, so each gets its own event.
+    for (const ClusterId to : nbrs) {
+      if (to != except) transmit(from, to, l, m, delay);
+    }
+    return;
   }
+  std::uint32_t first = 0;
+  std::uint32_t members = 0;
+  for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+    if (nbrs[i] == except) continue;
+    if (members++ == 0) first = i;
+    account(from, nbrs[i], l, m);
+  }
+  if (members == 0) return;
+  const std::uint32_t row = book(Row{.msg = m,
+                                     .from = from,
+                                     .to = nbrs[first],
+                                     .except = except,
+                                     .nbr = first,
+                                     .deliver_at = sched_->now() + delay,
+                                     .left = members});
+  sched_->schedule_fan_out(delay, members, [this, row] { deliver_row(row); });
 }
 
-void CGcast::transmit(ClusterId from, ClusterId to, Level l, const Message& m,
-                      sim::Duration delay) {
+void CGcast::account(ClusterId from, ClusterId to, Level l,
+                     const Message& m) {
   const std::int64_t hops = work_to(from, to);
   counters_->record(m.type, l, hops);
   notify_observers(m, from, to, l, hops);
@@ -188,6 +219,11 @@ void CGcast::transmit(ClusterId from, ClusterId to, Level l, const Message& m,
     record(obs::TraceKind::kSend, m, from.value(), to.value(), l,
            static_cast<std::int32_t>(hops));
   }
+}
+
+void CGcast::transmit(ClusterId from, ClusterId to, Level l, const Message& m,
+                      sim::Duration delay) {
+  account(from, to, l, m);
   bool duplicate = false;
   if (apply_channel_faults(m, delay, duplicate)) {
     if (trace_ != nullptr && trace_->enabled()) {
@@ -248,9 +284,15 @@ void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
 }
 
 void CGcast::deliver_row(std::uint32_t row) {
-  // Copy out and release first: the handler's own sends may grow the slab.
-  const Row r = rows_[row];
-  release(row);
+  // Copy the member out and move the row on (or release it) first: the
+  // handler's own sends may grow the slab.
+  Row& slot = rows_[row];
+  const Row r = slot;
+  if (--slot.left == 0) {
+    free_rows_.push_back(row);
+  } else {
+    advance(slot);
+  }
   if (!process_alive(r.to)) {
     ++dropped_;
     if (trace_ != nullptr && trace_->enabled()) {
@@ -286,17 +328,22 @@ bool CGcast::vsa_alive_at(RegionId region) const {
 }
 
 std::vector<CGcast::InTransit> CGcast::in_transit() const {
-  std::vector<const Row*> booked;
-  booked.reserve(rows_.size() - free_rows_.size());
+  // Each undelivered member, as its row reads while that member is next,
+  // sorted by send key.
+  std::vector<Row> members;
   for (const Row& r : rows_) {
-    if (r.key != 0) booked.push_back(&r);
+    Row m = r;
+    for (std::uint32_t i = 0; i < r.left; ++i) {
+      if (i > 0) advance(m);
+      members.push_back(m);
+    }
   }
-  std::sort(booked.begin(), booked.end(),
-            [](const Row* a, const Row* b) { return a->key < b->key; });
+  std::sort(members.begin(), members.end(),
+            [](const Row& a, const Row& b) { return a.key < b.key; });
   std::vector<InTransit> out;
-  out.reserve(booked.size());
-  for (const Row* r : booked) {
-    out.push_back(InTransit{r->msg, r->from, r->to, r->deliver_at});
+  out.reserve(members.size());
+  for (const Row& m : members) {
+    out.push_back(InTransit{m.msg, m.from, m.to, m.deliver_at});
   }
   return out;
 }

@@ -22,6 +22,17 @@
 // service pointer and the row index, so the closure fits EventAction's
 // inline buffer and a send allocates nothing once the slab has grown to
 // the peak number of messages in flight.
+//
+// A rule-(a) fan-out (send_to_nbrs) is one row and one scheduler entry for
+// all its members: the row holds the message, `from`, the neighbour left
+// out, a block of consecutive send keys and a member cursor, and
+// Scheduler::schedule_fan_out fires the row once per member, in nbrs()
+// order, under the sequence numbers per-destination events would take.
+// Counters, observers and send records stay per member at send time; the
+// liveness check, delivery records and the tracker sink per member at
+// delivery; in_transit() lists each undelivered member. Only with a
+// channel-fault oracle installed — each member then draws its own drop,
+// duplicate and delay — does a fan-out book one row and event per member.
 
 #include <cstdint>
 #include <functional>
@@ -130,7 +141,8 @@ class CGcast {
   /// The same message from `from` to every cluster of nbrs(from) except
   /// `except` (invalid = none), in nbrs() order: exactly a loop of send()
   /// over those destinations, with rule (a)'s delay (δ+e)·n(l) computed
-  /// once instead of searched per destination.
+  /// once instead of searched per destination, and (with no channel-fault
+  /// oracle) one slab row and one scheduler entry for all of them.
   void send_to_nbrs(ClusterId from, const Message& m,
                     ClusterId except = ClusterId::invalid());
 
@@ -155,7 +167,8 @@ class CGcast {
     sim::TimePoint deliver_at;
   };
   /// All VSA→VSA and client→VSA messages currently in flight, in
-  /// deterministic (send order) sequence.
+  /// deterministic (send order) sequence; a fan-out contributes each
+  /// member it has not yet delivered.
   [[nodiscard]] std::vector<InTransit> in_transit() const;
 
   /// Messages dropped because the destination VSA was failed at delivery.
@@ -169,22 +182,28 @@ class CGcast {
   }
 
  private:
-  /// One in-flight message. `key` is the send sequence number (0 marks a
-  /// free row); it orders in_transit().
+  /// One in-flight message, or the undelivered members of a fan-out.
+  /// `to` and `key` (the send sequence number, which orders in_transit())
+  /// are the next member's; a fan-out's later members are the following
+  /// clusters of nbrs(from) other than `except`, with the following keys.
   struct Row {
     Message msg;
     ClusterId from;
     ClusterId to;
+    ClusterId except;            // fan-out: the neighbour left out
+    std::uint32_t nbr = 0;       // fan-out: index of `to` in nbrs(from)
     sim::TimePoint deliver_at;
     std::uint64_t key = 0;
+    std::uint32_t left = 0;      // members not yet delivered; 0 = free row
   };
 
-  /// Books a slab row for a message and returns its index.
-  std::uint32_t book(ClusterId from, ClusterId to, const Message& m,
-                     sim::TimePoint deliver_at);
-  void release(std::uint32_t row);
-  /// Delivers the message booked in `row`: liveness check, trace records,
-  /// and the tracker-sink handoff.
+  /// Books a slab row under the next `r.left` send keys and returns its
+  /// index.
+  std::uint32_t book(Row r);
+  /// Moves a fan-out row on to its next member.
+  void advance(Row& r) const;
+  /// Delivers the next member booked in `row` (releasing the row after its
+  /// last): liveness check, trace records, and the tracker-sink handoff.
   void deliver_row(std::uint32_t row);
   /// Books one in-flight row and schedules its delivery.
   void enqueue(ClusterId from, ClusterId to, const Message& m,
@@ -194,6 +213,9 @@ class CGcast {
   /// carries its op.
   void transmit(ClusterId from, ClusterId to, Level l, const Message& m,
                 sim::Duration delay);
+  /// The send-time accounting of one VSA→VSA message: counters, observers
+  /// and the send record.
+  void account(ClusterId from, ClusterId to, Level l, const Message& m);
   /// Applies the channel-fault oracle to an outgoing message: updates
   /// `delay`/`duplicate` and returns true if the message is dropped.
   [[nodiscard]] bool apply_channel_faults(const Message& m,

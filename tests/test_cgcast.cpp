@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -200,25 +201,49 @@ TEST(CGcast, RejectsSelfSendAndBadConfig) {
 /// The channel faults a FanOutWorld's seeded oracle injects.
 enum class Faults { kNone, kDropOnly, kAll };
 
+/// One delivery as the tracker sink saw it: when, under which event and
+/// cause, to whom, and the message.
+using Delivered = std::tuple<std::int64_t, std::uint64_t, std::uint64_t,
+                             ClusterId, MsgKind, ClusterId, vs::TargetId,
+                             vs::FindId, vs::obs::OpId>;
+
 /// One C-gcast service with every send-side surface recorded: counters,
 /// observer calls and trace records, plus (optionally) a seeded
-/// channel-fault oracle. Nothing is delivered: the comparison reads the
-/// in-flight slab.
+/// channel-fault oracle. Fans out either through send_to_nbrs (`fan_out`)
+/// or as the equivalent loop of send(). Its tracker sink records every
+/// delivery and answers a growPar delivered to every fourth cluster with a
+/// shrinkUpd fan-out of its own, so fan-outs are also sent from inside
+/// events, between the members of earlier ones. The VSAs of every seventh
+/// region are failed, so some members are dropped at delivery.
 struct FanOutWorld {
   using Observed =
       std::tuple<MsgKind, vs::obs::OpId, ClusterId, ClusterId, Level,
                  std::int64_t>;
 
-  FanOutWorld(const vs::hier::ClusterHierarchy& h, Faults faults)
+  FanOutWorld(const vs::hier::ClusterHierarchy& h, Faults faults,
+              bool use_fan_out)
       : counters(h.max_level()),
         cg(sched, h, CGcastConfig{Duration::millis(1), Duration::millis(1)},
            counters),
-        fault_rng(11) {
+        fault_rng(11),
+        fan_out(use_fan_out) {
     trace.set_enabled(true);
     cg.set_trace_recorder(&trace);
     cg.add_send_observer([this](const Message& m, ClusterId from,
                                 ClusterId to, Level l, std::int64_t hops) {
       observed.emplace_back(m.type, m.op, from, to, l, hops);
+    });
+    cg.set_vsa_alive([](RegionId r) { return r.value() % 7 != 3; });
+    cg.set_tracker_sink([this](ClusterId to, const Message& m) {
+      delivered.emplace_back(sched.now().count(), sched.current_seq(),
+                             sched.current_cause(), to, m.type,
+                             m.from_cluster, m.target, m.find_id, m.op);
+      if (m.type == MsgKind::kGrowPar && to.value() % 4 == 0) {
+        Message reply = m;
+        reply.type = MsgKind::kShrinkUpd;
+        reply.from_cluster = to;
+        fan(to, reply);
+      }
     });
     if (faults == Faults::kDropOnly) {
       cg.set_channel_faults([this](const Message&) {
@@ -239,19 +264,33 @@ struct FanOutWorld {
     }
   }
 
+  /// `m` from `from` to nbrs(from) − {except}, as this world fans out.
+  void fan(ClusterId from, const Message& m,
+           ClusterId except = ClusterId::invalid()) {
+    if (fan_out) {
+      cg.send_to_nbrs(from, m, except);
+      return;
+    }
+    for (const ClusterId b : cg.hierarchy().nbrs(from)) {
+      if (b != except) cg.send(from, b, m);
+    }
+  }
+
   Scheduler sched;
   WorkCounters counters;
   CGcast cg;
   vs::Rng fault_rng;
+  bool fan_out;
   vs::obs::TraceRecorder trace;
   std::vector<Observed> observed;
+  std::vector<Delivered> delivered;
 };
 
-/// Sends one message per cluster and fan-out flavour through `world`,
-/// either as send_to_nbrs or as the equivalent loop of send().
+/// Sends one message per fan-out flavour from every `stride`-th cluster
+/// through `world`.
 void drive_fan_outs(FanOutWorld& w, const vs::hier::ClusterHierarchy& h,
-                    bool fan_out) {
-  for (std::size_t i = 0; i < h.num_clusters(); ++i) {
+                    std::size_t stride = 1) {
+  for (std::size_t i = 0; i < h.num_clusters(); i += stride) {
     const ClusterId c{static_cast<ClusterId::rep_type>(i)};
     const auto nbrs = h.nbrs(c);
     Message m;
@@ -261,54 +300,51 @@ void drive_fan_outs(FanOutWorld& w, const vs::hier::ClusterHierarchy& h,
     // shrinkUpd stamped by the ambient op.
     m.type = MsgKind::kGrowPar;
     m.op = vs::obs::make_op(vs::obs::OpClass::kMove, i);
-    if (fan_out) {
-      w.cg.send_to_nbrs(c, m);
-    } else {
-      for (const ClusterId b : nbrs) w.cg.send(c, b, m);
-    }
+    w.fan(c, m);
     m.type = MsgKind::kFindQuery;
     m.find_id = vs::FindId{static_cast<vs::FindId::rep_type>(i)};
-    const ClusterId except = nbrs.empty() ? ClusterId{} : nbrs[i % nbrs.size()];
-    if (fan_out) {
-      w.cg.send_to_nbrs(c, m, except);
-    } else {
-      for (const ClusterId b : nbrs) {
-        if (b != except) w.cg.send(c, b, m);
-      }
-    }
+    w.fan(c, m, nbrs.empty() ? ClusterId{} : nbrs[i % nbrs.size()]);
     m.type = MsgKind::kShrinkUpd;
     m.find_id = vs::FindId{};
     m.op = vs::obs::kBackgroundOp;
     w.cg.set_ambient_op(vs::obs::make_op(vs::obs::OpClass::kMove, i + 1));
-    if (fan_out) {
-      w.cg.send_to_nbrs(c, m);
-    } else {
-      for (const ClusterId b : nbrs) w.cg.send(c, b, m);
-    }
+    w.fan(c, m);
     w.cg.set_ambient_op(vs::obs::kBackgroundOp);
   }
 }
 
-void expect_same_sends(const vs::hier::ClusterHierarchy& h, Faults faults) {
-  FanOutWorld fan(h, faults);
-  FanOutWorld loop(h, faults);
-  drive_fan_outs(fan, h, true);
-  drive_fan_outs(loop, h, false);
-
-  const auto a = fan.cg.in_transit();
-  const auto b = loop.cg.in_transit();
+void expect_same_in_transit(const CGcast& fan, const CGcast& loop) {
+  const auto a = fan.in_transit();
+  const auto b = loop.in_transit();
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
     ASSERT_EQ(a[i].to, b[i].to);
     ASSERT_EQ(a[i].deliver_at, b[i].deliver_at);
     ASSERT_EQ(a[i].from, b[i].from);
     ASSERT_EQ(a[i].msg.type, b[i].msg.type);
+    ASSERT_EQ(a[i].msg.from_cluster, b[i].msg.from_cluster);
     ASSERT_EQ(a[i].msg.target, b[i].msg.target);
     ASSERT_EQ(a[i].msg.find_id, b[i].msg.find_id);
     ASSERT_EQ(a[i].msg.op, b[i].msg.op);
   }
+}
+
+void expect_same_trace(const FanOutWorld& fan, const FanOutWorld& loop) {
+  const auto ta = fan.trace.events();
+  const auto tb = loop.trace.events();
+  ASSERT_EQ(ta.size(), tb.size());
+  EXPECT_EQ(std::memcmp(ta.data(), tb.data(), ta.size() * sizeof(ta[0])), 0);
+}
+
+void expect_same_sends(const vs::hier::ClusterHierarchy& h, Faults faults) {
+  FanOutWorld fan(h, faults, true);
+  FanOutWorld loop(h, faults, false);
+  drive_fan_outs(fan, h);
+  drive_fan_outs(loop, h);
+
+  ASSERT_FALSE(fan.cg.in_transit().empty());
+  expect_same_in_transit(fan.cg, loop.cg);
   for (int k = 0; k < static_cast<int>(MsgKind::kCount); ++k) {
     const auto kind = static_cast<MsgKind>(k);
     EXPECT_EQ(fan.counters.messages(kind), loop.counters.messages(kind));
@@ -323,10 +359,7 @@ void expect_same_sends(const vs::hier::ClusterHierarchy& h, Faults faults) {
   EXPECT_EQ(fan.counters.jittered(), loop.counters.jittered());
   EXPECT_EQ(fan.cg.lost(), loop.cg.lost());
   EXPECT_EQ(fan.observed, loop.observed);
-  const auto ta = fan.trace.events();
-  const auto tb = loop.trace.events();
-  ASSERT_EQ(ta.size(), tb.size());
-  EXPECT_EQ(std::memcmp(ta.data(), tb.data(), ta.size() * sizeof(ta[0])), 0);
+  expect_same_trace(fan, loop);
   if (faults != Faults::kNone) {
     EXPECT_GT(fan.cg.lost(), 0);
   }
@@ -356,6 +389,70 @@ TEST(CGcastFanOut, MatchesPerNeighbourSendsOnEveryCluster) {
     {
       SCOPED_TRACE("drop, duplicate and jitter channel faults");
       expect_same_sends(*h, Faults::kAll);
+    }
+  }
+}
+
+/// Runs both worlds to quiescence one step() at a time: every step fires
+/// the same event (time, sequence number, cause, destination, message) in
+/// both, and leaves the same pending() and in_transit().
+void expect_same_deliveries(const vs::hier::ClusterHierarchy& h,
+                            Faults faults) {
+  FanOutWorld fan(h, faults, true);
+  FanOutWorld loop(h, faults, false);
+  drive_fan_outs(fan, h, 3);
+  drive_fan_outs(loop, h, 3);
+  ASSERT_EQ(fan.sched.pending(), loop.sched.pending());
+  for (;;) {
+    const bool stepped = fan.sched.step();
+    ASSERT_EQ(stepped, loop.sched.step());
+    if (!stepped) break;
+    SCOPED_TRACE(fan.sched.events_fired());
+    ASSERT_EQ(fan.sched.events_fired(), loop.sched.events_fired());
+    ASSERT_EQ(fan.sched.pending(), loop.sched.pending());
+    ASSERT_EQ(fan.sched.now(), loop.sched.now());
+    ASSERT_EQ(fan.delivered.size(), loop.delivered.size());
+    if (!fan.delivered.empty()) {
+      ASSERT_EQ(fan.delivered.back(), loop.delivered.back());
+    }
+    expect_same_in_transit(fan.cg, loop.cg);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(fan.sched.pending(), 0u);
+  EXPECT_TRUE(fan.cg.in_transit().empty());
+  EXPECT_EQ(fan.delivered, loop.delivered);
+  EXPECT_EQ(fan.cg.dropped(), loop.cg.dropped());
+  EXPECT_GT(fan.cg.dropped(), 0);
+  EXPECT_EQ(fan.observed, loop.observed);
+  expect_same_trace(fan, loop);
+  // Relayed fan-outs were sent from inside events, under causes.
+  EXPECT_TRUE(std::any_of(
+      fan.delivered.begin(), fan.delivered.end(),
+      [](const Delivered& d) { return std::get<2>(d) != 0; }));
+  if (faults == Faults::kNone) {
+    // Reliable fan-outs share queue entries; faulty ones each draw a
+    // verdict per member and keep an event each.
+    EXPECT_LT(fan.sched.queue_pushes(), loop.sched.queue_pushes());
+  } else {
+    EXPECT_EQ(fan.sched.queue_pushes(), loop.sched.queue_pushes());
+  }
+}
+
+TEST(CGcastFanOut, DeliversLikePerNeighbourSendsStepByStep) {
+  // Smaller worlds, and a third of the clusters sending, than above:
+  // in_transit() is compared after every step.
+  const vs::hier::GridHierarchy grid(9, 9, 3);
+  const vs::hier::StripHierarchy strip(27, 3);
+  const vs::hier::TorusHierarchy torus(9, 3);
+  for (const vs::hier::ClusterHierarchy* h :
+       {static_cast<const vs::hier::ClusterHierarchy*>(&grid),
+        static_cast<const vs::hier::ClusterHierarchy*>(&strip),
+        static_cast<const vs::hier::ClusterHierarchy*>(&torus)}) {
+    SCOPED_TRACE(h->num_clusters());
+    for (const Faults faults :
+         {Faults::kNone, Faults::kDropOnly, Faults::kAll}) {
+      SCOPED_TRACE(static_cast<int>(faults));
+      expect_same_deliveries(*h, faults);
     }
   }
 }

@@ -1,15 +1,21 @@
 // The per-message path's resource contract: the serving path builds no
 // scheduler event on the heap (C-gcast's in-flight slab and the trackers'
 // inline timer actions keep every closure inside EventAction's buffer),
-// schedules none onto the event queue's fallback heap, and tracker state
-// is bounded by live objects and in-flight finds, not by history.
+// schedules none onto the event queue's fallback heap, pushes one queue
+// entry per rule-(a) fan-out rather than per member, and tracker state is
+// bounded by live objects and in-flight finds, not by history. Fan-out
+// entries fire exactly the events per-destination entries fire.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
+#include "hier/torus_hierarchy.hpp"
+#include "obs/trace_io.hpp"
 #include "serve/server.hpp"
 #include "sim/action.hpp"
+#include "spec/look_ahead.hpp"
 #include "util.hpp"
 
 namespace vstest {
@@ -92,8 +98,100 @@ TEST(MessagePath, ServingPathStaysOnTheDelayClasses) {
     }
   }
   srv.finish();
-  EXPECT_GT(g.net->scheduler().events_fired(), 5'000u);
-  EXPECT_EQ(g.net->scheduler().fallback_pushes(), 0u);
+  const sim::Scheduler& sched = g.net->scheduler();
+  EXPECT_GT(sched.events_fired(), 5'000u);
+  EXPECT_EQ(sched.fallback_pushes(), 0u);
+  // About half the events are members of rule-(a) fan-outs, which share
+  // one queue entry each, so there are far fewer pushes than events (with
+  // an entry per event there would be more: cancelled timers are pushed
+  // but never fire). Many of the fan-outs here have three members: every
+  // find starts in a corner region, whose clusters have three neighbours
+  // on every level.
+  EXPECT_LT(static_cast<double>(sched.queue_pushes()),
+            0.75 * static_cast<double>(sched.events_fired()));
+}
+
+/// Drives seeded walks of three objects, with finds, through two copies of
+/// one world in lockstep: `plain` fans out through shared queue entries,
+/// `per_event` has a never-faulting channel-fault oracle installed, which
+/// keeps one event per fan-out member. After every step both have fired
+/// as many events and every object's lookAhead agrees; at the end their
+/// VSTRACE1 bytes are identical.
+void expect_fan_outs_fire_per_destination_events(
+    const hier::ClusterHierarchy& h, std::uint64_t seed) {
+  tracking::TrackingNetwork plain(h, {});
+  tracking::TrackingNetwork per_event(h, {});
+  per_event.cgcast().set_channel_faults(
+      [](const vsa::Message&) { return vsa::CGcast::ChannelDecision{}; });
+  const std::array<tracking::TrackingNetwork*, 2> nets{&plain, &per_event};
+  for (tracking::TrackingNetwork* net : nets) net->set_tracing(true);
+
+  constexpr int kObjects = 3;
+  constexpr int kRounds = 20;
+  const auto& tiling = h.tiling();
+  const auto regions = static_cast<int>(tiling.num_regions());
+  std::vector<TargetId> targets;
+  std::vector<std::vector<RegionId>> walks;
+  for (int i = 0; i < kObjects; ++i) {
+    const RegionId start{static_cast<RegionId::rep_type>(
+        (2 * i + 1) * regions / (2 * kObjects))};
+    walks.push_back(random_walk(tiling, start, kRounds,
+                                seed + static_cast<std::uint64_t>(i)));
+    targets.push_back(plain.add_evader(start));
+    ASSERT_EQ(per_event.add_evader(start), targets.back());
+  }
+  const auto step_both = [&] {
+    for (;;) {
+      const bool stepped = plain.scheduler().step();
+      ASSERT_EQ(stepped, per_event.scheduler().step());
+      if (!stepped) return;
+      ASSERT_EQ(plain.scheduler().events_fired(),
+                per_event.scheduler().events_fired());
+      for (const TargetId t : targets) {
+        ASSERT_TRUE(spec::equal_states(spec::look_ahead(plain.snapshot(t)),
+                                       spec::look_ahead(per_event.snapshot(t))))
+            << "object " << t << " after event "
+            << plain.scheduler().events_fired();
+      }
+    }
+  };
+  step_both();
+  Rng rng{seed};
+  for (int r = 1; r <= kRounds; ++r) {
+    const RegionId from{static_cast<RegionId::rep_type>(
+        rng.uniform_int(0, regions - 1))};
+    for (tracking::TrackingNetwork* net : nets) {
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        net->move_evader(targets[i], walks[i][static_cast<std::size_t>(r)]);
+      }
+      if (r % 3 == 0) {
+        (void)net->start_find(from, targets[static_cast<std::size_t>(r) %
+                                            targets.size()]);
+      }
+    }
+    step_both();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(plain.scheduler().events_fired(), 500u);
+  EXPECT_LT(plain.scheduler().queue_pushes(),
+            per_event.scheduler().queue_pushes());
+  std::ostringstream a;
+  std::ostringstream b;
+  obs::write_trace(a, {{0, plain.trace().events()}});
+  obs::write_trace(b, {{0, per_event.trace().events()}});
+  EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(MessagePath, FanOutsFireThePerDestinationEvents) {
+  const hier::GridHierarchy grid(9, 9, 3);
+  const hier::StripHierarchy strip(27, 3);
+  const hier::TorusHierarchy torus(9, 3);
+  for (const std::uint64_t seed : {7u, 8u}) {
+    SCOPED_TRACE(seed);
+    expect_fan_outs_fire_per_destination_events(grid, seed);
+    expect_fan_outs_fire_per_destination_events(strip, seed);
+    expect_fan_outs_fire_per_destination_events(torus, seed);
+  }
 }
 
 TEST(MessagePath, TrackerRowsStayBoundedOverALongRun) {

@@ -21,21 +21,37 @@ tracking::NetworkConfig replicated_cfg(int k, bool failures = true) {
 }
 
 TEST(Replication, ReplicaSetsIncludeHeadAndAreDistinct) {
-  GridNet g = make_grid(27, 3, replicated_cfg(3, false));
-  for (std::size_t c = 0; c < g.hierarchy->num_clusters(); ++c) {
-    const ClusterId id{static_cast<ClusterId::rep_type>(c)};
-    const auto reps = g.net->replicas_of(id);
-    ASSERT_GE(reps.size(), 1u);
-    EXPECT_EQ(reps.front(), g.hierarchy->head(id));
-    // Distinct members of the cluster, capped by its size.
-    const auto members = g.hierarchy->members(id);
-    EXPECT_LE(reps.size(), std::min<std::size_t>(3, members.size()));
-    for (std::size_t i = 0; i < reps.size(); ++i) {
-      EXPECT_NE(std::find(members.begin(), members.end(), reps[i]),
-                members.end());
-      for (std::size_t j = i + 1; j < reps.size(); ++j) {
-        EXPECT_NE(reps[i], reps[j]);
+  for (const int k : {1, 3}) {
+    SCOPED_TRACE(k);
+    GridNet g = make_grid(27, 3, replicated_cfg(k, false));
+    const auto& h = *g.hierarchy;
+    // hosted_at(u), rebuilt from replicas_of: the clusters with a replica
+    // at u, in cluster-id order.
+    std::vector<std::vector<ClusterId>> hosted(h.tiling().num_regions());
+    for (std::size_t c = 0; c < h.num_clusters(); ++c) {
+      const ClusterId id{static_cast<ClusterId::rep_type>(c)};
+      const auto reps = g.net->replicas_of(id);
+      ASSERT_GE(reps.size(), 1u);
+      EXPECT_EQ(reps.front(), h.head(id));
+      // Distinct members of the cluster, capped by its size.
+      const auto members = h.members(id);
+      EXPECT_LE(reps.size(),
+                std::min<std::size_t>(static_cast<std::size_t>(k),
+                                      members.size()));
+      for (std::size_t i = 0; i < reps.size(); ++i) {
+        EXPECT_NE(std::find(members.begin(), members.end(), reps[i]),
+                  members.end());
+        for (std::size_t j = i + 1; j < reps.size(); ++j) {
+          EXPECT_NE(reps[i], reps[j]);
+        }
+        hosted[static_cast<std::size_t>(reps[i].value())].push_back(id);
       }
+    }
+    for (std::size_t u = 0; u < hosted.size(); ++u) {
+      const auto at =
+          g.net->hosted_at(RegionId{static_cast<RegionId::rep_type>(u)});
+      EXPECT_EQ(std::vector<ClusterId>(at.begin(), at.end()), hosted[u])
+          << "region " << u;
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <sys/wait.h>
@@ -664,6 +665,35 @@ TEST(ServedBinary, MalformedNumberPrintsUsageAndExitsTwo) {
     EXPECT_EQ(WEXITSTATUS(rc), 2);
     EXPECT_NE(slurp(out).find("usage: vinestalk_served"), std::string::npos)
         << slurp(out);
+  }
+}
+
+TEST(ServedBinary, OversizedRingsExitWithAMessage) {
+  // A ring budget past ServeConfig::kMaxRingSlots is refused before any
+  // ring is allocated (exit 1), and a --load burst of overdrive x capacity
+  // x queues frames that overflows 64 bits is a usage error (exit 2); in
+  // neither case may the daemon die on a signal.
+  const std::string out = tmp_path("served_huge.out");
+  const std::string payload = tmp_path("served_huge.vsingest");
+  spit(payload, encode_stream({update_frame(0, 1, 1)}));
+  const std::string served =
+      std::string(VS_SERVED_PATH) + " --side 9 --base 3 --objects 1 ";
+  for (const auto& [args, status, says] :
+       {std::tuple<std::string, int, std::string>{
+            "--stdin --queue-capacity 9223372036854775807 < " + payload, 1,
+            "ingest rings too large"},
+        {"--stdin --queues 4096 --queue-capacity 1024 < " + payload, 1,
+         "ingest rings too large"},
+        {"--load 4 --queue-capacity 9223372036854775807", 2,
+         "usage: vinestalk_served"},
+        {"--load 4 --overdrive 4611686018427387904 --queue-capacity 2", 2,
+         "usage: vinestalk_served"}}) {
+    SCOPED_TRACE(args);
+    const int rc = std::system((served + args + " > " + out + " 2>&1").c_str());
+    ASSERT_NE(rc, -1);
+    ASSERT_TRUE(WIFEXITED(rc)) << "the daemon must not die on a signal";
+    EXPECT_EQ(WEXITSTATUS(rc), status);
+    EXPECT_NE(slurp(out).find(says), std::string::npos) << slurp(out);
   }
 }
 

@@ -387,7 +387,9 @@ run_perf() {
   # bench_micro, briefly, from an empty directory: it must exit 0 (the
   # slow every-change watchdog case is left out), its enabled-ledger case
   # must count ledger entries, the daemon's delay mix must stay on the
-  # event queue's delay classes (no fallback-heap push), the network
+  # event queue's delay classes (no fallback-heap push), the 243x243 walk
+  # must push well under one queue entry per event (each rule-(a) fan-out
+  # is one entry; one entry per event reads 1 or more), the network
   # construction case must run at every size and measure its heap, and it
   # must leave no file behind.
   mkdir "$dir/micro"
@@ -405,6 +407,11 @@ mix = runs.get("BM_SchedulerDaemonMix/100000")
 assert mix is not None, "BM_SchedulerDaemonMix/100000 did not run"
 assert mix["fallback_pushes"] == 0, \
     "the daemon delay mix hit the fallback heap: %r" % mix["fallback_pushes"]
+walk = runs.get("BM_MoveAndQuiesce/243")
+assert walk is not None, "BM_MoveAndQuiesce/243 did not run"
+assert walk["queue_pushes_per_event"] < 0.5, \
+    "fan-outs are not sharing queue entries: %r pushes per event" % \
+    walk["queue_pushes_per_event"]
 for side in (27, 81, 243):
     net = runs.get("BM_NetworkConstruction/%d" % side)
     assert net is not None, "BM_NetworkConstruction/%d did not run" % side

@@ -407,6 +407,17 @@ int main(int argc, char** argv) {
   if (opt.side < 2 || opt.base < 2 || opt.objects < 1) {
     return usage("need --side >= 2, --base >= 2, --objects >= 1");
   }
+  // A --load round bursts up to overdrive x capacity frames per ring, on
+  // every ring (make_load_stream).
+  std::int64_t burst = 0;
+  if (opt.load_rounds >= 0 &&
+      (__builtin_mul_overflow(
+           opt.overdrive, static_cast<std::int64_t>(opt.serve.queue_capacity),
+           &burst) ||
+       __builtin_mul_overflow(
+           burst, static_cast<std::int64_t>(opt.serve.queues), &burst))) {
+    return usage("--overdrive x --queue-capacity x --queues overflows");
+  }
 
   try {
     hier::GridHierarchy hierarchy(opt.side, opt.side, opt.base);
@@ -632,6 +643,9 @@ int main(int argc, char** argv) {
     if (watchdog.has_value() && !watchdog->ok()) return 1;
     return 0;
   } catch (const Error& e) {
+    std::cerr << "vinestalk_served: " << e.what() << "\n";
+    return 1;
+  } catch (const std::exception& e) {
     std::cerr << "vinestalk_served: " << e.what() << "\n";
     return 1;
   }
