@@ -26,15 +26,20 @@ namespace detail {
 }  // namespace vs
 
 /// Checked requirement; always on (simulation correctness beats speed here;
-/// hot paths that profiled as bottlenecks use VS_DCHECK instead).
-#define VS_REQUIRE(expr, ...)                                              \
-  do {                                                                     \
-    if (!(expr)) {                                                         \
-      ::std::ostringstream vs_require_os_;                                 \
-      vs_require_os_ << "" __VA_ARGS__;                                    \
-      ::vs::detail::raise_requirement_failure(#expr, __FILE__, __LINE__,   \
-                                              vs_require_os_.str());       \
-    }                                                                      \
+/// hot paths that profiled as bottlenecks use VS_DCHECK instead). The
+/// message is formatted and thrown in a cold, never-inlined lambda, so a
+/// passing check costs its caller one compare and branch and leaves small
+/// accessors inlinable.
+#define VS_REQUIRE(expr, ...)                                                \
+  do {                                                                       \
+    if (!(expr)) [[unlikely]] {                                              \
+      [&]() __attribute__((cold, noinline, noreturn)) {                      \
+        ::std::ostringstream vs_require_os_;                                 \
+        vs_require_os_ << "" __VA_ARGS__;                                    \
+        ::vs::detail::raise_requirement_failure(#expr, __FILE__, __LINE__,   \
+                                                vs_require_os_.str());       \
+      }();                                                                   \
+    }                                                                        \
   } while (false)
 
 /// Debug-only check for hot paths.

@@ -61,6 +61,7 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
       cgcast_(std::make_unique<vsa::CGcast>(sched_, hierarchy, config_.cgcast,
                                             counters_)),
       evaders_(hierarchy.tiling()),
+      rows_(hierarchy.num_clusters()),
       // Observability: one recorder per world, shared by the message
       // service and every cluster process; off until set_tracing(true).
       tracker_env_{.sched = &sched_,
@@ -69,6 +70,7 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
                    .config = &tracker_config_,
                    .trace = &trace_,
                    .prof = nullptr,
+                   .rows = &rows_,
                    .state_hook = {}},
       trackers_(tracker_env_, hierarchy.num_clusters()),
       census_{.latency_us = obs::Histogram(kFindLatencyBoundsUs)} {
@@ -184,14 +186,13 @@ TrackingNetwork::TrackingNetwork(const hier::ClusterHierarchy& hierarchy,
   // Per-find accounting.
   cgcast_->add_send_observer([this](const vsa::Message& m, ClusterId, ClusterId,
                                     Level level, std::int64_t hops) {
-    if (!m.find_id.valid()) return;
-    const auto it = finds_.find(m.find_id);
-    if (it == finds_.end()) return;
-    ++it->second.messages;
-    it->second.work += hops;
+    const std::size_t i = find_index(m.find_id);
+    if (i == finds_.size()) return;
+    FindResult& r = finds_[i];
+    ++r.messages;
+    r.work += hops;
     if (m.type == vsa::MsgType::kFindQuery) {
-      it->second.max_search_level =
-          std::max(it->second.max_search_level, level);
+      r.max_search_level = std::max(r.max_search_level, level);
     }
   });
 }
@@ -339,7 +340,7 @@ void TrackingNetwork::record(obs::TraceKind kind, FindId f, TargetId t,
 }
 
 FindId TrackingNetwork::start_find(RegionId from, TargetId target) {
-  const FindId f{next_find_++};
+  const FindId f{static_cast<FindId::rep_type>(finds_.size()) + 1};
   const obs::OpId op = obs::make_op(
       obs::OpClass::kFindSearch, static_cast<std::uint32_t>(f.value()));
   FindResult r;
@@ -351,7 +352,7 @@ FindId TrackingNetwork::start_find(RegionId from, TargetId target) {
   // The `d` the Theorem 5.2 bounds apply at: origin→evader distance when
   // the find is issued.
   r.distance = hier_->tiling().distance(from, evaders_.region_of(target));
-  finds_.emplace(f, r);
+  finds_.push_back(r);
   ++census_.issued;
   if (ledger_ != nullptr) {
     ledger_->begin_find(obs::op_index(op), sched_.now().count());
@@ -367,26 +368,33 @@ FindId TrackingNetwork::start_find(RegionId from, TargetId target) {
   return f;
 }
 
+std::size_t TrackingNetwork::find_index(FindId f) const {
+  const bool issued =
+      f.value() >= 1 && static_cast<std::uint64_t>(f.value()) <= finds_.size();
+  return issued ? static_cast<std::size_t>(f.value() - 1) : finds_.size();
+}
+
 const FindResult& TrackingNetwork::find_result(FindId f) const {
-  const auto it = finds_.find(f);
-  VS_REQUIRE(it != finds_.end(), "unknown find " << f);
-  return it->second;
+  const std::size_t i = find_index(f);
+  VS_REQUIRE(i < finds_.size(), "unknown find " << f);
+  return finds_[i];
 }
 
 void TrackingNetwork::on_found_output(FindId f, TargetId t, RegionId region,
                                       ClientId /*by*/) {
-  const auto it = finds_.find(f);
-  VS_REQUIRE(it != finds_.end(), "found output for unknown find " << f);
-  VS_REQUIRE(it->second.target == t, "found output target mismatch");
-  if (it->second.done) return;  // several believing clients may answer
-  it->second.done = true;
-  it->second.found_region = region;
-  it->second.completed = sched_.now();
+  const std::size_t i = find_index(f);
+  VS_REQUIRE(i < finds_.size(), "found output for unknown find " << f);
+  FindResult& r = finds_[i];
+  VS_REQUIRE(r.target == t, "found output target mismatch");
+  if (r.done) return;  // several believing clients may answer
+  r.done = true;
+  r.found_region = region;
+  r.completed = sched_.now();
   ++census_.completed;
-  census_.latency_us.record(it->second.latency().count());
+  census_.latency_us.record(r.latency().count());
   if (ledger_ != nullptr) {
-    ledger_->complete_find(static_cast<std::uint32_t>(f.value()),
-                           it->second.distance, sched_.now().count());
+    ledger_->complete_find(static_cast<std::uint32_t>(f.value()), r.distance,
+                           sched_.now().count());
   }
   if (trace_.enabled()) {
     record(obs::TraceKind::kFoundOutput, f, t, region,
@@ -415,8 +423,21 @@ SystemSnapshot TrackingNetwork::snapshot(TargetId target) const {
   SystemSnapshot snap;
   snap.hier = hier_;
   snap.target = target;
-  snap.trackers.reserve(trackers_.size());
-  for (const Tracker& tr : trackers_) snap.trackers.push_back(tr.state(target));
+  // Every cluster reads ⊥ but those holding a row for `target`.
+  snap.trackers.resize(trackers_.size());
+  for (std::size_t c = 0; c < snap.trackers.size(); ++c) {
+    snap.trackers[c].clust = ClusterId{static_cast<ClusterId::rep_type>(c)};
+  }
+  if (const TrackerRows::TargetTable* rows = rows_.targets(target)) {
+    rows->for_each([&](const TargetRow& row) {
+      TrackerSnapshot& s =
+          snap.trackers[static_cast<std::size_t>(row.clust.value())];
+      s.c = row.c;
+      s.p = row.p;
+      s.nbrptup = row.nbrptup;
+      s.nbrptdown = row.nbrptdown;
+    });
+  }
   for (const auto& in : cgcast_->in_transit()) {
     if (in.msg.target != target) continue;
     if (!stats::is_move_kind(in.msg.type)) continue;

@@ -3,7 +3,8 @@
 //
 // Owns the scheduler, the C-gcast service, the VSA directory, the client
 // population, the evader model, and one Tracker per cluster (one array
-// behind one shared TrackerEnv), wired exactly as §III-B prescribes:
+// behind one shared TrackerEnv, whose row tables hold every tracker's
+// Figure 2 state), wired exactly as §III-B prescribes:
 // clients broadcast detections to their level-0 VSAs; Trackers maintain
 // the tracking path; finds are injected at client regions and complete
 // with a client found output at the evader's region.
@@ -12,7 +13,7 @@
 // checkers and the baselines all drive a TrackingNetwork.
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -114,6 +115,8 @@ class TrackingNetwork {
   /// Null unless model_vsa_failures.
   [[nodiscard]] vsa::VsaDirectory* directory() { return directory_.get(); }
   [[nodiscard]] Tracker& tracker(ClusterId c);
+  /// Every tracker's Figure 2 rows (state bounds for soak tests).
+  [[nodiscard]] const TrackerRows& tracker_rows() const { return rows_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
   // Observability. The recorder is wired through C-gcast and every Tracker
@@ -149,10 +152,10 @@ class TrackingNetwork {
   // Finds.
   FindId start_find(RegionId from, TargetId target);
   [[nodiscard]] const FindResult& find_result(FindId f) const;
-  /// Every find issued so far, by id.
-  [[nodiscard]] const std::map<FindId, FindResult>& finds() const {
-    return finds_;
-  }
+  /// Every find issued so far, in id order: start_find issues ids 1, 2,
+  /// 3, …, so find f is finds()[f − 1]. A deque, so a find's result never
+  /// moves once issued.
+  [[nodiscard]] const std::deque<FindResult>& finds() const { return finds_; }
   /// Issued/completed counts and the latency distribution of finds() —
   /// what the metrics table (tracking/series.hpp) reads.
   [[nodiscard]] const FindCensus& find_census() const { return census_; }
@@ -220,6 +223,9 @@ class TrackingNetwork {
  private:
   void dispatch(ClusterId dest, const vsa::Message& m);
   void on_found_output(FindId f, TargetId t, RegionId region, ClientId by);
+  /// `f`'s index in finds_ (f − 1), or finds_.size() if start_find never
+  /// issued `f`.
+  [[nodiscard]] std::size_t find_index(FindId f) const;
   void record(obs::TraceKind kind, FindId f, TargetId t, RegionId region,
               obs::OpId op, std::int32_t arg = 0);
   void record_move(TargetId target, RegionId from, RegionId to,
@@ -255,6 +261,7 @@ class TrackingNetwork {
   std::unique_ptr<vsa::ClientPopulation> clients_;
   vsa::EvaderModel evaders_;
   obs::TraceRecorder trace_;
+  TrackerRows rows_;
   TrackerEnv tracker_env_;
   TrackerArray trackers_;
   // §VII replica placement as offset + flat (CSR) tables: the regions
@@ -266,9 +273,8 @@ class TrackingNetwork {
   std::vector<RegionId> replica_flat_;
   std::vector<std::uint32_t> hosted_offset_;  // by region id
   std::vector<ClusterId> hosted_flat_;
-  std::map<FindId, FindResult> finds_;
+  std::deque<FindResult> finds_;  // by FindId − 1
   FindCensus census_;
-  FindId::rep_type next_find_{1};
   obs::OpLedger* ledger_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   vsa::CGcast::ObserverId ledger_observer_ = 0;

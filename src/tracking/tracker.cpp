@@ -1,7 +1,5 @@
 #include "tracking/tracker.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -22,78 +20,77 @@ struct OpScope {
   OpScope& operator=(const OpScope&) = delete;
 };
 
-/// First row of a table sorted by `key` whose key is not below `id`.
-template <class Rows, class Id, class Key>
-auto lower_row(Rows& rows, Id id, Key key) {
-  return std::lower_bound(rows.begin(), rows.end(), id,
-                          [key](const auto& row, Id v) { return row.*key < v; });
-}
-
-/// The row keyed `id`, or nullptr.
-template <class Rows, class Id, class Key>
-auto* lookup_row(Rows& rows, Id id, Key key) {
-  const auto it = lower_row(rows, id, key);
-  return it != rows.end() && (*it).*key == id ? &*it : nullptr;
-}
-
 }  // namespace
+
+TrackerRows::TargetTable& TrackerRows::add_targets(TargetId t) {
+  VS_REQUIRE(t.valid(), "target " << t << " out of range");
+  const auto i = static_cast<std::size_t>(t.value());
+  if (i >= by_target_.size()) by_target_.resize(i + 1);
+  return by_target_[i];
+}
 
 Tracker::Tracker(const TrackerEnv& env, ClusterId clust)
     : env_(&env), clust_(clust), lvl_(env.hier->level(clust)) {}
 
-Tracker::~Tracker() { reset(); }
-
-Tracker::PerTarget& Tracker::target_state(TargetId t) {
-  auto it = lower_row(targets_, t, &PerTarget::target);
-  if (it == targets_.end() || it->target != t) {
-    it = targets_.insert(it, PerTarget{});
-    it->target = t;
-  }
-  return *it;
+TargetRow& Tracker::target_state(TargetId t) {
+  return env_->rows->add_targets(t).find_or_insert(TargetRow{.clust = clust_});
 }
 
-Tracker::PerFind& Tracker::find_state(FindId f) {
-  auto it = lower_row(finds_, f, &PerFind::find);
-  if (it == finds_.end() || it->find != f) {
-    it = finds_.insert(it, PerFind{});
-    it->find = f;
-  }
-  return *it;
+FindRow& Tracker::find_state(FindId f) {
+  VS_REQUIRE(f.valid(), "find row for " << f);
+  env_->rows->mark_finds(clust_, true);
+  return env_->rows->finds().find_or_insert(
+      FindRow{.find = f, .clust = clust_});
 }
 
-Tracker::PerTarget* Tracker::target_row(TargetId t) {
-  return lookup_row(targets_, t, &PerTarget::target);
+TargetRow* Tracker::target_row(TargetId t) {
+  TrackerRows::TargetTable* rows = env_->rows->targets(t);
+  return rows != nullptr ? rows->find(clust_) : nullptr;
 }
 
-const Tracker::PerTarget* Tracker::target_row(TargetId t) const {
-  return lookup_row(targets_, t, &PerTarget::target);
+const TargetRow* Tracker::target_row(TargetId t) const {
+  const TrackerRows::TargetTable* rows = env_->rows->targets(t);
+  return rows != nullptr ? rows->find(clust_) : nullptr;
 }
 
-Tracker::PerFind* Tracker::find_row(FindId f) {
-  return lookup_row(finds_, f, &PerFind::find);
+FindRow* Tracker::find_row(FindId f) {
+  return env_->rows->finds().find(FindKey{f, clust_});
 }
 
-const Tracker::PerFind* Tracker::find_row(FindId f) const {
-  return lookup_row(finds_, f, &PerFind::find);
+const FindRow* Tracker::find_row(FindId f) const {
+  return env_->rows->finds().find(FindKey{f, clust_});
 }
 
-const Tracker::PerTarget& Tracker::target_view(TargetId t) const {
-  static constexpr PerTarget kBottom{};
-  const PerTarget* s = target_row(t);
+const TargetRow& Tracker::target_view(TargetId t) const {
+  static constexpr TargetRow kBottom{};
+  const TargetRow* s = target_row(t);
   return s != nullptr ? *s : kBottom;
 }
 
-void Tracker::retire(PerTarget& s) {
-  if (s.active()) return;
-  targets_.erase(targets_.begin() + (&s - targets_.data()));
+template <class Pred>
+FindRow* Tracker::next_find_row(FindId after, Pred pred, bool& held) {
+  FindRow* next = nullptr;
+  env_->rows->finds().for_each([&](FindRow& r) {
+    if (r.clust != clust_) return;
+    held = true;
+    if (r.find > after && (next == nullptr || r.find < next->find) && pred(r)) {
+      next = &r;
+    }
+  });
+  return next;
 }
 
-void Tracker::retire(PerFind& pf) {
+void Tracker::retire(TargetId t, TargetRow& s) {
+  if (s.active()) return;
+  env_->rows->targets(t)->erase(s);
+}
+
+void Tracker::retire(FindRow& pf) {
   // `target` and `queried` are rewritten by the next find receipt, so a
   // row that is not finding matters only through a pending timeout or the
   // root-retry budget (which persists across receipts).
   if (pf.finding || pf.nbrtimeout.valid() || pf.root_retries != 0) return;
-  finds_.erase(finds_.begin() + (&pf - finds_.data()));
+  env_->rows->finds().erase(pf);
 }
 
 void Tracker::disarm(sim::EventId& timer) {
@@ -101,13 +98,13 @@ void Tracker::disarm(sim::EventId& timer) {
   timer = sim::EventId{};
 }
 
-void Tracker::arm_timer(PerTarget& s, sim::Duration delay) {
+void Tracker::arm_timer(TargetId t, TargetRow& s, sim::Duration delay) {
   disarm(s.timer);
-  const TargetId t = s.target;
-  s.timer = env_->sched->schedule_after(delay, [this, t] { on_timer_expiry(t); });
+  s.timer =
+      env_->sched->schedule_after(delay, [this, t] { on_timer_expiry(t); });
 }
 
-void Tracker::arm_nbrtimeout(PerFind& pf, sim::Duration delay) {
+void Tracker::arm_nbrtimeout(FindRow& pf, sim::Duration delay) {
   disarm(pf.nbrtimeout);
   const FindId f = pf.find;
   pf.nbrtimeout =
@@ -117,35 +114,48 @@ void Tracker::arm_nbrtimeout(PerFind& pf, sim::Duration delay) {
 void Tracker::on_timer_expiry(TargetId t) {
   target_row(t)->timer = sim::EventId{};  // armed rows are never retired
   on_timer(t);
-  if (PerTarget* s = target_row(t)) retire(*s);
+  if (TargetRow* s = target_row(t)) retire(t, *s);
 }
 
 void Tracker::on_nbrtimeout_expiry(FindId f) {
   find_row(f)->nbrtimeout = sim::EventId{};
   on_nbrtimeout(f);
-  if (PerFind* pf = find_row(f)) retire(*pf);
+  if (FindRow* pf = find_row(f)) retire(*pf);
 }
 
 void Tracker::reset() {
-  for (PerTarget& s : targets_) disarm(s.timer);
-  for (PerFind& pf : finds_) disarm(pf.nbrtimeout);
-  targets_.clear();
-  finds_.clear();
+  // Timers are cancelled by target, then by find, both in id order.
+  TrackerRows& rows = *env_->rows;
+  for (std::size_t i = 0; i < rows.target_bound(); ++i) {
+    TrackerRows::TargetTable& table =
+        *rows.targets(TargetId{static_cast<TargetId::rep_type>(i)});
+    if (TargetRow* s = table.find(clust_)) {
+      disarm(s->timer);
+      table.erase(*s);
+    }
+  }
+  bool held = false;
+  const auto any = [](const FindRow&) { return true; };
+  while (FindRow* pf = next_find_row(FindId::invalid(), any, held)) {
+    disarm(pf->nbrtimeout);
+    rows.finds().erase(*pf);
+  }
+  rows.mark_finds(clust_, false);
 }
 
 void Tracker::corrupt_state(TargetId target, const TrackerSnapshot& forced) {
-  PerTarget& s = target_state(target);
+  TargetRow& s = target_state(target);
   s.c = forced.c;
   s.p = forced.p;
   s.nbrptup = forced.nbrptup;
   s.nbrptdown = forced.nbrptdown;
   disarm(s.timer);
   notify_state_change(target);
-  retire(s);
+  retire(target, s);
 }
 
 TrackerSnapshot Tracker::state(TargetId target) const {
-  const PerTarget& s = target_view(target);
+  const TargetRow& s = target_view(target);
   TrackerSnapshot out;
   out.clust = clust_;
   out.c = s.c;
@@ -167,19 +177,39 @@ void Tracker::nudge_timer(TargetId target, obs::OpId op) {
     target_state(target).op = op;
   }
   on_timer(target);
-  if (PerTarget* s = target_row(target)) retire(*s);
+  if (TargetRow* s = target_row(target)) retire(target, *s);
 }
 
 std::vector<TargetId> Tracker::active_targets() const {
   std::vector<TargetId> out;
-  for (const PerTarget& s : targets_) {
-    if (s.active()) out.push_back(s.target);
+  for (std::size_t i = 0; i < env_->rows->target_bound(); ++i) {
+    const TargetId t{static_cast<TargetId::rep_type>(i)};
+    const TargetRow* s = target_row(t);
+    if (s != nullptr && s->active()) out.push_back(t);
   }
   return out;
 }
 
+std::size_t Tracker::target_rows() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < env_->rows->target_bound(); ++i) {
+    if (target_row(TargetId{static_cast<TargetId::rep_type>(i)}) != nullptr) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+std::size_t Tracker::find_rows() const {
+  std::size_t n = 0;
+  env_->rows->finds().for_each([&](const FindRow& r) {
+    if (r.clust == clust_) ++n;
+  });
+  return n;
+}
+
 bool Tracker::finding(FindId find) const {
-  const PerFind* pf = find_row(find);
+  const FindRow* pf = find_row(find);
   return pf != nullptr && pf->finding;
 }
 
@@ -255,9 +285,9 @@ void Tracker::dispatch(const Message& m) {
 // Input cTOBrcv(⟨grow, cid⟩): arm the grow timer if the process was idle
 // (c = p = ⊥, below MAX), then point c at the sender unconditionally.
 void Tracker::on_grow(const Message& m) {
-  PerTarget& s = target_state(m.target);
+  TargetRow& s = target_state(m.target);
   if (!s.c.valid() && !s.p.valid() && lvl_ != env_->hier->max_level()) {
-    arm_timer(s, env_->config->timers.grow(lvl_));
+    arm_timer(m.target, s, env_->config->timers.grow(lvl_));
     s.op = current_op_;
   }
   s.c = m.from_cluster;
@@ -268,7 +298,7 @@ void Tracker::on_grow(const Message& m) {
 // Input cTOBrcv(⟨growPar, cid⟩): the neighbour cid joined the path via its
 // hierarchy parent.
 void Tracker::on_grow_par(const Message& m) {
-  PerTarget& s = target_state(m.target);
+  TargetRow& s = target_state(m.target);
   s.nbrptup = m.from_cluster;
   notify_state_change(m.target);
   advance_finds_of(m.target);
@@ -277,7 +307,7 @@ void Tracker::on_grow_par(const Message& m) {
 // Input cTOBrcv(⟨growNbr, cid⟩): the neighbour cid joined via a lateral
 // link.
 void Tracker::on_grow_nbr(const Message& m) {
-  PerTarget& s = target_state(m.target);
+  TargetRow& s = target_state(m.target);
   s.nbrptdown = m.from_cluster;
   notify_state_change(m.target);
   advance_finds_of(m.target);
@@ -286,21 +316,21 @@ void Tracker::on_grow_nbr(const Message& m) {
 // Input cTOBrcv(⟨shrink, cid⟩): clean only deadwood — ignore unless c still
 // points at the sender.
 void Tracker::on_shrink(const Message& m) {
-  PerTarget* s = target_row(m.target);
+  TargetRow* s = target_row(m.target);
   if (s == nullptr || s->c != m.from_cluster) return;
   s->c = ClusterId::invalid();
   if (lvl_ != env_->hier->max_level()) {
-    arm_timer(*s, env_->config->timers.shrink(lvl_));
+    arm_timer(m.target, *s, env_->config->timers.shrink(lvl_));
     s->op = current_op_;
   }
   notify_state_change(m.target);
-  retire(*s);
+  retire(m.target, *s);
 }
 
 // Input cTOBrcv(⟨shrinkUpd, cid⟩): drop secondary pointers to the departed
 // neighbour.
 void Tracker::on_shrink_upd(const Message& m) {
-  PerTarget* s = target_row(m.target);
+  TargetRow* s = target_row(m.target);
   if (s == nullptr) return;
   bool changed = false;
   if (s->nbrptup == m.from_cluster) {
@@ -314,7 +344,7 @@ void Tracker::on_shrink_upd(const Message& m) {
   if (changed) {
     notify_state_change(m.target);
     advance_finds_of(m.target);
-    retire(*s);
+    retire(m.target, *s);
   }
 }
 
@@ -341,7 +371,7 @@ void Tracker::record(obs::TraceKind kind, TargetId target, FindId find,
 
 void Tracker::on_timer(TargetId t) {
   const obs::ProfScope prof(env_->prof, obs::ProfDomain::kTrackerTimer);
-  PerTarget& s = target_state(t);
+  TargetRow& s = target_state(t);
   // The expiry's cascade belongs to the operation that armed the timer.
   OpScope scope(&current_op_, s.op);
   if (tracing()) {
@@ -378,7 +408,7 @@ void Tracker::on_timer(TargetId t) {
 
 // Input cTOBrcv(⟨find, cid⟩): enter the search/trace phase.
 void Tracker::on_find(const Message& m) {
-  PerFind& pf = find_state(m.find_id);
+  FindRow& pf = find_state(m.find_id);
   pf.finding = true;
   pf.target = m.target;
   pf.queried = false;
@@ -387,25 +417,27 @@ void Tracker::on_find(const Message& m) {
 }
 
 void Tracker::advance_finds_of(TargetId t) {
+  if (!env_->rows->may_hold_finds(clust_)) return;
   // FindId order. try_advance_find only changes (or retires) the row it
-  // advances, so resume after that find's id instead of collecting first.
-  for (auto it = finds_.begin(); it != finds_.end();) {
-    if (!it->finding || it->target != t) {
-      ++it;
-      continue;
-    }
-    const FindId f = it->find;
+  // advances, so resume above that find's id instead of collecting first.
+  bool held = false;
+  const auto waiting = [t](const FindRow& r) {
+    return r.finding && r.target == t;
+  };
+  FindRow* pf = next_find_row(FindId::invalid(), waiting, held);
+  while (pf != nullptr) {
+    const FindId f = pf->find;
     try_advance_find(f);
-    it = lower_row(finds_, f, &PerFind::find);
-    if (it != finds_.end() && it->find == f) ++it;
+    pf = next_find_row(f, waiting, held);
   }
+  if (!held) env_->rows->mark_finds(clust_, false);
 }
 
 void Tracker::try_advance_find(FindId f) {
-  PerFind* row = find_row(f);
+  FindRow* row = find_row(f);
   if (row == nullptr || !row->finding) return;
-  PerFind& pf = *row;
-  const PerTarget& ts = target_view(pf.target);
+  FindRow& pf = *row;
+  const TargetRow& ts = target_view(pf.target);
 
   // Phase classification by the enabled action, not by the inherited op:
   // a valid c means the find is on the tracking path (trace phase — the
@@ -446,12 +478,12 @@ void Tracker::try_advance_find(FindId f) {
   if (!pf.queried) issue_find_query(f, pf, ts);
 }
 
-void Tracker::stop_finding(PerFind& pf) {
+void Tracker::stop_finding(FindRow& pf) {
   pf.finding = false;
   retire(pf);
 }
 
-void Tracker::issue_find_query(FindId f, PerFind& pf, const PerTarget& ts) {
+void Tracker::issue_find_query(FindId f, FindRow& pf, const TargetRow& ts) {
   pf.queried = true;
   const sim::Duration roundtrip =
       2 * env_->hier->n(lvl_) * (env_->cgcast->config().delta + env_->cgcast->config().e);
@@ -461,7 +493,7 @@ void Tracker::issue_find_query(FindId f, PerFind& pf, const PerTarget& ts) {
 
 // Input cTOBrcv(⟨findQuery, cid⟩): answer with the best pointer we hold.
 void Tracker::on_find_query(const Message& m) {
-  const PerTarget& s = target_view(m.target);
+  const TargetRow& s = target_view(m.target);
   ClusterId x;
   if (s.c.valid()) {
     x = s.c;
@@ -478,10 +510,10 @@ void Tracker::on_find_query(const Message& m) {
 // Input cTOBrcv(⟨findAck, dest⟩): follow the advertised pointer if this
 // find is still searching here and no better pointer appeared meanwhile.
 void Tracker::on_find_ack(const Message& m) {
-  PerFind* row = find_row(m.find_id);
+  FindRow* row = find_row(m.find_id);
   if (row == nullptr || !row->finding) return;
-  PerFind& pf = *row;
-  const PerTarget& ts = target_view(pf.target);
+  FindRow& pf = *row;
+  const TargetRow& ts = target_view(pf.target);
   const bool still_searching = !ts.c.valid() && !ts.nbrptdown.valid() &&
                                (!ts.nbrptup.valid() || ts.nbrptup == ts.p);
   if (!still_searching) return;  // a state change will route the find
@@ -494,7 +526,7 @@ void Tracker::on_find_ack(const Message& m) {
 // nbrtimeout expiry: no neighbour answered in time — escalate.
 void Tracker::on_nbrtimeout(FindId f) {
   const obs::ProfScope prof(env_->prof, obs::ProfDomain::kTrackerFind);
-  PerFind& pf = *find_row(f);  // an armed timeout keeps its row
+  FindRow& pf = *find_row(f);  // an armed timeout keeps its row
   if (!pf.finding) return;
   // A timed-out query escalates — still the find's search phase.
   OpScope scope(&current_op_,
@@ -503,7 +535,7 @@ void Tracker::on_nbrtimeout(FindId f) {
   if (tracing()) {
     record(obs::TraceKind::kFindTimeout, pf.target, f, 0);
   }
-  const PerTarget& ts = target_view(pf.target);
+  const TargetRow& ts = target_view(pf.target);
   const bool still_searching = !ts.c.valid() && !ts.nbrptdown.valid() &&
                                (!ts.nbrptup.valid() || ts.nbrptup == ts.p);
   if (!still_searching) {

@@ -30,6 +30,33 @@ TEST(ErrorMessages, MessageIsOptional) {
   EXPECT_THROW(VS_REQUIRE(false), vs::Error);
 }
 
+// The failure path is formatted out of line: a message may still read the
+// caller's members through `this`, and the location is the check's own.
+struct Budget {
+  int spent = 7;
+  int limit = 5;
+  void charge(int* line) const {
+    *line = __LINE__ + 1;
+    VS_REQUIRE(spent <= limit, "spent " << spent << " of " << limit);
+  }
+};
+
+TEST(ErrorMessages, ReadMembersAndReportTheCallSiteLine) {
+  const Budget budget;
+  int line = 0;
+  try {
+    budget.charge(&line);
+    FAIL() << "should have thrown";
+  } catch (const vs::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spent <= limit"), std::string::npos) << what;
+    EXPECT_NE(what.find("spent 7 of 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("test_common_extras.cpp:" + std::to_string(line)),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Logging, ThresholdGatesOutput) {
   const auto original = vs::log_level();
   vs::set_log_level(vs::LogLevel::kWarn);

@@ -195,8 +195,8 @@ TEST(Finds, CensusEqualsARecountOverTheHistory) {
   };
   std::int64_t messages = 0;
   std::int64_t work = 0;
-  for (const auto& [id, fr] : g.net->finds()) {
-    EXPECT_TRUE(fr.done) << id;
+  for (const tracking::FindResult& fr : g.net->finds()) {
+    EXPECT_TRUE(fr.done) << fr.id;
     messages += fr.messages;
     work += fr.work;
   }
@@ -216,7 +216,7 @@ TEST(Finds, CensusEqualsARecountOverTheHistory) {
   std::int64_t issued = 0;
   std::int64_t completed = 0;
   obs::Histogram latency(bounds);
-  for (const auto& [id, fr] : g.net->finds()) {
+  for (const tracking::FindResult& fr : g.net->finds()) {
     ++issued;
     if (!fr.done) continue;
     ++completed;

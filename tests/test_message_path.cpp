@@ -197,7 +197,9 @@ TEST(MessagePath, FanOutsFireThePerDestinationEvents) {
 TEST(MessagePath, TrackerRowsStayBoundedOverALongRun) {
   // Soak under the paper's assumptions: atomic moves (each one quiesces
   // before the next) and finds that all complete. Row counts, not RSS,
-  // so the bound is exact and flake-free.
+  // so the bound is exact and flake-free. The row tables' storage follows
+  // their live rows: at most 4 slots a row, plus a 16-slot floor per
+  // target.
   constexpr int kSide = 27;
   constexpr int kTargets = 4;
   constexpr int kMoves = 100'000;
@@ -241,6 +243,8 @@ TEST(MessagePath, TrackerRowsStayBoundedOverALongRun) {
       const FindId f = g.net->start_find(from, targets[i]);
       g.net->run_to_quiescence();
       ASSERT_TRUE(g.net->find_result(f).done) << "find " << f;
+      ASSERT_EQ(g.net->tracker_rows().finds().size(), 0u)
+          << "find " << f << " left a row behind";
       ++finds;
     }
     if (move % kCheckpoint != 0) continue;
@@ -255,6 +259,17 @@ TEST(MessagePath, TrackerRowsStayBoundedOverALongRun) {
       target_rows += tr.target_rows();
     }
     EXPECT_LE(target_rows, bound) << "after " << move << " moves";
+    std::size_t live = 0;
+    std::size_t slots = 0;
+    for (const TargetId t : targets) {
+      const auto* table = g.net->tracker_rows().targets(t);
+      ASSERT_NE(table, nullptr);
+      live += table->size();
+      slots += table->capacity();
+    }
+    EXPECT_EQ(live, target_rows);
+    EXPECT_LE(slots, 4 * live + 16 * targets.size())
+        << "after " << move << " moves";
     totals.push_back(target_rows);
   }
   EXPECT_EQ(finds, kMoves / kMovesPerFind);

@@ -152,6 +152,53 @@ TEST(TrackerUnit, ResetWipesState) {
   EXPECT_TRUE(f.tr(c1).active_targets().empty());
 }
 
+TEST(TrackerUnit, ResetOnAFailedVsaClearsEveryTargetsRows) {
+  tracking::NetworkConfig cfg;
+  cfg.model_vsa_failures = true;
+  GridNet g = make_grid(9, 3, cfg);
+  const TargetId a = g.net->add_evader(g.at(4, 4));
+  const TargetId b = g.net->add_evader(g.at(5, 4));
+  g.net->run_to_quiescence();
+  // Move both objects and stop mid-cascade, so the clusters hosted at
+  // (4,4) hold rows for both targets with timers armed.
+  g.net->move_evader(a, g.at(4, 5));
+  g.net->move_evader(b, g.at(4, 3));
+  g.net->scheduler().step();
+  g.net->scheduler().step();
+  const RegionId u = g.at(4, 4);
+  const auto hosted = g.net->hosted_at(u);
+  std::size_t rows = 0;
+  std::size_t armed = 0;
+  for (const ClusterId c : hosted) {
+    rows += g.net->tracker(c).target_rows();
+    for (const TargetId t : {a, b}) {
+      if (g.net->tracker(c).timer_armed(t)) ++armed;
+    }
+  }
+  ASSERT_EQ(
+      g.net->tracker(g.hierarchy->cluster_of(u, 0)).active_targets().size(),
+      2u);
+  ASSERT_GT(armed, 0u);
+  ASSERT_GT(rows, armed);
+  const std::size_t pending = g.net->scheduler().pending();
+
+  g.net->fail_vsa(u);
+  for (const ClusterId c : hosted) {
+    auto& tr = g.net->tracker(c);
+    EXPECT_EQ(tr.target_rows(), 0u);
+    EXPECT_TRUE(tr.active_targets().empty());
+    for (const TargetId t : {a, b}) {
+      EXPECT_EQ(g.net->tracker_rows().targets(t)->find(c), nullptr);
+      EXPECT_FALSE(tr.timer_armed(t));
+      const auto s = tr.state(t);
+      EXPECT_FALSE(s.c.valid() || s.p.valid() || s.nbrptup.valid() ||
+                   s.nbrptdown.valid());
+    }
+  }
+  // Every armed timer was cancelled; the failure schedules the restart.
+  EXPECT_EQ(g.net->scheduler().pending(), pending - armed + 1);
+}
+
 TEST(TrackerUnit, FindQueryAnswerPrecedence) {
   Tiny f;
   const TargetId t = f.g.net->add_evader(f.g.at(4, 4));

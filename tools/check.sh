@@ -23,7 +23,8 @@
 # every deterministic artifact must stay byte-identical with profiling
 # on vs off, and a brief bench_micro run from an empty directory must
 # exit 0, count ledger entries in its enabled-ledger case, run the
-# network construction case at every size, and leave no file behind. A
+# network construction case at every size (under 70 heap bytes a region
+# at 243x243), and leave no file behind. A
 # serve stage drives the vinestalk_served ingest daemon: a 2×-capacity
 # load burst under a chaos fault plan (which must lose and jitter
 # messages, with the heartbeat stabilizer repairing) must finish
@@ -390,8 +391,10 @@ run_perf() {
   # event queue's delay classes (no fallback-heap push), the 243x243 walk
   # must push well under one queue entry per event (each rule-(a) fan-out
   # is one entry; one entry per event reads 1 or more), the network
-  # construction case must run at every size and measure its heap, and it
-  # must leave no file behind.
+  # construction case must run at every size and measure its heap (under
+  # 70 bytes a region at 243x243: the trackers' Figure 2 rows live in the
+  # world's row tables, so a tracker holds no container), and it must
+  # leave no file behind.
   mkdir "$dir/micro"
   (cd "$dir/micro" &&
     "$root/build-check/bench/bench_micro" --benchmark_min_time=0.01 \
@@ -417,6 +420,9 @@ for side in (27, 81, 243):
     assert net is not None, "BM_NetworkConstruction/%d did not run" % side
     assert net["bytes_per_region"] > 0, \
         "BM_NetworkConstruction/%d measured no heap" % side
+assert runs["BM_NetworkConstruction/243"]["bytes_per_region"] < 70, \
+    "trackers hold per-tracker state again: %r heap bytes per region" % \
+    runs["BM_NetworkConstruction/243"]["bytes_per_region"]
 EOF
   [ -z "$(ls -A "$dir/micro")" ] || {
     echo "FAIL: bench_micro left files behind" >&2
